@@ -9,6 +9,20 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Hidden-input gate: a result must be a function of its Scenario alone,
+# so the crates that produce results may read only allow-listed env vars
+# (engine config, the audit switch, supervisor test hooks, a CCA trace).
+echo "==> env var allow-list (result-producing crates)"
+env_reads=$(grep -rnE 'env::var(_os)?\(' \
+    crates/netsim/src crates/cca/src crates/fluid/src crates/core/src crates/experiments/src \
+    | grep -vE 'env::var(_os)?\("(BBRDOM_JOBS|BBRDOM_CACHE_DIR|BBRDOM_AUDIT|BBRDOM_TEST_POISON_[A-Z_]+|BBRDOM_VIVACE_TRACE)"\)' \
+    || true)
+if [[ -n "$env_reads" ]]; then
+    echo "env var read outside the allow-list (hash it into the Scenario instead):"
+    echo "$env_reads"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -79,7 +93,8 @@ diff -r "$ne_out/serial" "$ne_out/topo"
 # after launch. The supervisor must absorb the kill (retry the
 # forfeited leases on the survivor / a replacement) and the figures
 # must still be byte-identical to the serial run; a second supervised
-# run resumes warm from the shared cache and must match too.
+# run against the same cache is the resume path: it must match too, with
+# every cell served from the store (zero simulations on stderr).
 echo "==> supervised sweep smoke (repro 9 --supervise 2, one worker SIGKILLed)"
 sv_out="${TMPDIR:-/tmp}/bbrdom-ci-supervised"
 rm -rf "$sv_out"
@@ -105,8 +120,12 @@ wait "$killer" || true
 diff -r --exclude=cache "$ne_out/serial" "$sv_out/supervised"
 cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
     --supervise 2 --jobs 1 --watchdog 10 \
-    --cache-dir "$sv_out/cache" --out "$sv_out/resumed"
+    --cache-dir "$sv_out/cache" --out "$sv_out/resumed" \
+    2> "$sv_out/resumed.log" || { cat "$sv_out/resumed.log"; exit 1; }
+cat "$sv_out/resumed.log"
 diff -r --exclude=cache "$ne_out/serial" "$sv_out/resumed"
+grep -F "(0 simulated (0 events)" "$sv_out/resumed.log" >/dev/null \
+    || { echo "supervised rerun against a warm cache still simulated something"; exit 1; }
 
 # Adaptive NE smoke: the model-guided search with early termination must
 # land every observed NE within one grid step of the dense grid's, per

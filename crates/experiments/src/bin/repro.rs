@@ -817,8 +817,8 @@ fn main() -> ExitCode {
         println!("{}", ALL_FIGURES.join("\n"));
         return ExitCode::SUCCESS;
     }
-    // Ctrl-C / SIGTERM flush the sweep journal and print a resume hint
-    // instead of tearing the process down mid-write.
+    // Ctrl-C / SIGTERM finish recording the finished trials and print a
+    // resume hint instead of tearing the process down mid-write.
     bbrdom_experiments::supervisor::install_signal_handlers();
     // Configure the scenario engine before anything simulates (the
     // global engine is first-use-wins). Disk cache defaults to
@@ -833,8 +833,8 @@ fn main() -> ExitCode {
         )
     };
     let supervise = args.supervise.map(|workers| {
-        // Supervisor scratch state (work dirs, auto-journals) lives next
-        // to the cache; with --no-cache it falls back to a temp dir.
+        // Supervisor scratch state (per-batch work dirs) lives next to
+        // the cache; with --no-cache it falls back to a temp dir.
         let state_dir = disk_cache
             .as_ref()
             .map(|c| c.join("supervise"))

@@ -12,11 +12,11 @@
 //!
 //! 1. results are gathered by *scenario index*, never by completion
 //!    order;
-//! 2. the JSONL sweep journal is written by a single writer (the thread
-//!    that owns the receive side of the results channel), strictly in
-//!    index order, so `--jobs 1` and `--jobs 8` produce byte-identical
-//!    journals and a crash can only truncate the journal at a line
-//!    boundary;
+//! 2. the result store's index ([`crate::store`]) is appended by a single
+//!    writer (the thread that owns the receive side of the results
+//!    channel), strictly in index order, so `--jobs 1` and `--jobs 8`
+//!    produce byte-identical index files and a crash can only truncate
+//!    the index at a line boundary;
 //! 3. each simulation is a pure function of its [`Scenario`], so the
 //!    engine may memoize: a **content-addressed cache** keyed by a
 //!    stable 128-bit hash of the *full* scenario (link, buffer, flows,
@@ -27,9 +27,11 @@
 //!    profiles constantly; warm reruns skip the work entirely.
 //!
 //! Fail-soft sweep semantics ([`crate::runner::run_sweep`]) ride on the
-//! same machinery: per-trial [`TrialOutcome`]s, event/wall-clock
-//! budgets, and journal resume. A cached success is only reused under an
-//! event budget when the recorded run fit that budget
+//! same machinery: per-trial [`TrialOutcome`]s and event/wall-clock
+//! budgets. Resuming an interrupted sweep is rerunning it against the
+//! same cache: the store and the disk cache answer every trial that
+//! finished, and failed trials run again. A cached success is only
+//! reused under an event budget when the recorded run fit that budget
 //! (`events_processed <= budget`), so caching never flips a
 //! budget-failure into a success or vice versa.
 
@@ -40,7 +42,6 @@ use bbrdom_netsim::json::{self, Value};
 use bbrdom_netsim::SimReport;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -69,65 +70,104 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 /// assert_ne!(scenario_hash(&des), scenario_hash(&fluid));
 /// ```
 pub fn scenario_hash(s: &Scenario) -> u128 {
+    use crate::scenario::{
+        ArrivalSpec, BackendSpec, EarlyStopSpec, FlowSpec, SizeSpec, TopoLinkSpec, TopologySpec,
+        WorkloadSpec,
+    };
+    // Every struct hashed field by field is destructured without `..`,
+    // so adding a field breaks the build here until the field is hashed.
+    // Faults are hashed as the schedule they lower to, which is what the
+    // simulator runs.
+    let Scenario {
+        mbps,
+        buffer_bdp,
+        reference_rtt_ms,
+        flows,
+        duration_secs,
+        seed,
+        discipline,
+        faults,
+        early_stop,
+        backend,
+        workload,
+        topology,
+    } = s;
     let mut h = StableHasher::new();
     CACHE_FORMAT_VERSION.stable_hash(&mut h);
-    s.mbps.stable_hash(&mut h);
-    s.buffer_bdp.stable_hash(&mut h);
-    s.reference_rtt_ms.stable_hash(&mut h);
-    s.duration_secs.stable_hash(&mut h);
-    s.seed.stable_hash(&mut h);
-    s.discipline.name().stable_hash(&mut h);
-    (s.flows.len() as u64).stable_hash(&mut h);
-    for f in &s.flows {
-        f.cca.name().stable_hash(&mut h);
-        f.rtt_ms.stable_hash(&mut h);
-        f.start_s.stable_hash(&mut h);
-        f.byte_limit.stable_hash(&mut h);
+    mbps.stable_hash(&mut h);
+    buffer_bdp.stable_hash(&mut h);
+    reference_rtt_ms.stable_hash(&mut h);
+    duration_secs.stable_hash(&mut h);
+    seed.stable_hash(&mut h);
+    discipline.name().stable_hash(&mut h);
+    (flows.len() as u64).stable_hash(&mut h);
+    for FlowSpec {
+        cca,
+        rtt_ms,
+        start_s,
+        byte_limit,
+    } in flows
+    {
+        cca.name().stable_hash(&mut h);
+        rtt_ms.stable_hash(&mut h);
+        start_s.stable_hash(&mut h);
+        byte_limit.stable_hash(&mut h);
     }
     // Hash the *compiled* netsim fault schedule: it already folds in the
-    // derived per-trial RNG stream seed, and reuses the same stable-hash
-    // implementation the simulator's own config hashing pins.
-    s.faults.to_schedule(s.seed).stable_hash(&mut h);
+    // derived per-trial RNG stream seed.
+    faults.to_schedule(*seed).stable_hash(&mut h);
     // Opt-in stop policy extends the byte stream only when engaged: every
     // pre-existing scenario keeps its hash, and an early-stopped run can
     // never alias the fixed-horizon run of the same scenario (the marker
     // bytes make the extension unambiguous).
-    if let Some(stop) = &s.early_stop {
+    if let Some(EarlyStopSpec {
+        epsilon,
+        dwell,
+        window_secs,
+        min_secs,
+    }) = early_stop
+    {
         h.write_bytes(b"early_stop");
-        stop.epsilon.stable_hash(&mut h);
-        stop.dwell.stable_hash(&mut h);
-        stop.window_secs.stable_hash(&mut h);
-        stop.min_secs.stable_hash(&mut h);
+        epsilon.stable_hash(&mut h);
+        dwell.stable_hash(&mut h);
+        window_secs.stable_hash(&mut h);
+        min_secs.stable_hash(&mut h);
     }
     // Backend domain separation, by the same opt-in marker scheme: DES
     // scenarios (the default) keep their historical hashes, while a fluid
     // run of the same scenario lives under a distinct key.
-    if s.backend != crate::scenario::BackendSpec::Des {
+    if *backend != BackendSpec::Des {
         h.write_bytes(b"backend");
-        s.backend.name().stable_hash(&mut h);
+        backend.name().stable_hash(&mut h);
     }
     // Open-loop workload, same opt-in marker scheme: workload-free
     // scenarios keep their historical hashes; every workload field feeds
     // the key (the simulator output depends on all of them).
-    if let Some(wl) = &s.workload {
+    if let Some(WorkloadSpec {
+        cca,
+        arrival,
+        size,
+        rtt_ms,
+    }) = workload
+    {
         h.write_bytes(b"workload");
-        wl.cca.name().stable_hash(&mut h);
-        match wl.arrival {
-            crate::scenario::ArrivalSpec::Poisson { rate_per_sec } => {
+        cca.name().stable_hash(&mut h);
+        match arrival {
+            ArrivalSpec::Poisson { rate_per_sec } => {
                 h.write_bytes(&[0]);
                 rate_per_sec.stable_hash(&mut h);
             }
-            crate::scenario::ArrivalSpec::Deterministic { interval_s } => {
+            ArrivalSpec::Deterministic { interval_s } => {
                 h.write_bytes(&[1]);
                 interval_s.stable_hash(&mut h);
             }
         }
-        match wl.size {
-            crate::scenario::SizeSpec::Fixed { bytes } => {
+        match size {
+            SizeSpec::Fixed { bytes } => {
                 h.write_bytes(&[0]);
                 bytes.stable_hash(&mut h);
             }
-            crate::scenario::SizeSpec::Pareto {
+            SizeSpec::Pareto {
                 alpha,
                 min_bytes,
                 max_bytes,
@@ -138,64 +178,61 @@ pub fn scenario_hash(s: &Scenario) -> u128 {
                 max_bytes.stable_hash(&mut h);
             }
         }
-        wl.rtt_ms.stable_hash(&mut h);
+        rtt_ms.stable_hash(&mut h);
     }
     // Explicit topology, same opt-in marker scheme: implicit-dumbbell
     // scenarios keep their historical hashes, and every topology field
     // feeds the key — including the fields that only *select* behavior
     // (routes, flow_routes, fault_link), since the simulator output
     // depends on all of them.
-    if let Some(t) = &s.topology {
+    if let Some(TopologySpec {
+        nodes,
+        links,
+        routes,
+        flow_routes,
+        workload_route,
+        fault_link,
+    }) = topology
+    {
         h.write_bytes(b"topology");
-        (t.nodes.len() as u64).stable_hash(&mut h);
-        for name in &t.nodes {
+        (nodes.len() as u64).stable_hash(&mut h);
+        for name in nodes {
             name.as_str().stable_hash(&mut h);
         }
-        (t.links.len() as u64).stable_hash(&mut h);
-        for l in &t.links {
-            l.from.as_str().stable_hash(&mut h);
-            l.to.as_str().stable_hash(&mut h);
-            match l.mbps {
-                None => h.write_bytes(&[0]),
-                Some(mbps) => {
-                    h.write_bytes(&[1]);
-                    mbps.stable_hash(&mut h);
-                }
-            }
-            l.delay_ms.stable_hash(&mut h);
-            l.buffer_bdp.stable_hash(&mut h);
+        (links.len() as u64).stable_hash(&mut h);
+        for TopoLinkSpec {
+            from,
+            to,
+            mbps: link_mbps,
+            delay_ms,
+            buffer_bdp: link_buffer_bdp,
+        } in links
+        {
+            from.as_str().stable_hash(&mut h);
+            to.as_str().stable_hash(&mut h);
+            link_mbps.stable_hash(&mut h);
+            delay_ms.stable_hash(&mut h);
+            link_buffer_bdp.stable_hash(&mut h);
         }
-        (t.routes.len() as u64).stable_hash(&mut h);
-        for route in &t.routes {
+        (routes.len() as u64).stable_hash(&mut h);
+        for route in routes {
             (route.len() as u64).stable_hash(&mut h);
             for &link in route {
                 (link as u64).stable_hash(&mut h);
             }
         }
-        (t.flow_routes.len() as u64).stable_hash(&mut h);
-        for &r in &t.flow_routes {
+        (flow_routes.len() as u64).stable_hash(&mut h);
+        for &r in flow_routes {
             (r as u64).stable_hash(&mut h);
         }
-        match t.workload_route {
-            None => h.write_bytes(&[0]),
-            Some(r) => {
-                h.write_bytes(&[1]);
-                (r as u64).stable_hash(&mut h);
-            }
-        }
-        match t.fault_link {
-            None => h.write_bytes(&[0]),
-            Some(l) => {
-                h.write_bytes(&[1]);
-                (l as u64).stable_hash(&mut h);
-            }
-        }
+        workload_route.map(|r| r as u64).stable_hash(&mut h);
+        fault_link.map(|l| l as u64).stable_hash(&mut h);
     }
     h.finish()
 }
 
 /// [`scenario_hash`] as the fixed-width hex string used for cache file
-/// names and journal keys.
+/// names and store index keys.
 pub fn scenario_hash_hex(s: &Scenario) -> String {
     format!("{:032x}", scenario_hash(s))
 }
@@ -323,100 +360,6 @@ impl CacheStats {
     }
 }
 
-/// One parsed sweep-journal record (see [`journal_line`]).
-pub(crate) struct JournalEntry {
-    pub index: usize,
-    pub key: String,
-    pub outcome: TrialOutcome,
-    pub event_budget: Option<u64>,
-    pub wall_budget_ns: Option<u64>,
-    /// Recorded event count — present only on the supervisor's wire
-    /// protocol (workers report it so the parent's result store stays
-    /// budget-admissible), never written to journal files.
-    pub events: Option<u64>,
-}
-
-/// The journal record as a JSON value (see [`journal_line`]). Split out
-/// so the supervisor's wire protocol can extend a record with fields
-/// that journal *files* must not carry (the parent re-serializes its
-/// own journal, keeping the on-disk byte format frozen).
-pub(crate) fn journal_value(
-    index: usize,
-    key: &str,
-    outcome: &TrialOutcome,
-    event_budget: Option<u64>,
-    wall_budget_ns: Option<u64>,
-) -> Value {
-    let mut v = Value::object();
-    v.set("index", Value::U64(index as u64))
-        .set("key", key.into());
-    match outcome {
-        TrialOutcome::Ok(r) => {
-            v.set("ok", true.into()).set("result", r.to_json_value());
-        }
-        TrialOutcome::Failed(f) => {
-            v.set("ok", false.into())
-                .set("error", Value::Str(f.error.clone()))
-                .set("context", Value::Str(f.context.clone()));
-            if let Some(b) = event_budget {
-                v.set("event_budget", Value::U64(b));
-            }
-            if let Some(b) = wall_budget_ns {
-                v.set("wall_budget_ns", Value::U64(b));
-            }
-        }
-    }
-    v
-}
-
-/// Serialize one finished trial as a journal line. Every record carries
-/// the scenario's content hash (`key`), so resume can never reuse a
-/// trial whose scenario was edited between runs; failed records also
-/// carry the budgets they failed under, so raising a budget re-runs
-/// them instead of resuming a stale failure.
-pub(crate) fn journal_line(
-    index: usize,
-    key: &str,
-    outcome: &TrialOutcome,
-    event_budget: Option<u64>,
-    wall_budget_ns: Option<u64>,
-) -> String {
-    journal_value(index, key, outcome, event_budget, wall_budget_ns).to_json()
-}
-
-/// Parse one journal line; `None` for malformed or truncated lines
-/// (e.g. a crash mid-write), which are simply re-run.
-pub(crate) fn parse_journal_line(line: &str) -> Option<JournalEntry> {
-    let v = json::parse(line).ok()?;
-    let index = v.get("index")?.as_u64()? as usize;
-    let key = v.get("key")?.as_str()?.to_string();
-    let ok = match v.get("ok")? {
-        Value::Bool(b) => *b,
-        _ => return None,
-    };
-    let outcome = if ok {
-        TrialOutcome::Ok(TrialResult::from_json_value(v.get("result")?).ok()?)
-    } else {
-        TrialOutcome::Failed(TrialFailure {
-            index,
-            error: v.get("error")?.as_str()?.to_string(),
-            context: v
-                .get("context")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
-    };
-    Some(JournalEntry {
-        index,
-        key,
-        outcome,
-        event_budget: v.get("event_budget").and_then(Value::as_u64),
-        wall_budget_ns: v.get("wall_budget_ns").and_then(Value::as_u64),
-        events: v.get("events").and_then(Value::as_u64),
-    })
-}
-
 /// One-line scenario summary used as failure context.
 pub(crate) fn scenario_context(s: &Scenario) -> String {
     format!(
@@ -541,7 +484,7 @@ impl Engine {
     /// [`Engine::run_all`] with an explicit pool size.
     pub fn run_all_jobs(&self, scenarios: &[Scenario], jobs: usize) -> Vec<TrialResult> {
         let outcomes = self
-            .execute(scenarios, jobs, None, None, None)
+            .execute(scenarios, jobs, None, None)
             .unwrap_or_else(|e| panic!("sweep failed: {e}"));
         let mut results = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
@@ -558,9 +501,8 @@ impl Engine {
     /// Run all scenarios fail-soft: one panicking, livelocked, or
     /// invalid scenario becomes a structured [`TrialOutcome::Failed`]
     /// while the rest of the sweep completes. Outcomes come back in
-    /// input order. See [`crate::runner::run_sweep`] for the journal
-    /// resume contract and the error cases (an unopenable journal is
-    /// the only one on the in-process path).
+    /// input order. See [`crate::runner::run_sweep`] for the resume
+    /// contract and the error cases (supervised bring-up failures only).
     pub fn run_sweep(
         &self,
         scenarios: &[Scenario],
@@ -571,21 +513,19 @@ impl Engine {
             config.jobs.unwrap_or(self.config.jobs),
             config.event_budget,
             config.wall_budget,
-            config.journal.as_deref(),
         )
     }
 
     /// The shared batch executor. Deterministic contract: the returned
-    /// vector is indexed by scenario, and any journal is appended in
-    /// strict index order by the single thread that owns the channel's
-    /// receive side.
+    /// vector is indexed by scenario, and the result store's index is
+    /// appended in strict index order by the single thread that owns the
+    /// channel's receive side.
     fn execute(
         &self,
         scenarios: &[Scenario],
         jobs: usize,
         event_budget: Option<u64>,
         wall_budget: Option<std::time::Duration>,
-        journal: Option<&Path>,
     ) -> Result<Vec<TrialOutcome>, bbrdom_netsim::ConfigError> {
         let n = scenarios.len();
         let hashes: Vec<u128> = scenarios.iter().map(scenario_hash).collect();
@@ -594,55 +534,16 @@ impl Engine {
         let mut done: Vec<Option<TrialOutcome>> = (0..n).map(|_| None).collect();
         // Recorded event counts, alongside `done`: fed to the result
         // store so its entries stay budget-admissible. Unknown (`None`)
-        // for failures and journal-resumed slots.
+        // for failures.
         let mut done_events: Vec<Option<u64>> = vec![None; n];
-
-        // Supervised batches without an explicit journal get one derived
-        // from the batch's content hash, so a parent crash mid-batch
-        // resumes instead of restarting (workers never write it — the
-        // parent stays the single writer).
-        let auto_journal: Option<PathBuf> = match (&journal, &self.config.supervise) {
-            (None, Some(sup)) if n > 0 => Some(
-                sup.state_dir
-                    .join(format!("batch-{}.jsonl", batch_tag(&keys))),
-            ),
-            _ => None,
-        };
-        let journal: Option<&Path> = journal.or(auto_journal.as_deref());
-
-        // Resume: pre-fill slots from the journal when the record's
-        // scenario hash (and, for failures, its budgets) still match.
-        if let Some(path) = journal {
-            if let Ok(file) = std::fs::File::open(path) {
-                for line in std::io::BufReader::new(file).lines() {
-                    let Ok(line) = line else { break };
-                    let Some(entry) = parse_journal_line(&line) else {
-                        continue;
-                    };
-                    if entry.index >= n || entry.key != keys[entry.index] {
-                        continue;
-                    }
-                    if entry.outcome.failure().is_some()
-                        && (entry.event_budget != event_budget
-                            || entry.wall_budget_ns != wall_budget_ns)
-                    {
-                        continue;
-                    }
-                    done[entry.index] = Some(entry.outcome);
-                }
-            }
-        }
 
         // Intra-batch dedup: identical scenarios (payoff matrices share
         // cells) are simulated once; duplicates copy the representative.
         let mut rep_of_hash: HashMap<u128, usize> = HashMap::new();
         let mut aliases: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut pending: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if done[i].is_some() {
-                continue;
-            }
-            match rep_of_hash.entry(hashes[i]) {
+        for (i, &hash) in hashes.iter().enumerate() {
+            match rep_of_hash.entry(hash) {
                 Entry::Vacant(slot) => {
                     slot.insert(i);
                     pending.push(i);
@@ -654,107 +555,66 @@ impl Engine {
             }
         }
 
-        // All indices that will gain a journal line this run, ascending
-        // — the writer flushes them in exactly this order.
-        let to_journal: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
-
-        let mut journal_file = match journal {
-            None => None,
-            Some(path) => match open_journal_append(path) {
-                Ok(file) => Some(file),
-                // The auto-journal is an accelerator, not part of the
-                // caller's contract: degrade to a non-resumable batch.
-                Err(e) if auto_journal.is_some() => {
-                    eprintln!(
-                        "warning: cannot open supervise journal {}: {e}; batch will not resume",
-                        path.display()
-                    );
-                    None
-                }
-                Err(e) => {
-                    return Err(bbrdom_netsim::ConfigError::Io {
-                        what: "sweep journal",
-                        path: path.display().to_string(),
-                        reason: e.to_string(),
-                    })
-                }
-            },
-        };
-
-        // Flush the contiguous prefix of finished indices to the journal
-        // and the result store, in strict index order — one cursor, one
-        // writer, so serial, pooled, and supervised runs produce
-        // byte-identical journal *and* index files. A failed write is
-        // not fatal: the sweep still completes, the trial just won't
-        // resume (or index) for free.
+        // Slot a finished trial (and its duplicates) by index, then record
+        // the contiguous prefix of finished indices in the result store,
+        // in strict index order — one cursor, one writer, so serial,
+        // pooled, and supervised runs produce byte-identical index files,
+        // and an interrupted batch leaves every trial before the cursor
+        // recorded for the rerun to serve.
         let store = self.store();
-        let flush_finished =
-            |done: &Vec<Option<TrialOutcome>>,
-             done_events: &Vec<Option<u64>>,
-             cursor: &mut usize,
-             journal_file: &mut Option<std::fs::File>| {
-                while *cursor < to_journal.len() {
-                    let idx = to_journal[*cursor];
-                    let Some(outcome) = &done[idx] else { break };
-                    if let Some(file) = journal_file.as_mut() {
-                        let line =
-                            journal_line(idx, &keys[idx], outcome, event_budget, wall_budget_ns);
-                        let _ = writeln!(file, "{line}");
-                        let _ = file.flush();
-                    }
-                    if let Some(store) = store {
-                        store.record(
-                            &keys[idx],
-                            &scenarios[idx],
-                            outcome,
-                            done_events[idx],
-                            event_budget,
-                            wall_budget_ns,
-                        );
-                    }
-                    *cursor += 1;
-                }
-            };
-
         let mut cursor = 0usize;
+        let mut finish = |i: usize, outcome: TrialOutcome, events: Option<u64>| {
+            for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
+                done[alias] = Some(retarget(&outcome, alias));
+                done_events[alias] = events;
+            }
+            done[i] = Some(outcome);
+            done_events[i] = events;
+            while let Some(Some(outcome)) = done.get(cursor) {
+                if let Some(store) = store {
+                    store.record(
+                        &keys[cursor],
+                        &scenarios[cursor],
+                        outcome,
+                        done_events[cursor],
+                        event_budget,
+                        wall_budget_ns,
+                    );
+                }
+                cursor += 1;
+            }
+        };
+        let cache_dir = self.config.disk_cache.as_deref();
+        let pool = jobs.max(1).min(pending.len().max(1));
 
-        // Supervised execution: pending work is sharded across worker
-        // subprocesses; this process slots results by index and remains
-        // the journal's single writer, so the output is bit-identical
-        // to the in-process paths below.
-        if let Some(sup) = self.config.supervise.clone() {
-            if !pending.is_empty() {
-                let mut on_result = |i: usize, outcome: TrialOutcome, events: Option<u64>| {
-                    for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                        done[alias] = Some(retarget(&outcome, alias));
-                        done_events[alias] = events;
-                    }
-                    done[i] = Some(outcome);
-                    done_events[i] = events;
-                    flush_finished(&done, &done_events, &mut cursor, &mut journal_file);
-                };
+        if let Some(sup) = &self.config.supervise {
+            // Supervised execution: memo and store hits are answered here
+            // (a rerun of a finished batch spawns no workers); the rest is
+            // sharded across worker subprocesses. This process slots
+            // results by index and remains the index's single writer, so
+            // the output is bit-identical to the in-process paths below.
+            let mut remote = Vec::new();
+            for &i in &pending {
+                match self.cached(hashes[i], event_budget) {
+                    Some((result, events)) => finish(i, TrialOutcome::Ok(result), events),
+                    None => remote.push(i),
+                }
+            }
+            if !remote.is_empty() {
                 let stats = crate::supervisor::run_supervised(
-                    &sup,
+                    sup,
                     scenarios,
                     &keys,
-                    &pending,
+                    &remote,
                     event_budget,
                     wall_budget_ns,
                     jobs.max(1),
-                    self.config.disk_cache.as_deref(),
-                    journal,
-                    &mut on_result,
+                    cache_dir,
+                    &mut finish,
                 )?;
                 self.absorb(&stats);
             }
-            return Ok(done
-                .into_iter()
-                .map(|slot| slot.expect("scenario not executed"))
-                .collect());
-        }
-
-        let jobs = jobs.max(1).min(pending.len().max(1));
-        if jobs == 1 {
+        } else if pool == 1 {
             // Serial path: a one-worker pool still pays for thread spawn,
             // channel traffic, and cross-core cache misses with nothing
             // to show for it (measured ~6% slower than inline on a
@@ -762,23 +622,17 @@ impl Engine {
             // ordering contract holds trivially.
             for &i in &pending {
                 if crate::supervisor::interrupted() {
-                    crate::supervisor::exit_interrupted(journal);
+                    crate::supervisor::exit_interrupted(cache_dir);
                 }
                 let (outcome, events) =
                     self.run_one(&scenarios[i], hashes[i], i, event_budget, wall_budget);
-                for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                    done[alias] = Some(retarget(&outcome, alias));
-                    done_events[alias] = events;
-                }
-                done[i] = Some(outcome);
-                done_events[i] = events;
-                flush_finished(&done, &done_events, &mut cursor, &mut journal_file);
+                finish(i, outcome, events);
             }
         } else {
             let next = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, TrialOutcome, Option<u64>)>();
             std::thread::scope(|scope| {
-                for _ in 0..jobs {
+                for _ in 0..pool {
                     let tx = tx.clone();
                     let pending = &pending;
                     let next = &next;
@@ -799,20 +653,14 @@ impl Engine {
                 drop(tx);
 
                 // Single writer: results arrive in completion order, are
-                // slotted by index, and the journal advances only over the
+                // slotted by index, and the index advances only over the
                 // contiguous prefix of finished indices.
                 for (i, outcome, events) in rx {
-                    for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                        done[alias] = Some(retarget(&outcome, alias));
-                        done_events[alias] = events;
-                    }
-                    done[i] = Some(outcome);
-                    done_events[i] = events;
-                    flush_finished(&done, &done_events, &mut cursor, &mut journal_file);
-                    // The flush above already wrote the contiguous
-                    // prefix, so a graceful stop loses nothing resumable.
+                    finish(i, outcome, events);
+                    // `finish` already recorded the contiguous prefix, so
+                    // a graceful stop loses nothing a rerun could reuse.
                     if crate::supervisor::interrupted() {
-                        crate::supervisor::exit_interrupted(journal);
+                        crate::supervisor::exit_interrupted(cache_dir);
                     }
                 }
             });
@@ -871,6 +719,32 @@ impl Engine {
             .fetch_add(s.events_simulated, Ordering::Relaxed);
     }
 
+    /// The memo's or the result store's answer for a content hash, with
+    /// its recorded event count: the cheap lookups, no report parse.
+    /// Under an event budget a cached result is reused only if its
+    /// recorded event count fits the budget.
+    fn cached(&self, hash: u128, event_budget: Option<u64>) -> Option<(TrialResult, Option<u64>)> {
+        if self.config.memory_cache {
+            let memo = self.memo.lock().expect("engine memo poisoned");
+            if let Some(report) = memo.get(&hash) {
+                if event_budget.is_none_or(|budget| report.events_processed <= budget) {
+                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                    return Some((
+                        TrialResult::from_report(report),
+                        Some(report.events_processed),
+                    ));
+                }
+            }
+        }
+
+        // Store hit: the extracted metrics are the entire answer — no
+        // SimReport is materialized (so the memo is not populated; the
+        // store lookup itself is as cheap as the memo's).
+        let hit = self.store()?.lookup(hash, event_budget)?;
+        self.store_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
     /// Run (or fetch) one scenario, also returning the recorded event
     /// count when known. Cache policy: only successful reports are
     /// cached; under an event budget a cached result is reused only if
@@ -890,28 +764,8 @@ impl Engine {
             event_budget.is_none_or(|budget| report.events_processed <= budget)
         };
 
-        if self.config.memory_cache {
-            let memo = self.memo.lock().expect("engine memo poisoned");
-            if let Some(report) = memo.get(&hash) {
-                if admits(report) {
-                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    let events = report.events_processed;
-                    return (
-                        TrialOutcome::Ok(TrialResult::from_report(report)),
-                        Some(events),
-                    );
-                }
-            }
-        }
-
-        // Store hit: the extracted metrics are the entire answer — no
-        // SimReport is materialized (so the memo is not populated; the
-        // store lookup itself is as cheap as the memo's).
-        if let Some(store) = self.store() {
-            if let Some((result, events)) = store.lookup(hash, event_budget) {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                return (TrialOutcome::Ok(result), events);
-            }
+        if let Some((result, events)) = self.cached(hash, event_budget) {
+            return (TrialOutcome::Ok(result), events);
         }
 
         if let Some(dir) = &self.config.disk_cache {
@@ -981,53 +835,6 @@ fn retarget(outcome: &TrialOutcome, index: usize) -> TrialOutcome {
             context: f.context.clone(),
         }),
     }
-}
-
-/// Stable 64-bit tag of a batch's scenario-key list, used to name
-/// supervised work dirs and auto-journals so the same logical batch
-/// resumes across process restarts.
-pub(crate) fn batch_tag(keys: &[String]) -> String {
-    let mut h = StableHasher::new();
-    h.write_bytes(b"sweep-batch");
-    (keys.len() as u64).stable_hash(&mut h);
-    for k in keys {
-        k.stable_hash(&mut h);
-    }
-    format!("{:016x}", h.finish() as u64)
-}
-
-/// Truncate a journal to its last complete line. A crash (or SIGKILL)
-/// mid-write can leave a partial record with no trailing newline;
-/// appending to it would glue the next record onto the fragment and
-/// corrupt *both*. Run before every append-mode open.
-fn repair_journal_tail(path: &Path) -> std::io::Result<()> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if data.last().is_some_and(|&b| b != b'\n') {
-        let keep = data.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(keep as u64)?;
-    }
-    Ok(())
-}
-
-/// Open a journal for appending: create parent directories, drop any
-/// torn final line, then open in append mode. Shared with the result
-/// store's index, which follows the same append/repair discipline.
-pub(crate) fn open_journal_append(path: &Path) -> std::io::Result<std::fs::File> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    repair_journal_tail(path)?;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
 }
 
 fn cache_entry_path(dir: &Path, hash: u128) -> PathBuf {
@@ -1130,39 +937,5 @@ mod tests {
             .count();
         assert_eq!(leaked, 0, "temp files must not leak");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_tail_repair_truncates_partial_final_line() {
-        let dir = temp_dir("tail");
-        let path = dir.join("sweep.jsonl");
-
-        std::fs::write(&path, "{\"a\":1}\n{\"b\":2}\n{\"partia").unwrap();
-        drop(open_journal_append(&path).unwrap());
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"a\":1}\n{\"b\":2}\n",
-            "torn tail must be dropped, complete lines kept"
-        );
-
-        std::fs::write(&path, "{\"no-newline-at-al").unwrap();
-        drop(open_journal_append(&path).unwrap());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-
-        // A missing journal (and missing parent dir) is created.
-        let fresh = dir.join("sub/dir/new.jsonl");
-        drop(open_journal_append(&fresh).unwrap());
-        assert!(fresh.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_tag_depends_on_keys_and_order() {
-        let a = vec!["k1".to_string(), "k2".to_string()];
-        let b = vec!["k2".to_string(), "k1".to_string()];
-        let c = vec!["k1".to_string(), "k2".to_string()];
-        assert_eq!(batch_tag(&a), batch_tag(&c));
-        assert_ne!(batch_tag(&a), batch_tag(&b));
-        assert_eq!(batch_tag(&a).len(), 16);
     }
 }

@@ -124,8 +124,8 @@ pub fn run(profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    // No journal configured, so the only sweep-level error is a failed
-    // supervisor bring-up; surface it like any other figure failure.
+    // The only sweep-level error is a failed supervisor bring-up;
+    // surface it like any other figure failure.
     let outcomes = runner::run_sweep(&scenarios, &SweepConfig::default())
         .unwrap_or_else(|e| panic!("fault sweep failed: {e}"));
     let mut notes = Vec::new();

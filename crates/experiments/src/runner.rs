@@ -16,13 +16,13 @@
 //! * [`run_all`] — strict: a failing scenario panics, naming the lowest
 //!   failing index (figure sweeps, where any failure is a bug);
 //! * [`run_sweep`] — fail-soft and resumable: failures become structured
-//!   [`TrialOutcome::Failed`] records, budgets guard against livelock,
-//!   and a JSONL journal checkpoints finished trials for resume.
+//!   [`TrialOutcome::Failed`] records and budgets guard against livelock.
+//!   Resume is a rerun against the same cache directory: the result
+//!   store and the disk cache answer every trial that finished.
 
 use crate::engine::Engine;
 use crate::scenario::{Scenario, TrialResult};
 use std::any::Any;
-use std::path::PathBuf;
 
 /// Number of worker threads to use by default.
 pub fn default_workers() -> usize {
@@ -105,7 +105,7 @@ impl TrialOutcome {
     }
 }
 
-/// Configuration for a fail-soft, resumable sweep ([`run_sweep`]).
+/// Configuration for a fail-soft sweep ([`run_sweep`]).
 #[derive(Debug, Clone, Default)]
 pub struct SweepConfig {
     /// Worker threads (`None` = the engine's configured `--jobs`).
@@ -114,24 +114,19 @@ pub struct SweepConfig {
     pub event_budget: Option<u64>,
     /// Per-scenario wall-clock budget (`None` = unlimited).
     pub wall_budget: Option<std::time::Duration>,
-    /// JSONL journal path. Completed trials (successes *and* structured
-    /// failures) are appended in scenario-index order as they finish; a
-    /// rerun with the same journal reuses entries whose scenario hash
-    /// (and, for failures, budgets) still match instead of re-running
-    /// them.
-    pub journal: Option<PathBuf>,
 }
 
 /// Run all scenarios fail-soft: one panicking, livelocked, or invalid
 /// scenario becomes a structured [`TrialOutcome::Failed`] while the rest
 /// of the sweep completes. Outcomes come back in input order.
 ///
-/// With [`SweepConfig::journal`] set, finished trials are checkpointed as
-/// JSONL by a single writer in strict index order (so `--jobs 1` and
-/// `--jobs 8` journals are byte-identical); rerunning the same sweep
-/// resumes, re-using every journal entry whose scenario hash still
-/// matches and re-running only the rest. A journal that cannot be
-/// opened (unwritable path) is a typed
+/// Resuming is rerunning: with a disk cache configured, every finished
+/// success is cached (and, with the result store on, indexed in strict
+/// index order), so a rerun of the same sweep serves those trials
+/// without simulating and runs only the rest. Failures are never served
+/// from the cache; they run again, so a raised budget takes effect. The
+/// only sweep-level errors are supervised bring-up failures (an
+/// unwritable state dir, an unspawnable worker), reported as a typed
 /// [`ConfigError::Io`](bbrdom_netsim::ConfigError::Io) — per-trial
 /// failures stay fail-soft inside the `Ok` outcome vector.
 pub fn run_sweep(
@@ -144,7 +139,6 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{journal_line, parse_journal_line, scenario_hash_hex};
     use bbrdom_cca::CcaKind;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -211,12 +205,6 @@ mod tests {
         );
     }
 
-    fn temp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("bbrdom-sweep-{name}-{}", std::process::id()));
-        p
-    }
-
     #[test]
     fn sweep_survives_a_failing_scenario() {
         // Scenario 1 is invalid (no flows): the sweep must record a
@@ -260,218 +248,5 @@ mod tests {
                 f.error
             );
         }
-    }
-
-    #[test]
-    fn sweep_journal_resumes_without_rerunning() {
-        let path = temp_path("resume");
-        let _ = std::fs::remove_file(&path);
-        let scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
-        let cfg = SweepConfig {
-            jobs: Some(2),
-            journal: Some(path.clone()),
-            ..SweepConfig::default()
-        };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert!(first.iter().all(|o| o.ok().is_some()));
-
-        // Tamper with trial 0's journaled throughput. If the resumed
-        // sweep re-ran the scenario it would recompute the honest value;
-        // seeing 999 back proves the journal entry was reused verbatim.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let tampered: String = text
-            .lines()
-            .map(|line| {
-                let entry = parse_journal_line(line).expect("valid journal line");
-                if entry.index == 0 {
-                    let mut r = entry.outcome.ok().unwrap().clone();
-                    r.throughput_mbps[0] = 999.0;
-                    let mut out = journal_line(
-                        0,
-                        &scenario_hash_hex(&scenarios[0]),
-                        &TrialOutcome::Ok(r),
-                        None,
-                        None,
-                    );
-                    out.push('\n');
-                    out
-                } else {
-                    format!("{line}\n")
-                }
-            })
-            .collect();
-        std::fs::write(&path, tampered).unwrap();
-
-        let resumed = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert_eq!(resumed[0].ok().unwrap().throughput_mbps[0], 999.0);
-        // Untampered entries round-trip bit-exactly.
-        assert_eq!(
-            resumed[1].ok().unwrap().throughput_mbps,
-            first[1].ok().unwrap().throughput_mbps
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sweep_journal_ignores_stale_entries() {
-        let path = temp_path("stale");
-        let _ = std::fs::remove_file(&path);
-        let scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(path.clone()),
-            ..SweepConfig::default()
-        };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-
-        // Change scenario 1 (different seed): its journal entry's hash
-        // no longer matches and must be re-run; scenario 0 still resumes
-        // from the journal.
-        let mut changed = scenarios.clone();
-        changed[1] = tiny(77);
-        let resumed = run_sweep(&changed, &cfg).expect("sweep runs");
-        assert_eq!(
-            resumed[0].ok().unwrap().throughput_mbps,
-            first[0].ok().unwrap().throughput_mbps
-        );
-        assert_ne!(
-            resumed[1].ok().unwrap().throughput_mbps,
-            first[1].ok().unwrap().throughput_mbps
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unopenable_journal_is_a_typed_error() {
-        // A journal path whose parent is a plain file can never be
-        // created: formerly a panic deep in the engine, now a typed
-        // error on run_sweep's Result path.
-        let blocker = temp_path("blocker");
-        std::fs::write(&blocker, "not a directory").unwrap();
-        let scenarios = vec![tiny(1)];
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(blocker.join("sweep.jsonl")),
-            ..SweepConfig::default()
-        };
-        let err = run_sweep(&scenarios, &cfg).expect_err("journal under a plain file must fail");
-        match &err {
-            bbrdom_netsim::ConfigError::Io { what, path, .. } => {
-                assert_eq!(*what, "sweep journal");
-                assert!(path.contains("blocker"), "unhelpful path: {path}");
-            }
-            other => panic!("expected ConfigError::Io, got {other:?}"),
-        }
-        assert!(err.to_string().contains("sweep journal"), "{err}");
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    #[test]
-    fn resume_survives_truncated_tail_and_malformed_midline() {
-        let path = temp_path("torn");
-        let _ = std::fs::remove_file(&path);
-        let scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(path.clone()),
-            ..SweepConfig::default()
-        };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert!(first.iter().all(|o| o.ok().is_some()));
-
-        // Rebuild the journal as a crash might leave it: line 0 valid
-        // but tampered (to prove reuse), a malformed mid-file line, and
-        // a torn final record with no trailing newline.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let mut r0 = first[0].ok().unwrap().clone();
-        r0.throughput_mbps[0] = 999.0;
-        let tampered0 = journal_line(
-            0,
-            &scenario_hash_hex(&scenarios[0]),
-            &TrialOutcome::Ok(r0),
-            None,
-            None,
-        );
-        let torn = &lines[2][..lines[2].len() / 2];
-        std::fs::write(
-            &path,
-            format!("{tampered0}\n{{malformed mid-file line\n{torn}"),
-        )
-        .unwrap();
-
-        let resumed = run_sweep(&scenarios, &cfg).expect("sweep resumes");
-        assert_eq!(
-            resumed[0].ok().unwrap().throughput_mbps[0],
-            999.0,
-            "intact line 0 must resume without re-running"
-        );
-        assert_eq!(
-            resumed[1].ok().unwrap().throughput_mbps,
-            first[1].ok().unwrap().throughput_mbps,
-            "malformed line 1 must be re-run"
-        );
-        assert_eq!(
-            resumed[2].ok().unwrap().throughput_mbps,
-            first[2].ok().unwrap().throughput_mbps,
-            "torn line 2 must be re-run"
-        );
-
-        // The torn tail was truncated before appending, so nothing was
-        // glued to the fragment: every index parses back exactly once.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.ends_with('\n'),
-            "repaired journal ends on a line boundary"
-        );
-        let reparsed: Vec<usize> = text
-            .lines()
-            .filter_map(|l| parse_journal_line(l).map(|e| e.index))
-            .collect();
-        assert_eq!(reparsed, vec![0, 1, 2], "journal after resume:\n{text}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sweep_journal_skips_corrupt_lines() {
-        let path = temp_path("corrupt");
-        std::fs::write(&path, "{truncated\nnot json at all\n").unwrap();
-        let scenarios: Vec<Scenario> = vec![tiny(3)];
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(path.clone()),
-            ..SweepConfig::default()
-        };
-        let outcomes = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert!(
-            outcomes[0].ok().is_some(),
-            "corrupt journal must be ignored"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn failed_outcomes_are_journaled_and_resumed() {
-        let path = temp_path("failed");
-        let _ = std::fs::remove_file(&path);
-        let mut scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
-        scenarios[0].flows.clear();
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(path.clone()),
-            ..SweepConfig::default()
-        };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        let resumed = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert_eq!(
-            resumed[0].failure().expect("still failed"),
-            first[0].failure().expect("failed")
-        );
-        // The journal holds exactly the two first-run lines: the resumed
-        // sweep re-ran nothing and appended nothing.
-        let lines = std::fs::read_to_string(&path).unwrap().lines().count();
-        assert_eq!(lines, 2);
-        let _ = std::fs::remove_file(&path);
     }
 }

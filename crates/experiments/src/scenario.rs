@@ -1476,9 +1476,9 @@ impl TrialResult {
         self.throughput_mbps.iter().sum()
     }
 
-    /// Serialize for the sweep journal (inverse of
-    /// [`TrialResult::from_json_value`]). Floats round-trip bit-exactly,
-    /// so resumed sweeps reproduce the original numbers.
+    /// Serialize for the result store and the supervisor wire protocol
+    /// (inverse of [`TrialResult::from_json_value`]). Floats round-trip
+    /// bit-exactly, so store-served sweeps reproduce the original numbers.
     pub fn to_json_value(&self) -> Value {
         let f64s = |xs: &[f64]| Value::Array(xs.iter().map(|&x| x.into()).collect());
         let mut v = Value::object();
@@ -1517,7 +1517,7 @@ impl TrialResult {
                 ),
             );
         // Workload aggregates only appear when a workload ran, keeping
-        // every pre-existing journal line byte-identical.
+        // every pre-existing index line byte-identical.
         if self.workload_spawned > 0 {
             v.set("workload_spawned", Value::U64(self.workload_spawned))
                 .set("workload_completed", Value::U64(self.workload_completed))
@@ -1998,7 +1998,7 @@ mod tests {
         // The single static flow still gets its individual report.
         assert_eq!(r.throughput_mbps.len(), 1);
 
-        // Workload results ride through the journal serialization.
+        // Workload results ride through the store serialization.
         let back = TrialResult::from_json_value(&r.to_json_value()).unwrap();
         assert_eq!(back.workload_spawned, r.workload_spawned);
         assert_eq!(back.workload_fct, r.workload_fct);

@@ -18,7 +18,12 @@
 //! bit-exact JSON round-trip guarantees store-served figures are
 //! byte-identical to freshly simulated ones.
 //!
-//! Disciplines, mirrored from the sweep journal:
+//! The store is also what makes sweeps resumable: the batch executor
+//! records every finished trial here in index order, so rerunning an
+//! interrupted sweep against the same cache serves each finished trial
+//! without simulating it.
+//!
+//! Disciplines:
 //!
 //! * **single writer** — only the batch executor's single-writer thread
 //!   appends (`Store::record`), in strict scenario-index order;
@@ -27,8 +32,7 @@
 //!   byte-identical index to a serial run;
 //! * **torn-tail tolerance** — a crash mid-append leaves a partial last
 //!   line; loading skips it (and any malformed line) as a miss, and the
-//!   next append-mode open truncates the tail to the last complete line
-//!   exactly like the journal repair;
+//!   next append-mode open truncates the tail to the last complete line;
 //! * **tmp+rename compaction** — [`Store::rebuild`] re-derives the index
 //!   from the cache entries themselves (corrupt or scenario-less entries
 //!   are skipped as misses) and publishes it atomically;
@@ -36,7 +40,7 @@
 //!   files left behind by SIGKILLed writers (the supervisor kills
 //!   workers mid-write by design), identified by a dead writer pid.
 
-use crate::engine::{open_journal_append, scenario_hash, CACHE_FORMAT_VERSION};
+use crate::engine::{scenario_hash, CACHE_FORMAT_VERSION};
 use crate::runner::TrialOutcome;
 use crate::scenario::{Scenario, TrialResult};
 use bbrdom_netsim::json::{self, Value};
@@ -61,7 +65,7 @@ const ORPHAN_TMP_MAX_AGE: std::time::Duration = std::time::Duration::from_secs(3
 pub enum StoreOutcome {
     /// The trial succeeded: the extracted metrics, plus the simulator
     /// event count when known (budget admission needs it; entries
-    /// backfilled from journals may lack it).
+    /// written by older builds may lack it).
     Ok {
         events: Option<u64>,
         result: TrialResult,
@@ -440,12 +444,7 @@ impl Store {
         let line = entry.to_json_line();
         let mut writer = self.writer.lock().expect("store writer poisoned");
         if writer.is_none() {
-            if std::fs::create_dir_all(&self.dir).is_err() {
-                return;
-            }
-            // Append-mode open repairs a torn tail first, exactly like
-            // the sweep journal.
-            *writer = open_journal_append(&self.index_path).ok();
+            *writer = open_append(&self.index_path).ok();
         }
         if let Some(file) = writer.as_mut() {
             use std::io::Write as _;
@@ -549,6 +548,37 @@ impl Store {
 }
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Truncate a JSONL file to its last complete line. A crash (or SIGKILL)
+/// mid-write can leave a partial record with no trailing newline;
+/// appending to it would glue the next record onto the fragment and
+/// corrupt *both*.
+fn repair_tail(path: &Path) -> std::io::Result<()> {
+    let data = match std::fs::read(path) {
+        Ok(d) => d,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if data.last().is_some_and(|&b| b != b'\n') {
+        let keep = data.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(keep as u64)?;
+    }
+    Ok(())
+}
+
+/// Open a JSONL file for appending: create parent directories, drop any
+/// torn final line, then open in append mode.
+fn open_append(path: &Path) -> std::io::Result<std::fs::File> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    repair_tail(path)?;
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+}
 
 fn cache_entry_names(dir: &Path) -> std::io::Result<Vec<String>> {
     let mut names: Vec<String> = Vec::new();
@@ -841,6 +871,30 @@ mod tests {
         let goodput = entry.goodput_by_cca();
         assert_eq!(goodput[0], ("cubic".to_string(), 2.5));
         assert_eq!(goodput[1], ("bbr".to_string(), 15.0));
+    }
+
+    #[test]
+    fn append_open_truncates_partial_final_line() {
+        let dir = temp_dir("tail");
+        let path = dir.join("index.jsonl");
+
+        std::fs::write(&path, "{\"a\":1}\n{\"b\":2}\n{\"partia").unwrap();
+        drop(open_append(&path).unwrap());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"a\":1}\n{\"b\":2}\n",
+            "torn tail must be dropped, complete lines kept"
+        );
+
+        std::fs::write(&path, "{\"no-newline-at-al").unwrap();
+        drop(open_append(&path).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+
+        // A missing file (and missing parent dir) is created.
+        let fresh = dir.join("sub/dir/new.jsonl");
+        drop(open_append(&fresh).unwrap());
+        assert!(fresh.exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //! Assigned-but-unclaimed scenarios are requeued without blame.
 //!
 //! Determinism is preserved by construction: every result is slotted by
-//! scenario index in the parent, which remains the journal's single
-//! writer, so a supervised sweep is bit-identical to a serial one on
-//! every non-quarantined cell (see `tests/supervisor.rs`).
+//! scenario index in the parent, which remains the result store index's
+//! single writer, so a supervised sweep is bit-identical to a serial one
+//! on every non-quarantined cell (see `tests/supervisor.rs`). Workers
+//! write finished reports to the shared disk cache, so a parent killed
+//! mid-batch resumes by rerunning against the same cache.
 //!
 //! Test hooks: `BBRDOM_TEST_POISON_HASH` (comma-separated scenario
 //! keys) makes a worker abort — or stall forever with
@@ -35,18 +37,16 @@
 //! scenario; `BBRDOM_TEST_POISON_ONCE=<marker-path>` limits the
 //! sabotage to the first encounter so retries succeed.
 
-use crate::engine::{
-    batch_tag, parse_journal_line, scenario_context, CacheStats, Engine, EngineConfig,
-};
+use crate::engine::{scenario_context, CacheStats, Engine, EngineConfig};
 use crate::runner::{TrialFailure, TrialOutcome};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, TrialResult};
 use bbrdom_netsim::json::{self, Value};
 use bbrdom_netsim::ConfigError;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -68,8 +68,7 @@ pub struct SupervisorConfig {
     /// The binary to spawn as `<worker_exe> worker --dir .. --id ..`
     /// (defaults to the current executable).
     pub worker_exe: PathBuf,
-    /// Directory for batch manifests, heartbeat/pid files, and the
-    /// auto-journal that makes supervised batches parent-crash safe.
+    /// Directory for batch manifests and heartbeat/pid files.
     pub state_dir: PathBuf,
     /// Extra environment for workers (test hooks use this so parallel
     /// tests never race on the parent's own environment).
@@ -184,6 +183,51 @@ fn parse_stats_line(line: &str) -> Option<CacheStats> {
     })
 }
 
+/// Serialize a worker's result line: the trial's index and content key,
+/// its outcome, and the recorded event count when known (the parent's
+/// result store needs it to stay budget-admissible).
+fn result_line(index: usize, key: &str, outcome: &TrialOutcome, events: Option<u64>) -> String {
+    let mut v = Value::object();
+    v.set("index", Value::U64(index as u64))
+        .set("key", key.into());
+    match outcome {
+        TrialOutcome::Ok(r) => {
+            v.set("ok", true.into()).set("result", r.to_json_value());
+        }
+        TrialOutcome::Failed(f) => {
+            v.set("ok", false.into())
+                .set("error", Value::Str(f.error.clone()))
+                .set("context", Value::Str(f.context.clone()));
+        }
+    }
+    if let Some(e) = events {
+        v.set("events", Value::U64(e));
+    }
+    v.to_json()
+}
+
+/// Parse a worker's result line into `(index, key, outcome, events)`;
+/// `None` for anything else (claims, stats, garbage).
+fn parse_result_line(line: &str) -> Option<(usize, String, TrialOutcome, Option<u64>)> {
+    let v = json::parse(line).ok()?;
+    let index = v.get("index")?.as_u64()? as usize;
+    let key = v.get("key")?.as_str()?.to_string();
+    let outcome = match v.get("ok")? {
+        Value::Bool(true) => TrialOutcome::Ok(TrialResult::from_json_value(v.get("result")?).ok()?),
+        Value::Bool(false) => TrialOutcome::Failed(TrialFailure {
+            index,
+            error: v.get("error")?.as_str()?.to_string(),
+            context: v
+                .get("context")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string(),
+        }),
+        _ => return None,
+    };
+    Some((index, key, outcome, v.get("events").and_then(Value::as_u64)))
+}
+
 fn add_stats(total: &mut CacheStats, part: &CacheStats) {
     total.memory_hits += part.memory_hits;
     total.store_hits += part.store_hits;
@@ -196,9 +240,8 @@ fn add_stats(total: &mut CacheStats, part: &CacheStats) {
 /// Run the `pending` indices of a batch across worker subprocesses.
 /// Calls `on_result(index, outcome, events)` exactly once per pending
 /// index, in completion order (the caller slots by index and owns the
-/// journal and the result store — `events` is the worker-reported event
-/// count feeding the latter). Returns the workers' aggregated cache
-/// counters.
+/// result store — `events` is the worker-reported event count feeding
+/// it). Returns the workers' aggregated cache counters.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_supervised(
     config: &SupervisorConfig,
@@ -209,13 +252,16 @@ pub(crate) fn run_supervised(
     wall_budget_ns: Option<u64>,
     jobs_per_worker: usize,
     cache_dir: Option<&Path>,
-    journal_hint: Option<&Path>,
     on_result: &mut dyn FnMut(usize, TrialOutcome, Option<u64>),
 ) -> Result<CacheStats, ConfigError> {
-    let work_dir =
-        config
-            .state_dir
-            .join(format!("work-{}-{}", std::process::id(), batch_tag(keys)));
+    // One work dir per batch: the pid separates concurrent parents, the
+    // sequence number separates this process's batches.
+    static BATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+    let work_dir = config.state_dir.join(format!(
+        "work-{}-{}",
+        std::process::id(),
+        BATCH_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&work_dir)
         .map_err(|e| io_err("supervisor state dir", &work_dir, &e))?;
 
@@ -301,7 +347,7 @@ pub(crate) fn run_supervised(
             for w in workers.values_mut() {
                 let _ = w.child.kill();
             }
-            exit_interrupted(journal_hint);
+            exit_interrupted(cache_dir);
         }
 
         // 1. Drain worker output (briefly block for the first event so
@@ -329,11 +375,10 @@ pub(crate) fn run_supervised(
                 add_stats(&mut stats, &part);
                 continue;
             }
-            let Some(entry) = parse_journal_line(&line) else {
+            let Some((i, key, outcome, events)) = parse_result_line(&line) else {
                 continue;
             };
-            let i = entry.index;
-            if i >= keys.len() || entry.key != keys[i] {
+            if i >= keys.len() || key != keys[i] {
                 continue;
             }
             if let Some(w) = workers.get_mut(&id) {
@@ -345,7 +390,7 @@ pub(crate) fn run_supervised(
             if unresolved.remove(&i) {
                 strikes.remove(&i);
                 queue.retain(|&(_, q)| q != i);
-                on_result(i, entry.outcome, entry.events);
+                on_result(i, outcome, events);
             }
         }
 
@@ -457,7 +502,7 @@ pub(crate) fn run_supervised(
         }
         if workers.is_empty() {
             // No capacity and no way to get more: fail the remainder
-            // soft so the sweep (and its journal) still completes.
+            // soft so the sweep still completes.
             let mut rest: Vec<usize> = unresolved.iter().copied().collect();
             rest.sort_unstable();
             for i in rest {
@@ -603,8 +648,10 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
         .and_then(Value::as_u64)
         .map(Duration::from_millis);
     let event_budget = manifest.get("event_budget").and_then(Value::as_u64);
-    let wall_budget_ns = manifest.get("wall_budget_ns").and_then(Value::as_u64);
-    let wall_budget = wall_budget_ns.map(Duration::from_nanos);
+    let wall_budget = manifest
+        .get("wall_budget_ns")
+        .and_then(Value::as_u64)
+        .map(Duration::from_nanos);
     let cache_dir = manifest
         .get("cache_dir")
         .and_then(Value::as_str)
@@ -638,7 +685,7 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
         supervise: None,
         // Workers read the shared index but never append to it: only
         // the parent runs the batch executor, so the parent stays the
-        // index's single writer (same discipline as the journal).
+        // index's single writer.
         result_store: true,
     });
 
@@ -723,16 +770,7 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
                     ),
                 };
                 inflight.lock().expect("inflight lock").remove(&i);
-                // The wire record is a journal record plus the event
-                // count (for the parent's result store). The parent
-                // re-serializes its own journal, so the extra field
-                // never reaches journal files.
-                let mut record =
-                    crate::engine::journal_value(i, key, &outcome, event_budget, wall_budget_ns);
-                if let Some(e) = events {
-                    record.set("events", Value::U64(e));
-                }
-                emit(&record.to_json());
+                emit(&result_line(i, key, &outcome, events));
             });
         }
     });
@@ -789,9 +827,9 @@ mod sig {
 }
 
 /// Install SIGINT/SIGTERM handlers that request a graceful stop: the
-/// engine finishes flushing the journal's contiguous prefix, prints a
-/// resume hint, and exits with code 130. Only the `repro` binary calls
-/// this; library users keep default signal behavior.
+/// engine finishes recording the contiguous prefix of finished trials,
+/// prints a resume hint, and exits with code 130. Only the `repro`
+/// binary calls this; library users keep default signal behavior.
 pub fn install_signal_handlers() {
     sig::install();
 }
@@ -807,17 +845,16 @@ pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
-/// Terminate after a graceful-stop signal: the journal (if any) already
-/// holds every finished trial in index order.
-pub(crate) fn exit_interrupted(journal: Option<&Path>) -> ! {
-    match journal {
-        Some(p) => eprintln!(
-            "\ninterrupted: journal {} holds every finished trial; rerun the same command to resume",
-            p.display()
+/// Terminate after a graceful-stop signal. With a disk cache, every
+/// finished success is already cached there, so the hint names it as
+/// the resume point; without one, a rerun restarts the batch.
+pub(crate) fn exit_interrupted(cache_dir: Option<&Path>) -> ! {
+    match cache_dir {
+        Some(dir) => eprintln!(
+            "\ninterrupted: cache {} holds every finished trial; rerun the same command with the same --cache-dir to resume",
+            dir.display()
         ),
-        None => eprintln!(
-            "\ninterrupted: no sweep journal configured — a rerun restarts this batch (disk-cached trials are still skipped)"
-        ),
+        None => eprintln!("\ninterrupted: no disk cache configured — a rerun restarts this batch"),
     }
     std::process::exit(130);
 }
@@ -877,6 +914,34 @@ mod tests {
         assert!(
             poison_armed("deadbeef").is_none() || std::env::var("BBRDOM_TEST_POISON_HASH").is_ok()
         );
+    }
+
+    #[test]
+    fn result_lines_round_trip() {
+        let failed = TrialOutcome::Failed(TrialFailure {
+            index: 3,
+            error: "event budget exceeded".into(),
+            context: "2 flows".into(),
+        });
+        let line = result_line(3, "abc", &failed, None);
+        let (i, key, outcome, events) = parse_result_line(&line).expect("line parses");
+        assert_eq!((i, key.as_str(), events), (3, "abc", None));
+        assert_eq!(outcome.failure(), failed.failure());
+        assert!(!line.contains("budget\":"), "no budget fields: {line}");
+
+        let ok = TrialOutcome::Ok(
+            Scenario::versus(10.0, 20.0, 2.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 0.5, 1).run(),
+        );
+        let line = result_line(0, "def", &ok, Some(42));
+        let (_, _, outcome, events) = parse_result_line(&line).expect("line parses");
+        assert_eq!(events, Some(42));
+        assert_eq!(
+            outcome.ok().unwrap().to_json_value().to_json(),
+            ok.ok().unwrap().to_json_value().to_json()
+        );
+
+        assert!(parse_result_line("{\"claim\":3}").is_none());
+        assert!(parse_result_line(&line[..line.len() / 2]).is_none());
     }
 
     #[test]

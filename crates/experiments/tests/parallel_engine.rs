@@ -1,14 +1,16 @@
 //! The determinism test layer for the parallel scenario engine.
 //!
 //! The engine's contract is that parallelism and caching are *invisible*:
-//! `--jobs 1` and `--jobs 8` produce byte-identical journals and
-//! bit-identical result vectors, every scenario field is part of the
-//! cache key, and a damaged cache entry degrades to re-simulation, never
-//! to a wrong or missing result. These tests pin each clause.
+//! `--jobs 1` and `--jobs 8` produce byte-identical result-store indexes
+//! and bit-identical result vectors, every scenario field is part of the
+//! cache key, a damaged cache entry degrades to re-simulation, never to
+//! a wrong or missing result, and rerunning a sweep against the same
+//! cache resumes it. These tests pin each clause.
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
-use bbrdom_experiments::runner::SweepConfig;
+use bbrdom_experiments::engine::{scenario_hash, scenario_hash_hex, Engine, EngineConfig};
+use bbrdom_experiments::runner::{SweepConfig, TrialOutcome};
+use bbrdom_experiments::store::{StoreEntry, INDEX_FILE};
 use bbrdom_experiments::{
     EarlyStopSpec, FaultSpec, FlowSpec, Scenario, TopoLinkSpec, TopologySpec,
 };
@@ -26,14 +28,8 @@ fn uncached() -> Engine {
     })
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("bbrdom-engine-{name}-{}", std::process::id()));
-    p
-}
-
 fn temp_dir(name: &str) -> PathBuf {
-    let p = temp_path(name);
+    let p = std::env::temp_dir().join(format!("bbrdom-engine-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
 }
@@ -75,11 +71,11 @@ fn decode_scenario(shape: u32, seed: u64, lossy: f64) -> Scenario {
 
 proptest! {
     // Simulations are costly; a handful of random batches is plenty to
-    // catch a scheduling-dependent result or journal interleaving.
+    // catch a scheduling-dependent result or index interleaving.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// `--jobs 1` and `--jobs 8` must produce bit-identical result
-    /// vectors and byte-identical JSONL journals, faults included.
+    /// vectors and byte-identical result-store indexes, faults included.
     #[test]
     fn parallelism_is_invisible(
         draws in prop::collection::vec((0u32..16, 0u64..u64::MAX, 0.0f64..1.0), 2..5),
@@ -89,29 +85,25 @@ proptest! {
             .iter()
             .map(|&(shape, seed, lossy)| decode_scenario(shape, seed, lossy))
             .collect();
-        let serial_journal = temp_path(&format!("det-serial-{case}"));
-        let parallel_journal = temp_path(&format!("det-parallel-{case}"));
-        let _ = std::fs::remove_file(&serial_journal);
-        let _ = std::fs::remove_file(&parallel_journal);
+        let serial_dir = temp_dir(&format!("det-serial-{case}"));
+        let parallel_dir = temp_dir(&format!("det-parallel-{case}"));
 
-        let serial = uncached()
+        let serial = engine_with_store(&serial_dir)
             .run_sweep(&scenarios, &SweepConfig {
                 jobs: Some(1),
-                journal: Some(serial_journal.clone()),
                 ..SweepConfig::default()
             })
             .expect("serial sweep runs");
-        let parallel = uncached()
+        let parallel = engine_with_store(&parallel_dir)
             .run_sweep(&scenarios, &SweepConfig {
                 jobs: Some(8),
-                journal: Some(parallel_journal.clone()),
                 ..SweepConfig::default()
             })
             .expect("parallel sweep runs");
 
-        // Byte-identical journals: same lines, same order, same floats.
-        let serial_bytes = std::fs::read(&serial_journal).unwrap();
-        let parallel_bytes = std::fs::read(&parallel_journal).unwrap();
+        // Byte-identical indexes: same lines, same order, same floats.
+        let serial_bytes = std::fs::read(serial_dir.join(INDEX_FILE)).unwrap();
+        let parallel_bytes = std::fs::read(parallel_dir.join(INDEX_FILE)).unwrap();
         prop_assert_eq!(serial_bytes, parallel_bytes);
 
         // Bit-identical result vectors (JSON text pins every float bit
@@ -123,8 +115,8 @@ proptest! {
                 p.ok().unwrap().to_json_value().to_json()
             );
         }
-        let _ = std::fs::remove_file(&serial_journal);
-        let _ = std::fs::remove_file(&parallel_journal);
+        let _ = std::fs::remove_dir_all(&serial_dir);
+        let _ = std::fs::remove_dir_all(&parallel_dir);
     }
 }
 
@@ -352,10 +344,24 @@ fn every_scenario_field_changes_the_hash() {
     assert_eq!(scenario_hash(&rich_scenario()), base);
 }
 
+/// Cache-key stability with every opt-in extension engaged: faults
+/// (the compiled `FaultSchedule`'s `SimTime`/`SimDuration`/`Rate`
+/// encoding), early-stop, workload, and topology. If this digest moves,
+/// every existing cache entry is orphaned — bump `CACHE_FORMAT_VERSION`
+/// deliberately instead.
+#[test]
+fn rich_scenario_keeps_its_golden_hash() {
+    assert_eq!(
+        format!("{:032x}", scenario_hash(&rich_scenario())),
+        "00ffc4179b18346a62944e3975b7130b",
+        "the rich scenario's cache key must stay stable across releases"
+    );
+}
+
 /// Cache-key compatibility: a topology-free scenario must keep the hash
 /// it had before the `topology` field existed (the `b"topology"` marker
 /// is only appended when the field is set), so every historical disk
-/// cache entry and journal key stays valid. The digest below was
+/// cache entry and index key stays valid. The digest below was
 /// computed with the pre-topology hasher; it must never change.
 #[test]
 fn topology_free_scenarios_keep_their_historical_hash() {
@@ -433,6 +439,18 @@ fn engine_with_disk(dir: &std::path::Path) -> Engine {
     })
 }
 
+/// A disk cache with the result store on and no memo: what `repro
+/// --cache-dir` runs, minus the memo (so hits come only from disk).
+fn engine_with_store(dir: &std::path::Path) -> Engine {
+    Engine::new(EngineConfig {
+        jobs: 1,
+        disk_cache: Some(dir.to_path_buf()),
+        memory_cache: false,
+        supervise: None,
+        result_store: true,
+    })
+}
+
 /// A corrupted, truncated, or wrong-format disk cache entry is a miss —
 /// the engine re-simulates and still returns the right answer.
 #[test]
@@ -491,72 +509,90 @@ fn cache_respects_event_budgets() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression (the journal staleness bug this PR fixes): a failure
-/// recorded under one budget must be re-run — not resumed — when the
-/// budget changes. Before hash+budget keying, raising the budget
-/// resurrected the stale failure forever.
+/// Resume is a rerun against the same cache: after a sweep over the
+/// first `k` cells, the full batch on a fresh engine simulates exactly
+/// the `n - k` missing cells and reproduces a one-shot run byte for byte.
 #[test]
-fn journal_failures_rerun_when_budget_changes() {
-    let path = temp_path("budget-rekey");
-    let _ = std::fs::remove_file(&path);
-    let scenario = short_scenario(10.0, 1.0, 1, 0, 5);
+fn rerun_against_the_same_cache_resumes_a_partial_sweep() {
+    let dir = temp_dir("resume-partial");
+    let scenarios: Vec<Scenario> = (0..5)
+        .map(|seed| short_scenario(10.0, 1.0, 1, 1, 40 + seed))
+        .collect();
+    let k = 2;
+    let cfg = SweepConfig {
+        jobs: Some(2),
+        ..SweepConfig::default()
+    };
 
-    let strangled = uncached()
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(100),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
-        .expect("strangled sweep runs");
+    let one_shot = uncached()
+        .run_sweep(&scenarios, &cfg)
+        .expect("one-shot sweep runs");
+    engine_with_store(&dir)
+        .run_sweep(&scenarios[..k], &cfg)
+        .expect("partial sweep runs");
+
+    let resumed_engine = engine_with_store(&dir);
+    let resumed = resumed_engine
+        .run_sweep(&scenarios, &cfg)
+        .expect("resumed sweep runs");
+    assert_eq!(
+        resumed_engine.stats().simulated,
+        (scenarios.len() - k) as u64
+    );
+    assert_eq!(resumed_engine.stats().store_hits, k as u64);
+    let json = |outcomes: &[TrialOutcome]| -> Vec<String> {
+        outcomes
+            .iter()
+            .map(|o| o.ok().expect("cell succeeds").to_json_value().to_json())
+            .collect()
+    };
+    assert_eq!(json(&resumed), json(&one_shot));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Failures are never served from the cache: a cell that failed under a
+/// tiny event budget reruns to success under a larger one, and an
+/// identical third run is served without simulating.
+#[test]
+fn failed_cell_reruns_to_success_when_the_budget_grows() {
+    let dir = temp_dir("budget-rerun");
+    let scenario = short_scenario(10.0, 1.0, 1, 0, 5);
+    let sweep = |budget: u64| -> (Vec<TrialOutcome>, u64) {
+        let engine = engine_with_store(&dir);
+        let outcomes = engine
+            .run_sweep(
+                std::slice::from_ref(&scenario),
+                &SweepConfig {
+                    jobs: Some(1),
+                    event_budget: Some(budget),
+                    ..SweepConfig::default()
+                },
+            )
+            .expect("sweep runs");
+        (outcomes, engine.stats().simulated)
+    };
+
+    let (strangled, _) = sweep(100);
     assert!(strangled[0].failure().is_some(), "tiny budget must trip");
 
-    // Same journal, generous budget: the journaled failure no longer
-    // matches (different budget) and the trial re-runs to success.
-    let engine = uncached();
-    let recovered = engine
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(10_000_000),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
-        .expect("recovered sweep runs");
+    let (recovered, simulated) = sweep(10_000_000);
     assert!(
         recovered[0].ok().is_some(),
-        "raised budget must re-run the journaled failure, got {:?}",
+        "raised budget must rerun the failed cell, got {:?}",
         recovered[0].failure()
     );
-    assert_eq!(engine.stats().simulated, 1);
+    assert_eq!(simulated, 1);
 
-    // And an identical rerun resumes the success without simulating.
-    let resumed_engine = uncached();
-    let resumed = resumed_engine
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(10_000_000),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
-        .expect("resumed sweep runs");
-    assert!(resumed[0].ok().is_some());
-    assert_eq!(resumed_engine.stats().simulated, 0);
-    let _ = std::fs::remove_file(&path);
+    let (again, simulated) = sweep(10_000_000);
+    assert!(again[0].ok().is_some());
+    assert_eq!(simulated, 0, "an identical rerun is served from the store");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fail-soft under parallelism: with `jobs = 4` and an event budget that
 /// only the long scenarios exceed, exactly those trials fail, and the
-/// journal holds exactly one line per scenario — none lost to a race,
-/// none duplicated.
+/// result-store index holds exactly one line per scenario — none lost to
+/// a race, none duplicated.
 #[test]
 fn concurrent_budget_failures_are_exact() {
     let short = |seed| short_scenario(10.0, 1.0, 1, 1, seed);
@@ -573,15 +609,13 @@ fn concurrent_budget_failures_are_exact() {
     let scenarios = vec![short(1), long(2), short(3), long(4), short(5), long(6)];
     let expect_failed = [1usize, 3, 5];
 
-    let path = temp_path("concurrent-budget");
-    let _ = std::fs::remove_file(&path);
-    let outcomes = uncached()
+    let dir = temp_dir("concurrent-budget");
+    let outcomes = engine_with_store(&dir)
         .run_sweep(
             &scenarios,
             &SweepConfig {
                 jobs: Some(4),
                 event_budget: Some(budget),
-                journal: Some(path.clone()),
                 ..SweepConfig::default()
             },
         )
@@ -599,20 +633,15 @@ fn concurrent_budget_failures_are_exact() {
         }
     }
 
-    // Exactly one journal line per scenario, indices 0..n in order.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let indices: Vec<u64> = text
+    // Exactly one index line per scenario, in scenario order.
+    let text = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
+    let keys: Vec<String> = text
         .lines()
-        .map(|l| {
-            bbrdom_netsim::json::parse(l)
-                .unwrap()
-                .get("index")
-                .and_then(bbrdom_netsim::json::Value::as_u64)
-                .unwrap()
-        })
+        .map(|l| StoreEntry::from_json_line(l).expect("valid index line").key)
         .collect();
-    assert_eq!(indices, (0..scenarios.len() as u64).collect::<Vec<_>>());
-    let _ = std::fs::remove_file(&path);
+    let expected: Vec<String> = scenarios.iter().map(scenario_hash_hex).collect();
+    assert_eq!(keys, expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Intra-batch dedup: a payoff matrix evaluates identical cells; the

@@ -115,7 +115,7 @@ fn warm_store_serves_batches_with_zero_sims_and_zero_parses() {
 }
 
 /// A torn index tail (crash mid-append) is skipped on load and
-/// truncated by the next append, exactly like the sweep journal.
+/// truncated back to the last complete line by the next append.
 #[test]
 fn index_torn_tail_recovers_on_reopen() {
     let dir = temp_dir("torn");

@@ -2,10 +2,11 @@
 //!
 //! The contract under test: a supervised sweep (`--supervise N`) is
 //! bit-identical to a serial one — same outcome vector, byte-identical
-//! journal — on every cell whose worker survives; a scenario that kills
-//! its worker repeatedly is quarantined as a structured failure while
-//! the rest of the batch completes; and killed or stalled workers are
-//! replaced without losing or duplicating results.
+//! result-store index — on every cell whose worker survives; a scenario
+//! that kills its worker repeatedly is quarantined as a structured
+//! failure while the rest of the batch completes; killed or stalled
+//! workers are replaced without losing or duplicating results; and a
+//! rerun against the same cache resumes from the store.
 //!
 //! Sabotage is injected through the `BBRDOM_TEST_POISON_*` hooks,
 //! delivered per-engine via `SupervisorConfig::worker_env` so parallel
@@ -14,6 +15,7 @@
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash_hex, Engine, EngineConfig};
 use bbrdom_experiments::runner::{SweepConfig, TrialOutcome};
+use bbrdom_experiments::store::INDEX_FILE;
 use bbrdom_experiments::{Scenario, SupervisorConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -59,7 +61,7 @@ fn supervised_engine(dir: &Path, workers: usize, env: Vec<(String, String)>) -> 
         disk_cache: Some(dir.join("cache")),
         memory_cache: true,
         supervise: Some(sup),
-        result_store: false,
+        result_store: true,
     })
 }
 
@@ -70,7 +72,7 @@ fn serial_engine(dir: &Path) -> Engine {
         disk_cache: Some(dir.join("serial-cache")),
         memory_cache: true,
         supervise: None,
-        result_store: false,
+        result_store: true,
     })
 }
 
@@ -85,44 +87,37 @@ fn fingerprints(outcomes: &[TrialOutcome]) -> Vec<String> {
         .collect()
 }
 
-fn journal_sweep(journal: PathBuf) -> SweepConfig {
-    SweepConfig {
-        journal: Some(journal),
-        ..SweepConfig::default()
-    }
-}
-
 /// Healthy workers: the supervised sweep reproduces the serial sweep
-/// bit-for-bit — same outcomes, byte-identical journal.
+/// bit-for-bit — same outcomes, byte-identical result-store index.
 #[test]
 fn supervised_sweep_is_bit_identical_to_serial() {
     let dir = temp_dir("identical");
     let scenarios = batch(8);
 
-    let serial_journal = dir.join("serial.jsonl");
     let serial = serial_engine(&dir)
-        .run_sweep(&scenarios, &journal_sweep(serial_journal.clone()))
+        .run_sweep(&scenarios, &SweepConfig::default())
         .expect("serial sweep runs");
 
-    let sup_journal = dir.join("supervised.jsonl");
     let supervised = supervised_engine(&dir, 2, Vec::new())
-        .run_sweep(&scenarios, &journal_sweep(sup_journal.clone()))
+        .run_sweep(&scenarios, &SweepConfig::default())
         .expect("supervised sweep runs");
 
     assert_eq!(fingerprints(&serial), fingerprints(&supervised));
-    let serial_bytes = std::fs::read(&serial_journal).expect("serial journal exists");
-    let sup_bytes = std::fs::read(&sup_journal).expect("supervised journal exists");
+    let serial_bytes =
+        std::fs::read(dir.join("serial-cache").join(INDEX_FILE)).expect("serial index exists");
+    let sup_bytes =
+        std::fs::read(dir.join("cache").join(INDEX_FILE)).expect("supervised index exists");
     assert_eq!(
         serial_bytes, sup_bytes,
-        "supervised journal must be byte-identical to the serial one"
+        "supervised index must be byte-identical to the serial one"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A scenario that aborts its worker on every claim is quarantined
 /// after `max_strikes` deaths; every other cell still matches the
-/// serial run, and a journal resume keeps the quarantine verdict
-/// without re-running anything.
+/// serial run. Rerunning the batch against the same cache serves every
+/// healthy cell from the store and quarantines the poisoned one again.
 #[test]
 fn poisoned_scenario_is_quarantined_and_the_rest_match_serial() {
     let dir = temp_dir("quarantine");
@@ -134,10 +129,9 @@ fn poisoned_scenario_is_quarantined_and_the_rest_match_serial() {
         .run_sweep(&scenarios, &SweepConfig::default())
         .expect("serial sweep runs");
 
-    let journal = dir.join("sweep.jsonl");
     let env = vec![("BBRDOM_TEST_POISON_HASH".to_string(), key)];
     let outcomes = supervised_engine(&dir, 2, env.clone())
-        .run_sweep(&scenarios, &journal_sweep(journal.clone()))
+        .run_sweep(&scenarios, &SweepConfig::default())
         .expect("supervised sweep survives the poison");
 
     let serial_fp = fingerprints(&serial);
@@ -156,19 +150,21 @@ fn poisoned_scenario_is_quarantined_and_the_rest_match_serial() {
         }
     }
 
-    // Resume from the journal: the quarantine is a recorded failure with
-    // matching (absent) budgets, so nothing re-runs — not even the
-    // poisoned cell.
+    // Rerun against the same cache: failures are never served, so the
+    // poisoned cell runs (and is quarantined) again, while every healthy
+    // cell comes from the store.
     let resumed_engine = supervised_engine(&dir, 2, env);
     let resumed = resumed_engine
-        .run_sweep(&scenarios, &journal_sweep(journal))
-        .expect("resume runs");
-    assert_eq!(fingerprints(&resumed), fp, "resume must replay the journal");
+        .run_sweep(&scenarios, &SweepConfig::default())
+        .expect("rerun runs");
     assert_eq!(
-        resumed_engine.stats().simulated,
-        0,
-        "a full journal leaves nothing to simulate"
+        fingerprints(&resumed),
+        fp,
+        "rerun must reproduce the first run"
     );
+    let stats = resumed_engine.stats();
+    assert_eq!(stats.simulated, 0, "healthy cells come from the store");
+    assert_eq!(stats.store_hits, scenarios.len() as u64 - 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -185,7 +181,7 @@ fn sigkilled_worker_is_replaced_and_results_match_serial() {
 
     // Hunt for worker pid files while the sweep runs and SIGKILL the
     // first worker we see. The pid files live under
-    // `<state>/work-<parent-pid>-<batch-tag>/worker-<id>.pid`.
+    // `<state>/work-<parent-pid>-<batch-seq>/worker-<id>.pid`.
     let state = dir.join("state");
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let killer = {
@@ -317,5 +313,62 @@ fn stalled_worker_trips_the_watchdog_and_work_is_retried() {
         fingerprints(&outcomes),
         "a stalled-then-retried sweep must match serial"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A supervisor that cannot create its state dir fails the sweep with a
+/// typed `ConfigError::Io` on `run_sweep`'s `Result` path, not a panic.
+#[test]
+fn unwritable_state_dir_is_a_typed_error() {
+    let dir = temp_dir("blocked-state");
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "not a directory").unwrap();
+    let mut sup = SupervisorConfig::new(1, blocker.join("state"));
+    sup.worker_exe = PathBuf::from(env!("CARGO_BIN_EXE_repro"));
+    let engine = Engine::new(EngineConfig {
+        jobs: 1,
+        disk_cache: None,
+        memory_cache: false,
+        supervise: Some(sup),
+        result_store: false,
+    });
+    let err = engine
+        .run_sweep(&batch(1), &SweepConfig::default())
+        .expect_err("a state dir under a plain file must fail");
+    match &err {
+        bbrdom_netsim::ConfigError::Io { what, path, .. } => {
+            assert_eq!(*what, "supervisor state dir");
+            assert!(path.contains("blocker"), "unhelpful path: {path}");
+        }
+        other => panic!("expected ConfigError::Io, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume without workers: once a batch has finished, a supervised rerun
+/// against the same cache is answered from the store by the parent
+/// alone — it succeeds even when no worker binary could be spawned.
+#[test]
+fn warm_rerun_spawns_no_workers() {
+    let dir = temp_dir("warm-rerun");
+    let scenarios = batch(4);
+    let first = supervised_engine(&dir, 2, Vec::new())
+        .run_sweep(&scenarios, &SweepConfig::default())
+        .expect("supervised sweep runs");
+
+    let mut sup = SupervisorConfig::new(2, dir.join("state"));
+    sup.worker_exe = dir.join("no-such-worker");
+    let rerun_engine = Engine::new(EngineConfig {
+        jobs: 2,
+        disk_cache: Some(dir.join("cache")),
+        memory_cache: true,
+        supervise: Some(sup),
+        result_store: true,
+    });
+    let rerun = rerun_engine
+        .run_sweep(&scenarios, &SweepConfig::default())
+        .expect("a warm rerun needs no workers");
+    assert_eq!(fingerprints(&rerun), fingerprints(&first));
+    assert_eq!(rerun_engine.stats().store_hits, scenarios.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }

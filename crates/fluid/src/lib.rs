@@ -102,9 +102,10 @@ const V2_LOSS_CUT: f64 = 0.7;
 /// sub-round queue drains) that a fluid step averages away; competing
 /// BBR flows are *known* to collectively overestimate btlbw for exactly
 /// this reason. Calibrated against seed-averaged DES references on the
-/// (50 Mbps/20 ms, 100 Mbps/20 ms) cross-validation grids with
-/// `examples/tune_fluid.rs` (worst share delta 0.27 → 0.16); the
-/// `FLUID_BW_HEADROOM` env var overrides it for recalibration sweeps.
+/// (50 Mbps/20 ms, 100 Mbps/20 ms) cross-validation grids (worst share
+/// delta 0.27 → 0.16). To recalibrate, edit this constant and rerun
+/// `tests/fluid_vs_des.rs`; it is not in the scenario hash, so a changed
+/// value also needs a `CACHE_FORMAT_VERSION` bump.
 const BW_SAMPLE_HEADROOM: f64 = 1.2;
 
 /// Congestion-control algorithms the fluid model can integrate.
@@ -330,10 +331,6 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
     let c = cfg.capacity_bytes_per_sec;
     let buffer = cfg.buffer_bytes;
     let mss = MSS as f64;
-    let bw_headroom: f64 = std::env::var("FLUID_BW_HEADROOM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(BW_SAMPLE_HEADROOM);
     let n = cfg.flows.len();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf1u64.rotate_left(32));
 
@@ -445,7 +442,7 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                     // the max filter, advance the gain cycle.
                     let round_len = (t - s.round_start).max(dt);
                     if round_len >= s.rtprop {
-                        let sample = (s.round_max_rate * bw_headroom).min(c);
+                        let sample = (s.round_max_rate * BW_SAMPLE_HEADROOM).min(c);
                         if s.bw_ring.len() < BW_FILTER_ROUNDS {
                             s.bw_ring.push(sample);
                         } else {

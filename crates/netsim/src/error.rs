@@ -37,10 +37,10 @@ pub enum ConfigError {
         /// Human-readable description naming the offending element.
         reason: String,
     },
-    /// A filesystem resource the run depends on (sweep journal,
-    /// supervisor state dir) could not be opened or created.
+    /// A filesystem resource the run depends on (supervisor state dir,
+    /// batch file) could not be opened or created.
     Io {
-        /// What the path is for ("sweep journal", "supervisor state dir").
+        /// What the path is for ("supervisor state dir", "supervisor batch file").
         what: &'static str,
         /// The offending path, as displayed.
         path: String,
@@ -176,13 +176,13 @@ mod tests {
     #[test]
     fn io_error_display_names_path_and_reason() {
         let e = ConfigError::Io {
-            what: "sweep journal",
-            path: "/nope/sweep.jsonl".into(),
+            what: "supervisor state dir",
+            path: "/nope/supervise".into(),
             reason: "No such file or directory".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("sweep journal"), "{s}");
-        assert!(s.contains("/nope/sweep.jsonl"), "{s}");
+        assert!(s.contains("supervisor state dir"), "{s}");
+        assert!(s.contains("/nope/supervise"), "{s}");
         assert!(s.contains("No such file"), "{s}");
     }
 

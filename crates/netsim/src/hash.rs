@@ -1,28 +1,25 @@
 //! Stable, process-independent hashing for simulation configurations.
 //!
-//! The scenario result cache (`bbrdom-experiments`) and the sweep
-//! journal key cached/resumable results by the *content* of a run's
-//! configuration. `std::hash` is unsuitable for that: `Hasher` output
-//! is only guaranteed stable within one process and one std version.
-//! This module provides a fixed algorithm — FNV-1a with a 128-bit state
-//! — whose output is pinned by golden tests, so an on-disk cache entry
-//! written today is still addressable by a build from next year.
+//! The scenario result cache and store (`bbrdom-experiments`) key
+//! results by the *content* of a run's configuration. `std::hash` is
+//! unsuitable for that: `Hasher` output is only guaranteed stable within
+//! one process and one std version. This module provides a fixed
+//! algorithm — FNV-1a with a 128-bit state — whose output is pinned by
+//! golden tests (the reference vectors here, the scenario-key digests
+//! in `bbrdom-experiments`), so an on-disk cache entry written today is
+//! still addressable by a build from next year.
 //!
-//! Composite values hash their fields in declared order; enums hash a
-//! discriminant byte before their payload; sequences and strings are
+//! Only the types the scenario key and seed derivations feed are
+//! implemented: primitives, `Option`/sequences/tuples, simulator times
+//! and rates, and the compiled [`FaultSchedule`]. Composite values hash
+//! their fields in declared order; sequences and strings are
 //! length-prefixed. `f64` hashes its raw bit pattern, so two configs
 //! hash alike exactly when their floats are bit-identical — the same
 //! criterion the simulator's determinism guarantee uses.
 
-use crate::aqm::{CodelConfig, QueueDiscipline, RedConfig};
 use crate::fault::FaultSchedule;
-use crate::sim::SimConfig;
-use crate::stop::EarlyStop;
 use crate::time::{SimDuration, SimTime};
-use crate::topo::{LinkSpec, Topology};
-use crate::trace::TraceConfig;
 use crate::units::Rate;
-use crate::workload::{ArrivalProcess, SizeDist, WorkloadConfig};
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -57,12 +54,6 @@ impl StableHasher {
     /// The 128-bit digest of everything absorbed so far.
     pub fn finish(&self) -> u128 {
         self.state
-    }
-
-    /// The digest as a fixed-width lowercase hex string (32 chars) —
-    /// the format cache filenames and journal keys use.
-    pub fn finish_hex(&self) -> String {
-        format!("{:032x}", self.state)
     }
 }
 
@@ -167,44 +158,6 @@ impl StableHash for Rate {
     }
 }
 
-impl StableHash for std::time::Duration {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.as_nanos().stable_hash(h);
-    }
-}
-
-impl StableHash for RedConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.min_thresh_bytes.stable_hash(h);
-        self.max_thresh_bytes.stable_hash(h);
-        self.max_p.stable_hash(h);
-        self.weight.stable_hash(h);
-    }
-}
-
-impl StableHash for CodelConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.target.stable_hash(h);
-        self.interval.stable_hash(h);
-    }
-}
-
-impl StableHash for QueueDiscipline {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        match self {
-            QueueDiscipline::DropTail => h.write_bytes(&[0]),
-            QueueDiscipline::Red(cfg) => {
-                h.write_bytes(&[1]);
-                cfg.stable_hash(h);
-            }
-            QueueDiscipline::Codel(cfg) => {
-                h.write_bytes(&[2]);
-                cfg.stable_hash(h);
-            }
-        }
-    }
-}
-
 impl StableHash for FaultSchedule {
     fn stable_hash(&self, h: &mut StableHasher) {
         self.loss_fwd.stable_hash(h);
@@ -214,136 +167,6 @@ impl StableHash for FaultSchedule {
         self.rate_changes.stable_hash(h);
         self.delay_spikes.stable_hash(h);
     }
-}
-
-impl StableHash for EarlyStop {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.window.stable_hash(h);
-        self.epsilon.stable_hash(h);
-        self.dwell.stable_hash(h);
-        self.min_time.stable_hash(h);
-    }
-}
-
-impl StableHash for TraceConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.stride.stable_hash(h);
-        self.max_samples.stable_hash(h);
-    }
-}
-
-impl StableHash for ArrivalProcess {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        match self {
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                h.write_bytes(&[0]);
-                rate_per_sec.stable_hash(h);
-            }
-            ArrivalProcess::Deterministic { interval } => {
-                h.write_bytes(&[1]);
-                interval.stable_hash(h);
-            }
-        }
-    }
-}
-
-impl StableHash for SizeDist {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        match self {
-            SizeDist::Fixed { bytes } => {
-                h.write_bytes(&[0]);
-                bytes.stable_hash(h);
-            }
-            SizeDist::BoundedPareto {
-                alpha,
-                min_bytes,
-                max_bytes,
-            } => {
-                h.write_bytes(&[1]);
-                alpha.stable_hash(h);
-                min_bytes.stable_hash(h);
-                max_bytes.stable_hash(h);
-            }
-        }
-    }
-}
-
-impl StableHash for WorkloadConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.arrivals.stable_hash(h);
-        self.sizes.stable_hash(h);
-        self.base_rtt.stable_hash(h);
-        self.seed.stable_hash(h);
-        self.start.stable_hash(h);
-    }
-}
-
-impl StableHash for LinkSpec {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.from.stable_hash(h);
-        self.to.stable_hash(h);
-        self.rate.stable_hash(h);
-        self.delay.stable_hash(h);
-        self.buffer_bytes.stable_hash(h);
-    }
-}
-
-impl StableHash for Topology {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.n_nodes.stable_hash(h);
-        self.links.stable_hash(h);
-        self.routes.stable_hash(h);
-        self.flow_routes.stable_hash(h);
-        self.workload_route.stable_hash(h);
-        self.fault_link.stable_hash(h);
-    }
-}
-
-impl StableHash for SimConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.rate.stable_hash(h);
-        self.buffer_bytes.stable_hash(h);
-        self.duration.stable_hash(h);
-        self.measure_start.stable_hash(h);
-        self.mss.stable_hash(h);
-        self.sample_interval.stable_hash(h);
-        self.discipline.stable_hash(h);
-        self.ack_jitter.stable_hash(h);
-        self.seed.stable_hash(h);
-        self.faults.stable_hash(h);
-        self.audit.stable_hash(h);
-        self.max_events.stable_hash(h);
-        self.max_wall_clock.stable_hash(h);
-        // Fields added after the cache format was pinned are folded in
-        // only when they differ from their defaults, behind a distinct
-        // marker string. Default-configured runs keep their historical
-        // digest (the golden digest below), and because the byte stream
-        // is strictly extended — never reinterpreted — a policy-bearing
-        // config can never alias a default one.
-        if let Some(stop) = &self.stop {
-            h.write_bytes(b"early_stop");
-            stop.stable_hash(h);
-        }
-        if !self.trace_config.is_default() {
-            h.write_bytes(b"trace_cfg");
-            self.trace_config.stable_hash(h);
-        }
-        if let Some(wl) = &self.workload {
-            h.write_bytes(b"workload");
-            wl.stable_hash(h);
-        }
-        if let Some(t) = &self.topology {
-            h.write_bytes(b"topology");
-            t.stable_hash(h);
-        }
-    }
-}
-
-/// Digest a single value with a fresh hasher.
-pub fn stable_digest<T: StableHash + ?Sized>(value: &T) -> u128 {
-    let mut h = StableHasher::new();
-    value.stable_hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -360,124 +183,15 @@ mod tests {
         assert_eq!(h.finish(), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
     }
 
-    fn base_config() -> SimConfig {
-        SimConfig::new(
-            Rate::from_mbps(10.0),
-            64_000,
-            SimDuration::from_secs_f64(5.0),
-        )
+    fn stable_digest<T: StableHash + ?Sized>(value: &T) -> u128 {
+        let mut h = StableHasher::new();
+        value.stable_hash(&mut h);
+        h.finish()
     }
 
-    /// Every public `SimConfig` field must feed the digest: a config
-    /// differing in any one field must hash differently, or the result
-    /// cache could alias two distinct simulations.
-    #[test]
-    fn every_sim_config_field_changes_the_hash() {
-        let base = stable_digest(&base_config());
-        let mutations: Vec<(&str, SimConfig)> = vec![
-            ("rate", {
-                let mut c = base_config();
-                c.rate = Rate::from_mbps(11.0);
-                c
-            }),
-            ("buffer_bytes", {
-                let mut c = base_config();
-                c.buffer_bytes += 1;
-                c
-            }),
-            ("duration", {
-                let mut c = base_config();
-                c.duration = SimDuration::from_secs_f64(6.0);
-                c
-            }),
-            ("measure_start", {
-                let mut c = base_config();
-                c.measure_start = SimTime::from_secs_f64(1.0);
-                c
-            }),
-            ("mss", {
-                let mut c = base_config();
-                c.mss += 8;
-                c
-            }),
-            ("sample_interval", {
-                let mut c = base_config();
-                c.sample_interval = Some(SimDuration::from_millis(100));
-                c
-            }),
-            ("discipline", {
-                let mut c = base_config();
-                c.discipline = QueueDiscipline::Codel(CodelConfig::default());
-                c
-            }),
-            ("ack_jitter", {
-                let mut c = base_config();
-                c.ack_jitter = SimDuration::from_micros(100);
-                c
-            }),
-            ("seed", {
-                let mut c = base_config();
-                c.seed = 7;
-                c
-            }),
-            ("faults", {
-                let mut c = base_config();
-                c.faults = FaultSchedule::none().with_loss(0.01);
-                c
-            }),
-            ("audit", {
-                let mut c = base_config();
-                c.audit = true;
-                c
-            }),
-            ("max_events", {
-                let mut c = base_config();
-                c.max_events = Some(1_000_000);
-                c
-            }),
-            ("max_wall_clock", {
-                let mut c = base_config();
-                c.max_wall_clock = Some(std::time::Duration::from_secs(60));
-                c
-            }),
-            ("stop", {
-                let mut c = base_config();
-                c.stop = Some(EarlyStop::new(0.05, 3));
-                c
-            }),
-            ("trace_config.stride", {
-                let mut c = base_config();
-                c.trace_config.stride = 4;
-                c
-            }),
-            ("trace_config.max_samples", {
-                let mut c = base_config();
-                c.trace_config.max_samples = Some(1_000);
-                c
-            }),
-            ("workload", {
-                let mut c = base_config();
-                c.workload = Some(base_workload());
-                c
-            }),
-            ("topology", {
-                let mut c = base_config();
-                c.topology = Some(base_topology());
-                c
-            }),
-        ];
-        for (field, mutated) in mutations {
-            assert_ne!(
-                stable_digest(&mutated),
-                base,
-                "mutating SimConfig::{field} did not change the stable hash"
-            );
-        }
-    }
-
-    /// Every `FaultSchedule` field feeds the digest too (the schedule is
-    /// a nested struct of `SimConfig`, so aliasing here would also alias
-    /// whole configs).
+    /// Every `FaultSchedule` field feeds the digest (the scenario cache
+    /// key hashes the compiled schedule, so aliasing here would alias
+    /// whole scenarios).
     #[test]
     fn every_fault_schedule_field_changes_the_hash() {
         let base = stable_digest(&FaultSchedule::none());
@@ -513,162 +227,6 @@ mod tests {
         }
     }
 
-    /// Every `EarlyStop` field must feed the digest once a policy is
-    /// set — two different stop policies must never share cache entries.
-    #[test]
-    fn every_early_stop_field_changes_the_hash() {
-        let stopped = |f: fn(&mut EarlyStop)| {
-            let mut c = base_config();
-            let mut stop = EarlyStop::new(0.05, 3);
-            f(&mut stop);
-            c.stop = Some(stop);
-            c
-        };
-        let base = stable_digest(&stopped(|_| {}));
-        let muts: Vec<(&str, SimConfig)> = vec![
-            (
-                "window",
-                stopped(|s| s.window = SimDuration::from_millis(500)),
-            ),
-            ("epsilon", stopped(|s| s.epsilon = 0.01)),
-            ("dwell", stopped(|s| s.dwell = 5)),
-            (
-                "min_time",
-                stopped(|s| s.min_time = SimDuration::from_secs_f64(1.0)),
-            ),
-        ];
-        for (field, mutated) in muts {
-            assert_ne!(
-                stable_digest(&mutated),
-                base,
-                "mutating EarlyStop::{field} did not change the stable hash"
-            );
-        }
-        // And a fixed-horizon config never aliases an early-stopped one.
-        assert_ne!(stable_digest(&base_config()), base);
-    }
-
-    fn base_workload() -> crate::workload::WorkloadConfig {
-        use crate::workload::{ArrivalProcess, SizeDist, WorkloadConfig};
-        WorkloadConfig::new(
-            ArrivalProcess::Poisson { rate_per_sec: 50.0 },
-            SizeDist::Fixed { bytes: 30_000 },
-            SimDuration::from_millis(40),
-            1,
-        )
-    }
-
-    /// Every `WorkloadConfig` field (and both payloads of each enum
-    /// variant) must feed the digest once a workload is attached.
-    #[test]
-    fn every_workload_field_changes_the_hash() {
-        use crate::workload::{ArrivalProcess, SizeDist};
-        let with = |f: fn(&mut crate::workload::WorkloadConfig)| {
-            let mut c = base_config();
-            let mut wl = base_workload();
-            f(&mut wl);
-            c.workload = Some(wl);
-            c
-        };
-        let base = stable_digest(&with(|_| {}));
-        let muts: Vec<(&str, SimConfig)> = vec![
-            (
-                "arrivals.rate",
-                with(|w| w.arrivals = ArrivalProcess::Poisson { rate_per_sec: 51.0 }),
-            ),
-            (
-                "arrivals.variant",
-                with(|w| {
-                    w.arrivals = ArrivalProcess::Deterministic {
-                        interval: SimDuration::from_millis(20),
-                    }
-                }),
-            ),
-            (
-                "sizes.bytes",
-                with(|w| w.sizes = SizeDist::Fixed { bytes: 30_001 }),
-            ),
-            (
-                "sizes.variant",
-                with(|w| {
-                    w.sizes = SizeDist::BoundedPareto {
-                        alpha: 1.2,
-                        min_bytes: 10_000,
-                        max_bytes: 1_000_000,
-                    }
-                }),
-            ),
-            (
-                "base_rtt",
-                with(|w| w.base_rtt = SimDuration::from_millis(41)),
-            ),
-            ("seed", with(|w| w.seed = 2)),
-            ("start", with(|w| w.start = SimTime::from_secs_f64(1.0))),
-        ];
-        for (field, mutated) in muts {
-            assert_ne!(
-                stable_digest(&mutated),
-                base,
-                "mutating WorkloadConfig::{field} did not change the stable hash"
-            );
-        }
-        // A workload-free config never aliases a workload-bearing one.
-        assert_ne!(stable_digest(&base_config()), base);
-    }
-
-    fn base_topology() -> Topology {
-        Topology::parking_lot(
-            2,
-            Rate::from_mbps(10.0),
-            SimDuration::from_millis(2),
-            30_000,
-        )
-    }
-
-    /// Every `Topology` field — including every `LinkSpec` field — must
-    /// feed the digest once a topology is attached; two different
-    /// topologies must never share cache entries.
-    #[test]
-    fn every_topology_field_changes_the_hash() {
-        let with = |f: fn(&mut Topology)| {
-            let mut c = base_config();
-            let mut t = base_topology();
-            f(&mut t);
-            c.topology = Some(t);
-            c
-        };
-        let base = stable_digest(&with(|_| {}));
-        let muts: Vec<(&str, SimConfig)> = vec![
-            ("n_nodes", with(|t| t.n_nodes += 1)),
-            ("links.from", with(|t| t.links[0].from = 2)),
-            ("links.to", with(|t| t.links[0].to = 2)),
-            ("links.rate", with(|t| t.links[0].rate = None)),
-            (
-                "links.rate value",
-                with(|t| t.links[0].rate = Some(Rate::from_mbps(11.0))),
-            ),
-            (
-                "links.delay",
-                with(|t| t.links[0].delay = SimDuration::from_millis(3)),
-            ),
-            ("links.buffer_bytes", with(|t| t.links[0].buffer_bytes += 1)),
-            ("routes", with(|t| t.routes.push(vec![0]))),
-            ("routes entry", with(|t| t.routes[0] = vec![1])),
-            ("flow_routes", with(|t| t.flow_routes = vec![0, 1])),
-            ("workload_route", with(|t| t.workload_route = None)),
-            ("fault_link", with(|t| t.fault_link = Some(1))),
-        ];
-        for (field, mutated) in muts {
-            assert_ne!(
-                stable_digest(&mutated),
-                base,
-                "mutating Topology::{field} did not change the stable hash"
-            );
-        }
-        // A topology-free config never aliases a topology-bearing one.
-        assert_ne!(stable_digest(&base_config()), base);
-    }
-
     /// Sequences are length-prefixed: `["ab"]` and `["a", "b"]` (and
     /// nested splits generally) must not collide.
     #[test]
@@ -677,19 +235,5 @@ mod tests {
         let two: Vec<String> = vec!["a".into(), "b".into()];
         assert_ne!(stable_digest(&one), stable_digest(&two));
         assert_ne!(stable_digest(&Some(0u64)), stable_digest(&None::<u64>));
-    }
-
-    /// The digest of a fixed config is pinned — if this test ever fails,
-    /// the on-disk cache format version must be bumped (see
-    /// `bbrdom-experiments::engine`).
-    #[test]
-    fn golden_config_digest_is_stable() {
-        let digest = stable_digest(&base_config());
-        assert_eq!(
-            format!("{digest:032x}"),
-            "43bc15c273a02e3455f28c347ec1f4b6",
-            "stable hash of the golden SimConfig changed — bump the cache \
-             format version before shipping this"
-        );
     }
 }

@@ -57,7 +57,7 @@ pub use aqm::{CodelConfig, QueueDiscipline, RedConfig};
 pub use cc::{AckSample, CongestionControl, FlowView};
 pub use error::{AuditViolation, ConfigError, SimError};
 pub use fault::{FaultAction, FaultSchedule};
-pub use hash::{stable_digest, StableHash, StableHasher};
+pub use hash::{StableHash, StableHasher};
 pub use packet::FlowId;
 pub use sim::{FlowConfig, SimConfig, SimReport, Simulator};
 pub use stats::{FctPercentiles, FlowReport, QueueReport};

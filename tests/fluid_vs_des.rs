@@ -21,10 +21,11 @@
 //! agreement degrades for known, documented reasons (DESIGN.md): tiny
 //! windows break the continuum assumption; large-BDP deep buffers make
 //! a fixed 30 s DES window a transient measurement while the fluid
-//! model reports steady state. Tolerances were calibrated with
-//! `examples/tune_fluid.rs` (worst seed-averaged share delta 0.16,
-//! worst utilization delta 0.02 at `BW_SAMPLE_HEADROOM = 1.2`) and are
-//! deliberately loose: the two-tier pipeline (fluid locates, DES
+//! model reports steady state. Tolerances were calibrated at
+//! `BW_SAMPLE_HEADROOM = 1.2` (worst seed-averaged share delta 0.16,
+//! worst utilization delta 0.02); recalibrating means editing that
+//! constant in `crates/fluid/src/lib.rs` and rerunning this suite. They
+//! are deliberately loose: the two-tier pipeline (fluid locates, DES
 //! certifies) only needs the fluid NE band to usually contain the true
 //! NE — `crates/experiments/src/adaptive.rs` retries with the Eq. (25)
 //! band and then the dense grid when it does not.
