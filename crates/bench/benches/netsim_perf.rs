@@ -12,16 +12,22 @@
 //! recycling at internet-like arrival rates, and a 3-hop parking-lot
 //! chain with per-hop cross traffic, exercising the multi-hop
 //! enqueue → serialize → propagate path (each packet of a long flow is
-//! ~3× the event work of the dumbbell case). The churn and parking-lot
-//! cases carry pinned events/sec floors: a regression that makes
-//! teardown, slot reuse, or hop forwarding leak work shows up as a hard
-//! bench failure, not a silent slowdown (set `BENCH_NO_FLOOR=1` to
-//! report without gating, e.g. on loaded CI boxes).
+//! ~3× the event work of the dumbbell case), and one Fig 9 payoff cell
+//! (5 CUBIC + 5 BBR at 50 Mbps / 20 ms behind an 8-BDP drop-tail buffer,
+//! built through the same `Scenario` wiring as the figures), where the
+//! queue-inflated window makes per-ACK loss marking the hot path. The
+//! churn, parking-lot and Fig 9 cases carry pinned events/sec floors: a
+//! regression that makes teardown, slot reuse, hop forwarding or loss
+//! marking leak work shows up as a hard bench failure, not a silent
+//! slowdown (set `BENCH_NO_FLOOR=1` to report without gating, e.g. on
+//! loaded CI boxes).
 //!
 //! Besides the stdout report, the run writes `BENCH_netsim.json` at the
 //! repo root: machine-readable events/sec per case (format documented in
 //! `EXPERIMENTS.md`), so perf regressions are diffable in review.
 
+use bbrdom_cca::CcaKind;
+use bbrdom_experiments::Scenario;
 use bbrdom_netsim::cc::FixedWindow;
 use bbrdom_netsim::{
     ArrivalProcess, FlowConfig, Rate, SimConfig, SimDuration, Simulator, SizeDist, Topology,
@@ -44,6 +50,10 @@ struct Case {
     /// flows traverse the whole chain, each cross flow one hop. `None`
     /// is the legacy implicit dumbbell.
     parking_lot: Option<(u32, usize)>,
+    /// Fig 9 payoff cell `(n_cubic, n_bbr, buffer in BDP)` at 50 Mbps /
+    /// 20 ms, built by `Scenario::versus` (seed 1); the fields above
+    /// other than `flows` and `secs` are unused.
+    fig9: Option<(u32, u32, f64)>,
     /// Pinned regression floor, events/sec (0 = report only, no gate).
     /// Deliberately conservative — roughly a quarter of what a 2024
     /// laptop core sustains — so it only trips on structural
@@ -59,6 +69,7 @@ const CASES: &[Case] = &[
         secs: 1.0,
         workload: None,
         parking_lot: None,
+        fig9: None,
         floor_events_per_sec: 0.0,
     },
     Case {
@@ -68,6 +79,7 @@ const CASES: &[Case] = &[
         secs: 1.0,
         workload: None,
         parking_lot: None,
+        fig9: None,
         floor_events_per_sec: 0.0,
     },
     Case {
@@ -77,6 +89,7 @@ const CASES: &[Case] = &[
         secs: 1.0,
         workload: None,
         parking_lot: None,
+        fig9: None,
         floor_events_per_sec: 0.0,
     },
     // ~12k cumulative open-loop flows (Poisson 1200/s × 10 s of 8 kB
@@ -89,6 +102,7 @@ const CASES: &[Case] = &[
         secs: 10.0,
         workload: Some((1200.0, 8_000)),
         parking_lot: None,
+        fig9: None,
         floor_events_per_sec: 1_000_000.0,
     },
     // 4 long flows over a 3-hop chain (2 ms/hop) with 2 CUBIC-window
@@ -101,11 +115,38 @@ const CASES: &[Case] = &[
         secs: 1.0,
         workload: None,
         parking_lot: Some((3, 2)),
+        fig9: None,
         floor_events_per_sec: 3_000_000.0,
+    },
+    // The workload the NE figures actually run: one deep-buffer mixed
+    // cell. Every drop pins the scoreboard head for a queue-inflated RTT;
+    // the floor fails a loss-marking path that rescans the window per ACK.
+    Case {
+        name: "fig9_4s_5cubic5bbr_50mbps_8bdp",
+        flows: 10,
+        window_bdp: 0.0,
+        secs: 4.0,
+        workload: None,
+        parking_lot: None,
+        fig9: Some((5, 5, 8.0)),
+        floor_events_per_sec: 2_000_000.0,
     },
 ];
 
 fn build_sim(case: &Case) -> Simulator {
+    if let Some((n_cubic, n_bbr, buffer_bdp)) = case.fig9 {
+        return Scenario::versus(
+            50.0,
+            20.0,
+            buffer_bdp,
+            n_cubic,
+            CcaKind::Bbr,
+            n_bbr,
+            case.secs,
+            1,
+        )
+        .build_simulator();
+    }
     let rate = Rate::from_mbps(100.0);
     let rtt = SimDuration::from_millis(20);
     let buf = bbrdom_netsim::units::buffer_bytes(rate, rtt, 2.0);

@@ -16,8 +16,16 @@
 //!
 //! Sequence numbers are dense (0, 1, 2, …), so the sender's scoreboard is
 //! a `Scoreboard` ring buffer indexed by `seq - head_seq` rather than a
-//! search tree: insert, remove and the common in-order ACK are O(1), and
-//! the dup-marking scan below an arriving ACK touches a contiguous slice.
+//! search tree: insert, remove and the common in-order ACK are O(1).
+//! Dup-ACK loss marking never scans the window: the scoreboard keeps the
+//! unmarked original transmissions below the highest ACK so far (each
+//! slot is classified once, as that front passes it) and the in-flight
+//! retransmissions in send order, and an ACK visits only entries whose
+//! dup count it can change, plus stale entries it drops. Each
+//! transmission is visited O(1) times in total (≤ `DUP_THRESH` counted
+//! passes, one classification, one removal), so marking costs amortized
+//! O(1) per ACK however deep the queue inflates the window (a scan up
+//! from the head would cost O(window) per ACK while a hole pins it).
 //! The retransmission queue is a sorted `VecDeque` (loss bursts are small
 //! and nearly sorted), and the receiver's out-of-order set is a window
 //! bitmap offset by `rcv_next`.
@@ -41,7 +49,7 @@ const MAX_RTO: SimDuration = SimDuration(60_000_000_000);
 const DUP_THRESH: u8 = 3;
 
 /// Scoreboard entry for one outstanding sequence number.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SentPacket {
     size: u64,
     sent_time: SimTime,
@@ -60,7 +68,8 @@ struct SentPacket {
 }
 
 /// The sender's outstanding-packet table, as a ring buffer over the
-/// contiguous sequence range `[head_seq, head_seq + slots.len())`.
+/// contiguous sequence range `[head_seq, head_seq + slots.len())`, plus
+/// the two lists dup-ACK marking walks instead of the window.
 ///
 /// Invariant: when non-empty, the front slot is occupied (`head_seq` is
 /// the lowest outstanding sequence), so "anything outstanding below X?"
@@ -70,6 +79,31 @@ struct Scoreboard {
     head_seq: u64,
     slots: VecDeque<Option<SentPacket>>,
     outstanding: usize,
+    /// One past the highest sequence ACKed so far. Slots below it have
+    /// been classified into `holes` exactly once.
+    ack_front: u64,
+    /// `(txid, seq)` of the original transmissions that were outstanding
+    /// and unmarked when `ack_front` passed them, ascending by `seq`.
+    /// Entries since ACKed or marked go stale and are dropped when a walk
+    /// reaches them.
+    holes: VecDeque<(u64, u64)>,
+    /// `(txid, seq)` of every retransmission sent since the last RTO, in
+    /// send (= `txid`) order; stale entries are dropped the same way.
+    rtx_sent: VecDeque<(u64, u64)>,
+    /// Test hook: mark losses with the reference window scan instead.
+    #[cfg(test)]
+    linear_marking: bool,
+    /// Test hook: entries (slots or list entries) loss marking examined.
+    #[cfg(test)]
+    mark_visits: u64,
+}
+
+/// One more packet sent later has been ACKed past `p`: bump its dup count
+/// and mark it lost at the threshold. True when this call marked it.
+fn pass_over(p: &mut SentPacket) -> bool {
+    p.dup_count = p.dup_count.saturating_add(1);
+    p.marked_lost = p.dup_count >= DUP_THRESH;
+    p.marked_lost
 }
 
 impl Scoreboard {
@@ -85,6 +119,9 @@ impl Scoreboard {
     /// Insert `seq`: either the next new sequence (appended) or a
     /// retransmission replacing its marked-lost entry in place.
     fn insert(&mut self, seq: u64, p: SentPacket) {
+        if p.is_retransmit {
+            self.rtx_sent.push_back((p.txid, seq));
+        }
         if self.slots.is_empty() {
             self.head_seq = seq;
             self.slots.push_back(Some(p));
@@ -125,6 +162,142 @@ impl Scoreboard {
             }
         }
         taken
+    }
+
+    /// Dup-threshold loss marking for an ACK of `seq` (already removed)
+    /// whose transmission was `acked_txid`: every outstanding, unmarked
+    /// packet below `seq` that was sent before it gains one dup count,
+    /// and `lost(seq, size)` is called for each one this marks lost.
+    ///
+    /// Originals are sent in sequence order, so every original below
+    /// `seq` was sent before the ACKed transmission (its own original
+    /// included): the live entries of `holes` below `seq` all qualify.
+    /// A retransmission qualifies when its `txid` is below `acked_txid`,
+    /// so the `rtx_sent` walk stops at the first later one. A walk drops
+    /// the entries it finds stale or marks lost, and each entry is counted
+    /// at most `DUP_THRESH` times, so the cost is amortized O(1) per
+    /// transmission rather than O(window) per ACK. (The one exception, a
+    /// retransmission stepped over by the ACK of a lower sequence sent
+    /// after it, needs a retransmission to be lost again.)
+    fn mark_passed(&mut self, seq: u64, acked_txid: u64, mut lost: impl FnMut(u64, u64)) {
+        #[cfg(test)]
+        if self.linear_marking {
+            return self.mark_passed_linear(seq, acked_txid, lost);
+        }
+        let head = self.head_seq;
+        if seq >= self.ack_front {
+            let end = head + self.slots.len() as u64;
+            for s in self.ack_front.max(head)..seq.min(end) {
+                #[cfg(test)]
+                {
+                    self.mark_visits += 1;
+                }
+                if let Some(p) = &self.slots[(s - head) as usize] {
+                    if !p.is_retransmit && !p.marked_lost {
+                        self.holes.push_back((p.txid, s));
+                    }
+                }
+            }
+            self.ack_front = seq + 1;
+        }
+        // Pass over `(txid, s)` if it still names an outstanding, unmarked
+        // transmission, reporting it if that marks it lost. Returns whether
+        // the entry stays listed.
+        let slots = &mut self.slots;
+        let mut pass = |txid: u64, s: u64| -> bool {
+            let slot = s
+                .checked_sub(head)
+                .and_then(|idx| slots.get_mut(idx as usize));
+            match slot.and_then(Option::as_mut) {
+                Some(p) if p.txid == txid && !p.marked_lost => {
+                    let marked = pass_over(p);
+                    if marked {
+                        lost(s, p.size);
+                    }
+                    !marked
+                }
+                _ => false,
+            }
+        };
+        let mut i = 0;
+        while let Some(&(txid, s)) = self.holes.get(i) {
+            if s >= seq {
+                break;
+            }
+            #[cfg(test)]
+            {
+                self.mark_visits += 1;
+            }
+            if pass(txid, s) {
+                i += 1;
+            } else {
+                self.holes.remove(i);
+            }
+        }
+        let mut i = 0;
+        while let Some(&(txid, s)) = self.rtx_sent.get(i) {
+            if txid >= acked_txid {
+                break;
+            }
+            #[cfg(test)]
+            {
+                self.mark_visits += 1;
+            }
+            // Sent before the ACKed packet but above it: not passed.
+            if s >= seq || pass(txid, s) {
+                i += 1;
+            } else {
+                self.rtx_sent.remove(i);
+            }
+        }
+    }
+
+    /// RTO: mark every outstanding, unmarked packet lost, calling
+    /// `lost(seq, size)` for each. Nothing is left for dup marking to
+    /// count, so both lists are emptied.
+    fn mark_all_lost(&mut self, mut lost: impl FnMut(u64, u64)) {
+        self.holes.clear();
+        self.rtx_sent.clear();
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(p) = slot {
+                if !p.marked_lost {
+                    p.marked_lost = true;
+                    lost(self.head_seq + idx as u64, p.size);
+                }
+            }
+        }
+    }
+
+    /// Reference oracle for [`Scoreboard::mark_passed`]: the window scan
+    /// it replaced, which examines every slot from the head up to `seq`.
+    #[cfg(test)]
+    fn mark_passed_linear(&mut self, seq: u64, acked_txid: u64, mut lost: impl FnMut(u64, u64)) {
+        let upto = (seq.saturating_sub(self.head_seq) as usize).min(self.slots.len());
+        for idx in 0..upto {
+            self.mark_visits += 1;
+            if let Some(p) = self.slots[idx].as_mut() {
+                if p.marked_lost || p.txid >= acked_txid {
+                    continue;
+                }
+                if pass_over(p) {
+                    lost(self.head_seq + idx as u64, p.size);
+                }
+            }
+        }
+    }
+}
+
+/// Insert `seq` into the sorted retransmission queue.
+fn rtx_insert(queue: &mut VecDeque<u64>, seq: u64) {
+    match queue.back() {
+        // Losses are mostly marked in ascending order, so the common
+        // case is a plain append.
+        Some(&last) if last < seq => queue.push_back(seq),
+        None => queue.push_back(seq),
+        _ => match queue.binary_search(&seq) {
+            Ok(_) => debug_assert!(false, "sequence queued for rtx twice"),
+            Err(pos) => queue.insert(pos, seq),
+        },
     }
 }
 
@@ -299,8 +472,8 @@ impl Flow {
         self.torn_down
     }
 
-    /// Dismantle a completed flow: drop the scoreboard, retransmission
-    /// queue and receiver bitmap, zero the flight, and neutralize the
+    /// Dismantle a completed flow: drop the scoreboard (with its loss
+    /// marking lists), retransmission queue and receiver bitmap, zero the flight, and neutralize the
     /// timer state so any still-scheduled `RtoCheck`/`Pacing` events for
     /// this flow fire as no-ops. Stats (including the cwnd integral) are
     /// frozen as of `now`. The CC instance and `rcv_next` stay alive so
@@ -439,20 +612,6 @@ impl Flow {
         self.stats.last_cwnd_update = now;
     }
 
-    /// Queue `seq` for retransmission, keeping the queue sorted.
-    fn rtx_push(&mut self, seq: u64) {
-        match self.rtx_queue.back() {
-            // Loss marking walks sequences in ascending order, so the
-            // common case is a plain append.
-            Some(&last) if last < seq => self.rtx_queue.push_back(seq),
-            None => self.rtx_queue.push_back(seq),
-            _ => match self.rtx_queue.binary_search(&seq) {
-                Ok(_) => debug_assert!(false, "sequence queued for rtx twice"),
-                Err(pos) => self.rtx_queue.insert(pos, seq),
-            },
-        }
-    }
-
     /// Drop `seq` from the retransmission queue if present.
     fn rtx_cancel(&mut self, seq: u64) {
         if let Ok(pos) = self.rtx_queue.binary_search(&seq) {
@@ -579,19 +738,16 @@ impl Flow {
         // Genuine timeout: every outstanding packet is presumed lost.
         self.stats.rtos += 1;
         self.rto_backoff += 1;
-        for idx in 0..self.unacked.slots.len() {
-            let seq = self.unacked.head_seq + idx as u64;
-            if let Some(p) = self.unacked.slots[idx].as_mut() {
-                if p.marked_lost {
-                    continue;
-                }
-                p.marked_lost = true;
-                let size = p.size;
-                self.inflight_bytes = self.inflight_bytes.saturating_sub(size);
-                self.rtx_push(seq);
-                self.stats.lost_packets += 1;
-            }
-        }
+        let (inflight, rtx_queue, stats) = (
+            &mut self.inflight_bytes,
+            &mut self.rtx_queue,
+            &mut self.stats,
+        );
+        self.unacked.mark_all_lost(|seq, size| {
+            *inflight = inflight.saturating_sub(size);
+            rtx_insert(rtx_queue, seq);
+            stats.lost_packets += 1;
+        });
         self.in_recovery = true;
         self.recovery_end = self.next_seq;
         self.integrate_cwnd(now);
@@ -675,31 +831,24 @@ impl Flow {
 
         // Dup-threshold loss marking: every still-outstanding packet below
         // this sequence that was sent earlier has now been "passed" by one
-        // more ACK. (The slice below an arriving ACK contains only loss
-        // holes, so this scan is short.)
-        let acked_txid = entry.txid;
+        // more ACK. After a drop the head stays pinned at the hole for a
+        // whole queue-inflated RTT, so scanning the window from the head
+        // would cost O(window) per ACK; the scoreboard's lists visit only
+        // the packets this ACK can pass (amortized O(1) per ACK).
         let mut newly_lost = 0u64;
         let mut max_lost_seq = None;
-        let upto =
-            (seq.saturating_sub(self.unacked.head_seq) as usize).min(self.unacked.slots.len());
-        for idx in 0..upto {
-            if let Some(p) = self.unacked.slots[idx].as_mut() {
-                if p.marked_lost || p.txid >= acked_txid {
-                    continue;
-                }
-                p.dup_count = p.dup_count.saturating_add(1);
-                if p.dup_count >= DUP_THRESH {
-                    p.marked_lost = true;
-                    let size = p.size;
-                    let s = self.unacked.head_seq + idx as u64;
-                    self.inflight_bytes = self.inflight_bytes.saturating_sub(size);
-                    self.rtx_push(s);
-                    self.stats.lost_packets += 1;
-                    newly_lost += size;
-                    max_lost_seq = Some(s);
-                }
-            }
-        }
+        let (inflight, rtx_queue, stats) = (
+            &mut self.inflight_bytes,
+            &mut self.rtx_queue,
+            &mut self.stats,
+        );
+        self.unacked.mark_passed(seq, entry.txid, |s, size| {
+            *inflight = inflight.saturating_sub(size);
+            rtx_insert(rtx_queue, s);
+            stats.lost_packets += 1;
+            newly_lost += size;
+            max_lost_seq = max_lost_seq.max(Some(s));
+        });
 
         // Congestion event: first loss beyond the previous recovery point.
         if let Some(lost) = max_lost_seq {
@@ -891,6 +1040,8 @@ impl Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn entry(txid: u64) -> SentPacket {
         SentPacket {
@@ -987,10 +1138,288 @@ mod tests {
             SimTime::ZERO,
         );
         for s in [5u64, 7, 3, 9, 4] {
-            f.rtx_push(s);
+            rtx_insert(&mut f.rtx_queue, s);
         }
         f.rtx_cancel(7);
         let drained: Vec<u64> = std::iter::from_fn(|| f.rtx_queue.pop_front()).collect();
         assert_eq!(drained, vec![3, 4, 5, 9]);
+    }
+
+    /// Fixed-window CC whose window the test can change mid-run, logging
+    /// every ACK's `newly_lost_bytes`.
+    struct Recorder {
+        cwnd: Arc<AtomicU64>,
+        newly_lost: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl CongestionControl for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn on_ack(&mut self, ack: &AckSample, _view: &FlowView) {
+            self.newly_lost.lock().unwrap().push(ack.newly_lost_bytes);
+        }
+        fn on_congestion_event(&mut self, _now: SimTime, _view: &FlowView) {}
+        fn on_rto(&mut self, _now: SimTime, _view: &FlowView) {}
+        fn cwnd_bytes(&self) -> u64 {
+            self.cwnd.load(Ordering::Relaxed)
+        }
+        fn pacing_rate(&self) -> Option<f64> {
+            None
+        }
+    }
+
+    const PKT: u64 = 1500;
+
+    /// One started sender with a queue that never drops (the test decides
+    /// which transmissions are lost by never ACKing them).
+    struct Sender {
+        flow: Flow,
+        queue: DropTailQueue,
+        events: EventQueue,
+        newly_lost: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl Sender {
+        fn start(linear_marking: bool, cwnd: &Arc<AtomicU64>, byte_limit: Option<u64>) -> Self {
+            let newly_lost = Arc::new(Mutex::new(Vec::new()));
+            let cc = Recorder {
+                cwnd: Arc::clone(cwnd),
+                newly_lost: Arc::clone(&newly_lost),
+            };
+            let delay = SimDuration::from_millis(5);
+            let mut flow = Flow::new(FlowId(0), Box::new(cc), PKT, delay, delay, SimTime::ZERO);
+            flow.unacked.linear_marking = linear_marking;
+            if let Some(limit) = byte_limit {
+                flow.set_byte_limit(limit);
+            }
+            let mut s = Sender {
+                flow,
+                queue: DropTailQueue::new(crate::units::Rate::from_mbps(100.0), 1 << 40, 1),
+                events: EventQueue::new(),
+                newly_lost,
+            };
+            s.flow.on_start(SimTime::ZERO, &mut s.queue, &mut s.events);
+            s
+        }
+
+        fn ack(&mut self, now: SimTime, seq: u64) {
+            self.flow
+                .on_ack(now, seq, &mut self.queue, &mut self.events);
+        }
+
+        fn send(&mut self, now: SimTime) {
+            self.flow.try_send(now, &mut self.queue, &mut self.events);
+        }
+
+        fn rto(&mut self, now: SimTime) {
+            self.flow
+                .on_rto_check(now, &mut self.queue, &mut self.events);
+        }
+    }
+
+    /// Everything dup-ACK marking decides must agree between the two.
+    fn assert_same_marking(a: &Sender, b: &Sender, step: usize) {
+        let (fa, fb) = (&a.flow, &b.flow);
+        assert_eq!(
+            fa.unacked.head_seq, fb.unacked.head_seq,
+            "head, step {step}"
+        );
+        // Per entry: dup_count, marked_lost, txid, retransmit flag.
+        assert_eq!(
+            fa.unacked.slots, fb.unacked.slots,
+            "scoreboard, step {step}"
+        );
+        assert_eq!(fa.rtx_queue, fb.rtx_queue, "rtx_queue, step {step}");
+        assert_eq!(
+            fa.inflight_bytes, fb.inflight_bytes,
+            "inflight, step {step}"
+        );
+        assert_eq!(
+            fa.stats.lost_packets, fb.stats.lost_packets,
+            "lost, step {step}"
+        );
+        // The congestion-event decision and recovery state.
+        assert_eq!(
+            fa.stats.congestion_events, fb.stats.congestion_events,
+            "step {step}"
+        );
+        assert_eq!(fa.in_recovery, fb.in_recovery, "in_recovery, step {step}");
+        assert_eq!(
+            fa.recovery_end, fb.recovery_end,
+            "recovery_end, step {step}"
+        );
+        assert_eq!(fa.next_txid, fb.next_txid, "sends, step {step}");
+        assert_eq!(
+            *a.newly_lost.lock().unwrap(),
+            *b.newly_lost.lock().unwrap(),
+            "newly_lost per ACK, step {step}"
+        );
+    }
+
+    /// Run one op stream against the list-based marking and the reference
+    /// window scan side by side, comparing after every op. Ops are
+    /// `(kind, x)`: deliver the ACK of an in-flight transmission (mostly
+    /// the oldest, sometimes a later one: reordering), drop one, ACK an
+    /// arbitrary sequence (duplicate or spurious ACKs), resize the window,
+    /// or fire an RTO. Returns the fast side's flow for coverage checks.
+    fn drive_against_oracle(ops: &[(u8, u64)]) -> Flow {
+        let cwnd = Arc::new(AtomicU64::new(8 * PKT));
+        let mut fast = Sender::start(false, &cwnd, None);
+        let mut oracle = Sender::start(true, &cwnd, None);
+        // Transmissions on the wire, `(txid, seq)` in send order.
+        let mut wire: VecDeque<(u64, u64)> = VecDeque::new();
+        let mut seen_txid = 0;
+        let mut now = SimTime::ZERO;
+        for (step, &(kind, x)) in ops.iter().enumerate() {
+            // Pick up what the last op sent (each sequence at most once
+            // per op, so the scoreboard shows every new transmission).
+            let mut sent: Vec<(u64, u64)> = fast
+                .flow
+                .unacked
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| p.map(|p| (p.txid, fast.flow.unacked.head_seq + i as u64)))
+                .filter(|&(txid, _)| txid >= seen_txid)
+                .collect();
+            sent.sort_unstable();
+            assert_eq!(sent.len() as u64, fast.flow.next_txid - seen_txid);
+            seen_txid = fast.flow.next_txid;
+            wire.extend(sent);
+
+            now += SimDuration::from_millis(1);
+            match kind {
+                0..=6 if !wire.is_empty() => {
+                    let k = if x < 40 { 0 } else { x as usize % 4 };
+                    let (_, seq) = wire.remove(k.min(wire.len() - 1)).unwrap();
+                    fast.ack(now, seq);
+                    oracle.ack(now, seq);
+                }
+                7 | 8 if !wire.is_empty() => {
+                    wire.remove(x as usize % wire.len());
+                }
+                9 => {
+                    let seq = x % (fast.flow.next_seq + 1);
+                    fast.ack(now, seq);
+                    oracle.ack(now, seq);
+                }
+                10 => {
+                    cwnd.store((3 * x + 1) * PKT, Ordering::Relaxed);
+                    fast.send(now);
+                    oracle.send(now);
+                }
+                11 => {
+                    // Past any armed deadline (MAX_RTO is 60 s).
+                    now += SimDuration::from_secs_f64(100.0);
+                    fast.rto(now);
+                    oracle.rto(now);
+                }
+                _ => {}
+            }
+            assert_same_marking(&fast, &oracle, step);
+        }
+        fast.flow
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The list-based marking makes exactly the window scan's
+        /// decisions under reordered, duplicate and spurious ACKs,
+        /// retransmissions and RTOs.
+        #[test]
+        fn loss_marking_matches_window_scan_oracle(
+            ops in proptest::prop::collection::vec((0u8..12, 0u64..64), 1..400),
+        ) {
+            drive_against_oracle(&ops);
+        }
+    }
+
+    /// The differential streams reach every path they are meant to test.
+    #[test]
+    fn oracle_streams_cover_loss_retransmit_and_rto() {
+        use proptest::Strategy;
+        let strategy = proptest::prop::collection::vec((0u8..12, 0u64..64), 300..400);
+        let (mut lost, mut rtx, mut rtos, mut congestion, mut spurious) = (0, 0, 0, 0, 0);
+        for case in 0..32 {
+            let ops = strategy.sample(&mut proptest::case_rng("oracle_coverage", case));
+            let f = drive_against_oracle(&ops);
+            lost += f.stats.lost_packets;
+            rtx += f.stats.retransmits;
+            rtos += f.stats.rtos;
+            congestion += f.stats.congestion_events;
+            spurious += f.stats.spurious_acks;
+        }
+        for (what, n) in [
+            ("losses", lost),
+            ("retransmits", rtx),
+            ("RTOs", rtos),
+            ("congestion events", congestion),
+            ("spurious ACKs", spurious),
+        ] {
+            assert!(n >= 10, "only {n} {what} across the streams");
+        }
+    }
+
+    /// One hole at the head of a 4,000-packet window, then 4,000 ACKs of
+    /// later packets: the head stays pinned at the hole the whole time,
+    /// which made the window scan examine ~n²/2 slots. The lists must
+    /// stay within a small constant of the ACKs plus sends.
+    #[test]
+    fn loss_marking_work_is_linear_in_acks_and_sends() {
+        const WINDOW: u64 = 4_000;
+        let run = |linear: bool| {
+            let cwnd = Arc::new(AtomicU64::new(WINDOW * PKT));
+            let mut s = Sender::start(linear, &cwnd, None);
+            assert_eq!(s.flow.next_seq, WINDOW);
+            for seq in 1..=WINDOW {
+                s.ack(SimTime(seq * 1_000), seq);
+            }
+            assert_eq!(
+                s.flow.unacked.head_seq(),
+                0,
+                "hole still pinned at the head"
+            );
+            assert_eq!(s.flow.stats.lost_packets, 1);
+            assert_eq!(s.flow.stats.retransmits, 1);
+            (s.flow.unacked.mark_visits, WINDOW + s.flow.next_txid)
+        };
+        let (visits, acks_and_sends) = run(false);
+        assert!(
+            visits <= 2 * acks_and_sends,
+            "{visits} marking visits for {acks_and_sends} ACKs + sends"
+        );
+        let (scan_visits, _) = run(true);
+        assert!(
+            scan_visits > 7_000_000,
+            "window scan made {scan_visits} visits"
+        );
+    }
+
+    /// Teardown drops the loss-marking lists along with the scoreboard.
+    #[test]
+    fn teardown_drops_loss_marking_lists() {
+        let cwnd = Arc::new(AtomicU64::new(20 * PKT));
+        let mut s = Sender::start(false, &cwnd, Some(20 * PKT));
+        let mut now = SimTime::ZERO;
+        let mut ack = |s: &mut Sender, seq| {
+            now += SimDuration::from_millis(1);
+            s.ack(now, seq);
+        };
+        // Seq 0 is lost and retransmitted; 19 arrives ahead of 4..=18.
+        for seq in [1, 2, 3, 19, 0] {
+            ack(&mut s, seq);
+        }
+        assert_eq!(s.flow.stats.retransmits, 1);
+        for seq in 4..18 {
+            ack(&mut s, seq);
+        }
+        assert!(!s.flow.unacked.holes.is_empty());
+        assert!(!s.flow.unacked.rtx_sent.is_empty());
+        ack(&mut s, 18);
+        assert!(s.flow.is_torn_down());
+        assert_eq!(s.flow.unacked.holes.capacity(), 0);
+        assert_eq!(s.flow.unacked.rtx_sent.capacity(), 0);
     }
 }
