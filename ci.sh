@@ -79,15 +79,6 @@ cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
     --jobs 2 --cache-dir "$ne_out/cache" --out "$ne_out/warm"
 diff -r "$ne_out/serial" "$ne_out/warm"
 
-# Dumbbell-as-topology smoke: the same NE pipeline with every payoff
-# cell's dumbbell spelled as an explicit 4-node topology. The multi-hop
-# engine path must reproduce the legacy figures byte for byte (distinct
-# cache keys, so --no-cache keeps the comparison honest).
-echo "==> dumbbell-as-topology smoke (repro 9 --dumbbell-as-topology vs legacy)"
-cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
-    --jobs 1 --no-cache --dumbbell-as-topology --out "$ne_out/topo"
-diff -r "$ne_out/serial" "$ne_out/topo"
-
 # Supervised sweep smoke: the same NE pipeline sharded across two
 # crash-isolated worker processes, with one worker SIGKILLed shortly
 # after launch. The supervisor must absorb the kill (retry the

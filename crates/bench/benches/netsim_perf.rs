@@ -48,7 +48,7 @@ struct Case {
     workload: Option<(f64, u64)>,
     /// Multi-hop: `(chain hops, cross flows per hop)`; `flows` long
     /// flows traverse the whole chain, each cross flow one hop. `None`
-    /// is the legacy implicit dumbbell.
+    /// is the implicit dumbbell.
     parking_lot: Option<(u32, usize)>,
     /// Fig 9 payoff cell `(n_cubic, n_bbr, buffer in BDP)` at 50 Mbps /
     /// 20 ms, built by `Scenario::versus` (seed 1); the fields above

@@ -51,7 +51,6 @@ struct Overrides {
     backend: Option<BackendSpec>,
     workload: Option<WorkloadSpec>,
     parkinglot_hops: Option<u32>,
-    dumbbell_topology: Option<bool>,
 }
 
 /// Default detector knobs for a bare `--early-stop`.
@@ -232,7 +231,6 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or_else(|| "--parkinglot-hops needs a count >= 2".to_string())?,
                 );
             }
-            "--dumbbell-as-topology" => overrides.dumbbell_topology = Some(true),
             "--workload" => {
                 let spec = args
                     .next()
@@ -289,25 +287,6 @@ fn parse_args() -> Result<Args, String> {
     if let Some(h) = overrides.parkinglot_hops {
         profile.parkinglot_hops = h;
     }
-    if let Some(t) = overrides.dumbbell_topology {
-        profile.dumbbell_topology = t;
-    }
-    if profile.dumbbell_topology {
-        if profile.early_stop.is_some() {
-            return Err(
-                "--dumbbell-as-topology is incompatible with --early-stop: multi-hop \
-                 topologies run fixed horizons"
-                    .to_string(),
-            );
-        }
-        if profile.backend == BackendSpec::Fluid {
-            return Err(
-                "--dumbbell-as-topology is incompatible with --backend fluid: the fluid \
-                 queue models exactly one implicit bottleneck"
-                    .to_string(),
-            );
-        }
-    }
     if profile.workload.is_some() {
         if profile.early_stop.is_some() {
             return Err(
@@ -352,8 +331,6 @@ fn usage() -> String {
          workload: --workload CCA:RATE:SIZE (open-loop churn on every scenario; RATE in\n\
          \x20          flows/s, SIZE in kB or 'pareto', e.g. cubic:80:pareto)\n\
          topology: --parkinglot-hops N (bottleneck count of the ext-parkinglot chain; >= 2)\n\
-         \x20         --dumbbell-as-topology (run payoff cells with the dumbbell spelled as an\n\
-         \x20           explicit topology; bit-identical results, distinct cache keys)\n\
          perf: --adaptive (model-guided NE search) / --dense (full grid, default)\n\
          \x20     --backend des|fluid (packet DES, default, or the fluid/ODE fast model)\n\
          \x20     --early-stop[=EPS,DWELL] (stop converged runs early; default 0.05,3)\n\

@@ -845,8 +845,17 @@ fn cache_entry_path(dir: &Path, hash: u128) -> PathBuf {
 /// garbled JSON, version or key mismatch — is a miss, never a panic:
 /// the scenario is simply re-simulated (and the entry rewritten).
 fn load_cache_entry(dir: &Path, hash: u128) -> Option<SimReport> {
-    let text = std::fs::read_to_string(cache_entry_path(dir, hash)).ok()?;
-    let v = json::parse(&text).ok()?;
+    parse_cache_entry(
+        &std::fs::read_to_string(cache_entry_path(dir, hash)).ok()?,
+        hash,
+    )
+}
+
+/// Parse the text of the cache entry for `hash` (see
+/// [`load_cache_entry`]); `None` for anything but a well-formed entry of
+/// this format version and key.
+pub(crate) fn parse_cache_entry(text: &str, hash: u128) -> Option<SimReport> {
+    let v = json::parse(text).ok()?;
     if v.get("version").and_then(Value::as_u64) != Some(CACHE_FORMAT_VERSION as u64) {
         return None;
     }
@@ -872,19 +881,25 @@ fn store_cache_entry(dir: &Path, hash: u128, scenario: &Scenario, report: &SimRe
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let mut v = Value::object();
-    v.set("version", Value::U64(CACHE_FORMAT_VERSION as u64))
-        .set("key", format!("{hash:032x}").as_str().into())
-        .set("scenario", scenario.to_json_value())
-        .set("report", report.to_json_value());
     let tmp = dir.join(format!(
         ".{hash:032x}.tmp.{}.{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    if std::fs::write(&tmp, v.to_json()).is_ok() {
+    if std::fs::write(&tmp, cache_entry_json(hash, scenario, report)).is_ok() {
         let _ = std::fs::rename(&tmp, cache_entry_path(dir, hash));
     }
+}
+
+/// The text of the cache entry for `hash` (inverse of
+/// [`parse_cache_entry`]).
+pub(crate) fn cache_entry_json(hash: u128, scenario: &Scenario, report: &SimReport) -> String {
+    let mut v = Value::object();
+    v.set("version", Value::U64(CACHE_FORMAT_VERSION as u64))
+        .set("key", format!("{hash:032x}").as_str().into())
+        .set("scenario", scenario.to_json_value())
+        .set("report", report.to_json_value());
+    v.to_json()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! 1. the long flows' payoff curves as the BBR share rises, over the
 //!    chain (cross traffic shapes the network but is excluded from the
 //!    game's payoffs — [`crate::payoff::measure_payoffs_from`]), and
-//! 2. the observed Nash mix on the legacy dumbbell vs the chain.
+//! 2. the observed Nash mix on the single-bottleneck dumbbell vs the chain.
 //!
 //! Expected outcome (and what we observe): the chain squeezes the long
 //! flows — they pay the parking-lot penalty of contending at every hop

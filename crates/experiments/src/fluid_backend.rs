@@ -19,19 +19,20 @@
 //! Anything rejected here must run on the DES backend; see DESIGN.md
 //! ("Fluid backend — validity envelope") for the rationale.
 
-use crate::scenario::{CcaKindSpec, Scenario};
+use crate::scenario::Scenario;
+use bbrdom_cca::CcaKind;
 use bbrdom_fluid::{FluidCca, FluidConfig, FluidError, FluidFlowSpec};
 use bbrdom_netsim::{ConfigError, Rate, SimDuration, SimError, SimReport, SimTime};
 
 /// Map a scenario CCA to its fluid counterpart, or name the unsupported
 /// algorithm for the error message.
-fn fluid_cca(spec: CcaKindSpec) -> Result<FluidCca, ConfigError> {
-    FluidCca::from_name(spec.name()).ok_or(ConfigError::Unsupported {
+fn fluid_cca(cca: CcaKind) -> Result<FluidCca, ConfigError> {
+    FluidCca::from_name(cca.name()).ok_or(ConfigError::Unsupported {
         backend: "fluid",
-        feature: match spec {
-            CcaKindSpec::Copa => "the 'copa' algorithm",
-            CcaKindSpec::Vivace => "the 'vivace' algorithm",
-            CcaKindSpec::Vegas => "the 'vegas' algorithm",
+        feature: match cca {
+            CcaKind::Copa => "the 'copa' algorithm",
+            CcaKind::Vivace => "the 'vivace' algorithm",
+            CcaKind::Vegas => "the 'vegas' algorithm",
             // Unreachable today (the four others all lower), but keeps
             // the message honest if the registry grows.
             _ => "this congestion-control algorithm",

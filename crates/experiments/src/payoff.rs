@@ -225,7 +225,7 @@ pub fn distribution_scenario(
     discipline: DisciplineSpec,
     faults: &FaultSpec,
 ) -> Scenario {
-    let s = Scenario::versus(
+    Scenario::versus(
         mbps,
         rtt_ms,
         buffer_bdp,
@@ -245,14 +245,7 @@ pub fn distribution_scenario(
             .map(|(epsilon, dwell)| EarlyStopSpec::new(epsilon, dwell)),
     )
     .with_backend(profile.backend)
-    .with_workload(profile.workload);
-    // `--dumbbell-as-topology`: same physics expressed as an explicit
-    // topology — bit-identical results under a distinct cache key.
-    if profile.dumbbell_topology {
-        s.with_equivalent_topology()
-    } else {
-        s
-    }
+    .with_workload(profile.workload)
 }
 
 /// Measure payoff curves from arbitrary per-cell scenarios — the

@@ -47,12 +47,6 @@ pub struct Profile {
     /// Bottleneck count of the `ext-parkinglot` chain (`repro
     /// --parkinglot-hops`).
     pub parkinglot_hops: u32,
-    /// Run every payoff cell with the dumbbell expressed as an explicit
-    /// topology (`repro --dumbbell-as-topology`): results are
-    /// bit-identical to the implicit dumbbell (proven by the equivalence
-    /// suite and the CI diff), but the scenarios occupy distinct cache
-    /// keys, exercising the multi-hop code path end to end.
-    pub dumbbell_topology: bool,
 }
 
 impl Profile {
@@ -71,7 +65,6 @@ impl Profile {
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
             parkinglot_hops: 3,
-            dumbbell_topology: false,
         }
     }
 
@@ -90,7 +83,6 @@ impl Profile {
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
             parkinglot_hops: 3,
-            dumbbell_topology: false,
         }
     }
 
@@ -110,7 +102,6 @@ impl Profile {
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
             parkinglot_hops: 2,
-            dumbbell_topology: false,
         }
     }
 

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
     /// Which congestion-control algorithm the flow runs.
-    pub cca: CcaKindSpec,
+    pub cca: CcaKind,
     /// Base RTT in milliseconds.
     pub rtt_ms: f64,
     /// Application start time, seconds (on top of the seed jitter).
@@ -32,7 +32,7 @@ impl FlowSpec {
     /// A backlogged long flow starting at t≈0.
     pub fn long(cca: CcaKind, rtt_ms: f64) -> Self {
         FlowSpec {
-            cca: cca.into(),
+            cca,
             rtt_ms,
             start_s: 0.0,
             byte_limit: None,
@@ -42,7 +42,7 @@ impl FlowSpec {
     /// A finite transfer of `bytes`, starting at `start_s`.
     pub fn short(cca: CcaKind, rtt_ms: f64, start_s: f64, bytes: u64) -> Self {
         FlowSpec {
-            cca: cca.into(),
+            cca,
             rtt_ms,
             start_s,
             byte_limit: Some(bytes),
@@ -90,66 +90,11 @@ impl DisciplineSpec {
     }
 }
 
-/// Serializable mirror of [`CcaKind`] (keeps JSON naming out of the cca
-/// crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CcaKindSpec {
-    Cubic,
-    NewReno,
-    Bbr,
-    BbrV2,
-    Copa,
-    Vivace,
-    Vegas,
-}
-
-impl From<CcaKind> for CcaKindSpec {
-    fn from(k: CcaKind) -> Self {
-        match k {
-            CcaKind::Cubic => CcaKindSpec::Cubic,
-            CcaKind::NewReno => CcaKindSpec::NewReno,
-            CcaKind::Bbr => CcaKindSpec::Bbr,
-            CcaKind::BbrV2 => CcaKindSpec::BbrV2,
-            CcaKind::Copa => CcaKindSpec::Copa,
-            CcaKind::Vivace => CcaKindSpec::Vivace,
-            CcaKind::Vegas => CcaKindSpec::Vegas,
-        }
-    }
-}
-
-impl From<CcaKindSpec> for CcaKind {
-    fn from(k: CcaKindSpec) -> Self {
-        match k {
-            CcaKindSpec::Cubic => CcaKind::Cubic,
-            CcaKindSpec::NewReno => CcaKind::NewReno,
-            CcaKindSpec::Bbr => CcaKind::Bbr,
-            CcaKindSpec::BbrV2 => CcaKind::BbrV2,
-            CcaKindSpec::Copa => CcaKind::Copa,
-            CcaKindSpec::Vivace => CcaKind::Vivace,
-            CcaKindSpec::Vegas => CcaKind::Vegas,
-        }
-    }
-}
-
-impl CcaKindSpec {
-    /// Lowercase wire name (matches `CcaKind::name`).
-    pub fn name(self) -> &'static str {
-        CcaKind::from(self).name()
-    }
-
-    /// Inverse of [`CcaKindSpec::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "cubic" => CcaKindSpec::Cubic,
-            "newreno" => CcaKindSpec::NewReno,
-            "bbr" => CcaKindSpec::Bbr,
-            "bbrv2" => CcaKindSpec::BbrV2,
-            "copa" => CcaKindSpec::Copa,
-            "vivace" => CcaKindSpec::Vivace,
-            "vegas" => CcaKindSpec::Vegas,
-            _ => return None,
-        })
-    }
+/// The CCA whose wire name is exactly `name`. Unlike `CcaKind`'s
+/// `FromStr`, no aliases are accepted: a scenario's JSON (and so its
+/// content hash) has one spelling per algorithm.
+fn cca_from_name(name: &str) -> Option<CcaKind> {
+    CcaKind::ALL.into_iter().find(|k| k.name() == name)
 }
 
 /// Serializable path impairments for a scenario: seconds/Mbps-denominated
@@ -362,7 +307,7 @@ pub enum SizeSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// CCA run by every workload flow.
-    pub cca: CcaKindSpec,
+    pub cca: CcaKind,
     /// When new flows arrive.
     pub arrival: ArrivalSpec,
     /// How large each flow is.
@@ -375,7 +320,7 @@ impl WorkloadSpec {
     /// Poisson arrivals of fixed-size transfers.
     pub fn poisson_fixed(cca: CcaKind, rate_per_sec: f64, bytes: u64, rtt_ms: f64) -> Self {
         WorkloadSpec {
-            cca: cca.into(),
+            cca,
             arrival: ArrivalSpec::Poisson { rate_per_sec },
             size: SizeSpec::Fixed { bytes },
             rtt_ms,
@@ -386,7 +331,7 @@ impl WorkloadSpec {
     /// classic heavy-tail index α = 1.2 on 10 kB–1 MB.
     pub fn web(cca: CcaKind, rate_per_sec: f64, rtt_ms: f64) -> Self {
         WorkloadSpec {
-            cca: cca.into(),
+            cca,
             arrival: ArrivalSpec::Poisson { rate_per_sec },
             size: SizeSpec::Pareto {
                 alpha: 1.2,
@@ -492,8 +437,8 @@ impl WorkloadSpec {
             .get("cca")
             .and_then(Value::as_str)
             .ok_or("workload missing 'cca'")?;
-        let cca = CcaKindSpec::from_name(cca_name)
-            .ok_or_else(|| format!("unknown workload cca '{cca_name}'"))?;
+        let cca =
+            cca_from_name(cca_name).ok_or_else(|| format!("unknown workload cca '{cca_name}'"))?;
         let arrival = if let Some(rate) = v.get("poisson_per_sec").and_then(Value::as_f64) {
             ArrivalSpec::Poisson { rate_per_sec: rate }
         } else if let Some(gap) = v.get("interval_s").and_then(Value::as_f64) {
@@ -581,10 +526,9 @@ impl TopoLinkSpec {
 /// returns typed [`ConfigError::InvalidTopology`] errors instead of
 /// panicking.
 ///
-/// A scenario without a topology (the default) runs the legacy implicit
-/// dumbbell; [`Scenario::with_equivalent_topology`] re-expresses that
-/// dumbbell explicitly, which is proven bit-identical by the
-/// `topology_equivalence` suite.
+/// A scenario without a topology (the default) runs the implicit
+/// dumbbell; [`TopologySpec::dumbbell`] spells it out explicitly, which
+/// the `topology_equivalence` suite proves bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Node names; link endpoints refer to these.
@@ -606,10 +550,11 @@ pub struct TopologySpec {
 }
 
 impl TopologySpec {
-    /// The legacy dumbbell as an explicit 4-node / 3-link topology:
-    /// zero-delay access wire, the rated bottleneck, zero-delay egress
-    /// wire. Lowers to exactly what the implicit dumbbell builds, so
-    /// runs are bit-identical to the legacy single-queue path.
+    /// The dumbbell as an explicit 4-node / 3-link topology: zero-delay
+    /// access wire, the rated bottleneck, zero-delay egress wire. Lowers
+    /// to exactly what the simulator builds for a scenario without a
+    /// topology, so runs are bit-identical to the implicit dumbbell
+    /// (only the content hash differs).
     pub fn dumbbell(mbps: f64, buffer_bdp: f64) -> Self {
         TopologySpec {
             nodes: vec![
@@ -922,7 +867,7 @@ pub struct Scenario {
     /// declared flows run, bit-identical to historical behavior).
     pub workload: Option<WorkloadSpec>,
     /// Opt-in explicit multi-bottleneck topology (default: none — the
-    /// legacy implicit dumbbell, bit-identical to historical behavior).
+    /// implicit dumbbell, bit-identical to historical behavior).
     pub topology: Option<TopologySpec>,
 }
 
@@ -1040,16 +985,6 @@ impl Scenario {
         self
     }
 
-    /// Re-express the scenario's implicit dumbbell as an explicit
-    /// 4-node / 3-link topology. The run is bit-identical to the legacy
-    /// single-queue path (the `topology_equivalence` suite proves it);
-    /// only the content hash moves, so a topology-bearing scenario is a
-    /// distinct cache key.
-    pub fn with_equivalent_topology(self) -> Self {
-        let topo = TopologySpec::dumbbell(self.mbps, self.buffer_bdp);
-        self.with_topology(Some(topo))
-    }
-
     /// Validate the scenario without running it.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.flows.is_empty() && self.workload.is_none() {
@@ -1116,8 +1051,7 @@ impl Scenario {
 
     /// Number of flows running `cca`.
     pub fn count_of(&self, cca: CcaKind) -> usize {
-        let spec: CcaKindSpec = cca.into();
-        self.flows.iter().filter(|f| f.cca == spec).count()
+        self.flows.iter().filter(|f| f.cca == cca).count()
     }
 
     /// Build the configured simulator without running it. Exposed so the
@@ -1169,7 +1103,7 @@ impl Scenario {
         }
         let mut sim = Simulator::try_new(cfg)?;
         if let Some(wl) = self.workload {
-            let kind: CcaKind = wl.cca.into();
+            let kind = wl.cca;
             let seed = self.seed;
             // Per-spawn CCA phase seeds, derived through the stable hash
             // (the static flows below use `seed*1000 + i`; the hash keeps
@@ -1184,7 +1118,7 @@ impl Scenario {
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
         for (i, f) in self.flows.iter().enumerate() {
-            let kind: CcaKind = f.cca.into();
+            let kind = f.cca;
             // Per-flow phase seed: decorrelates BBR gain-cycle phases and
             // BBRv2 probe spacing across flows and across trials.
             let cca_seed = self.seed.wrapping_mul(1000).wrapping_add(i as u64);
@@ -1268,8 +1202,7 @@ impl FlowSpec {
             .and_then(Value::as_str)
             .ok_or("flow missing 'cca'")?;
         Ok(FlowSpec {
-            cca: CcaKindSpec::from_name(cca_name)
-                .ok_or_else(|| format!("unknown cca '{cca_name}'"))?,
+            cca: cca_from_name(cca_name).ok_or_else(|| format!("unknown cca '{cca_name}'"))?,
             rtt_ms: v
                 .get("rtt_ms")
                 .and_then(Value::as_f64)
@@ -1773,7 +1706,7 @@ mod tests {
 
         unsupported(&base().with_discipline(DisciplineSpec::Codel));
         unsupported(&base().with_early_stop(Some(EarlyStopSpec::new(0.05, 3))));
-        unsupported(&base().with_equivalent_topology());
+        unsupported(&base().with_topology(Some(TopologySpec::dumbbell(10.0, 2.0))));
 
         let mut s = base();
         s.faults.loss_fwd = 0.01;
@@ -1894,7 +1827,7 @@ mod tests {
 
         // The dumbbell builder round-trips too (wire links omit "mbps").
         let s = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3)
-            .with_equivalent_topology();
+            .with_topology(Some(TopologySpec::dumbbell(10.0, 2.0)));
         let back = Scenario::from_json(&s.to_json()).unwrap();
         assert_eq!(back.topology, s.topology);
 
@@ -1909,12 +1842,12 @@ mod tests {
     }
 
     #[test]
-    fn equivalent_topology_reproduces_the_legacy_run() {
-        let legacy = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 7);
-        let a = legacy.try_report_with(None, None).unwrap();
-        let b = legacy
+    fn explicit_dumbbell_reproduces_the_implicit_run() {
+        let implicit = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 7);
+        let a = implicit.try_report_with(None, None).unwrap();
+        let b = implicit
             .clone()
-            .with_equivalent_topology()
+            .with_topology(Some(TopologySpec::dumbbell(10.0, 2.0)))
             .try_report_with(None, None)
             .unwrap();
         assert_eq!(a.to_json_value().to_json(), b.to_json_value().to_json());
@@ -1955,7 +1888,7 @@ mod tests {
         reject(
             &base
                 .clone()
-                .with_equivalent_topology()
+                .with_topology(Some(TopologySpec::dumbbell(10.0, 2.0)))
                 .with_early_stop(Some(EarlyStopSpec::new(0.05, 3))),
             "does not support convergence early-stop",
         );

@@ -952,4 +952,86 @@ mod tests {
         assert!(c.watchdog >= Duration::from_secs(1));
         assert!(c.backoff_base > Duration::ZERO);
     }
+
+    /// One real entry in each on-disk format a reader consumes: a cache
+    /// entry, an index line and a worker result line, with the cache
+    /// entry's hash.
+    fn on_disk_samples() -> (u128, [String; 3]) {
+        use crate::store::{StoreEntry, StoreOutcome};
+        let scenario = Scenario::versus(10.0, 20.0, 1.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 1.0, 3);
+        let report = scenario.try_report_with(None, None).unwrap();
+        let hash = crate::engine::scenario_hash(&scenario);
+        let events = Some(report.events_processed);
+        let result = TrialResult::from_report(&report);
+        let entry = StoreEntry {
+            key: format!("{hash:032x}"),
+            scenario: scenario.clone(),
+            outcome: StoreOutcome::Ok {
+                events,
+                result: result.clone(),
+            },
+        };
+        let cache_entry = crate::engine::cache_entry_json(hash, &scenario, &report);
+        let result_line = result_line(3, &entry.key, &TrialOutcome::Ok(result), events);
+        (hash, [cache_entry, entry.to_json_line(), result_line])
+    }
+
+    /// Feed `text` to every on-disk reader; returns how many accepted
+    /// it. None may panic, whatever the bytes.
+    fn read_all(text: &str, hash: u128) -> usize {
+        if let Ok(v) = json::parse(text) {
+            let _ = bbrdom_netsim::SimReport::from_json_value(&v);
+            if let Some(report) = v.get("report") {
+                let _ = bbrdom_netsim::SimReport::from_json_value(report);
+            }
+        }
+        crate::engine::parse_cache_entry(text, hash).is_some() as usize
+            + crate::store::StoreEntry::from_json_line(text).is_some() as usize
+            + parse_result_line(text).is_some() as usize
+    }
+
+    /// Torn writes: every prefix of a valid entry is rejected without a
+    /// panic, and the whole entry is accepted by its own reader only.
+    #[test]
+    fn readers_reject_every_prefix_of_a_valid_entry() {
+        let (hash, samples) = on_disk_samples();
+        for text in &samples {
+            assert_eq!(read_all(text, hash), 1, "exactly one reader accepts {text}");
+            for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                assert_eq!(
+                    read_all(&text[..end], hash),
+                    0,
+                    "prefix of {end} bytes accepted"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes: arbitrary input never panics a reader.
+        #[test]
+        fn readers_survive_arbitrary_bytes(
+            bytes in proptest::prelude::prop::collection::vec(0u8..=255, 0..512),
+        ) {
+            read_all(&String::from_utf8_lossy(&bytes), 0);
+        }
+
+        /// Corrupted entries: random bytes spliced into a valid entry
+        /// reach the readers' field checks, not just the tokenizer.
+        #[test]
+        fn readers_survive_corrupted_entries(
+            which in 0usize..3,
+            at in 0.0f64..1.0,
+            junk in proptest::prelude::prop::collection::vec(0u8..=255, 1..8),
+        ) {
+            let (hash, samples) = on_disk_samples();
+            let mut bytes = samples[which].clone().into_bytes();
+            let at = (at * bytes.len() as f64) as usize;
+            let end = (at + junk.len()).min(bytes.len());
+            bytes.splice(at..end, junk);
+            read_all(&String::from_utf8_lossy(&bytes), hash);
+        }
+    }
 }

@@ -173,10 +173,7 @@ fn every_scenario_field_changes_the_hash() {
             Box::new(|s| s.flows.push(FlowSpec::long(CcaKind::Cubic, 30.0))),
         ),
         ("flows: removed", Box::new(|s| s.flows.truncate(2))),
-        (
-            "flow cca",
-            Box::new(|s| s.flows[0].cca = CcaKind::NewReno.into()),
-        ),
+        ("flow cca", Box::new(|s| s.flows[0].cca = CcaKind::NewReno)),
         ("flow rtt_ms", Box::new(|s| s.flows[0].rtt_ms = 31.0)),
         ("flow start_s", Box::new(|s| s.flows[0].start_s = 0.5)),
         (
@@ -233,7 +230,7 @@ fn every_scenario_field_changes_the_hash() {
         ("workload presence", Box::new(|s| s.workload = None)),
         (
             "workload cca",
-            Box::new(|s| s.workload.as_mut().unwrap().cca = CcaKind::Bbr.into()),
+            Box::new(|s| s.workload.as_mut().unwrap().cca = CcaKind::Bbr),
         ),
         (
             "workload arrival rate",
@@ -374,7 +371,10 @@ fn topology_free_scenarios_keep_their_historical_hash() {
     // And spelling the same physics as an explicit topology is a
     // *different* cache entry, never an alias.
     assert_ne!(
-        scenario_hash(&s.clone().with_equivalent_topology()),
+        scenario_hash(
+            &s.clone()
+                .with_topology(Some(TopologySpec::dumbbell(50.0, 4.0)))
+        ),
         scenario_hash(&s)
     );
 }

@@ -160,7 +160,7 @@ impl Auditor {
     /// route: every sent packet is in flight between hops, held by some
     /// queue on the path (dropped / queued / in service), or was
     /// serviced by the *last* hop — which is the only place delivery
-    /// and wire loss happen. Legacy flows (no path) reduce to the
+    /// and wire loss happen. On a dumbbell this reduces to the
     /// single-queue identity with zero hops in flight.
     pub(crate) fn deep_check(
         &self,
@@ -172,8 +172,7 @@ impl Auditor {
         for flow in flows {
             let id = flow.id;
             let mss = flow.mss().max(1);
-            let legacy_path = [0u32];
-            let path: &[u32] = flow.path().map_or(&legacy_path, |p| &p.ser);
+            let path = &flow.path().ser;
             let mut held = 0u64; // dropped + queued + in-service over the path
             for (hop, &slot) in path.iter().enumerate() {
                 let queue = &queues[slot as usize];
@@ -350,9 +349,9 @@ mod tests {
             FlowId(id),
             Box::new(FixedWindow::new(4 * MSS)),
             MSS,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(5),
+            SimDuration::from_millis(10),
             SimTime::ZERO,
+            crate::routing::dumbbell_path(),
         )
     }
 

@@ -39,16 +39,16 @@ pub enum Event {
     FlowStart(FlowId),
     /// A paced flow may release its next packet.
     Pacing(FlowId),
-    /// Link `0` (the single bottleneck, or queue slot `0` of a
-    /// multi-hop [`crate::topo::Topology`]) finished serializing the
-    /// packet in service. The payload names the queue slot; the legacy
-    /// single-bottleneck path always schedules slot `0`.
+    /// The queue slot in the payload finished serializing the packet in
+    /// service. A dumbbell has one slot, `0`; a multi-hop
+    /// [`crate::topo::Topology`] has one per rated link.
     LinkDequeue(u32),
     /// A packet propagating between hops of a multi-hop route reaches
     /// queue slot `link`. The packet itself rides in the event queue's
     /// payload ledger under index `pkt` (see [`EventQueue::schedule_hop`]
     /// / [`EventQueue::claim_hop`]) so `Event` stays pointer-free and
-    /// small; never scheduled on the legacy single-bottleneck path.
+    /// small; never scheduled on a dumbbell, whose paths have no
+    /// propagation before or between rated hops.
     HopArrive { link: u32, pkt: u32 },
     /// The ACK for `seq` reaches its sender (receiver behaviour — ACK per
     /// packet, immediate — is folded into scheduling this event). Only
@@ -148,9 +148,9 @@ pub struct EventQueue {
     overflow_next_tick: u64,
     next_seq: u64,
     /// Payloads of pending [`Event::HopArrive`] events. Keeping the
-    /// [`Packet`] here instead of inside the variant keeps `Event` at
-    /// its legacy size; both `Vec`s stay empty (zero allocation) unless
-    /// a multi-hop topology actually schedules hop propagation.
+    /// [`Packet`] here instead of inside the variant keeps `Event`
+    /// small; both `Vec`s stay empty (zero allocation) unless a
+    /// multi-hop topology actually schedules hop propagation.
     hop_pkts: Vec<Packet>,
     hop_free: Vec<u32>,
 }

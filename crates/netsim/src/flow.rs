@@ -339,10 +339,9 @@ pub struct Flow {
     /// `AckArrive` events scheduled but not yet fired (maintained by the
     /// simulator's event loop via [`Flow::note_ack_scheduled`]).
     acks_inflight: u32,
-    /// Multi-hop route through a compiled [`crate::topo::Topology`].
-    /// `None` is the legacy single-bottleneck configuration: queue slot
-    /// 0, zero extra propagation — the original fast path, untouched.
-    path: Option<Arc<CompiledPath>>,
+    /// The flow's route through the compiled [`crate::topo::Topology`]
+    /// (on a dumbbell: queue slot 0, zero extra propagation).
+    path: Arc<CompiledPath>,
     /// `HopArrive` events in flight for this flow (packets propagating
     /// between hops); part of the quiescence test for slot recycling.
     hops_in_flight: u32,
@@ -393,15 +392,21 @@ pub struct Flow {
 }
 
 impl Flow {
+    /// A flow with base RTT `base_rtt` that sends over `path` from
+    /// `start_time` on.
     pub fn new(
         id: FlowId,
         cc: Box<dyn CongestionControl>,
         mss: u64,
-        prop_fwd: SimDuration,
-        prop_rev: SimDuration,
+        base_rtt: SimDuration,
         start_time: SimTime,
+        path: Arc<CompiledPath>,
     ) -> Self {
         let cc_open_loop = cc.is_open_loop();
+        // Split the base RTT between the forward (data) and reverse (ACK)
+        // paths; the split is arbitrary as long as the sum is the base RTT.
+        let prop_fwd = SimDuration(base_rtt.0 / 2);
+        let prop_rev = SimDuration(base_rtt.0 - prop_fwd.0);
         Flow {
             id,
             mss,
@@ -417,7 +422,7 @@ impl Flow {
             just_completed: false,
             rto_checks_pending: 0,
             acks_inflight: 0,
-            path: None,
+            path,
             hops_in_flight: 0,
             #[cfg(test)]
             teardown_disabled: false,
@@ -501,22 +506,14 @@ impl Flow {
             || self.hops_in_flight > 0
     }
 
-    /// Assign this flow's multi-hop route (`None` = legacy bottleneck).
-    pub(crate) fn set_path(&mut self, path: Option<Arc<CompiledPath>>) {
-        self.path = path;
-    }
-
-    /// The flow's compiled route, if it runs over a topology.
-    pub(crate) fn path(&self) -> Option<&Arc<CompiledPath>> {
-        self.path.as_ref()
+    /// The flow's compiled route.
+    pub(crate) fn path(&self) -> &CompiledPath {
+        &self.path
     }
 
     /// The queue slot this flow's packets enter first.
     pub(crate) fn ingress_slot(&self) -> u32 {
-        match &self.path {
-            Some(p) => p.ingress_slot(),
-            None => 0,
-        }
+        self.path.ingress_slot()
     }
 
     /// A `HopArrive` for this flow was consumed (packet reached a queue).
@@ -984,10 +981,7 @@ impl Flow {
                 seq,
                 size: self.mss,
             };
-            let (ingress, pre_delay) = match &self.path {
-                Some(p) => (p.ingress_slot(), p.pre_delay),
-                None => (0, SimDuration::ZERO),
-            };
+            let (ingress, pre_delay) = (self.path.ingress_slot(), self.path.pre_delay);
             if pre_delay.as_nanos() > 0 {
                 // Sender-side propagation before the first rated hop:
                 // the packet crosses the leading wires as one event.
@@ -1023,17 +1017,6 @@ impl Flow {
     /// Final cwnd-integral update at simulation end.
     pub fn finalize(&mut self, now: SimTime) {
         self.integrate_cwnd(now);
-    }
-
-    /// Snapshot the cwnd integral at the measurement-window start, so the
-    /// reported average cwnd covers only the window.
-    pub fn mark_measure_start(&mut self, t: SimTime) {
-        // Before on_start the integral clock hasn't begun; integrating
-        // here would credit phantom pre-start cwnd time.
-        if self.started {
-            self.integrate_cwnd(t);
-        }
-        self.stats.cwnd_integral_mark = self.stats.cwnd_time_integral;
     }
 }
 
@@ -1106,9 +1089,9 @@ mod tests {
             FlowId(0),
             Box::new(crate::cc::FixedWindow::new(10_000)),
             1500,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(5),
+            SimDuration::from_millis(10),
             SimTime::ZERO,
+            crate::routing::dumbbell_path(),
         );
         // In-order delivery.
         assert_eq!(f.receiver_on_data(0, 1500), 1500);
@@ -1133,9 +1116,9 @@ mod tests {
             FlowId(0),
             Box::new(crate::cc::FixedWindow::new(10_000)),
             1500,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(5),
+            SimDuration::from_millis(10),
             SimTime::ZERO,
+            crate::routing::dumbbell_path(),
         );
         for s in [5u64, 7, 3, 9, 4] {
             rtx_insert(&mut f.rtx_queue, s);
@@ -1187,8 +1170,9 @@ mod tests {
                 cwnd: Arc::clone(cwnd),
                 newly_lost: Arc::clone(&newly_lost),
             };
-            let delay = SimDuration::from_millis(5);
-            let mut flow = Flow::new(FlowId(0), Box::new(cc), PKT, delay, delay, SimTime::ZERO);
+            let rtt = SimDuration::from_millis(10);
+            let path = crate::routing::dumbbell_path();
+            let mut flow = Flow::new(FlowId(0), Box::new(cc), PKT, rtt, SimTime::ZERO, path);
             flow.unacked.linear_marking = linear_marking;
             if let Some(limit) = byte_limit {
                 flow.set_byte_limit(limit);

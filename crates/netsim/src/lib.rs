@@ -64,6 +64,6 @@ pub use stats::{FctPercentiles, FlowReport, QueueReport};
 pub use stop::EarlyStop;
 pub use time::{SimDuration, SimTime};
 pub use topo::{LinkSpec, Topology};
-pub use trace::{Sample, Trace, TraceConfig};
+pub use trace::{Sample, Trace};
 pub use units::{Rate, MSS};
 pub use workload::{ArrivalProcess, SizeDist, WorkloadConfig};

@@ -60,11 +60,6 @@ pub struct DropTailQueue {
     byte_time_integral: f64,
     /// ∫ queue_bytes dt per flow.
     per_flow_integral: Vec<f64>,
-    /// Integral snapshots at the measurement-window start (zero unless
-    /// [`DropTailQueue::mark_measure_start`] was called), so averages can
-    /// cover only the window.
-    measure_mark_total: f64,
-    measure_mark_per_flow: Vec<f64>,
     /// Peak queued bytes observed.
     peak_bytes: u64,
     drops: Vec<DropRecord>,
@@ -76,11 +71,9 @@ pub struct DropTailQueue {
     per_flow_offered: Vec<u64>,
     per_flow_dropped: Vec<u64>,
     per_flow_serviced: Vec<u64>,
-    /// Bytes that completed serialization on this link (total, and the
-    /// snapshot at the measurement-window start) — the per-hop
+    /// Bytes that completed serialization on this link — the per-hop
     /// utilization numerator for multi-hop topologies.
     serviced_bytes: u64,
-    serviced_bytes_mark: u64,
 }
 
 impl DropTailQueue {
@@ -114,8 +107,6 @@ impl DropTailQueue {
             last_change: SimTime::ZERO,
             byte_time_integral: 0.0,
             per_flow_integral: vec![0.0; n_flows],
-            measure_mark_total: 0.0,
-            measure_mark_per_flow: vec![0.0; n_flows],
             peak_bytes: 0,
             drops: Vec::new(),
             enqueued_packets: 0,
@@ -124,7 +115,6 @@ impl DropTailQueue {
             per_flow_dropped: vec![0; n_flows],
             per_flow_serviced: vec![0; n_flows],
             serviced_bytes: 0,
-            serviced_bytes_mark: 0,
         }
     }
 
@@ -349,32 +339,19 @@ impl DropTailQueue {
         self.advance_integrals(now);
     }
 
-    /// Snapshot the occupancy integrals at the measurement-window start.
-    /// After this, the `avg_occupancy*` accessors average over
-    /// `[mark, finalize]` instead of `[0, finalize]`.
-    pub fn mark_measure_start(&mut self, t: SimTime) {
-        self.advance_integrals(t);
-        self.measure_mark_total = self.byte_time_integral;
-        self.measure_mark_per_flow
-            .copy_from_slice(&self.per_flow_integral);
-        self.serviced_bytes_mark = self.serviced_bytes;
-    }
-
-    /// Bytes this link finished serializing inside the measurement
-    /// window (`[mark, now]`, or since t=0 if no mark was set).
-    pub fn serviced_bytes_in_window(&self) -> u64 {
-        self.serviced_bytes - self.serviced_bytes_mark
+    /// Bytes this link has finished serializing since t = 0.
+    pub fn serviced_bytes(&self) -> u64 {
+        self.serviced_bytes
     }
 
     /// Time-weighted average queue occupancy in bytes over the
-    /// measurement window (caller provides the window length used for
-    /// normalization; the window is `[0, finalize]` unless
-    /// [`Self::mark_measure_start`] moved its start).
+    /// measurement window `[0, finalize]` (caller provides the window
+    /// length used for normalization).
     pub fn avg_occupancy_bytes(&self, window_secs: f64) -> f64 {
         if window_secs <= 0.0 {
             return 0.0;
         }
-        (self.byte_time_integral - self.measure_mark_total) / window_secs
+        self.byte_time_integral / window_secs
     }
 
     /// Time-weighted average occupancy of one flow over the measurement
@@ -383,8 +360,7 @@ impl DropTailQueue {
         if window_secs <= 0.0 {
             return 0.0;
         }
-        (self.per_flow_integral[flow.index()] - self.measure_mark_per_flow[flow.index()])
-            / window_secs
+        self.per_flow_integral[flow.index()] / window_secs
     }
 
     pub fn peak_bytes(&self) -> u64 {
@@ -433,7 +409,6 @@ impl DropTailQueue {
         self.per_flow_bytes.resize(n_flows, 0);
         self.per_flow_bytes_f64.resize(n_flows, 0.0);
         self.per_flow_integral.resize(n_flows, 0.0);
-        self.measure_mark_per_flow.resize(n_flows, 0.0);
         self.per_flow_offered.resize(n_flows, 0);
         self.per_flow_dropped.resize(n_flows, 0);
         self.per_flow_serviced.resize(n_flows, 0);

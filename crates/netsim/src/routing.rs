@@ -6,9 +6,10 @@
 //! each) and flattens every route into a [`CompiledPath`]: the slot
 //! sequence plus the propagation delay before, between and after the
 //! serializing hops. Delay-only links contribute only to those delays —
-//! they cost zero events. A flow whose path is `None` (the legacy
-//! single-bottleneck configuration) takes the original one-queue fast
-//! path untouched.
+//! they cost zero events. Every run goes through [`compile`]: a config
+//! without an explicit topology is lowered to [`Topology::dumbbell`],
+//! one slot with all delays zero, so its flows pay no propagation beyond
+//! their own base RTT.
 
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ pub struct CompiledPath {
     pub post_delay: SimDuration,
     /// Total one-way route propagation (`pre + gaps + post`); the
     /// reverse (ACK) path is modeled as symmetric propagation with no
-    /// serialization, matching the legacy reverse path.
+    /// serialization.
     pub rev_delay: SimDuration,
 }
 
@@ -43,11 +44,6 @@ impl CompiledPath {
     /// The slot whose queue this path's packets enter first.
     pub fn ingress_slot(&self) -> u32 {
         self.ser[0]
-    }
-
-    /// The slot that delivers to the receiver.
-    pub fn last_slot(&self) -> u32 {
-        *self.ser.last().expect("compiled path has a rated link")
     }
 
     /// Position of `slot` along this path (routes are ≤ a handful of
@@ -141,6 +137,14 @@ pub fn compile(topo: &Topology) -> Result<CompiledTopology, ConfigError> {
     })
 }
 
+/// Route 0 of a compiled dumbbell, for unit tests that build flows
+/// without a simulator.
+#[cfg(test)]
+pub(crate) fn dumbbell_path() -> Arc<CompiledPath> {
+    let t = Topology::dumbbell(Rate::from_mbps(10.0), 30_000);
+    Arc::clone(&compile(&t).expect("the dumbbell compiles").paths[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +195,6 @@ mod tests {
         assert_eq!(p.post_delay, ms(4));
         assert_eq!(p.rev_delay, ms(10));
         assert_eq!(p.ingress_slot(), 0);
-        assert_eq!(p.last_slot(), 1);
         assert_eq!(p.hop_of(1), 1);
         // Default fault target: first rated link of route 0.
         assert_eq!(c.fault_slot, 0);

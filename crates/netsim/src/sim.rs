@@ -1,4 +1,4 @@
-//! The dumbbell simulator: configuration, event loop, and reporting.
+//! The simulator: configuration, event loop, and reporting.
 //!
 //! A [`Simulator`] wires N flows (each with its own congestion-control
 //! algorithm and base RTT) through one drop-tail bottleneck, runs the
@@ -6,11 +6,12 @@
 //! with per-flow throughput and queue measurements — the raw material for
 //! every figure in the paper.
 //!
-//! [`SimConfig::with_topology`] generalizes the single bottleneck to a
-//! multi-hop [`Topology`] (e.g. a parking-lot chain): each rated link
-//! owns a queue, and packets enqueue → serialize → propagate hop by hop
-//! along each flow's route. Without a topology, the legacy one-queue
-//! fast path runs unchanged, bit for bit.
+//! Every run forwards packets over a compiled [`Topology`]: each rated
+//! link owns a queue, and packets enqueue → serialize → propagate hop by
+//! hop along each flow's route. [`SimConfig::with_topology`] supplies an
+//! explicit one (e.g. a parking-lot chain); without it the run lowers
+//! the implicit bottleneck to [`Topology::dumbbell`], which compiles to a
+//! single queue slot with zero extra propagation.
 //!
 //! # Example
 //!
@@ -41,7 +42,7 @@ use crate::stats::{FctPercentiles, FlowReport, QueueReport};
 use crate::stop::{ConvergenceDetector, EarlyStop};
 use crate::time::{SimDuration, SimTime};
 use crate::topo::Topology;
-use crate::trace::{Sample, Trace, TraceConfig};
+use crate::trace::{Sample, Trace};
 use crate::units::{Rate, MSS};
 use crate::workload::WorkloadConfig;
 use rand::rngs::StdRng;
@@ -56,20 +57,15 @@ pub struct SimConfig {
     pub rate: Rate,
     /// Bottleneck buffer size in bytes.
     pub buffer_bytes: u64,
-    /// Total simulated time.
+    /// Total simulated time. All window-averaged report quantities —
+    /// throughput, utilization, average queue occupancy, and average
+    /// cwnd — cover `[0, duration]`, as the paper measures from flow
+    /// start.
     pub duration: SimDuration,
-    /// All window-averaged report quantities — throughput, utilization,
-    /// average queue occupancy, and average cwnd — cover
-    /// `[measure_start, duration]`. The paper measures from flow start;
-    /// keep `ZERO` to match.
-    pub measure_start: SimTime,
     /// Maximum segment size.
     pub mss: u64,
     /// If set, record a [`Trace`] sample every interval.
     pub sample_interval: Option<SimDuration>,
-    /// Sampling stride / cap for long runs (default: every interval,
-    /// unbounded — bit-identical to the historical behavior).
-    pub trace_config: TraceConfig,
     /// Bottleneck queue discipline (default: drop-tail, as in the paper).
     pub discipline: QueueDiscipline,
     /// Uniform random extra delay on the ACK path, `[0, ack_jitter)`.
@@ -103,11 +99,10 @@ pub struct SimConfig {
     /// statically added flows.
     pub workload: Option<WorkloadConfig>,
     /// Multi-hop topology (see [`crate::topo`]). `None` (the default)
-    /// keeps the legacy single-bottleneck dumbbell built from `rate` and
-    /// `buffer_bytes`. When set, queues come from the topology's rated
-    /// links and each flow follows its assigned route; `rate` remains
-    /// the reference capacity the top-level queue report is normalized
-    /// against.
+    /// runs [`Topology::dumbbell`] built from `rate` and `buffer_bytes`.
+    /// When set, queues come from the topology's rated links and each
+    /// flow follows its assigned route; `rate` remains the reference
+    /// capacity the top-level queue report is normalized against.
     pub topology: Option<Topology>,
 }
 
@@ -117,10 +112,8 @@ impl SimConfig {
             rate,
             buffer_bytes,
             duration,
-            measure_start: SimTime::ZERO,
             mss: MSS,
             sample_interval: None,
-            trace_config: TraceConfig::default(),
             discipline: QueueDiscipline::DropTail,
             ack_jitter: SimDuration::ZERO,
             seed: 0,
@@ -148,16 +141,6 @@ impl SimConfig {
         if self.sample_interval == Some(SimDuration::ZERO) {
             return Err(ConfigError::NonPositive {
                 field: "trace sample interval",
-            });
-        }
-        if self.trace_config.stride == 0 {
-            return Err(ConfigError::NonPositive {
-                field: "trace stride",
-            });
-        }
-        if self.trace_config.max_samples == Some(0) {
-            return Err(ConfigError::NonPositive {
-                field: "trace sample cap",
             });
         }
         if let Some(stop) = &self.stop {
@@ -192,13 +175,6 @@ impl SimConfig {
             }
         }
         self.faults.validate()
-    }
-
-    /// Set a measurement warm-up: all window-averaged report quantities
-    /// ignore `[0, start)`.
-    pub fn with_measure_start(mut self, start: SimTime) -> Self {
-        self.measure_start = start;
-        self
     }
 
     /// Enable time-series tracing at the given sample interval.
@@ -243,12 +219,6 @@ impl SimConfig {
     /// Abort the run after `budget` of real (wall-clock) time.
     pub fn with_wall_clock_budget(mut self, budget: std::time::Duration) -> Self {
         self.max_wall_clock = Some(budget);
-        self
-    }
-
-    /// Thin or cap trace sampling (see [`TraceConfig`]).
-    pub fn with_trace_config(mut self, tc: TraceConfig) -> Self {
-        self.trace_config = tc;
         self
     }
 
@@ -331,15 +301,14 @@ pub struct SimReport {
     pub flows: Vec<FlowReport>,
     pub queue: QueueReport,
     /// Per-hop queue reports for multi-hop topology runs, one per queue
-    /// slot in slot order. Empty on legacy single-bottleneck runs (then
-    /// `queue` is the whole story), so pre-existing reports serialize
-    /// byte-identically.
+    /// slot in slot order. Empty on single-queue runs (then `queue` is
+    /// the whole story), so their reports serialize byte-identically.
     pub hops: Vec<QueueReport>,
     /// Configured horizon in seconds (what the run was asked to simulate).
     pub duration_secs: f64,
     /// Horizon actually simulated: equals `duration_secs` unless the
     /// early-stop policy ended the run sooner. All window averages in
-    /// this report are normalized over `[measure_start, effective]`.
+    /// this report are normalized over `[0, effective]`.
     pub effective_duration_secs: f64,
     /// True when the convergence detector ended the run before the
     /// configured horizon.
@@ -497,12 +466,14 @@ impl SimReport {
 /// flow (see [`Simulator::set_workload_cc`]).
 pub type WorkloadCcFactory = Box<dyn FnMut(u64) -> Box<dyn CongestionControl> + Send>;
 
-/// The discrete-event dumbbell simulator.
+/// The discrete-event network simulator.
 pub struct Simulator {
     config: SimConfig,
+    /// Flows added but not yet built: a flow's route is known only once
+    /// [`Self::try_run`] has compiled the topology.
+    pending: Vec<FlowConfig>,
     flows: Vec<Flow>,
     events: EventQueue,
-    queue: Option<DropTailQueue>,
     /// Builds the CC instance for the `n`-th spawned workload flow.
     workload_cc: Option<WorkloadCcFactory>,
     /// Deliberately corrupt a queue counter after this many events, so
@@ -527,9 +498,9 @@ impl Simulator {
         config.validate()?;
         Ok(Simulator {
             config,
+            pending: Vec::new(),
             flows: Vec::new(),
             events: EventQueue::new(),
-            queue: None,
             workload_cc: None,
             #[cfg(test)]
             corrupt_at_event: None,
@@ -554,24 +525,16 @@ impl Simulator {
 
     /// Add a flow, rejecting invalid flow configuration.
     pub fn try_add_flow(&mut self, fc: FlowConfig) -> Result<FlowId, ConfigError> {
-        assert!(self.queue.is_none(), "cannot add flows after run()");
+        assert!(self.flows.is_empty(), "cannot add flows after run()");
         fc.validate()?;
-        let id = FlowId(self.flows.len() as u32);
-        // Split the base RTT between the forward (data) and reverse (ACK)
-        // paths; the split is arbitrary as long as the sum is the base RTT.
-        let half = SimDuration(fc.base_rtt.0 / 2);
-        let other_half = SimDuration(fc.base_rtt.0 - half.0);
-        let mut flow = Flow::new(id, fc.cc, self.config.mss, half, other_half, fc.start_time);
-        if let Some(limit) = fc.byte_limit {
-            flow.set_byte_limit(limit);
-        }
-        self.flows.push(flow);
-        Ok(id)
+        self.pending.push(fc);
+        Ok(FlowId(self.pending.len() as u32 - 1))
     }
 
-    /// Number of flows added so far.
+    /// Number of flows added so far (after a run: flow slots, including
+    /// those the open-loop workload spawned).
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.pending.len() + self.flows.len()
     }
 
     /// Run the simulation to completion and produce the report, panicking
@@ -587,66 +550,64 @@ impl Simulator {
     /// or (with auditing on) a runtime invariant is violated.
     pub fn try_run(&mut self) -> Result<SimReport, SimError> {
         // A workload-only run legitimately starts with zero static flows.
-        if self.flows.is_empty() && self.config.workload.is_none() {
+        if self.pending.is_empty() && self.config.workload.is_none() {
             return Err(ConfigError::NoFlows.into());
         }
-        #[cfg(test)]
-        if self.teardown_disabled {
-            for f in &mut self.flows {
-                f.teardown_disabled = true;
+        // Lower the topology into queue slots and per-route paths. A
+        // config without one runs the implicit dumbbell built from `rate`
+        // and `buffer_bytes`.
+        let implicit;
+        let topo = match &self.config.topology {
+            Some(t) => t,
+            None => {
+                implicit = Topology::dumbbell(self.config.rate, self.config.buffer_bytes);
+                &implicit
             }
-        }
-        // Lower the optional topology into queue slots and per-route
-        // paths; `None` keeps the legacy single-bottleneck layout (one
-        // queue, every flow at slot 0 with no path delays).
-        let compiled = match &self.config.topology {
-            Some(t) => Some(crate::routing::compile(t)?),
-            None => None,
         };
-        if let Some(c) = &compiled {
-            let t = self
-                .config
-                .topology
-                .as_ref()
-                .expect("compiled implies a topology");
-            if !t.flow_routes.is_empty() && t.flow_routes.len() != self.flows.len() {
-                return Err(ConfigError::InvalidTopology {
-                    reason: format!(
-                        "flow_routes has {} entries for {} flows",
-                        t.flow_routes.len(),
-                        self.flows.len()
-                    ),
-                }
-                .into());
+        let compiled = crate::routing::compile(topo)?;
+        if !topo.flow_routes.is_empty() && topo.flow_routes.len() != self.pending.len() {
+            return Err(ConfigError::InvalidTopology {
+                reason: format!(
+                    "flow_routes has {} entries for {} flows",
+                    topo.flow_routes.len(),
+                    self.pending.len()
+                ),
             }
-            for (i, f) in self.flows.iter_mut().enumerate() {
-                let r = t.flow_routes.get(i).map_or(0, |&r| r as usize);
-                f.set_path(Some(Arc::clone(&c.paths[r])));
-            }
+            .into());
         }
-        let mut queues: Vec<DropTailQueue> = match &compiled {
-            Some(c) => c
-                .queues
-                .iter()
-                .map(|&(rate, buffer)| {
-                    DropTailQueue::with_discipline(
-                        rate,
-                        buffer,
-                        self.flows.len(),
-                        self.config.discipline,
-                    )
-                })
-                .collect(),
-            None => vec![DropTailQueue::with_discipline(
-                self.config.rate,
-                self.config.buffer_bytes,
-                self.flows.len(),
-                self.config.discipline,
-            )],
-        };
-        // Link-level faults act on one queue: the compiled fault slot,
-        // or the single legacy bottleneck.
-        let fault_slot = compiled.as_ref().map_or(0, |c| c.fault_slot as usize);
+        for (i, fc) in self.pending.drain(..).enumerate() {
+            let r = topo.flow_routes.get(i).map_or(0, |&r| r as usize);
+            let mut flow = Flow::new(
+                FlowId(i as u32),
+                fc.cc,
+                self.config.mss,
+                fc.base_rtt,
+                fc.start_time,
+                Arc::clone(&compiled.paths[r]),
+            );
+            if let Some(limit) = fc.byte_limit {
+                flow.set_byte_limit(limit);
+            }
+            #[cfg(test)]
+            {
+                flow.teardown_disabled = self.teardown_disabled;
+            }
+            self.flows.push(flow);
+        }
+        let mut queues: Vec<DropTailQueue> = compiled
+            .queues
+            .iter()
+            .map(|&(rate, buffer)| {
+                DropTailQueue::with_discipline(
+                    rate,
+                    buffer,
+                    self.flows.len(),
+                    self.config.discipline,
+                )
+            })
+            .collect();
+        // Link-level faults act on one queue: the compiled fault slot.
+        let fault_slot = compiled.fault_slot as usize;
         let end = SimTime::ZERO + self.config.duration;
         let mut trace = Trace::default();
         let mut jitter_rng = StdRng::seed_from_u64(self.config.seed);
@@ -727,8 +688,6 @@ impl Simulator {
             ConvergenceDetector::new(self.flows.len(), self.config.mss, stop.window)
         });
 
-        let measure_start = self.config.measure_start.min(end);
-        let mut window_marked = false;
         let mut events_processed: u64 = 0;
         let mut stopped_at: Option<SimTime> = None;
 
@@ -754,21 +713,6 @@ impl Simulator {
                 }
             }
             events_processed += 1;
-            // Snapshot all time integrals the first time simulated time
-            // reaches the measurement window, so every window-averaged
-            // quantity (throughput, queue occupancy, cwnd) shares the same
-            // `[measure_start, end]` window. Events are processed in time
-            // order and no integral has advanced past `measure_start` yet,
-            // so marking here is exact.
-            if !window_marked && now >= measure_start {
-                for q in &mut queues {
-                    q.mark_measure_start(measure_start);
-                }
-                for f in &mut self.flows {
-                    f.mark_measure_start(measure_start);
-                }
-                window_marked = true;
-            }
             match event {
                 Event::FlowStart(id) => {
                     let q = self.flows[id.index()].ingress_slot() as usize;
@@ -789,10 +733,11 @@ impl Simulator {
                     // impairments, and the ACK path act at the last hop
                     // only (so the fault RNG draw order is unchanged on
                     // single-hop paths).
-                    let next_hop = self.flows[finished.flow.index()].path().and_then(|p| {
+                    let next_hop = {
+                        let p = self.flows[finished.flow.index()].path();
                         let hop = p.hop_of(slot);
                         (hop + 1 < p.ser.len()).then(|| (p.ser[hop + 1], p.gaps[hop]))
-                    });
+                    };
                     if let Some((next_slot, gap)) = next_hop {
                         self.flows[finished.flow.index()].note_hop_scheduled();
                         self.events.schedule_hop(now + gap, next_slot, finished);
@@ -809,12 +754,9 @@ impl Simulator {
                         };
                         let flow = &mut self.flows[finished.flow.index()];
                         // Propagation after the last serializing hop and
-                        // along the reverse route (both zero on the
-                        // legacy path, keeping its arithmetic bit-exact).
-                        let (post_delay, rev_delay) = match flow.path() {
-                            Some(p) => (p.post_delay, p.rev_delay),
-                            None => (SimDuration::ZERO, SimDuration::ZERO),
-                        };
+                        // along the reverse route (both zero on a dumbbell).
+                        let (post_delay, rev_delay) =
+                            (flow.path().post_delay, flow.path().rev_delay);
                         if fwd_lost {
                             flow.stats.wire_lost_fwd += 1;
                         } else {
@@ -822,7 +764,7 @@ impl Simulator {
                             // Receiver bookkeeping happens at delivery time.
                             let new_bytes = flow.receiver_on_data(finished.seq, finished.size);
                             flow.stats.goodput_bytes_total += new_bytes;
-                            if delivery_time >= self.config.measure_start && delivery_time <= end {
+                            if delivery_time <= end {
                                 flow.stats.goodput_bytes += new_bytes;
                             }
                             if let Some(aud) = auditor.as_mut() {
@@ -901,38 +843,21 @@ impl Simulator {
                     self.flows[id.index()].on_rto_check(now, &mut queues[q], &mut self.events);
                 }
                 Event::StatsSample => {
-                    let at_cap = self
-                        .config
-                        .trace_config
-                        .max_samples
-                        .is_some_and(|cap| trace.samples.len() as u64 >= cap);
-                    if !at_cap {
-                        trace.samples.push(Sample {
-                            time: now,
-                            queue_bytes: queues[0].queued_bytes(),
-                            cwnd_bytes: self.flows.iter().map(|f| f.cc().cwnd_bytes()).collect(),
-                            inflight_bytes: self.flows.iter().map(|f| f.inflight_bytes()).collect(),
-                            delivered_bytes: self
-                                .flows
-                                .iter()
-                                .map(|f| f.stats.goodput_bytes_total)
-                                .collect(),
-                        });
-                    }
-                    // Once the cap is hit, stop rescheduling: the cap
-                    // saves the events too, not just the memory.
-                    let capped = self
-                        .config
-                        .trace_config
-                        .max_samples
-                        .is_some_and(|cap| trace.samples.len() as u64 >= cap);
+                    trace.samples.push(Sample {
+                        time: now,
+                        queue_bytes: queues[0].queued_bytes(),
+                        cwnd_bytes: self.flows.iter().map(|f| f.cc().cwnd_bytes()).collect(),
+                        inflight_bytes: self.flows.iter().map(|f| f.inflight_bytes()).collect(),
+                        delivered_bytes: self
+                            .flows
+                            .iter()
+                            .map(|f| f.stats.goodput_bytes_total)
+                            .collect(),
+                    });
                     if let Some(interval) = self.config.sample_interval {
-                        if !capped {
-                            let stride = self.config.trace_config.stride as u64;
-                            let next = now + SimDuration(interval.0.saturating_mul(stride));
-                            if next <= end {
-                                self.events.schedule(next, Event::StatsSample);
-                            }
+                        let next = now + interval;
+                        if next <= end {
+                            self.events.schedule(next, Event::StatsSample);
                         }
                     }
                 }
@@ -945,11 +870,9 @@ impl Simulator {
                             .map(|f| f.stats.goodput_bytes_total)
                             .collect();
                         let converged = det.observe(totals, window_secs, stop);
-                        // Stop only once the measurement window is open and
-                        // the minimum horizon has passed, so window averages
-                        // stay well-defined (`effective > measure_start`).
-                        if converged && now >= SimTime::ZERO + stop.min_time && now > measure_start
-                        {
+                        // Checks fire at multiples of a positive window, so
+                        // `effective > 0` keeps window averages defined.
+                        if converged && now >= SimTime::ZERO + stop.min_time {
                             stopped_at = Some(now);
                         } else {
                             let next = now + stop.window;
@@ -1039,15 +962,18 @@ impl Simulator {
                                 i
                             }
                         };
-                        let id = FlowId(idx as u32);
-                        let half = SimDuration(wl.base_rtt.0 / 2);
-                        let other_half = SimDuration(wl.base_rtt.0 - half.0);
-                        let mut flow = Flow::new(id, cc, self.config.mss, half, other_half, now);
+                        let r = compiled
+                            .workload_path
+                            .expect("validated: workload has a route");
+                        let mut flow = Flow::new(
+                            FlowId(idx as u32),
+                            cc,
+                            self.config.mss,
+                            wl.base_rtt,
+                            now,
+                            Arc::clone(&compiled.paths[r]),
+                        );
                         flow.set_byte_limit(size);
-                        if let Some(c) = &compiled {
-                            let r = c.workload_path.expect("validated: workload has a route");
-                            flow.set_path(Some(Arc::clone(&c.paths[r])));
-                        }
                         #[cfg(test)]
                         {
                             flow.teardown_disabled = self.teardown_disabled;
@@ -1078,16 +1004,6 @@ impl Simulator {
         // when the detector fired, else the configured duration.
         let effective_end = stopped_at.unwrap_or(end);
 
-        // If every event fired before the window opened, mark now so the
-        // window averages cover `[measure_start, end]` of (idle) time.
-        if !window_marked {
-            for q in &mut queues {
-                q.mark_measure_start(measure_start);
-            }
-            for f in &mut self.flows {
-                f.mark_measure_start(measure_start);
-            }
-        }
         // Drain-time conservation sweep: every packet must be accounted
         // for before the counters are folded into reports.
         if let Some(aud) = auditor.as_ref() {
@@ -1100,7 +1016,7 @@ impl Simulator {
             f.finalize(effective_end);
         }
 
-        let measure_secs = (effective_end - measure_start).as_secs_f64();
+        let measure_secs = effective_end.as_secs_f64();
         // Workload flows are reported in aggregate (FCT percentiles), not
         // as individual FlowReports — a 10k-flow run would drown the CSVs.
         let n_report = workload.as_ref().map_or(self.flows.len(), |rt| rt.n_static);
@@ -1122,20 +1038,18 @@ impl Simulator {
                 rtos: f.stats.rtos,
                 wire_lost_fwd: f.stats.wire_lost_fwd,
                 wire_lost_ack: f.stats.wire_lost_ack,
-                avg_queue_occupancy_bytes: match f.path() {
-                    // Multi-hop flows report the occupancy they hold
-                    // summed across every queue on their route.
-                    Some(p) => p
-                        .ser
-                        .iter()
-                        .map(|&s| queues[s as usize].avg_occupancy_bytes_of(f.id, measure_secs))
-                        .sum(),
-                    None => queues[0].avg_occupancy_bytes_of(f.id, measure_secs),
-                },
+                // The occupancy the flow holds, summed across every queue
+                // on its route.
+                avg_queue_occupancy_bytes: f
+                    .path()
+                    .ser
+                    .iter()
+                    .map(|&s| queues[s as usize].avg_occupancy_bytes_of(f.id, measure_secs))
+                    .sum(),
                 min_rtt_secs: f.min_rtt().map(|d| d.as_secs_f64()),
                 mean_rtt_secs: f.mean_rtt_secs(),
                 avg_cwnd_bytes: if measure_secs > 0.0 {
-                    (f.stats.cwnd_time_integral - f.stats.cwnd_integral_mark) / measure_secs
+                    f.stats.cwnd_time_integral / measure_secs
                 } else {
                     0.0
                 },
@@ -1200,7 +1114,7 @@ impl Simulator {
                         aqm_drops: q.aqm_drops(),
                         enqueued_packets: q.enqueued_packets(),
                         utilization: if cap_window > 0.0 {
-                            q.serviced_bytes_in_window() as f64 / cap_window
+                            q.serviced_bytes() as f64 / cap_window
                         } else {
                             0.0
                         },
@@ -1215,8 +1129,6 @@ impl Simulator {
         } else {
             Vec::new()
         };
-        self.queue = queues.into_iter().next();
-
         if let Some(aud) = auditor.as_ref() {
             aud.check_report(effective_end, &flow_reports, &queue_report)?;
         }
@@ -1414,26 +1326,17 @@ mod tests {
     }
 
     #[test]
-    fn measure_window_consistent_across_report_fields() {
-        // A flow that starts at t=5s in a 10s run, measured over [5s, 10s].
-        // Every window-averaged quantity must be normalized by the 5s
-        // window, not the 10s elapsed time (the old bug halved the queue
-        // and cwnd averages).
-        let rate = Rate::from_mbps(10.0);
-        let rtt = SimDuration::from_millis(40);
-        let bdp = rate.bdp_bytes(rtt);
-        let buf = crate::units::buffer_bytes(rate, rtt, 8.0);
+    fn window_averages_cover_the_whole_run() {
+        // A flow pinned at cwnd = 2*BDP from t=0: one BDP in flight, one
+        // BDP in the buffer. Every window-averaged quantity is normalized
+        // by the full horizon and lands on that steady state.
+        let (cfg, rtt) = base_config(10.0, 40, 8.0, 10.0);
+        let bdp = cfg.rate.bdp_bytes(rtt);
         let window = 2 * bdp;
-        let start = SimTime::from_secs_f64(5.0);
-        let cfg =
-            SimConfig::new(rate, buf, SimDuration::from_secs_f64(10.0)).with_measure_start(start);
         let mut sim = Simulator::new(cfg);
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(window)), rtt).starting_at(start));
+        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(window)), rtt));
         let report = sim.run();
         let f = &report.flows[0];
-
-        // Steady state inside the window: cwnd pinned at 2*BDP, of which
-        // one BDP is in flight and one BDP sits in the buffer.
         let cwnd = window as f64;
         let queued = (window - bdp) as f64;
         assert!(
@@ -1451,7 +1354,6 @@ mod tests {
             "queue avg_occ={} want≈{queued}",
             report.queue.avg_occupancy_bytes
         );
-        // Throughput over the window saturates the link.
         let tp = f.throughput_mbps();
         assert!((tp - 10.0).abs() < 0.5, "throughput={tp}");
         assert!(report.queue.utilization > 0.9);
@@ -1757,55 +1659,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_stride_thins_and_cap_bounds_samples() {
-        use crate::trace::TraceConfig;
-        let sampled = |tc: TraceConfig| {
-            let (cfg, rtt) = base_config(10.0, 40, 2.0, 10.0);
-            let bdp = cfg.rate.bdp_bytes(rtt);
-            let cfg = cfg
-                .with_trace(SimDuration::from_millis(100))
-                .with_trace_config(tc);
-            let mut sim = Simulator::new(cfg);
-            sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-            sim.run()
-        };
-        let dense = sampled(TraceConfig::default());
-        assert_eq!(dense.trace.len(), 101); // t=0 .. t=10s inclusive
-        let strided = sampled(TraceConfig {
-            stride: 4,
-            max_samples: None,
-        });
-        assert_eq!(strided.trace.len(), 26); // every 400ms
-                                             // Strided samples are a subset of the dense schedule, at the
-                                             // stride spacing.
-        assert_eq!(strided.trace.samples[1].time.as_secs_f64(), 0.4);
-        let capped = sampled(TraceConfig {
-            stride: 1,
-            max_samples: Some(7),
-        });
-        assert_eq!(capped.trace.len(), 7);
-        // Hitting the cap also stops scheduling sample events.
-        assert!(capped.events_processed < dense.events_processed);
+    fn trace_samples_every_interval() {
+        let (cfg, rtt) = base_config(10.0, 40, 2.0, 10.0);
+        let bdp = cfg.rate.bdp_bytes(rtt);
+        let mut sim = Simulator::new(cfg.with_trace(SimDuration::from_millis(100)));
+        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
+        let report = sim.run();
+        assert_eq!(report.trace.len(), 101); // t=0 .. t=10s inclusive
+        assert_eq!(report.trace.samples[4].time.as_secs_f64(), 0.4);
     }
 
     #[test]
     fn degenerate_early_stop_and_trace_configs_are_rejected() {
-        use crate::trace::TraceConfig;
         let (cfg, _) = base_config(10.0, 40, 2.0, 10.0);
         let bad_eps = cfg.clone().with_early_stop(EarlyStop::new(0.0, 3));
         assert!(Simulator::try_new(bad_eps).is_err());
         let bad_dwell = cfg.clone().with_early_stop(EarlyStop::new(0.05, 0));
         assert!(Simulator::try_new(bad_dwell).is_err());
-        let bad_stride = cfg.clone().with_trace_config(TraceConfig {
-            stride: 0,
-            max_samples: None,
-        });
-        assert!(Simulator::try_new(bad_stride).is_err());
-        let bad_cap = cfg.with_trace_config(TraceConfig {
-            stride: 1,
-            max_samples: Some(0),
-        });
-        assert!(Simulator::try_new(bad_cap).is_err());
+        let mut bad_interval = cfg;
+        bad_interval.sample_interval = Some(SimDuration::ZERO);
+        assert!(Simulator::try_new(bad_interval).is_err());
     }
 
     /// One paced finite flow plus a backlogged competitor. With teardown
@@ -2018,11 +1891,11 @@ mod tests {
         assert_eq!(run_once(), run_once());
     }
 
-    /// The legacy dumbbell expressed as an explicit 4-node topology must
-    /// reproduce the legacy fast path bit for bit: same event count,
-    /// same serialized report.
+    /// A config without a topology runs the dumbbell; spelling it out as
+    /// an explicit 4-node topology must give the same run bit for bit:
+    /// same event count, same serialized report.
     #[test]
-    fn dumbbell_as_topology_is_bit_identical_to_legacy() {
+    fn implicit_dumbbell_matches_the_explicit_topology() {
         let run = |with_topo: bool| {
             let (mut cfg, rtt) = base_config(10.0, 40, 2.0, 10.0);
             if with_topo {
@@ -2034,12 +1907,12 @@ mod tests {
             sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
             sim.try_run().unwrap()
         };
-        let legacy = run(false);
+        let implicit = run(false);
         let topo = run(true);
-        assert_eq!(legacy.events_processed, topo.events_processed);
+        assert_eq!(implicit.events_processed, topo.events_processed);
         assert!(topo.hops.is_empty(), "one slot: no per-hop reports");
         assert_eq!(
-            legacy.to_json_value().to_json(),
+            implicit.to_json_value().to_json(),
             topo.to_json_value().to_json()
         );
     }

@@ -13,9 +13,10 @@ use crate::time::SimTime;
 #[derive(Debug, Default, Clone)]
 pub struct FlowStats {
     /// Unique payload bytes accepted by the receiver inside the
-    /// measurement window.
+    /// measurement window `[0, horizon]`.
     pub goodput_bytes: u64,
-    /// All payload bytes accepted (including before the window).
+    /// All payload bytes accepted (including deliveries that land past
+    /// the horizon).
     pub goodput_bytes_total: u64,
     /// Bytes handed to the bottleneck (including retransmissions).
     pub sent_bytes: u64,
@@ -42,9 +43,6 @@ pub struct FlowStats {
     pub max_cwnd_bytes: u64,
     /// ∫ cwnd dt, for average-cwnd reporting.
     pub cwnd_time_integral: f64,
-    /// Value of `cwnd_time_integral` at the measurement-window start, so
-    /// the reported average covers only the window.
-    pub cwnd_integral_mark: f64,
     /// Time of the last cwnd integral update.
     pub last_cwnd_update: SimTime,
     /// Sum and count of RTT samples (for mean RTT).

@@ -1,7 +1,7 @@
 //! Arbitrary-topology specification: nodes, directed links, static routes.
 //!
-//! The legacy simulator models exactly one bottleneck queue; a
-//! [`Topology`] generalizes that to a directed graph of links — each
+//! The paper's experiments share one bottleneck queue; a [`Topology`]
+//! generalizes that to a directed graph of links — each
 //! either *rated* (it owns a drop-tail/AQM queue and serializes packets
 //! at a fixed rate) or *delay-only* (pure propagation, no queue, no
 //! events) — plus static routes that flows follow hop by hop
@@ -11,9 +11,10 @@
 //! returns a typed [`ConfigError::InvalidTopology`] naming the offending
 //! element instead of panicking mid-run. The validated spec is lowered
 //! by [`crate::routing::compile`] into flat per-flow paths the hot loop
-//! consumes; a single-bottleneck dumbbell lowers to one queue slot with
-//! zero extra delays and is bit-identical to the legacy fast path (see
-//! the `topology_equivalence` suite).
+//! consumes. A config without a topology runs [`Topology::dumbbell`],
+//! which lowers to one queue slot with zero extra delays; spelling that
+//! dumbbell out explicitly gives bit-identical reports (see the
+//! `topology_equivalence` suite).
 
 use crate::error::ConfigError;
 use crate::time::SimDuration;
@@ -89,11 +90,11 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The legacy single-bottleneck dumbbell as a 4-node / 3-link
-    /// topology: a zero-delay access wire, the rated bottleneck, and a
-    /// zero-delay egress wire. Compiles to one queue slot with zero
-    /// extra delays and zero extra events, so it reproduces the legacy
-    /// path bit for bit (per-flow RTT stays on the flows themselves).
+    /// The single-bottleneck dumbbell as a 4-node / 3-link topology: a
+    /// zero-delay access wire, the rated bottleneck, and a zero-delay
+    /// egress wire. Compiles to one queue slot with zero extra delays
+    /// and zero extra events (per-flow RTT stays on the flows
+    /// themselves). A [`crate::SimConfig`] without a topology runs this.
     pub fn dumbbell(rate: Rate, buffer_bytes: u64) -> Self {
         Topology {
             n_nodes: 4,

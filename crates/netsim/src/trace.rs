@@ -25,36 +25,6 @@ pub struct Sample {
     pub delivered_bytes: Vec<u64>,
 }
 
-/// Sampling controls for long runs: with `sample_interval` alone a
-/// 60-second simulation accumulates an unbounded `Trace::samples` Vec
-/// (and bloats disk-cache entries). A stride records only every Nth
-/// interval and a cap stops sampling outright. The default (stride 1,
-/// no cap) preserves the historical behavior bit-exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Record every `stride`-th sample interval (1 = every interval).
-    pub stride: u32,
-    /// Stop sampling after this many samples (`None` = unbounded).
-    pub max_samples: Option<u64>,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            stride: 1,
-            max_samples: None,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// True for the default config (which must not perturb the content
-    /// hash of existing configurations — see `hash.rs`).
-    pub fn is_default(&self) -> bool {
-        *self == TraceConfig::default()
-    }
-}
-
 /// A full trace: samples at a fixed interval.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {

@@ -149,7 +149,7 @@ pub fn matrix() -> Vec<(String, Scenario)> {
         );
         s.flows[..n_each as usize]
             .iter_mut()
-            .for_each(|f| f.cca = incumbent.into());
+            .for_each(|f| f.cca = incumbent);
         if rng.gen_bool(0.5) {
             s.faults.loss_fwd = [0.001, 0.005][rng.gen_range(0usize..2)];
         }

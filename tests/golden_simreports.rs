@@ -10,7 +10,10 @@
 //! `BinaryHeap`/`BTreeMap` engine.
 //!
 //! The matrix and fingerprint live in `tests/common/mod.rs`, shared
-//! with the `topology_equivalence` suite.
+//! with the `topology_equivalence` suite. [`golden_only`] adds the cases
+//! that suite cannot re-spell as an explicit topology (an early-stopped
+//! run, which explicit topologies reject) or that it covers separately (a
+//! workload under a fault schedule); they are pinned here alone.
 //!
 //! If an intentional behavior change invalidates the goldens (this
 //! should be rare and deliberate), regenerate with:
@@ -23,7 +26,8 @@
 
 mod common;
 
-use bbrdom_experiments::scenario::Scenario;
+use bbrdom_cca::CcaKind;
+use bbrdom_experiments::scenario::{EarlyStopSpec, FaultSpec, Scenario, WorkloadSpec};
 use bbrdom_netsim::json::{self, Value};
 use common::{fingerprint, matrix, run_report};
 use std::path::PathBuf;
@@ -32,10 +36,35 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simreports.json")
 }
 
+/// Golden cases kept out of the shared [`matrix`]: an early-stopped cell
+/// and an open-loop workload under wire loss plus an outage.
+fn golden_only() -> Vec<(String, Scenario)> {
+    let early = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 20.0, 5)
+        .with_early_stop(Some(EarlyStopSpec::new(0.2, 3)));
+    let churn = Scenario::versus(20.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 19)
+        .with_workload(Some(WorkloadSpec::web(CcaKind::Cubic, 40.0, 15.0)))
+        .with_faults(FaultSpec {
+            loss_fwd: 0.005,
+            loss_ack: 0.002,
+            outages: vec![(2.0, 0.3)],
+            ..FaultSpec::default()
+        });
+    vec![
+        ("early_stop_bbr_b2_s5".to_string(), early),
+        ("workload_faults_s19".to_string(), churn),
+    ]
+}
+
+fn cases() -> Vec<(String, Scenario)> {
+    let mut cases = matrix();
+    cases.extend(golden_only());
+    cases
+}
+
 #[test]
 fn simreports_match_goldens() {
     let mut current = Value::object();
-    for (key, scenario) in matrix() {
+    for (key, scenario) in cases() {
         let fp = fingerprint(&run_report(&scenario));
         current.set(&key, Value::Str(format!("{fp:016x}")));
     }
@@ -55,7 +84,7 @@ fn simreports_match_goldens() {
     });
     let golden = json::parse(&text).expect("goldens parse");
     let mut mismatches = Vec::new();
-    for (key, scenario) in matrix() {
+    for (key, scenario) in cases() {
         let fp = format!("{:016x}", fingerprint(&run_report(&scenario)));
         match golden.get(&key).and_then(Value::as_str) {
             Some(want) if want == fp => {}
@@ -78,4 +107,19 @@ fn fingerprint_is_sensitive_to_results() {
     let b = Scenario::versus(10.0, 20.0, 1.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 3.0, 2);
     assert_eq!(fingerprint(&run_report(&a)), fingerprint(&run_report(&a)));
     assert_ne!(fingerprint(&run_report(&a)), fingerprint(&run_report(&b)));
+}
+
+#[test]
+fn golden_only_cases_exercise_their_features() {
+    let cases = golden_only();
+    let early = run_report(&cases[0].1);
+    assert!(
+        early.early_stopped && early.effective_duration_secs < cases[0].1.duration_secs,
+        "the early-stop case ran its full horizon"
+    );
+    let churn = run_report(&cases[1].1);
+    assert!(
+        churn.workload_spawned > 0,
+        "the workload case spawned nothing"
+    );
 }

@@ -1,22 +1,24 @@
-//! Topology-equivalence suite: the dumbbell-as-topology contract.
+//! Topology-equivalence suite: the explicit-dumbbell contract.
 //!
-//! The topology layer's core promise is that generality is free: a
-//! scenario whose physics are the legacy implicit dumbbell, re-spelled
-//! as an explicit 4-node / 3-link [`bbrdom_experiments::TopologySpec`],
-//! must produce a **bit-identical** [`bbrdom_netsim::SimReport`] — same
-//! event count, same float bits, same serialized JSON. This suite runs
-//! the entire golden-seed matrix (every CCA, shallow/deep buffers, AQM
-//! disciplines, seeded fault schedules, randomized configs) both ways
-//! and diffs the full reports, plus workload and audited variants.
+//! A scenario without a topology runs the implicit dumbbell, which the
+//! simulator lowers to `Topology::dumbbell` on the same compiled-path
+//! engine every topology uses. Spelling that dumbbell out as an explicit
+//! 4-node / 3-link [`bbrdom_experiments::TopologySpec`] must produce a
+//! **bit-identical** [`bbrdom_netsim::SimReport`] — same event count,
+//! same float bits, same serialized JSON. This suite runs the entire
+//! golden-seed matrix (every CCA, shallow/deep buffers, AQM disciplines,
+//! seeded fault schedules, randomized configs) both ways and diffs the
+//! full reports, plus workload and audited variants.
 //!
-//! If this suite fails, the multi-hop engine path has drifted from the
-//! legacy fast path — that is a correctness bug, never a golden to
+//! If this suite fails, the lowering of the implicit dumbbell (or the
+//! experiments layer's `TopologySpec::dumbbell`) has drifted from the
+//! explicit spelling — that is a correctness bug, never a golden to
 //! regenerate.
 
 mod common;
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::{Scenario, WorkloadSpec};
+use bbrdom_experiments::{Scenario, TopologySpec, WorkloadSpec};
 use bbrdom_netsim::cc::FixedWindow;
 use bbrdom_netsim::{
     FaultSchedule, FlowConfig, Rate, SimConfig, SimDuration, SimTime, Simulator, Topology,
@@ -29,17 +31,23 @@ fn report_json(s: &Scenario) -> String {
     run_report(s).to_json_value().to_json()
 }
 
+/// The scenario with its dumbbell spelled as an explicit topology.
+fn explicit(s: &Scenario) -> Scenario {
+    let topo = TopologySpec::dumbbell(s.mbps, s.buffer_bdp);
+    s.clone().with_topology(Some(topo))
+}
+
 /// Every golden-matrix scenario — all CCAs, buffer depths, disciplines,
 /// and fault schedules — must be bit-identical when the dumbbell is
 /// spelled as an explicit topology.
 #[test]
 fn golden_matrix_is_bit_identical_as_topology() {
     let mut mismatches = Vec::new();
-    for (key, legacy) in matrix() {
-        let topo = legacy.clone().with_equivalent_topology();
+    for (key, implicit) in matrix() {
+        let topo = explicit(&implicit);
         topo.validate()
-            .unwrap_or_else(|e| panic!("{key}: equivalent topology must validate: {e}"));
-        let l = run_report(&legacy);
+            .unwrap_or_else(|e| panic!("{key}: explicit dumbbell must validate: {e}"));
+        let l = run_report(&implicit);
         let t = run_report(&topo);
         assert!(
             t.hops.is_empty(),
@@ -47,7 +55,7 @@ fn golden_matrix_is_bit_identical_as_topology() {
         );
         if l.to_json_value().to_json() != t.to_json_value().to_json() {
             mismatches.push(format!(
-                "{key}: legacy fingerprint {:016x}, topology {:016x}",
+                "{key}: implicit fingerprint {:016x}, explicit {:016x}",
                 fingerprint(&l),
                 fingerprint(&t)
             ));
@@ -55,7 +63,7 @@ fn golden_matrix_is_bit_identical_as_topology() {
     }
     assert!(
         mismatches.is_empty(),
-        "dumbbell-as-topology diverged from the legacy engine path:\n{}",
+        "the explicit dumbbell diverged from the implicit one:\n{}",
         mismatches.join("\n")
     );
 }
@@ -64,17 +72,14 @@ fn golden_matrix_is_bit_identical_as_topology() {
 /// `workload_route` and must stay bit-identical too.
 #[test]
 fn workload_scenario_is_bit_identical_as_topology() {
-    let legacy = Scenario::versus(20.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 17)
+    let implicit = Scenario::versus(20.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 17)
         .with_workload(Some(WorkloadSpec::web(CcaKind::Cubic, 40.0, 15.0)));
-    assert_eq!(
-        report_json(&legacy),
-        report_json(&legacy.clone().with_equivalent_topology())
-    );
+    assert_eq!(report_json(&implicit), report_json(&explicit(&implicit)));
 }
 
 /// With the conservation auditor enabled and a seeded fault schedule
-/// active, both engine paths must still agree bit for bit (the auditor
-/// itself must not perturb either path).
+/// active, both spellings must still agree bit for bit (the auditor
+/// itself must not perturb either run).
 #[test]
 fn audited_faulted_run_is_bit_identical_as_topology() {
     let run = |with_topo: bool| {
