@@ -230,7 +230,8 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     BENCH_STORE_CELLS=200 cargo bench -p bbrdom-bench --bench store_perf
 
     # Fluid perf smoke: the two-tier pipeline's pinned claims — the fluid
-    # payoff grid >= 100x faster than the DES grid on a fig 9 panel, and
+    # payoff grid >= 15x faster than the DES grid timed in the same run on
+    # a fig 9 panel, and
     # the fluid-located/DES-certified NE within one grid step of dense
     # (asserted inside the bench; BENCH_fluid.json records the numbers).
     echo "==> fluid perf smoke (fluid_perf)"

@@ -5,8 +5,11 @@
 //! of `n` flows):
 //!
 //! 1. **Speed**: running the whole payoff grid on the fluid backend is
-//!    at least 100× faster wall-clock than the same grid on the packet
-//!    DES (both through the same engine, same job count).
+//!    at least 15× faster wall-clock than the same grid on the packet
+//!    DES, both timed in this run through the same engine with the same
+//!    job count. A same-run ratio cancels machine speed and load; what it
+//!    guards is the fluid backend's cost relative to the DES, so a DES
+//!    speedup lowers it (see `MIN_SPEEDUP`).
 //! 2. **Fidelity where it counts**: the two-tier adaptive search (fluid
 //!    oracle locates the band, DES certifies only the bracket —
 //!    `bbrdom_experiments::adaptive`) lands within one grid step of the
@@ -39,7 +42,13 @@ const N: u32 = 6;
 const SEED: u64 = 0xf1d0;
 const DURATION_SECS: f64 = 20.0;
 /// The pinned speedup floor for the full grid, fluid vs DES.
-const MIN_SPEEDUP: f64 = 100.0;
+///
+/// Re-based on measurement: eighteen runs on a 2-vCPU Xeon VM (`nproc`
+/// 2, jobs 2) measured 29–49× (median ~38×; DES 0.95–1.31 s, fluid
+/// 21–40 ms), so 15× sits at half the slowest run. The old 100× floor
+/// was set when this DES grid took 21 s on one core (762×); loss-marking
+/// and event-path speedups since then brought the ratio under 100×.
+const MIN_SPEEDUP: f64 = 15.0;
 
 fn engine(jobs: usize) -> Engine {
     Engine::new(EngineConfig {
@@ -80,10 +89,8 @@ fn fmt_set(s: &[u32]) -> String {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs = cores.min(4);
+    let (model, nproc) = bbrdom_bench::machine();
+    let jobs = nproc.min(4);
     let profile = Profile {
         duration_secs: DURATION_SECS,
         ne_flows: N,
@@ -199,12 +206,14 @@ fn main() {
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fluid.json");
     let json = format!(
-        "{{\n  \"schema\": \"fluid-perf-v1\",\n  \"cores\": {cores},\n  \"jobs\": {jobs},\n  \
+        "{{\n  \"schema\": \"fluid-perf-v2\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
+         \"jobs\": {jobs},\n  \
          \"panel\": {{\"mbps\": {MBPS}, \"rtt_ms\": {RTT_MS}, \"buffers_bdp\": [0.5, 2.0, 8.0, 32.0], \
          \"n\": {N}, \"duration_secs\": {DURATION_SECS}, \"seed\": {SEED}}},\n  \
          \"grid_cells\": {},\n  \"des_secs\": {:.6},\n  \"fluid_secs\": {:.6},\n  \
          \"speedup\": {speedup:.1},\n  \"min_speedup\": {MIN_SPEEDUP},\n  \
          \"ne_rows\": [\n{}\n  ]\n}}\n",
+        bbrdom_netsim::json::Value::Str(model).to_json(),
         des_grid.len(),
         des_wall.as_secs_f64(),
         fluid_wall.as_secs_f64(),

@@ -3,19 +3,22 @@
 //! Not a paper figure — this tracks the substrate's speed (events/sec),
 //! which bounds how fast the paper-scale sweeps (`repro --full`) run.
 //!
-//! Three slices of one simulated second at 100 Mbps / 20 ms — a single
+//! Three 64-simulated-second runs at 100 Mbps / 20 ms — a single
 //! saturating flow (in-order fast path), the historical 10-flow mix (the
 //! cross-engine comparison case — keep its config stable), and a 50-flow
 //! overload that drops and retransmits (scoreboard + loss-marking path) —
 //! plus a 10-second open-loop churn case that spawns and tears down over
 //! ten thousand finite flows, exercising the workload engine's slot
-//! recycling at internet-like arrival rates, and a 3-hop parking-lot
-//! chain with per-hop cross traffic, exercising the multi-hop
+//! recycling at internet-like arrival rates, and 24 s of a 3-hop
+//! parking-lot chain with per-hop cross traffic, exercising the multi-hop
 //! enqueue → serialize → propagate path (each packet of a long flow is
-//! ~3× the event work of the dumbbell case), and one Fig 9 payoff cell
-//! (5 CUBIC + 5 BBR at 50 Mbps / 20 ms behind an 8-BDP drop-tail buffer,
-//! built through the same `Scenario` wiring as the figures), where the
-//! queue-inflated window makes per-ACK loss marking the hot path. The
+//! ~3× the event work of the dumbbell case), and one 120 s Fig 9 payoff
+//! cell (5 CUBIC + 5 BBR at 50 Mbps / 20 ms behind an 8-BDP drop-tail
+//! buffer, built through the same `Scenario` wiring as the figures), where
+//! the queue-inflated window makes per-ACK loss marking the hot path.
+//! Every case dispatches over 200k events per sample, and all but the
+//! churn case over a million, so a sample lasts tens of milliseconds or
+//! more and timer resolution does not enter the numbers. The
 //! churn, parking-lot and Fig 9 cases carry pinned events/sec floors: a
 //! regression that makes teardown, slot reuse, hop forwarding or loss
 //! marking leak work shows up as a hard bench failure, not a silent
@@ -63,30 +66,30 @@ struct Case {
 
 const CASES: &[Case] = &[
     Case {
-        name: "dumbbell_1s_1flow_100mbps",
+        name: "dumbbell_64s_1flow_100mbps",
         flows: 1,
         window_bdp: 2.0,
-        secs: 1.0,
+        secs: 64.0,
         workload: None,
         parking_lot: None,
         fig9: None,
         floor_events_per_sec: 0.0,
     },
     Case {
-        name: "dumbbell_1s_10flows_100mbps",
+        name: "dumbbell_64s_10flows_100mbps",
         flows: 10,
         window_bdp: 1.0 / 3.0,
-        secs: 1.0,
+        secs: 64.0,
         workload: None,
         parking_lot: None,
         fig9: None,
         floor_events_per_sec: 0.0,
     },
     Case {
-        name: "dumbbell_1s_50flows_100mbps",
+        name: "dumbbell_64s_50flows_100mbps",
         flows: 50,
         window_bdp: 1.0 / 8.0,
-        secs: 1.0,
+        secs: 64.0,
         workload: None,
         parking_lot: None,
         fig9: None,
@@ -109,10 +112,10 @@ const CASES: &[Case] = &[
     // cross flows per hop: 10 flows, 3 queues, every long-flow packet
     // enqueued/serialized/propagated at each hop.
     Case {
-        name: "parkinglot_1s_3hops_100mbps",
+        name: "parkinglot_24s_3hops_100mbps",
         flows: 4,
         window_bdp: 1.0 / 3.0,
-        secs: 1.0,
+        secs: 24.0,
         workload: None,
         parking_lot: Some((3, 2)),
         fig9: None,
@@ -122,10 +125,10 @@ const CASES: &[Case] = &[
     // cell. Every drop pins the scoreboard head for a queue-inflated RTT;
     // the floor fails a loss-marking path that rescans the window per ACK.
     Case {
-        name: "fig9_4s_5cubic5bbr_50mbps_8bdp",
+        name: "fig9_120s_5cubic5bbr_50mbps_8bdp",
         flows: 10,
         window_bdp: 0.0,
-        secs: 4.0,
+        secs: 120.0,
         workload: None,
         parking_lot: None,
         fig9: Some((5, 5, 8.0)),
@@ -256,7 +259,12 @@ fn main() {
 
     // Repo root: two levels up from this crate's manifest.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netsim.json");
-    let mut json = String::from("{\n  \"schema\": \"netsim-perf-v2\",\n  \"cases\": [\n");
+    let (model, nproc) = bbrdom_bench::machine();
+    let mut json = format!(
+        "{{\n  \"schema\": \"netsim-perf-v3\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
+         \"samples\": {samples},\n  \"cases\": [\n",
+        bbrdom_netsim::json::Value::Str(model).to_json(),
+    );
     for (i, (case, m)) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"flows\": {}, \"workload_flows\": {}, \"events\": {}, \

@@ -25,6 +25,7 @@
 use crate::util::{RoundCounter, WindowedMax};
 use bbrdom_netsim::cc::{AckSample, CongestionControl, FlowView};
 use bbrdom_netsim::time::{SimDuration, SimTime};
+use bbrdom_netsim::units::round_u64;
 
 /// Startup/Drain gain: 2/ln(2).
 const HIGH_GAIN: f64 = 2.885;
@@ -343,7 +344,7 @@ impl CongestionControl for Bbr {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        self.cwnd.round() as u64
+        round_u64(self.cwnd)
     }
 
     fn pacing_rate(&self) -> Option<f64> {

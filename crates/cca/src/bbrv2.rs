@@ -26,6 +26,7 @@
 use crate::util::{RoundCounter, WindowedMax};
 use bbrdom_netsim::cc::{AckSample, CongestionControl, FlowView};
 use bbrdom_netsim::time::{SimDuration, SimTime};
+use bbrdom_netsim::units::round_u64;
 
 const HIGH_GAIN: f64 = 2.885;
 const BETA: f64 = 0.7;
@@ -395,7 +396,7 @@ impl CongestionControl for BbrV2 {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        self.cwnd.round() as u64
+        round_u64(self.cwnd)
     }
 
     fn pacing_rate(&self) -> Option<f64> {

@@ -25,6 +25,7 @@
 use crate::util::{RoundCounter, WindowedMax, WindowedMin};
 use bbrdom_netsim::cc::{AckSample, CongestionControl, FlowView};
 use bbrdom_netsim::time::SimTime;
+use bbrdom_netsim::units::round_u64;
 
 /// Copa's δ in default mode.
 const DELTA_DEFAULT: f64 = 0.5;
@@ -239,7 +240,7 @@ impl CongestionControl for Copa {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cwnd * self.mss).round() as u64
+        round_u64(self.cwnd * self.mss)
     }
 
     fn pacing_rate(&self) -> Option<f64> {

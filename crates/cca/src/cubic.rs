@@ -17,6 +17,7 @@
 use crate::util::RoundCounter;
 use bbrdom_netsim::cc::{AckSample, CongestionControl, FlowView};
 use bbrdom_netsim::time::SimTime;
+use bbrdom_netsim::units::round_u64;
 
 /// CUBIC's scaling constant (windows in MSS, time in seconds).
 const C: f64 = 0.4;
@@ -222,7 +223,7 @@ impl CongestionControl for Cubic {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cwnd * self.mss).round() as u64
+        round_u64(self.cwnd * self.mss)
     }
 
     fn pacing_rate(&self) -> Option<f64> {

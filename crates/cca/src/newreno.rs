@@ -7,6 +7,7 @@
 
 use bbrdom_netsim::cc::{AckSample, CongestionControl, FlowView};
 use bbrdom_netsim::time::SimTime;
+use bbrdom_netsim::units::round_u64;
 
 const INIT_CWND: f64 = 10.0;
 const MIN_CWND: f64 = 2.0;
@@ -70,7 +71,7 @@ impl CongestionControl for NewReno {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cwnd * self.mss).round() as u64
+        round_u64(self.cwnd * self.mss)
     }
 
     fn pacing_rate(&self) -> Option<f64> {

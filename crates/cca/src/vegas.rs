@@ -22,6 +22,7 @@
 use crate::util::RoundCounter;
 use bbrdom_netsim::cc::{AckSample, CongestionControl, FlowView};
 use bbrdom_netsim::time::SimTime;
+use bbrdom_netsim::units::round_u64;
 
 /// Lower backlog target, packets.
 const ALPHA: f64 = 2.0;
@@ -138,7 +139,7 @@ impl CongestionControl for Vegas {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cwnd * self.mss).round() as u64
+        round_u64(self.cwnd * self.mss)
     }
 
     fn pacing_rate(&self) -> Option<f64> {

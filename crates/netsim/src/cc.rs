@@ -1,7 +1,8 @@
 //! The pluggable congestion-control interface.
 //!
 //! A sender ([`crate::flow::Flow`]) owns a `Box<dyn CongestionControl>`
-//! and consults it for its congestion window and (optional) pacing rate.
+//! and consults it for its congestion window and (optional) pacing rate,
+//! which it caches between callbacks.
 //! The sender feeds the algorithm per-ACK samples carrying the same
 //! information Linux exposes to its CC modules: an RTT sample, a
 //! delivery-rate sample (BBR-style), bytes newly acked, bytes newly lost,
@@ -59,6 +60,15 @@ pub struct FlowView {
 /// When `pacing_rate()` returns `None` the sender is purely ACK-clocked
 /// (classic loss-based TCP); when `Some(rate)`, packet releases are spaced
 /// at `size/rate` (BBR-family and rate-based schemes).
+///
+/// The sender caches `cwnd_bytes()` and `pacing_rate()`: it reads both
+/// when the flow is built and again after every `on_ack`,
+/// `on_congestion_event` and `on_rto`, and its send loop uses the copies.
+/// An implementation must therefore change state only inside those
+/// `&mut` callbacks — no interior mutability, no dependence on wall time
+/// — so that the two getters are pure functions of that state. Debug
+/// builds assert, at every send and window integration, that the cached
+/// copies still equal the getters bit for bit.
 pub trait CongestionControl: Send {
     /// Short algorithm name, e.g. `"cubic"`.
     fn name(&self) -> &'static str;
@@ -74,13 +84,12 @@ pub trait CongestionControl: Send {
     /// Called when the retransmission timer fires (all feedback lost).
     fn on_rto(&mut self, now: SimTime, view: &FlowView);
 
-    /// Called after each packet transmission.
-    fn on_packet_sent(&mut self, _now: SimTime, _bytes: u64, _view: &FlowView) {}
-
-    /// Current congestion window in bytes.
+    /// Current congestion window in bytes. Read once after construction
+    /// and after each `on_*` callback; see the trait docs.
     fn cwnd_bytes(&self) -> u64;
 
     /// Current pacing rate in bytes/sec, or `None` for pure ACK clocking.
+    /// Read at the same points as [`Self::cwnd_bytes`].
     fn pacing_rate(&self) -> Option<f64>;
 
     /// Whether this controller is open-loop: its `on_*` callbacks are

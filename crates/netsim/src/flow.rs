@@ -287,6 +287,12 @@ impl Scoreboard {
     }
 }
 
+/// Time to release one `mss`-byte packet at `rate` bytes/sec.
+fn pacing_gap(mss: u64, rate: f64) -> SimDuration {
+    debug_assert!(rate > 0.0);
+    SimDuration::from_secs_f64(mss as f64 / rate)
+}
+
 /// Insert `seq` into the sorted retransmission queue.
 fn rtx_insert(queue: &mut VecDeque<u64>, seq: u64) {
     match queue.back() {
@@ -318,6 +324,16 @@ pub struct Flow {
     /// Cached [`CongestionControl::is_open_loop`]: skip assembling the
     /// per-ACK sample/view when the CC ignores feedback entirely.
     cc_open_loop: bool,
+    /// `cc.cwnd_bytes()` and `cc.pacing_rate()`, copied after every
+    /// `&mut` callback (see [`Flow::sync_cc`]). A CC changes state only
+    /// inside its callbacks, so the copies are exact, and the send loop
+    /// and the cwnd integral read them instead of a virtual call (which
+    /// for most CCAs rounds an `f64` on every read).
+    cwnd: u64,
+    pacing: Option<f64>,
+    /// The spacing `mss / pacing` as a [`SimDuration`], recomputed only
+    /// when the pacing rate changes (it holds for many sends).
+    pacing_gap: Option<SimDuration>,
     /// One-way propagation delay, bottleneck → receiver.
     pub prop_fwd: SimDuration,
     /// One-way propagation delay, receiver → sender (ACK path).
@@ -403,6 +419,8 @@ impl Flow {
         path: Arc<CompiledPath>,
     ) -> Self {
         let cc_open_loop = cc.is_open_loop();
+        let (cwnd, pacing) = (cc.cwnd_bytes(), cc.pacing_rate());
+        let pacing_gap = pacing.map(|rate| pacing_gap(mss, rate));
         // Split the base RTT between the forward (data) and reverse (ACK)
         // paths; the split is arbitrary as long as the sum is the base RTT.
         let prop_fwd = SimDuration(base_rtt.0 / 2);
@@ -412,6 +430,9 @@ impl Flow {
             mss,
             cc,
             cc_open_loop,
+            cwnd,
+            pacing,
+            pacing_gap,
             prop_fwd,
             prop_rev,
             start_time,
@@ -591,11 +612,38 @@ impl Flow {
         }
     }
 
+    /// Refresh the cached window and pacing rate after a CC callback.
+    fn sync_cc(&mut self) {
+        self.cwnd = self.cc.cwnd_bytes();
+        let pacing = self.cc.pacing_rate();
+        if pacing.map(f64::to_bits) != self.pacing.map(f64::to_bits) {
+            self.pacing = pacing;
+            self.pacing_gap = pacing.map(|rate| pacing_gap(self.mss, rate));
+        }
+    }
+
+    /// Check that the cached window and pacing rate still match the CC
+    /// (bitwise), i.e. that no state change bypassed [`Flow::sync_cc`].
+    fn debug_assert_cc_synced(&self) {
+        debug_assert_eq!(self.cwnd, self.cc.cwnd_bytes(), "cached cwnd is stale");
+        debug_assert_eq!(
+            self.pacing.map(f64::to_bits),
+            self.cc.pacing_rate().map(f64::to_bits),
+            "cached pacing rate is stale"
+        );
+        debug_assert_eq!(
+            self.pacing_gap,
+            self.pacing.map(|rate| pacing_gap(self.mss, rate)),
+            "cached pacing gap is stale"
+        );
+    }
+
     fn integrate_cwnd(&mut self, now: SimTime) {
         // A torn-down flow's cwnd integral is frozen at completion time.
         if self.torn_down {
             return;
         }
+        self.debug_assert_cc_synced();
         // Integer zero-check first: skipping the ns→secs division on
         // same-instant calls is exact (dt > 0 iff the ns delta is > 0).
         let elapsed = now.saturating_since(self.stats.last_cwnd_update);
@@ -603,7 +651,7 @@ impl Flow {
             return;
         }
         let dt = elapsed.as_secs_f64();
-        let cwnd = self.cc.cwnd_bytes();
+        let cwnd = self.cwnd;
         self.stats.cwnd_time_integral += cwnd as f64 * dt;
         self.stats.max_cwnd_bytes = self.stats.max_cwnd_bytes.max(cwnd);
         self.stats.last_cwnd_update = now;
@@ -751,6 +799,7 @@ impl Flow {
         if !self.cc_open_loop {
             let view = self.view();
             self.cc.on_rto(now, &view);
+            self.sync_cc();
         }
         self.arm_rto(now, events);
         self.try_send(now, queue, events);
@@ -858,6 +907,7 @@ impl Flow {
                 if !self.cc_open_loop {
                     let view = self.view();
                     self.cc.on_congestion_event(now, &view);
+                    self.sync_cc();
                 }
             }
         }
@@ -884,6 +934,7 @@ impl Flow {
                 newly_lost_bytes: newly_lost,
             };
             self.cc.on_ack(&sample, &view);
+            self.sync_cc();
         }
 
         if let Some(limit) = self.byte_limit {
@@ -912,12 +963,12 @@ impl Flow {
         if !self.started || now < self.start_time {
             return;
         }
+        self.debug_assert_cc_synced();
         loop {
-            if self.inflight_bytes + self.mss > self.cc.cwnd_bytes() {
+            if self.inflight_bytes + self.mss > self.cwnd {
                 break;
             }
-            if let Some(rate) = self.cc.pacing_rate() {
-                debug_assert!(rate > 0.0);
+            if let Some(gap) = self.pacing_gap {
                 if now < self.pacing_release {
                     if !self.pacing_event_pending {
                         self.pacing_event_pending = true;
@@ -926,7 +977,6 @@ impl Flow {
                     break;
                 }
                 // Space the *next* packet.
-                let gap = SimDuration::from_secs_f64(self.mss as f64 / rate);
                 let base = if self.pacing_release > now {
                     self.pacing_release
                 } else {
@@ -971,10 +1021,6 @@ impl Flow {
                 self.stats.retransmits += 1;
             }
             self.integrate_cwnd(now);
-            if !self.cc_open_loop {
-                let view = self.view();
-                self.cc.on_packet_sent(now, self.mss, &view);
-            }
 
             let pkt = Packet {
                 flow: self.id,
@@ -1128,8 +1174,8 @@ mod tests {
         assert_eq!(drained, vec![3, 4, 5, 9]);
     }
 
-    /// Fixed-window CC whose window the test can change mid-run, logging
-    /// every ACK's `newly_lost_bytes`.
+    /// Fixed-window CC whose window the test can change mid-run (then
+    /// calling [`Flow::sync_cc`]), logging every ACK's `newly_lost_bytes`.
     struct Recorder {
         cwnd: Arc<AtomicU64>,
         newly_lost: Arc<Mutex<Vec<u64>>>,
@@ -1289,7 +1335,11 @@ mod tests {
                     oracle.ack(now, seq);
                 }
                 10 => {
+                    // A resize outside any callback: refresh both flows'
+                    // cached copies, as a callback's return would.
                     cwnd.store((3 * x + 1) * PKT, Ordering::Relaxed);
+                    fast.flow.sync_cc();
+                    oracle.flow.sync_cc();
                     fast.send(now);
                     oracle.send(now);
                 }

@@ -128,9 +128,10 @@ impl Value {
                 if n.is_finite() {
                     // Rust's Display for f64 is shortest-round-trip; add a
                     // ".0" so integral floats stay floats on re-parse.
-                    let s = format!("{n}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
+                    // Formatted straight into `out`: no temporary String.
+                    let start = out.len();
+                    let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
+                    if !out[start..].contains(['.', 'e', 'E']) {
                         out.push_str(".0");
                     }
                 } else {
@@ -565,6 +566,98 @@ mod tests {
         for f in [0.1, 1.0 / 3.0, 1e-300, 123456.789, 2.0] {
             let v = parse(&Value::F64(f).to_json()).unwrap();
             assert_eq!(v.as_f64().unwrap().to_bits(), f.to_bits());
+        }
+    }
+
+    /// Reference number writer: a temporary `format!` string plus the
+    /// `".0"` rule.
+    fn reference_number(v: &Value) -> String {
+        match *v {
+            Value::U64(n) => format!("{n}"),
+            Value::F64(n) if n.is_finite() => {
+                let s = format!("{n}");
+                if s.contains(['.', 'e', 'E']) {
+                    s
+                } else {
+                    s + ".0"
+                }
+            }
+            Value::F64(_) => "null".to_string(),
+            _ => unreachable!("numbers only"),
+        }
+    }
+
+    #[test]
+    fn number_writer_edge_cases_match_reference() {
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -2.0,
+            1e21,
+            1e22,
+            -1e21,
+            f64::MAX,
+            f64::MIN,
+            9007199254740993.0,
+            0.1,
+        ];
+        for f in floats {
+            let v = Value::F64(f);
+            assert_eq!(v.to_json(), reference_number(&v), "{f:e}");
+        }
+        for n in [0, 1, 9, 10, 99, 100, u64::MAX - 1, u64::MAX] {
+            let v = Value::U64(n);
+            assert_eq!(v.to_json(), reference_number(&v));
+        }
+        // Inside a container the number lands after the text before it.
+        let arr = Value::Array(vec![Value::F64(3.0), Value::F64(f64::NAN), Value::U64(7)]);
+        assert_eq!(arr.to_json(), "[3.0,null,7]");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Random `f64` bit patterns and random `u64`s write exactly what
+        /// the reference writer does, alone and after a float. The
+        /// exponent field is drawn per class so that subnormals (and
+        /// zeros), infinities and NaNs, integral values and everything
+        /// else each get a quarter of the cases.
+        #[test]
+        fn number_writer_matches_reference(
+            class in 0u64..4,
+            sign in 0u64..2,
+            exponent in 0u64..0x800,
+            mantissa in 0u64..1 << 52,
+            n in 0u64..u64::MAX,
+        ) {
+            let exponent = match class {
+                0 => 0,
+                1 => 0x7ff,
+                _ => exponent,
+            };
+            let float = if class == 2 {
+                // Integral: every value below 2^52 is exact.
+                let v = mantissa as f64;
+                if sign == 1 { -v } else { v }
+            } else {
+                f64::from_bits(sign << 63 | exponent << 52 | mantissa)
+            };
+            for v in [Value::F64(float), Value::U64(n)] {
+                let want = reference_number(&v);
+                proptest::prop_assert_eq!(v.to_json(), want.clone());
+                // The `.`/`e` check must look only at this number's text.
+                let pair = Value::Array(vec![Value::F64(0.5), v]);
+                proptest::prop_assert_eq!(pair.to_json(), format!("[0.5,{want}]"));
+            }
         }
     }
 

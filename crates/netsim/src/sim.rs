@@ -473,7 +473,6 @@ pub struct Simulator {
     /// [`Self::try_run`] has compiled the topology.
     pending: Vec<FlowConfig>,
     flows: Vec<Flow>,
-    events: EventQueue,
     /// Builds the CC instance for the `n`-th spawned workload flow.
     workload_cc: Option<WorkloadCcFactory>,
     /// Deliberately corrupt a queue counter after this many events, so
@@ -500,7 +499,6 @@ impl Simulator {
             config,
             pending: Vec::new(),
             flows: Vec::new(),
-            events: EventQueue::new(),
             workload_cc: None,
             #[cfg(test)]
             corrupt_at_event: None,
@@ -613,6 +611,10 @@ impl Simulator {
         let mut jitter_rng = StdRng::seed_from_u64(self.config.seed);
         let jitter_ns = self.config.ack_jitter.as_nanos();
 
+        // Nothing schedules before the run starts, so the event queue (a
+        // ~230 KB calendar ring) lives only as long as the run.
+        let mut events = EventQueue::new();
+
         // Fault machinery: the compiled timeline is scheduled up front as
         // ordinary events; the random-loss draws use their own RNG stream
         // so enabling loss does not perturb the ACK-jitter sequence.
@@ -621,7 +623,7 @@ impl Simulator {
         } else {
             let timeline = self.config.faults.compile();
             for (i, (t, _)) in timeline.iter().enumerate() {
-                self.events.schedule(*t, Event::Fault(i as u32));
+                events.schedule(*t, Event::Fault(i as u32));
             }
             Some(FaultRuntime {
                 timeline,
@@ -652,7 +654,7 @@ impl Simulator {
                 let mut rng = StdRng::seed_from_u64(wl.seed);
                 let first = wl.start + wl.arrivals.sample_gap(&mut rng);
                 if first <= SimTime::ZERO + self.config.duration {
-                    self.events.schedule(first, Event::WorkloadArrival);
+                    events.schedule(first, Event::WorkloadArrival);
                 }
                 Some(WorkloadRuntime {
                     rng,
@@ -676,22 +678,21 @@ impl Simulator {
         // traces carry the true baseline: empty queue, initial cwnd, zero
         // delivered bytes.
         if self.config.sample_interval.is_some() {
-            self.events.schedule(SimTime::ZERO, Event::StatsSample);
+            events.schedule(SimTime::ZERO, Event::StatsSample);
         }
         for f in &self.flows {
-            self.events.schedule(f.start_time, Event::FlowStart(f.id));
+            events.schedule(f.start_time, Event::FlowStart(f.id));
         }
         let stop_policy = self.config.stop;
         let mut detector = stop_policy.map(|stop| {
-            self.events
-                .schedule(SimTime::ZERO + stop.window, Event::ConvergenceCheck);
+            events.schedule(SimTime::ZERO + stop.window, Event::ConvergenceCheck);
             ConvergenceDetector::new(self.flows.len(), self.config.mss, stop.window)
         });
 
         let mut events_processed: u64 = 0;
         let mut stopped_at: Option<SimTime> = None;
 
-        while let Some((now, event)) = self.events.pop() {
+        while let Some((now, event)) = events.pop() {
             if now > end {
                 break;
             }
@@ -716,17 +717,17 @@ impl Simulator {
             match event {
                 Event::FlowStart(id) => {
                     let q = self.flows[id.index()].ingress_slot() as usize;
-                    self.flows[id.index()].on_start(now, &mut queues[q], &mut self.events);
+                    self.flows[id.index()].on_start(now, &mut queues[q], &mut events);
                 }
                 Event::Pacing(id) => {
                     let q = self.flows[id.index()].ingress_slot() as usize;
-                    self.flows[id.index()].on_pacing(now, &mut queues[q], &mut self.events);
+                    self.flows[id.index()].on_pacing(now, &mut queues[q], &mut events);
                 }
                 Event::LinkDequeue(slot) => {
                     let (finished, next_size) = queues[slot as usize].service_complete(now);
                     if let Some(size) = next_size {
                         let done = now + queues[slot as usize].serialization_time(size);
-                        self.events.schedule(done, Event::LinkDequeue(slot));
+                        events.schedule(done, Event::LinkDequeue(slot));
                     }
                     // A mid-path hop hands the packet to the next queue
                     // after the inter-hop propagation; delivery, wire
@@ -740,7 +741,7 @@ impl Simulator {
                     };
                     if let Some((next_slot, gap)) = next_hop {
                         self.flows[finished.flow.index()].note_hop_scheduled();
-                        self.events.schedule_hop(now + gap, next_slot, finished);
+                        events.schedule_hop(now + gap, next_slot, finished);
                     } else {
                         // Injected wire impairments act after the bottleneck:
                         // forward loss drops the data packet, a delay spike
@@ -787,7 +788,7 @@ impl Simulator {
                                     aud.on_ack_scheduled(finished.flow);
                                 }
                                 flow.note_ack_scheduled();
-                                self.events.schedule(
+                                events.schedule(
                                     ack_time,
                                     Event::AckArrive {
                                         flow: finished.flow,
@@ -799,13 +800,13 @@ impl Simulator {
                     }
                 }
                 Event::HopArrive { link, pkt } => {
-                    let pkt = self.events.claim_hop(pkt);
+                    let pkt = events.claim_hop(pkt);
                     self.flows[pkt.flow.index()].note_hop_arrived();
                     let q = &mut queues[link as usize];
                     match q.offer(now, pkt) {
                         Offer::StartService => {
                             let done = now + q.serialization_time(pkt.size);
-                            self.events.schedule(done, Event::LinkDequeue(link));
+                            events.schedule(done, Event::LinkDequeue(link));
                         }
                         Offer::Queued => {}
                         Offer::Dropped => {
@@ -820,7 +821,7 @@ impl Simulator {
                     }
                     self.flows[flow.index()].note_ack_fired();
                     let q = self.flows[flow.index()].ingress_slot() as usize;
-                    self.flows[flow.index()].on_ack(now, seq, &mut queues[q], &mut self.events);
+                    self.flows[flow.index()].on_ack(now, seq, &mut queues[q], &mut events);
                     // Harvest workload completions at the completing ACK:
                     // record the FCT and queue the slot for recycling.
                     if let Some(rt) = workload.as_mut() {
@@ -840,7 +841,7 @@ impl Simulator {
                 }
                 Event::RtoCheck(id) => {
                     let q = self.flows[id.index()].ingress_slot() as usize;
-                    self.flows[id.index()].on_rto_check(now, &mut queues[q], &mut self.events);
+                    self.flows[id.index()].on_rto_check(now, &mut queues[q], &mut events);
                 }
                 Event::StatsSample => {
                     trace.samples.push(Sample {
@@ -857,7 +858,7 @@ impl Simulator {
                     if let Some(interval) = self.config.sample_interval {
                         let next = now + interval;
                         if next <= end {
-                            self.events.schedule(next, Event::StatsSample);
+                            events.schedule(next, Event::StatsSample);
                         }
                     }
                 }
@@ -877,7 +878,7 @@ impl Simulator {
                         } else {
                             let next = now + stop.window;
                             if next < end {
-                                self.events.schedule(next, Event::ConvergenceCheck);
+                                events.schedule(next, Event::ConvergenceCheck);
                             }
                         }
                     }
@@ -891,8 +892,7 @@ impl Simulator {
                                 // service if the link went fully up and idle.
                                 if let Some(size) = queues[fault_slot].resume(now) {
                                     let done = now + queues[fault_slot].serialization_time(size);
-                                    self.events
-                                        .schedule(done, Event::LinkDequeue(fault_slot as u32));
+                                    events.schedule(done, Event::LinkDequeue(fault_slot as u32));
                                 }
                             }
                             FaultAction::SetRate(rate) => queues[fault_slot].set_rate(rate),
@@ -916,7 +916,7 @@ impl Simulator {
                         let size = wl.sizes.sample(&mut rt.rng);
                         let next = now + wl.arrivals.sample_gap(&mut rt.rng);
                         if next <= end {
-                            self.events.schedule(next, Event::WorkloadArrival);
+                            events.schedule(next, Event::WorkloadArrival);
                         }
                         let cc = (self
                             .workload_cc
@@ -984,7 +984,7 @@ impl Simulator {
                             self.flows[idx] = flow;
                         }
                         let q = self.flows[idx].ingress_slot() as usize;
-                        self.flows[idx].on_start(now, &mut queues[q], &mut self.events);
+                        self.flows[idx].on_start(now, &mut queues[q], &mut events);
                     }
                 }
             }

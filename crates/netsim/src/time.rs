@@ -8,6 +8,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+use crate::units::round_u64;
+
 /// A point in virtual time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
@@ -27,7 +29,7 @@ impl SimTime {
     /// Construct from (possibly fractional) seconds. Panics on negative input.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs >= 0.0, "SimTime cannot be negative: {secs}");
-        SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// This instant expressed in seconds.
@@ -52,7 +54,7 @@ impl SimDuration {
     /// Construct from (possibly fractional) seconds. Panics on negative input.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs >= 0.0, "SimDuration cannot be negative: {secs}");
-        SimDuration((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Construct from milliseconds.
@@ -78,7 +80,7 @@ impl SimDuration {
     /// Scale by a non-negative factor (used for gain-cycle phase lengths).
     pub fn mul_f64(self, f: f64) -> Self {
         assert!(f >= 0.0, "cannot scale a duration by a negative factor");
-        SimDuration((self.0 as f64 * f).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * f))
     }
 }
 

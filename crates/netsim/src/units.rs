@@ -54,6 +54,25 @@ impl Rate {
     }
 }
 
+/// `x.round() as u64`, bit for bit, without a call into libm.
+///
+/// `f64::round` has no instruction on baseline x86-64 (SSE4.1's `roundsd`
+/// is not assumed), so it compiles to a libm call; the simulator rounds a
+/// window or a duration on every ACK. For `0 <= x < 2^52` — every window
+/// and duration it rounds — truncation to `i64` and back is one
+/// instruction each and exact, and so is the fraction `x - trunc(x)`, so
+/// comparing it with 0.5 reproduces round-half-away-from-zero. Anything
+/// else (negative, NaN, huge) takes `round` itself.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    if (0.0..4_503_599_627_370_496.0).contains(&x) {
+        let t = x as i64;
+        (t + (x - t as f64 >= 0.5) as i64) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// Convert a buffer size expressed in BDP multiples into bytes, with a
 /// floor of one packet so a queue always exists.
 pub fn buffer_bytes(rate: Rate, rtt: SimDuration, bdp_multiple: f64) -> u64 {
@@ -64,6 +83,57 @@ pub fn buffer_bytes(rate: Rate, rtt: SimDuration, bdp_multiple: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_u64_matches_round_on_edge_cases() {
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            4503599627370495.5,
+            4503599627370496.0,
+            4503599627370497.0,
+            9007199254740993.0,
+            18446744073709549568.0,
+            18446744073709551616.0,
+            1e300,
+            -0.5,
+            -0.7,
+            -1.5,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in cases {
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Random bit patterns cover every exponent, sign, NaN and
+        /// infinity; windows and durations of the simulator's own range
+        /// (bytes, nanoseconds below 2^40) are drawn separately, with a
+        /// quarter landing exactly on a half.
+        #[test]
+        fn round_u64_matches_round(
+            bits in 0u64..u64::MAX,
+            whole in 0u64..1 << 40,
+            frac in 0.0f64..1.0,
+            half in proptest::prop::bool::weighted(0.25),
+        ) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_u64(x), x.round() as u64, "{:e}", x);
+            let y = whole as f64 + if half { 0.5 } else { frac };
+            proptest::prop_assert_eq!(round_u64(y), y.round() as u64, "{:e}", y);
+        }
+    }
 
     #[test]
     fn mbps_roundtrip() {

@@ -8,7 +8,7 @@
 //! cross-bucket gaps, and far-future RTO-style deadlines that land in the
 //! overflow level — and require identical output at every step.
 
-use bbrdom_netsim::event::{BinaryHeapQueue, Event, EventQueue};
+use bbrdom_netsim::event::{BinaryHeapQueue, Event, EventQueue, HORIZON_NS, TICK_NS};
 use bbrdom_netsim::{FlowId, SimTime};
 use proptest::prelude::*;
 
@@ -72,19 +72,38 @@ fn assert_engines_agree(ops: impl Iterator<Item = Op>) {
     assert!(cal.is_empty() && heap.is_empty());
 }
 
-const TICK_NS: u64 = 1 << 16; // one calendar bucket tick
-const HORIZON_NS: u64 = 4096 * TICK_NS; // the calendar ring's span
+/// Events placed exactly at the ring's edges, seen from a cursor that
+/// has advanced to a tick boundary and from one mid-tick: one tick short
+/// of the horizon (the last ring bucket), at it (the first overflow
+/// tick), one tick past it, and one nanosecond either side of each.
+#[test]
+fn horizon_boundaries_match_reference() {
+    for cursor in [0, 5 * TICK_NS, 5 * TICK_NS + TICK_NS / 2, HORIZON_NS] {
+        let edges = [HORIZON_NS - TICK_NS, HORIZON_NS, HORIZON_NS + TICK_NS];
+        let mut ops = vec![Op::Schedule(SimTime(cursor)), Op::Pop];
+        for e in edges {
+            for t in [e - 1, e, e + 1] {
+                ops.push(Op::Schedule(SimTime(cursor + t)));
+            }
+        }
+        // Reverse order too, so each edge is inserted after later ones.
+        for e in edges.iter().rev() {
+            ops.push(Op::Schedule(SimTime(cursor + e)));
+        }
+        assert_engines_agree(ops.into_iter());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fully mixed streams: schedule gaps drawn from four scales
-    /// (same-instant, sub-tick, within the ring horizon, beyond it) with
-    /// interleaved pops.
+    /// Fully mixed streams: schedule gaps drawn from five scales
+    /// (same-instant, sub-tick, within the ring horizon, within a tick of
+    /// its edge, beyond it) with interleaved pops.
     #[test]
     fn mixed_horizon_streams_match_reference(
         ops in prop::collection::vec(
-            (0u64..4, 0u64..2_000_000_000, prop::bool::weighted(0.4)),
+            (0u64..5, 0u64..2_000_000_000, prop::bool::weighted(0.4)),
             1..200,
         ),
     ) {
@@ -97,6 +116,7 @@ proptest! {
                     0 => 0,
                     1 => extra % TICK_NS,
                     2 => extra % HORIZON_NS,
+                    3 => HORIZON_NS - TICK_NS + extra % (2 * TICK_NS),
                     _ => HORIZON_NS + extra,
                 };
                 // Advance the schedule cursor so later events usually land
