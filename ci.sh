@@ -43,6 +43,13 @@ cargo test --release --workspace
 echo "==> audited test pass (BBRDOM_AUDIT=1)"
 BBRDOM_AUDIT=1 cargo test --release --workspace -q
 
+# End-to-end benchmark tests: the e2e smoke run of every workload and
+# the check of each workload's pinned output digests and counts (the
+# only pin on fluid-kernel output at figure scale). e2ebench is a
+# workspace of its own, so the workspace test runs above skip it.
+echo "==> e2ebench tests (smoke run + output pins)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 # Fault-injection smoke: drive the impairment sweep (wire loss, outage,
 # delay spike) end to end through the repro binary's fail-soft path.
 echo "==> fault smoke sweep (repro ext-faults --smoke)"

@@ -92,10 +92,11 @@ pub fn lower(scenario: &Scenario) -> Result<FluidConfig, SimError> {
 
 /// Run `scenario` on the fluid backend. `event_budget` bounds the
 /// integration step count, mirroring the DES's livelock guard (the same
-/// budget the engine uses for cache admission).
+/// budget the engine uses for cache admission). The step count is known
+/// before integrating, so an over-budget cell is rejected at once.
 pub fn run_fluid(scenario: &Scenario, event_budget: Option<u64>) -> Result<SimReport, SimError> {
     let cfg = lower(scenario)?;
-    let report = bbrdom_fluid::simulate(&cfg).map_err(|e| match e {
+    let to_sim_error = |e| match e {
         FluidError::NoFlows => SimError::Config(ConfigError::NoFlows),
         // Scenario::validate has already screened numeric fields, so this
         // arm only fires on internal lowering bugs; surface it as the
@@ -105,16 +106,16 @@ pub fn run_fluid(scenario: &Scenario, event_budget: Option<u64>) -> Result<SimRe
             backend: "fluid",
             feature,
         }),
-    })?;
-    if let Some(budget) = event_budget {
-        if report.events_processed > budget {
-            return Err(SimError::EventBudgetExceeded {
-                events: report.events_processed,
-                sim_time: SimTime::from_secs_f64(scenario.duration_secs),
-            });
-        }
+    };
+    cfg.validate().map_err(to_sim_error)?;
+    let steps = cfg.steps();
+    if event_budget.is_some_and(|budget| steps > budget) {
+        return Err(SimError::EventBudgetExceeded {
+            events: steps,
+            sim_time: SimTime::from_secs_f64(scenario.duration_secs),
+        });
     }
-    Ok(report)
+    bbrdom_fluid::simulate(&cfg).map_err(to_sim_error)
 }
 
 #[cfg(test)]
@@ -148,6 +149,27 @@ mod tests {
         assert!(run_fluid(&s, Some(full.events_processed)).is_ok());
         let err = run_fluid(&s, Some(full.events_processed - 1)).unwrap_err();
         assert!(err.to_string().contains("event budget"), "{err}");
+    }
+
+    #[test]
+    fn over_budget_cell_is_rejected_before_integrating() {
+        // 10⁶ s at a ~0.8 ms step is ~1.2e9 steps, minutes of work if
+        // integrated: the budget check must answer without running it.
+        let mut s = fluid_scenario();
+        s.duration_secs = 1e6;
+        let started = std::time::Instant::now();
+        let err = run_fluid(&s, Some(1)).unwrap_err();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "the over-budget cell was integrated first"
+        );
+        match err {
+            SimError::EventBudgetExceeded { events, sim_time } => {
+                assert_eq!(events, lower(&s).unwrap().steps());
+                assert_eq!(sim_time, SimTime::from_secs_f64(1e6));
+            }
+            other => panic!("expected EventBudgetExceeded, got {other}"),
+        }
     }
 
     #[test]

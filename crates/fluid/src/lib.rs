@@ -37,7 +37,17 @@
 //!
 //! Integration is explicit Euler with `dt = min RTT / 24` (clamped to
 //! `[20 µs, 2 ms]`); [`SimReport::events_processed`] records the step
-//! count so event budgets and perf accounting stay meaningful.
+//! count, which [`FluidConfig::steps`] gives before integrating, so event
+//! budgets and perf accounting stay meaningful.
+//!
+//! Each step divides once per active flow (`1/R`; CUBIC once more) and,
+//! when the buffer overflows, takes one RNG draw per active flow. Three
+//! shortcuts keep that cheap without changing an output bit or the order
+//! of draws: a draw no flow can act on (BBRv1, or a flow inside its
+//! once-per-RTT guard) only advances the stream; the hit test decides
+//! from the bracket `x − x²/2 ≤ 1 − e^−x ≤ x` and calls `exp` only for a
+//! draw near the probability; and `min`/`max` are NaN-free compares.
+//! `DESIGN.md` §6.2 gives the exactness arguments.
 //!
 //! ## Validity envelope
 //!
@@ -74,7 +84,7 @@
 use bbrdom_netsim::packet::FlowId;
 use bbrdom_netsim::{FlowReport, QueueReport, SimReport, Trace, MSS};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
 
 /// CUBIC multiplicative back-off factor (RFC 8312).
@@ -234,6 +244,27 @@ impl FluidConfig {
         }
         Ok(())
     }
+
+    /// Integration step, seconds: a 24th of the shortest base RTT,
+    /// clamped to `[20 µs, 2 ms]` and to an eighth of the horizon.
+    fn dt(&self) -> f64 {
+        let min_rtt = self
+            .flows
+            .iter()
+            .map(|f| f.rtt_secs)
+            .fold(f64::INFINITY, f64::min);
+        (min_rtt / 24.0)
+            .clamp(2e-5, 2e-3)
+            .min(self.duration_secs / 8.0)
+    }
+
+    /// Number of integration steps [`simulate`] takes, which is the
+    /// [`SimReport::events_processed`] it reports, so a caller can check
+    /// an event budget before integrating. Meaningful only for a config
+    /// that passes [`FluidConfig::validate`].
+    pub fn steps(&self) -> u64 {
+        (self.duration_secs / self.dt()).ceil() as u64
+    }
 }
 
 /// Per-flow loss-based (CUBIC / NewReno) window state.
@@ -291,6 +322,14 @@ enum CcState {
     Bbr(BbrState),
 }
 
+/// One flow's integration state: its CC model, its sending rate this
+/// step (0 before it starts) and its measurement accumulators.
+struct FlowSim {
+    cc: CcState,
+    rate: f64,
+    acc: FlowAcc,
+}
+
 /// Per-flow measurement accumulators (mirrors the DES's `FlowStats`).
 #[derive(Default)]
 struct FlowAcc {
@@ -319,7 +358,56 @@ const CUBIC_TCP_ALPHA: f64 = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA);
 fn cubic_window_mss(epoch: f64, w_max_mss: f64, k: f64, rtt: f64) -> f64 {
     let cubic = CUBIC_C * (epoch - k).powi(3) + w_max_mss;
     let tcp = w_max_mss * CUBIC_BETA + CUBIC_TCP_ALPHA * epoch / rtt;
-    cubic.max(tcp)
+    fmax(cubic, tcp)
+}
+
+/// `a.max(b)` as one `maxsd`, without the NaN handling of `f64::max`.
+/// Equal to it for operands that are not NaN, up to the sign of a zero
+/// result; the kernel's operands are finite or ±∞ once
+/// [`FluidConfig::validate`] passes, and it makes no −0.
+#[inline]
+fn fmax(a: f64, b: f64) -> f64 {
+    debug_assert!(!a.is_nan() && !b.is_nan(), "fmax({a}, {b})");
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `a.min(b)` for operands that are never NaN; see [`fmax`].
+#[inline]
+fn fmin(a: f64, b: f64) -> f64 {
+    debug_assert!(!a.is_nan() && !b.is_nan(), "fmin({a}, {b})");
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Margin of the bracketed hit test in [`poisson_hit`]. The computed
+/// `1 − e^−x` and both bounds are each within 1e-15 of their exact
+/// values wherever a bound can decide (`x < 2`), so a draw this far
+/// outside the bracket is on the same side of the computed probability.
+const HIT_MARGIN: f64 = 1e-12;
+
+/// Poisson thinning of an overflow: whether a flow that lost `x ≥ 0` MSS
+/// of it saw at least one drop, for a uniform draw `u ∈ [0, 1)`.
+///
+/// Returns exactly `u < (1 − e^−x).clamp(0, 1)`, but evaluates `exp` only
+/// when `u` falls near the probability: for `x ≥ 0`,
+/// `x − x²/2 ≤ 1 − e^−x ≤ x`, so a draw more than [`HIT_MARGIN`] above
+/// `x` misses and one more than it below `x − x²/2` hits.
+#[inline]
+fn poisson_hit(u: f64, x: f64) -> bool {
+    if u > x + HIT_MARGIN {
+        false
+    } else if u < x - x * x * 0.5 - HIT_MARGIN {
+        true
+    } else {
+        u < (1.0 - (-x).exp()).clamp(0.0, 1.0)
+    }
 }
 
 /// Run the fluid model and package the result as the DES's report type.
@@ -331,27 +419,18 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
     let c = cfg.capacity_bytes_per_sec;
     let buffer = cfg.buffer_bytes;
     let mss = MSS as f64;
-    let n = cfg.flows.len();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf1u64.rotate_left(32));
-
-    let min_rtt = cfg
-        .flows
-        .iter()
-        .map(|f| f.rtt_secs)
-        .fold(f64::INFINITY, f64::min);
-    let dt = (min_rtt / 24.0)
-        .clamp(2e-5, 2e-3)
-        .min(cfg.duration_secs / 8.0);
-    let steps = (cfg.duration_secs / dt).ceil() as u64;
+    let dt = cfg.dt();
+    let steps = cfg.steps();
 
     // Initial per-flow state. BBR phases and round clocks are staggered
     // by the seed so flows (and trials) decorrelate, mirroring the DES's
     // per-flow phase seeds.
-    let mut states: Vec<CcState> = cfg
+    let mut sims: Vec<FlowSim> = cfg
         .flows
         .iter()
         .map(|f| {
-            if f.cca.is_loss_based() {
+            let cc = if f.cca.is_loss_based() {
                 CcState::Loss(LossState {
                     w: 10.0 * mss,
                     w_max_mss: 10.0,
@@ -379,31 +458,33 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                     hi_mult: 1.0,
                     last_loss_cut: f64::NEG_INFINITY,
                 })
+            };
+            FlowSim {
+                cc,
+                rate: 0.0,
+                acc: FlowAcc::default(),
             }
         })
         .collect();
 
-    let mut acc: Vec<FlowAcc> = (0..n).map(|_| FlowAcc::default()).collect();
     let mut q = 0.0_f64;
     let mut q_integral = 0.0;
     let mut q_peak = 0.0_f64;
     let mut total_dropped = 0.0;
-    let mut rates = vec![0.0_f64; n];
-    let mut cwnds = vec![0.0_f64; n];
 
     let inv_c = 1.0 / c;
     for step in 0..steps {
         let t = step as f64 * dt;
         let mut total_rate = 0.0;
         let q_delay = q * inv_c;
-        for (i, f) in cfg.flows.iter().enumerate() {
+        for (f, sim) in cfg.flows.iter().zip(&mut sims) {
             if t < f.start_secs {
-                rates[i] = 0.0;
+                sim.rate = 0.0;
                 continue;
             }
             let r = f.rtt_secs + q_delay;
             let r_inv = 1.0 / r;
-            let (rate, cwnd) = match &mut states[i] {
+            let (rate, cwnd) = match &mut sim.cc {
                 CcState::Loss(s) => {
                     if s.slow_start {
                         // Doubling per RTT: dw/dt = w·ln2/R.
@@ -415,17 +496,17 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                             // NewReno: one MSS per RTT from the back-off point.
                             _ => s.w_max_mss * RENO_BETA * mss + mss * s.epoch * r_inv,
                         };
-                        s.w = growth.max(2.0 * mss);
+                        s.w = fmax(growth, 2.0 * mss);
                     }
                     // Physical ceiling: a window beyond BDP + buffer only
                     // inflates drops the queue already accounts for.
-                    s.w = s.w.min(2.0 * (c * r + buffer));
+                    s.w = fmin(s.w, 2.0 * (c * r + buffer));
                     (s.w * r_inv, s.w)
                 }
                 CcState::Bbr(s) => {
                     // rtprop tracking and ProbeRTT.
                     if t < s.probe_rtt_until {
-                        s.probe_rtt_min = s.probe_rtt_min.min(r);
+                        s.probe_rtt_min = fmin(s.probe_rtt_min, r);
                     } else if s.probe_rtt_min.is_finite() {
                         // Leaving ProbeRTT: adopt the drained floor.
                         s.rtprop = s.probe_rtt_min;
@@ -440,16 +521,16 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                     }
                     // Round boundary: fold the round's delivery rate into
                     // the max filter, advance the gain cycle.
-                    let round_len = (t - s.round_start).max(dt);
+                    let round_len = fmax(t - s.round_start, dt);
                     if round_len >= s.rtprop {
-                        let sample = (s.round_max_rate * BW_SAMPLE_HEADROOM).min(c);
+                        let sample = fmin(s.round_max_rate * BW_SAMPLE_HEADROOM, c);
                         if s.bw_ring.len() < BW_FILTER_ROUNDS {
                             s.bw_ring.push(sample);
                         } else {
                             s.bw_ring[s.bw_pos] = sample;
                             s.bw_pos = (s.bw_pos + 1) % BW_FILTER_ROUNDS;
                         }
-                        s.btlbw = s.bw_ring.iter().copied().fold(sample, f64::max);
+                        s.btlbw = s.bw_ring.iter().copied().fold(sample, fmax);
                         s.round_start = t;
                         s.round_max_rate = 0.0;
                         s.phase = (s.phase + 1) % PROBE_GAINS.len();
@@ -468,7 +549,7 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                             s.drain = false; // one drain round
                         }
                         // BBRv2 ceiling recovers a few percent per round.
-                        s.hi_mult = (s.hi_mult * 1.05).min(1.0);
+                        s.hi_mult = fmin(s.hi_mult * 1.05, 1.0);
                     }
                     let in_probe_rtt = t < s.probe_rtt_until;
                     let (pacing_gain, cwnd_gain) = if s.startup {
@@ -486,37 +567,39 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                     let cwnd = if in_probe_rtt {
                         4.0 * mss
                     } else {
-                        (cwnd_gain * s.btlbw * s.rtprop * headroom * s.hi_mult).max(4.0 * mss)
+                        fmax(
+                            cwnd_gain * s.btlbw * s.rtprop * headroom * s.hi_mult,
+                            4.0 * mss,
+                        )
                     };
-                    let rate = (pacing_gain * s.btlbw).min(cwnd * r_inv).max(mss * r_inv);
+                    let rate = fmax(fmin(pacing_gain * s.btlbw, cwnd * r_inv), mss * r_inv);
                     (rate, cwnd)
                 }
             };
-            rates[i] = rate;
-            cwnds[i] = cwnd;
+            sim.rate = rate;
             total_rate += rate;
-            let a = &mut acc[i];
+            let a = &mut sim.acc;
             a.active_secs += dt;
             a.rtt_integral += r * dt;
             a.cwnd_integral += cwnd * dt;
-            a.max_cwnd = a.max_cwnd.max(cwnd);
+            a.max_cwnd = fmax(a.max_cwnd, cwnd);
         }
 
         // Shared-queue service: drain at link rate while backlogged.
-        let depart = if q > 0.0 { c } else { total_rate.min(c) };
+        let depart = if q > 0.0 { c } else { fmin(total_rate, c) };
         let mut q_next = q + (total_rate - depart) * dt;
-        let overflow = (q_next - buffer).max(0.0);
+        let overflow = fmax(q_next - buffer, 0.0);
         q_next = q_next.clamp(0.0, buffer);
         total_dropped += overflow;
 
-        let inv_total = 1.0 / total_rate.max(f64::MIN_POSITIVE);
-        for i in 0..n {
-            if rates[i] <= 0.0 {
+        let inv_total = 1.0 / fmax(total_rate, f64::MIN_POSITIVE);
+        for (f, sim) in cfg.flows.iter().zip(&mut sims) {
+            if sim.rate <= 0.0 {
                 continue;
             }
-            let share = rates[i] * inv_total;
-            let a = &mut acc[i];
-            a.sent_bytes += rates[i] * dt;
+            let share = sim.rate * inv_total;
+            let a = &mut sim.acc;
+            a.sent_bytes += sim.rate * dt;
             a.delivered_bytes += depart * share * dt;
             a.occupancy_integral += q_next * share * dt;
             if overflow > 0.0 {
@@ -526,60 +609,66 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
                 // of the event's dropped packets. Partial synchronization
                 // — the regime the paper measures — emerges naturally:
                 // small overflows hit few flows, deep ones hit all.
-                let p_hit = 1.0 - (-dropped_i / mss).exp();
-                let hit = rng.gen_bool(p_hit.clamp(0.0, 1.0));
-                let f = &cfg.flows[i];
+                // Every active flow takes one draw per overflow step, but
+                // only a flow that may react (loss-based or BBRv2, past
+                // its once-per-RTT guard) needs the outcome; the others
+                // just advance the stream.
                 let r = f.rtt_secs + q_next * inv_c;
-                match &mut states[i] {
-                    CcState::Loss(s) if hit && t - s.last_backoff > r => {
-                        let w_mss = s.w / mss;
-                        // CUBIC fast convergence: a shrinking flow
-                        // remembers a slightly smaller W_max.
-                        s.w_max_mss = if w_mss < s.w_max_mss {
-                            w_mss * (2.0 - CUBIC_BETA) / 2.0
-                        } else {
-                            w_mss
-                        };
-                        let beta = if f.cca == FluidCca::Cubic {
-                            CUBIC_BETA
-                        } else {
-                            RENO_BETA
-                        };
-                        s.k = cubic_k(s.w_max_mss);
-                        s.w = (s.w * beta).max(2.0 * mss);
-                        s.epoch = 0.0;
-                        s.slow_start = false;
-                        s.last_backoff = t;
-                        a.backoffs.push(t);
-                        a.congestion_events += 1;
+                let armed = match &sim.cc {
+                    CcState::Loss(s) => t - s.last_backoff > r,
+                    CcState::Bbr(s) => f.cca == FluidCca::BbrV2 && t - s.last_loss_cut > r,
+                };
+                if !armed {
+                    rng.next_u64();
+                } else if poisson_hit(rng.gen_range(0.0..1.0), dropped_i / mss) {
+                    match &mut sim.cc {
+                        CcState::Loss(s) => {
+                            let w_mss = s.w / mss;
+                            // CUBIC fast convergence: a shrinking flow
+                            // remembers a slightly smaller W_max.
+                            s.w_max_mss = if w_mss < s.w_max_mss {
+                                w_mss * (2.0 - CUBIC_BETA) / 2.0
+                            } else {
+                                w_mss
+                            };
+                            let beta = if f.cca == FluidCca::Cubic {
+                                CUBIC_BETA
+                            } else {
+                                RENO_BETA
+                            };
+                            s.k = cubic_k(s.w_max_mss);
+                            s.w = fmax(s.w * beta, 2.0 * mss);
+                            s.epoch = 0.0;
+                            s.slow_start = false;
+                            s.last_backoff = t;
+                            a.backoffs.push(t);
+                        }
+                        CcState::Bbr(s) => {
+                            s.hi_mult = fmax(s.hi_mult * V2_LOSS_CUT, 0.3);
+                            s.last_loss_cut = t;
+                        }
                     }
-                    CcState::Bbr(s)
-                        if hit && f.cca == FluidCca::BbrV2 && t - s.last_loss_cut > r =>
-                    {
-                        s.hi_mult = (s.hi_mult * V2_LOSS_CUT).max(0.3);
-                        s.last_loss_cut = t;
-                        a.congestion_events += 1;
-                    }
-                    _ => {}
+                    a.congestion_events += 1;
                 }
             }
-            if let CcState::Bbr(s) = &mut states[i] {
-                s.round_max_rate = s.round_max_rate.max(depart * share);
+            if let CcState::Bbr(s) = &mut sim.cc {
+                s.round_max_rate = fmax(s.round_max_rate, depart * share);
             }
         }
 
         q = q_next;
         q_integral += q * dt;
-        q_peak = q_peak.max(q);
+        q_peak = fmax(q_peak, q);
     }
 
     let horizon = steps as f64 * dt;
     let flows = cfg
         .flows
         .iter()
+        .zip(&sims)
         .enumerate()
-        .map(|(i, f)| {
-            let a = &acc[i];
+        .map(|(i, (f, sim))| {
+            let a = &sim.acc;
             FlowReport {
                 flow: FlowId(i as u32),
                 cc_name: f.cca.name().to_string(),
@@ -606,8 +695,8 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
             }
         })
         .collect::<Vec<_>>();
-    let delivered_total: f64 = acc.iter().map(|a| a.delivered_bytes).sum();
-    let sent_total: f64 = acc.iter().map(|a| a.sent_bytes).sum();
+    let delivered_total: f64 = sims.iter().map(|s| s.acc.delivered_bytes).sum();
+    let sent_total: f64 = sims.iter().map(|s| s.acc.sent_bytes).sum();
     let queue = QueueReport {
         avg_occupancy_bytes: q_integral / horizon,
         avg_queuing_delay_secs: q_integral / horizon / c,
@@ -741,9 +830,63 @@ mod tests {
 
     #[test]
     fn events_processed_counts_steps() {
-        let r = simulate(&two_flow_cfg(1)).unwrap();
+        let cfg = two_flow_cfg(1);
+        let r = simulate(&cfg).unwrap();
         assert!(r.events_processed > 0);
+        assert_eq!(r.events_processed, cfg.steps());
         assert!(!r.early_stopped);
         assert_eq!(r.duration_secs, 15.0);
+    }
+
+    /// The hit probability the bracket in [`poisson_hit`] stands in for.
+    fn exact_hit(u: f64, x: f64) -> bool {
+        u < (1.0 - (-x).exp()).clamp(0.0, 1.0)
+    }
+
+    /// An overflow share `x ≥ 0` (MSS units) from one of five classes:
+    /// zero, subnormal, around 1e-20, log-uniform over 1e-6…2, and ≥ 40
+    /// (where `1 − e^−x` rounds to 1).
+    fn share_of_class(class: usize, v: f64) -> f64 {
+        match class {
+            0 => 0.0,
+            1 => f64::from_bits(1 + (v * ((1u64 << 52) - 2) as f64) as u64),
+            2 => 1e-20 * (1.0 + v),
+            3 => 1e-6 * 2e6_f64.powf(v),
+            _ => 40.0 * 1e10_f64.powf(v),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        /// The bracketed hit test decides every draw exactly as the
+        /// closed form does: uniform draws, and draws within one ulp of
+        /// the probability, of both bracket bounds and of both
+        /// margin-shifted thresholds.
+        #[test]
+        fn bracketed_hit_test_matches_the_closed_form(
+            x_draw in (0usize..5, 0.0f64..1.0),
+            u_draw in (0usize..6, 0u8..3, 0.0f64..1.0),
+        ) {
+            let x = share_of_class(x_draw.0, x_draw.1);
+            let (anchor, ulps, uniform) = u_draw;
+            let lo = x - x * x * 0.5;
+            let centre = match anchor {
+                0 => uniform,
+                1 => (1.0 - (-x).exp()).clamp(0.0, 1.0),
+                2 => x,
+                3 => lo,
+                4 => x + HIT_MARGIN,
+                _ => lo - HIT_MARGIN,
+            };
+            let u = match ulps {
+                0 => centre.next_down(),
+                1 => centre,
+                _ => centre.next_up(),
+            };
+            // Draws come from [0, 1); anchors outside it stand for none.
+            let u = if (0.0..1.0).contains(&u) { u } else { uniform };
+            proptest::prop_assert_eq!(poisson_hit(u, x), exact_hit(u, x), "u = {u:e}, x = {x:e}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! topology and demands bit-identical reports).
 #![allow(dead_code)]
 
-use bbrdom_experiments::scenario::{DisciplineSpec, FaultSpec, Scenario};
+use bbrdom_experiments::scenario::{BackendSpec, DisciplineSpec, FaultSpec, Scenario};
 use bbrdom_netsim::SimReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,7 +162,11 @@ pub fn matrix() -> Vec<(String, Scenario)> {
 }
 
 /// Scenario::run returns a TrialResult; the harnesses need the raw
-/// SimReport, so rebuild the simulator the same way Scenario does.
+/// SimReport, so rebuild the simulator the same way Scenario does (or,
+/// for a fluid-backend scenario, run the fluid model).
 pub fn run_report(s: &Scenario) -> SimReport {
-    s.build_simulator().run()
+    match s.backend {
+        BackendSpec::Des => s.build_simulator().run(),
+        BackendSpec::Fluid => s.try_report_with(None, None).expect("fluid run"),
+    }
 }

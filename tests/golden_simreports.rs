@@ -12,8 +12,9 @@
 //! The matrix and fingerprint live in `tests/common/mod.rs`, shared
 //! with the `topology_equivalence` suite. [`golden_only`] adds the cases
 //! that suite cannot re-spell as an explicit topology (an early-stopped
-//! run, which explicit topologies reject) or that it covers separately (a
-//! workload under a fault schedule); they are pinned here alone.
+//! run, which explicit topologies reject, and the fluid backend) or that
+//! it covers separately (a workload under a fault schedule); they are
+//! pinned here alone.
 //!
 //! If an intentional behavior change invalidates the goldens (this
 //! should be rare and deliberate), regenerate with:
@@ -27,7 +28,9 @@
 mod common;
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::scenario::{EarlyStopSpec, FaultSpec, Scenario, WorkloadSpec};
+use bbrdom_experiments::scenario::{
+    BackendSpec, EarlyStopSpec, FaultSpec, FlowSpec, Scenario, WorkloadSpec,
+};
 use bbrdom_netsim::json::{self, Value};
 use common::{fingerprint, matrix, run_report};
 use std::path::PathBuf;
@@ -36,8 +39,9 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simreports.json")
 }
 
-/// Golden cases kept out of the shared [`matrix`]: an early-stopped cell
-/// and an open-loop workload under wire loss plus an outage.
+/// Golden cases kept out of the shared [`matrix`]: an early-stopped cell,
+/// an open-loop workload under wire loss plus an outage, and the
+/// [`fluid_cases`].
 fn golden_only() -> Vec<(String, Scenario)> {
     let early = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 20.0, 5)
         .with_early_stop(Some(EarlyStopSpec::new(0.2, 3)));
@@ -49,10 +53,45 @@ fn golden_only() -> Vec<(String, Scenario)> {
             outages: vec![(2.0, 0.3)],
             ..FaultSpec::default()
         });
-    vec![
+    let mut cases = vec![
         ("early_stop_bbr_b2_s5".to_string(), early),
         ("workload_faults_s19".to_string(), churn),
-    ]
+    ];
+    cases.extend(fluid_cases());
+    cases
+}
+
+/// Fluid-backend cases: NewReno against BBRv2 at one RTT from t = 0, and
+/// all four fluid CCAs at 10–80 ms RTTs with staggered starts, each in a
+/// 0.5 and a 32 BDP buffer under two seeds.
+fn fluid_cases() -> Vec<(String, Scenario)> {
+    use CcaKind::*;
+    let mut cases = Vec::new();
+    for buffer_bdp in [0.5, 32.0] {
+        for seed in [1u64, 2] {
+            let mut duel = Scenario::versus(20.0, 20.0, buffer_bdp, 2, BbrV2, 2, 10.0, seed);
+            duel.flows[..2].iter_mut().for_each(|f| f.cca = NewReno);
+            let mut mix = Scenario::versus(30.0, 20.0, buffer_bdp, 0, Bbr, 0, 10.0, seed);
+            mix.flows = [
+                (Cubic, 10.0, 0.0),
+                (NewReno, 20.0, 0.7),
+                (Bbr, 40.0, 1.5),
+                (BbrV2, 80.0, 3.0),
+            ]
+            .map(|(cca, rtt_ms, start_s)| FlowSpec {
+                start_s,
+                ..FlowSpec::long(cca, rtt_ms)
+            })
+            .to_vec();
+            for (name, s) in [("newreno_bbrv2", duel), ("mix4_staggered", mix)] {
+                cases.push((
+                    format!("fluid_{name}_b{buffer_bdp}_s{seed}"),
+                    s.with_backend(BackendSpec::Fluid),
+                ));
+            }
+        }
+    }
+    cases
 }
 
 fn cases() -> Vec<(String, Scenario)> {
@@ -122,4 +161,26 @@ fn golden_only_cases_exercise_their_features() {
         churn.workload_spawned > 0,
         "the workload case spawned nothing"
     );
+    // Every fluid case runs on the fluid kernel (no per-drop log) and
+    // drives NewReno back-offs; BBRv2's cap cut fires in some case too.
+    let reacted = |report: &bbrdom_netsim::SimReport, cca: &str| {
+        report
+            .flows
+            .iter()
+            .any(|f| f.cc_name == cca && f.congestion_events > 0)
+    };
+    let mut bbrv2_cut = false;
+    for (key, scenario) in cases.iter().filter(|(k, _)| k.starts_with("fluid_")) {
+        let report = run_report(scenario);
+        assert!(
+            report.queue.dropped_packets > 0 && report.queue.drops.is_empty(),
+            "{key} did not run on the fluid kernel"
+        );
+        assert!(
+            reacted(&report, "newreno"),
+            "{key}: NewReno never backed off"
+        );
+        bbrv2_cut |= reacted(&report, "bbrv2");
+    }
+    assert!(bbrv2_cut, "no fluid case cut a BBRv2 inflight cap");
 }
