@@ -58,9 +58,12 @@ struct Case {
     /// other than `flows` and `secs` are unused.
     fig9: Option<(u32, u32, f64)>,
     /// Pinned regression floor, events/sec (0 = report only, no gate).
-    /// Deliberately conservative — roughly a quarter of what a 2024
-    /// laptop core sustains — so it only trips on structural
-    /// regressions (leaked timers, unrecycled slots), not machine noise.
+    /// Each sits at a fifth to a half of the median measured on a 2-core
+    /// Xeon VM (`BENCH_netsim.json`, 41 samples: churn 4.8M, parking lot
+    /// 9.7M, Fig 9 9.1M events/s), so machine noise does not trip it, yet
+    /// above what the structural regression it guards against reaches
+    /// (leaked timers, unrecycled slots, per-slot queue work, per-ACK
+    /// window rescans).
     floor_events_per_sec: f64,
 }
 
@@ -97,7 +100,9 @@ const CASES: &[Case] = &[
     },
     // ~12k cumulative open-loop flows (Poisson 1200/s × 10 s of 8 kB
     // transfers ≈ 77 Mbps offered) over 2 long flows. The bench asserts
-    // ≥ 10k spawns and gates on the events/s floor.
+    // ≥ 10k spawns and gates on the events/s floor, which sits above the
+    // 1.3–1.8M events/s measured when every enqueue and dequeue also
+    // integrated the occupancy of every workload slot.
     Case {
         name: "dumbbell_10s_churn12k_100mbps",
         flows: 2,
@@ -106,7 +111,7 @@ const CASES: &[Case] = &[
         workload: Some((1200.0, 8_000)),
         parking_lot: None,
         fig9: None,
-        floor_events_per_sec: 1_000_000.0,
+        floor_events_per_sec: 2_000_000.0,
     },
     // 4 long flows over a 3-hop chain (2 ms/hop) with 2 CUBIC-window
     // cross flows per hop: 10 flows, 3 queues, every long-flow packet

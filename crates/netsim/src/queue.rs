@@ -3,8 +3,9 @@
 //!
 //! Besides forwarding packets, the queue keeps the measurements the
 //! paper's model is validated against: time-weighted average occupancy
-//! (total and per flow — the model's `b_b` and `b_c`), drop counts, and a
-//! log of drop timestamps used to detect CUBIC loss synchronization.
+//! (total, and per static flow — the model's `b_b` and `b_c`), drop
+//! counts, and a log of every drop's time and flow, which the report
+//! copies into [`crate::QueueReport::drops`] and nothing else reads.
 
 use crate::aqm::{CodelState, QueueDiscipline, RedState};
 use crate::packet::{FlowId, Packet};
@@ -33,11 +34,12 @@ pub struct DropTailQueue {
     /// Whether `enqueue_times` is maintained.
     track_sojourn: bool,
     queued_bytes: u64,
-    /// Per-flow queued bytes (indexed by `FlowId`).
+    /// Per-flow queued bytes (indexed by `FlowId`), for every slot.
     per_flow_bytes: Vec<u64>,
     /// `per_flow_bytes` shadowed as f64 (always exact: packet-size sums
     /// stay far below 2^53), so the integral loop is pure float math the
-    /// compiler can vectorize.
+    /// compiler can vectorize. Covers only the built-for flows, like
+    /// `per_flow_integral`.
     per_flow_bytes_f64: Vec<f64>,
     /// The packet currently being serialized on the link, if any.
     in_service: Option<Packet>,
@@ -58,7 +60,9 @@ pub struct DropTailQueue {
     last_change: SimTime,
     /// ∫ queue_bytes dt (total), for time-weighted average occupancy.
     byte_time_integral: f64,
-    /// ∫ queue_bytes dt per flow.
+    /// ∫ queue_bytes dt per flow, for the flows the queue was built for
+    /// only (see [`DropTailQueue::with_discipline`]); its length never
+    /// changes.
     per_flow_integral: Vec<f64>,
     /// Peak queued bytes observed.
     peak_bytes: u64,
@@ -81,6 +85,14 @@ impl DropTailQueue {
         Self::with_discipline(rate, capacity_bytes, n_flows, QueueDiscipline::DropTail)
     }
 
+    /// A queue whose per-flow accounting covers flows `0..n_flows`.
+    ///
+    /// Those flows — the run's static flows, the only ones reported
+    /// individually — also carry a per-flow occupancy integral
+    /// ([`DropTailQueue::avg_occupancy_bytes_of`]). Workload slots added
+    /// later by `grow_to` get byte and packet counters but no
+    /// integral, so the cost of every enqueue and dequeue stays
+    /// proportional to `n_flows`, not to a workload's slot count.
     pub fn with_discipline(
         rate: Rate,
         capacity_bytes: u64,
@@ -171,6 +183,7 @@ impl DropTailQueue {
             return;
         }
         self.byte_time_integral += self.queued_bytes as f64 * dt;
+        // Built-for flows only: both vectors have their constructed length.
         for (acc, b) in self
             .per_flow_integral
             .iter_mut()
@@ -209,7 +222,9 @@ impl DropTailQueue {
         if self.queued_bytes + pkt.size <= self.capacity_bytes {
             self.queued_bytes += pkt.size;
             self.per_flow_bytes[pkt.flow.index()] += pkt.size;
-            self.per_flow_bytes_f64[pkt.flow.index()] += pkt.size as f64;
+            if let Some(b) = self.per_flow_bytes_f64.get_mut(pkt.flow.index()) {
+                *b += pkt.size as f64;
+            }
             self.peak_bytes = self.peak_bytes.max(self.queued_bytes);
             self.enqueued_packets += 1;
             self.queue.push_back(pkt);
@@ -260,7 +275,9 @@ impl DropTailQueue {
                 Some(pkt) => {
                     self.queued_bytes -= pkt.size;
                     self.per_flow_bytes[pkt.flow.index()] -= pkt.size;
-                    self.per_flow_bytes_f64[pkt.flow.index()] -= pkt.size as f64;
+                    if let Some(b) = self.per_flow_bytes_f64.get_mut(pkt.flow.index()) {
+                        *b -= pkt.size as f64;
+                    }
                     // CoDel: head-drop decision at dequeue time.
                     if let QueueDiscipline::Codel(cfg) = self.discipline {
                         let enqueued_at = self
@@ -356,11 +373,24 @@ impl DropTailQueue {
 
     /// Time-weighted average occupancy of one flow over the measurement
     /// window, in bytes.
+    ///
+    /// Defined only for the flows the queue was built for (the `n_flows`
+    /// of [`DropTailQueue::with_discipline`]); a workload slot added by
+    /// `grow_to` has no integral, and asking for one is a caller bug: it
+    /// panics (with this message under debug assertions, as an
+    /// out-of-range index otherwise), whatever the window.
     pub fn avg_occupancy_bytes_of(&self, flow: FlowId, window_secs: f64) -> f64 {
+        debug_assert!(
+            flow.index() < self.per_flow_integral.len(),
+            "flow {} has no occupancy integral: the queue was built for {} flows",
+            flow.index(),
+            self.per_flow_integral.len()
+        );
+        let integral = self.per_flow_integral[flow.index()];
         if window_secs <= 0.0 {
             return 0.0;
         }
-        self.per_flow_integral[flow.index()] / window_secs
+        integral / window_secs
     }
 
     pub fn peak_bytes(&self) -> u64 {
@@ -399,25 +429,26 @@ impl DropTailQueue {
         self.in_service.as_ref().map(|p| p.flow)
     }
 
-    /// Extend the per-flow accounting arrays to cover `n_flows` flows.
-    /// Used by the open-loop workload when a spawned flow outgrows the
-    /// slot table; existing counters and integrals are untouched.
+    /// Extend the per-flow byte and packet counters to cover `n_flows`
+    /// flows. Used by the open-loop workload when a spawned flow outgrows
+    /// the slot table; existing counters are untouched. The new slots get
+    /// no occupancy integral: workload flows are reported in aggregate,
+    /// so nothing reads one, and integrating every slot would make each
+    /// enqueue and dequeue cost O(slots).
     pub(crate) fn grow_to(&mut self, n_flows: usize) {
         if n_flows <= self.per_flow_bytes.len() {
             return;
         }
         self.per_flow_bytes.resize(n_flows, 0);
-        self.per_flow_bytes_f64.resize(n_flows, 0.0);
-        self.per_flow_integral.resize(n_flows, 0.0);
         self.per_flow_offered.resize(n_flows, 0);
         self.per_flow_dropped.resize(n_flows, 0);
         self.per_flow_serviced.resize(n_flows, 0);
     }
 
     /// Reset the conservation counters of a quiescent recycled slot so
-    /// the next workload flow reusing it starts from a clean ledger. The
-    /// occupancy integrals are deliberately kept: they are cumulative
-    /// per-slot queue history and are not reported for workload flows.
+    /// the next workload flow reusing it starts from a clean ledger.
+    /// Workload slots carry no occupancy integral, so there is none to
+    /// reset.
     pub(crate) fn reset_flow_slot(&mut self, flow: FlowId) {
         debug_assert_eq!(
             self.per_flow_bytes[flow.index()],
@@ -542,5 +573,135 @@ mod tests {
     fn service_complete_on_idle_link_panics() {
         let mut q = queue(1);
         let _ = q.service_complete(SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic]
+    fn occupancy_of_a_grown_slot_panics() {
+        let mut q = queue(4);
+        q.grow_to(5);
+        let _ = q.avg_occupancy_bytes_of(FlowId(3), 0.0);
+    }
+
+    /// Reference occupancy integrator over every slot: on each advance
+    /// `acc_i += b_i * dt` for all slots, `b_i` read from the per-slot
+    /// byte counters (exact as f64).
+    struct RefIntegrals {
+        last: SimTime,
+        total: f64,
+        per_slot: Vec<f64>,
+    }
+
+    impl RefIntegrals {
+        fn advance(&mut self, q: &DropTailQueue, now: SimTime) {
+            let elapsed = now.saturating_since(self.last);
+            if elapsed.as_nanos() == 0 {
+                return;
+            }
+            let dt = elapsed.as_secs_f64();
+            self.last = now;
+            self.total += q.queued_bytes() as f64 * dt;
+            for (i, acc) in self.per_slot.iter_mut().enumerate() {
+                *acc += q.queued_bytes_of(FlowId(i as u32)) as f64 * dt;
+            }
+        }
+
+        /// The queue's averages equal the reference's, bit for bit, for
+        /// the total and each of the `k` built-for flows.
+        fn assert_matches(&self, q: &DropTailQueue, k: usize) {
+            let window = 0.37;
+            let bits = |integral: f64| (integral / window).to_bits();
+            assert_eq!(q.avg_occupancy_bytes(window).to_bits(), bits(self.total));
+            for f in 0..k {
+                assert_eq!(
+                    q.avg_occupancy_bytes_of(FlowId(f as u32), window).to_bits(),
+                    bits(self.per_slot[f]),
+                    "flow {f}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// A queue built for `k` flows, then grown to hundreds of
+        /// workload slots (some recycled) under a random stream of
+        /// offers, dequeues, outages and time steps, reports every
+        /// built-for flow's occupancy bit for bit as the all-slot
+        /// reference does, and its integral storage never grows.
+        #[test]
+        fn built_for_integrals_match_an_all_slot_integrator(
+            shape in (1usize..12, 2u64..40, 0u8..3),
+            ops in proptest::prop::collection::vec(
+                (0u8..8, 0u32..u32::MAX, 0u64..5_000_000),
+                50..400,
+            ),
+        ) {
+            let (k, capacity_pkts, discipline) = shape;
+            let rate = Rate::from_mbps(12.0);
+            let capacity = capacity_pkts * MSS;
+            let discipline = match discipline {
+                0 => QueueDiscipline::DropTail,
+                1 => QueueDiscipline::Red(crate::aqm::RedConfig::for_capacity(capacity)),
+                _ => QueueDiscipline::Codel(crate::aqm::CodelConfig::default()),
+            };
+            let mut q = DropTailQueue::with_discipline(rate, capacity, k, discipline);
+            let mut r = RefIntegrals { last: SimTime::ZERO, total: 0.0, per_slot: vec![0.0; k] };
+            let mut now = SimTime::ZERO;
+            let mut pauses = 0u32;
+            let mut seq = 0u64;
+            for (op, a, b) in ops {
+                let slots = r.per_slot.len();
+                match op {
+                    0..=2 => {
+                        let size = [MSS, MSS, 1, 52, 700][b as usize % 5];
+                        // Half the offers go to a built-for flow, which
+                        // would otherwise be a few of hundreds of slots.
+                        let span = if a % 2 == 0 { k } else { slots } as u32;
+                        let pkt = Packet { flow: FlowId(a / 2 % span), seq, size };
+                        seq += 1;
+                        r.advance(&q, now);
+                        q.offer(now, pkt);
+                    }
+                    3 if q.link_busy() => {
+                        r.advance(&q, now);
+                        q.service_complete(now);
+                    }
+                    4 => now += SimDuration(b),
+                    5 if slots < 512 => {
+                        let n = slots + 1 + a as usize % 64;
+                        q.grow_to(n);
+                        r.per_slot.resize(n, 0.0);
+                    }
+                    6 if slots > k => {
+                        let slot = FlowId((k + a as usize % (slots - k)) as u32);
+                        if q.queued_bytes_of(slot) == 0 && q.in_service_flow() != Some(slot) {
+                            q.reset_flow_slot(slot);
+                        }
+                    }
+                    7 if pauses > 0 && b % 2 == 0 => {
+                        if pauses == 1 && !q.link_busy() {
+                            r.advance(&q, now);
+                        }
+                        pauses -= 1;
+                        q.resume(now);
+                    }
+                    7 => {
+                        r.advance(&q, now);
+                        q.pause(now);
+                        pauses += 1;
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(q.per_flow_integral.len(), k);
+                proptest::prop_assert_eq!(q.per_flow_bytes_f64.len(), k);
+                r.assert_matches(&q, k);
+            }
+            now += SimDuration::from_millis(3);
+            r.advance(&q, now);
+            q.finalize(now);
+            r.assert_matches(&q, k);
+        }
     }
 }

@@ -13,8 +13,8 @@
 //! with the `topology_equivalence` suite. [`golden_only`] adds the cases
 //! that suite cannot re-spell as an explicit topology (an early-stopped
 //! run, which explicit topologies reject, and the fluid backend) or that
-//! it covers separately (a workload under a fault schedule); they are
-//! pinned here alone.
+//! it covers separately (workloads under a fault schedule, at high
+//! concurrency, and on a multi-hop chain); they are pinned here alone.
 //!
 //! If an intentional behavior change invalidates the goldens (this
 //! should be rare and deliberate), regenerate with:
@@ -29,7 +29,7 @@ mod common;
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::scenario::{
-    BackendSpec, EarlyStopSpec, FaultSpec, FlowSpec, Scenario, WorkloadSpec,
+    BackendSpec, EarlyStopSpec, FaultSpec, FlowSpec, Scenario, TopologySpec, WorkloadSpec,
 };
 use bbrdom_netsim::json::{self, Value};
 use common::{fingerprint, matrix, run_report};
@@ -40,8 +40,8 @@ fn golden_path() -> PathBuf {
 }
 
 /// Golden cases kept out of the shared [`matrix`]: an early-stopped cell,
-/// an open-loop workload under wire loss plus an outage, and the
-/// [`fluid_cases`].
+/// an open-loop workload under wire loss plus an outage, the
+/// [`high_churn_cases`], and the [`fluid_cases`].
 fn golden_only() -> Vec<(String, Scenario)> {
     let early = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 20.0, 5)
         .with_early_stop(Some(EarlyStopSpec::new(0.2, 3)));
@@ -57,8 +57,31 @@ fn golden_only() -> Vec<(String, Scenario)> {
         ("early_stop_bbr_b2_s5".to_string(), early),
         ("workload_faults_s19".to_string(), churn),
     ];
+    cases.extend(high_churn_cases());
     cases.extend(fluid_cases());
     cases
+}
+
+/// Fault-free web churn at the top rate of the e2e `churn` workload
+/// (50 Mbps / 40 ms / 4 BDP, 200 flows/s), where hundreds of workload
+/// slots coexist: 5 CUBIC + 5 BBR static flows on the dumbbell, and
+/// 2 + 2 long flows plus one CUBIC cross flow per hop on a 3-hop
+/// parking lot whose workload rides the whole chain.
+fn high_churn_cases() -> Vec<(String, Scenario)> {
+    let web = Some(WorkloadSpec::web(CcaKind::Cubic, 200.0, 40.0));
+    let dumbbell =
+        Scenario::versus(50.0, 40.0, 4.0, 5, CcaKind::Bbr, 5, 10.0, 1).with_workload(web);
+    let mut topo = TopologySpec::parking_lot(3, 50.0, 2.0, 4.0);
+    topo.flow_routes = vec![0, 0, 0, 0, 1, 2, 3];
+    let mut chain = Scenario::versus(50.0, 40.0, 4.0, 2, CcaKind::Bbr, 2, 6.0, 2);
+    chain
+        .flows
+        .extend([1, 2, 3].map(|_| FlowSpec::long(CcaKind::Cubic, 40.0)));
+    let chain = chain.with_topology(Some(topo)).with_workload(web);
+    vec![
+        ("churn_web200_mixed10_b4_s1".to_string(), dumbbell),
+        ("churn_web200_parkinglot3_s2".to_string(), chain),
+    ]
 }
 
 /// Fluid-backend cases: NewReno against BBRv2 at one RTT from t = 0, and
@@ -161,6 +184,17 @@ fn golden_only_cases_exercise_their_features() {
         churn.workload_spawned > 0,
         "the workload case spawned nothing"
     );
+    // The high-churn cases keep hundreds of workload slots alive at once.
+    for (key, scenario) in cases.iter().filter(|(k, _)| k.starts_with("churn_web200")) {
+        let mut sim = scenario.build_simulator();
+        let report = sim.run();
+        let slots = sim.flow_count() - scenario.flows.len();
+        assert!(slots >= 200, "{key}: only {slots} workload slots");
+        assert!(
+            (slots as u64) < report.workload_spawned,
+            "{key}: no slot was recycled"
+        );
+    }
     // Every fluid case runs on the fluid kernel (no per-drop log) and
     // drives NewReno back-offs; BBRv2's cap cut fires in some case too.
     let reacted = |report: &bbrdom_netsim::SimReport, cca: &str| {
