@@ -11,11 +11,14 @@ cargo fmt --all --check
 
 # Hidden-input gate: a result must be a function of its Scenario alone,
 # so the crates that produce results may read only allow-listed env vars
-# (engine config, the audit switch, supervisor test hooks, a CCA trace).
+# (the audit switch, supervisor test hooks, a CCA trace). The engine's
+# worker count, BBRDOM_JOBS, is read by the repro binary alone: library
+# callers pass the engine they built.
 echo "==> env var allow-list (result-producing crates)"
 env_reads=$(grep -rnE 'env::var(_os)?\(' \
     crates/netsim/src crates/cca/src crates/fluid/src crates/core/src crates/experiments/src \
-    | grep -vE 'env::var(_os)?\("(BBRDOM_JOBS|BBRDOM_CACHE_DIR|BBRDOM_AUDIT|BBRDOM_TEST_POISON_[A-Z_]+|BBRDOM_VIVACE_TRACE)"\)' \
+    | grep -vE 'env::var(_os)?\("(BBRDOM_AUDIT|BBRDOM_TEST_POISON_[A-Z_]+|BBRDOM_VIVACE_TRACE)"\)' \
+    | grep -vE '^crates/experiments/src/bin/repro\.rs:[0-9]+:.*env::var\("BBRDOM_JOBS"\)' \
     || true)
 if [[ -n "$env_reads" ]]; then
     echo "env var read outside the allow-list (hash it into the Scenario instead):"

@@ -21,7 +21,7 @@
 //! hardware-dependent, so the file records the core count next to it.
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::adaptive::find_ne_adaptive_on;
+use bbrdom_experiments::adaptive::find_ne_adaptive;
 use bbrdom_experiments::engine::{Engine, EngineConfig};
 use bbrdom_experiments::payoff::{
     default_epsilon_mbps, distribution_scenario, measure_payoffs_at_on,
@@ -161,7 +161,7 @@ fn main() {
             &FaultSpec::default(),
         )
         .observed_ne_cubic_counts(eps);
-        let two_tier = find_ne_adaptive_on(
+        let two_tier = find_ne_adaptive(
             &engine(jobs),
             MBPS,
             RTT_MS,

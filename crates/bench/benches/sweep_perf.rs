@@ -17,7 +17,7 @@
 //! records the core count next to them.
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::adaptive::find_ne_adaptive_on;
+use bbrdom_experiments::adaptive::find_ne_adaptive;
 use bbrdom_experiments::engine::{Engine, EngineConfig};
 use bbrdom_experiments::payoff::{default_epsilon_mbps, measure_payoffs_at_on};
 use bbrdom_experiments::{DisciplineSpec, FaultSpec, Profile};
@@ -109,7 +109,7 @@ fn main() {
     // Adaptive: model-seeded bracket, convergence-stopped runs.
     let adaptive_engine = engine(jobs);
     let (adaptive, adaptive_wall) = time(|| {
-        find_ne_adaptive_on(
+        find_ne_adaptive(
             &adaptive_engine,
             MBPS,
             RTT_MS,

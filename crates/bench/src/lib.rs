@@ -1,17 +1,10 @@
-//! Shared helpers for the per-figure Criterion benchmarks.
+//! Shared helpers for the performance benchmarks in `benches/`.
 //!
-//! Each `benches/figNN.rs` regenerates (a scaled-down slice of) the data
-//! behind one figure of the paper, so `cargo bench` both times the
-//! machinery and re-verifies that every figure's pipeline still runs.
-//! The full-size figure data comes from the `repro` binary
-//! (`bbrdom-experiments`); benches use the smoke profile to stay fast.
-
-use bbrdom_experiments::Profile;
-
-/// The profile benches run with: seconds-scale sims.
-pub fn bench_profile() -> Profile {
-    Profile::smoke()
-}
+//! Each bench times one layer of the reproduction (the packet DES, the
+//! scenario engine, the result store, the adaptive NE search, the fluid
+//! backend), asserts its pinned claims, and writes a `BENCH_*.json`
+//! record at the repository root. Figure data itself comes from the
+//! `repro` binary (`bbrdom-experiments`).
 
 /// The machine a bench ran on, for the `BENCH_*.json` it writes: the CPU
 /// model (the first `model name` of `/proc/cpuinfo`, or `"unknown"` where
@@ -30,33 +23,14 @@ pub fn machine() -> (String, usize) {
     (model, nproc)
 }
 
-/// A tiny two-flow simulation used by several benches, returning the
-/// challenger's measured throughput in Mbps.
-pub fn tiny_sim(mbps: f64, buffer_bdp: f64, challenger: bbrdom_cca::CcaKind) -> f64 {
-    use bbrdom_experiments::Scenario;
-    let s = Scenario::versus(mbps, 20.0, buffer_bdp, 1, challenger, 1, 4.0, 42);
-    s.run().mean_throughput_of(challenger.name()).unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tiny_sim_produces_throughput() {
-        let t = tiny_sim(10.0, 2.0, bbrdom_cca::CcaKind::Bbr);
-        assert!(t > 0.0 && t < 11.0);
-    }
 
     #[test]
     fn machine_names_a_cpu_count() {
         let (model, nproc) = machine();
         assert!(!model.is_empty());
         assert!(nproc >= 1);
-    }
-
-    #[test]
-    fn bench_profile_is_smoke_sized() {
-        assert!(bench_profile().duration_secs <= 10.0);
     }
 }

@@ -126,37 +126,11 @@ fn is_nash_partial(t: &PayoffCurves, k: u32, n: u32, eps: f64) -> bool {
     true
 }
 
-/// [`find_ne_adaptive_on`] on the process-wide engine.
+/// Model-guided adaptive NE search: the fluid and Eq. (25) oracles
+/// propose brackets, and `engine` simulates the DES cells that certify
+/// equilibria inside them.
 #[allow(clippy::too_many_arguments)]
 pub fn find_ne_adaptive(
-    mbps: f64,
-    rtt_ms: f64,
-    buffer_bdp: f64,
-    n: u32,
-    challenger: CcaKind,
-    profile: &Profile,
-    base_seed: u64,
-    discipline: DisciplineSpec,
-    faults: &FaultSpec,
-) -> AdaptiveNe {
-    find_ne_adaptive_on(
-        Engine::global(),
-        mbps,
-        rtt_ms,
-        buffer_bdp,
-        n,
-        challenger,
-        profile,
-        base_seed,
-        discipline,
-        faults,
-    )
-}
-
-/// Model-guided adaptive NE search on an explicit engine (benches and
-/// tests use private engines so their event counters are isolated).
-#[allow(clippy::too_many_arguments)]
-pub fn find_ne_adaptive_on(
     engine: &Engine,
     mbps: f64,
     rtt_ms: f64,
@@ -207,7 +181,7 @@ enum BandOutcome {
 }
 
 /// Run the certify-and-widen loop over each oracle band in turn, then
-/// the dense grid. Split from [`find_ne_adaptive_on`] so the retry
+/// the dense grid. Split from [`find_ne_adaptive`] so the retry
 /// logic can be tested with hand-picked (including wrong) bands.
 #[allow(clippy::too_many_arguments)]
 fn certify_with_bands(
@@ -371,17 +345,24 @@ fn fluid_ne_band(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
-    use crate::payoff::{measure_payoffs, measure_payoffs_with};
+    use crate::engine::test_engine;
+    use crate::payoff::measure_payoffs;
 
-    fn memo_engine() -> Engine {
-        Engine::new(EngineConfig {
-            jobs: 1,
-            disk_cache: None,
-            memory_cache: true,
-            supervise: None,
-            result_store: false,
-        })
+    /// The dense grid's observed NE set for one pinned case.
+    fn dense_ne(engine: &Engine, profile: &Profile, n: u32, seed: u64) -> Vec<u32> {
+        measure_payoffs(
+            engine,
+            20.0,
+            20.0,
+            2.0,
+            n,
+            CcaKind::Bbr,
+            profile,
+            seed,
+            DisciplineSpec::DropTail,
+            &FaultSpec::default(),
+        )
+        .observed_ne_cubic_counts(default_epsilon_mbps(20.0, n))
     }
 
     /// The satellite tolerance test: on a small pinned case the adaptive
@@ -390,10 +371,10 @@ mod tests {
     fn adaptive_ne_is_within_one_grid_step_of_dense() {
         let profile = Profile::smoke();
         let (mbps, rtt_ms, buffer_bdp, n, seed) = (20.0, 20.0, 2.0, 6u32, 0xada7);
-        let dense = measure_payoffs(mbps, rtt_ms, buffer_bdp, n, CcaKind::Bbr, &profile, seed)
-            .observed_ne_cubic_counts(default_epsilon_mbps(mbps, n));
-        let adaptive = find_ne_adaptive_on(
-            &memo_engine(),
+        let engine = test_engine();
+        let dense = dense_ne(&engine, &profile, n, seed);
+        let adaptive = find_ne_adaptive(
+            &engine,
             mbps,
             rtt_ms,
             buffer_bdp,
@@ -428,8 +409,9 @@ mod tests {
     fn interior_adaptive_ne_matches_dense_exactly() {
         let profile = Profile::smoke();
         let (mbps, rtt_ms, buffer_bdp, n, seed) = (20.0, 20.0, 2.0, 6u32, 0xada7);
-        let adaptive = find_ne_adaptive_on(
-            &memo_engine(),
+        let engine = test_engine();
+        let adaptive = find_ne_adaptive(
+            &engine,
             mbps,
             rtt_ms,
             buffer_bdp,
@@ -440,8 +422,7 @@ mod tests {
             DisciplineSpec::DropTail,
             &FaultSpec::default(),
         );
-        let dense = measure_payoffs(mbps, rtt_ms, buffer_bdp, n, CcaKind::Bbr, &profile, seed)
-            .observed_ne_cubic_counts(default_epsilon_mbps(mbps, n));
+        let dense = dense_ne(&engine, &profile, n, seed);
         if !adaptive.dense_fallback {
             for &a in &adaptive.ne_cubic {
                 assert!(
@@ -458,8 +439,8 @@ mod tests {
     fn adaptive_search_simulates_fewer_cells_than_dense() {
         let profile = Profile::smoke();
         let (mbps, rtt_ms, buffer_bdp, n, seed) = (20.0, 20.0, 2.0, 8u32, 0xada8);
-        let engine = memo_engine();
-        let adaptive = find_ne_adaptive_on(
+        let engine = test_engine();
+        let adaptive = find_ne_adaptive(
             &engine,
             mbps,
             rtt_ms,
@@ -492,7 +473,7 @@ mod tests {
     fn adaptive_cells_share_the_dense_grid_cache() {
         let profile = Profile::smoke();
         let (mbps, rtt_ms, buffer_bdp, n, seed) = (20.0, 20.0, 2.0, 6u32, 0xada7);
-        let engine = memo_engine();
+        let engine = test_engine();
         // Warm the engine with the full dense grid…
         let mut dense_cells = Vec::new();
         for k in 0..=n {
@@ -513,7 +494,7 @@ mod tests {
         engine.run_all(&dense_cells);
         let warm = engine.stats();
         // …then the adaptive search on the same engine must be all hits.
-        let _ = find_ne_adaptive_on(
+        let _ = find_ne_adaptive(
             &engine,
             mbps,
             rtt_ms,
@@ -567,8 +548,8 @@ mod tests {
     fn wrong_first_band_retries_second_oracle_before_dense() {
         let profile = Profile::smoke();
         let (mbps, rtt_ms, buffer_bdp, n, seed) = (20.0, 20.0, 2.0, 6u32, 0xada7);
-        let dense = measure_payoffs(mbps, rtt_ms, buffer_bdp, n, CcaKind::Bbr, &profile, seed)
-            .observed_ne_cubic_counts(default_epsilon_mbps(mbps, n));
+        let engine = test_engine();
+        let dense = dense_ne(&engine, &profile, n, seed);
         let ne_bbr: Vec<u32> = dense.iter().map(|&c| n - c).collect();
         let good = (*ne_bbr.iter().min().unwrap(), *ne_bbr.iter().max().unwrap());
         // A band (plus guard and the widening neighbours) that misses
@@ -579,7 +560,7 @@ mod tests {
             "need a band at least GUARD+1 cells from every NE to force a disagreement"
         );
         let result = certify_with_bands(
-            &memo_engine(),
+            &engine,
             &[
                 (NeOracle::Fluid, (wrong_k, wrong_k)),
                 (NeOracle::Model, good),
@@ -610,15 +591,15 @@ mod tests {
     fn all_wrong_bands_fall_back_to_dense() {
         let profile = Profile::smoke();
         let (mbps, rtt_ms, buffer_bdp, n, seed) = (20.0, 20.0, 2.0, 6u32, 0xada7);
-        let dense = measure_payoffs(mbps, rtt_ms, buffer_bdp, n, CcaKind::Bbr, &profile, seed)
-            .observed_ne_cubic_counts(default_epsilon_mbps(mbps, n));
+        let engine = test_engine();
+        let dense = dense_ne(&engine, &profile, n, seed);
         let wrong_k = if dense.iter().all(|&c| n - c > n / 2) {
             0
         } else {
             n
         };
         let result = certify_with_bands(
-            &memo_engine(),
+            &engine,
             &[(NeOracle::Fluid, (wrong_k, wrong_k))],
             None,
             Some((wrong_k, wrong_k)),
@@ -673,12 +654,13 @@ mod tests {
         assert_eq!(aqm, None, "AQM cells are outside the fluid envelope");
     }
 
-    /// `measure_payoffs_with` (the dense path) and the shared cell
-    /// builder agree — the refactor kept the seed formula.
+    /// `measure_payoffs` (the dense path) and a subset measurement on a
+    /// separate engine agree cell for cell — one seed formula.
     #[test]
     fn dense_grid_uses_the_shared_cell_builder() {
         let profile = Profile::smoke();
-        let dense = measure_payoffs_with(
+        let dense = measure_payoffs(
+            &test_engine(),
             20.0,
             20.0,
             2.0,
@@ -689,9 +671,8 @@ mod tests {
             DisciplineSpec::DropTail,
             &FaultSpec::default(),
         );
-        let engine = memo_engine();
         let subset = measure_payoffs_at_on(
-            &engine,
+            &test_engine(),
             20.0,
             20.0,
             2.0,

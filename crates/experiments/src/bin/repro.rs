@@ -15,10 +15,11 @@
 //! ```
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::engine::{jobs_from_env, scenario_hash, Engine, EngineConfig};
+use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
 use bbrdom_experiments::ext::{run_extension, ALL_EXTENSIONS};
 use bbrdom_experiments::figs::{run_figure, ALL_FIGURES};
 use bbrdom_experiments::output::Table;
+use bbrdom_experiments::runner::payload_message;
 use bbrdom_experiments::store::{Store, StoreOutcome};
 use bbrdom_experiments::{BackendSpec, Profile, Scenario, SupervisorConfig, WorkloadSpec};
 use std::path::PathBuf;
@@ -371,6 +372,19 @@ fn worker_subcommand() -> ExitCode {
         return ExitCode::from(2);
     };
     ExitCode::from(bbrdom_experiments::supervisor::worker_main(&dir, &id) as u8)
+}
+
+/// Parse a `BBRDOM_JOBS` value: a positive worker count, surrounding
+/// whitespace allowed; anything else is ignored.
+fn parse_jobs(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
+/// The machine's parallelism, the default worker count.
+fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
 }
 
 /// Default store location when a subcommand gets no `--cache-dir`:
@@ -797,9 +811,9 @@ fn main() -> ExitCode {
     // Ctrl-C / SIGTERM finish recording the finished trials and print a
     // resume hint instead of tearing the process down mid-write.
     bbrdom_experiments::supervisor::install_signal_handlers();
-    // Configure the scenario engine before anything simulates (the
-    // global engine is first-use-wins). Disk cache defaults to
-    // <out>/cache so warm reruns of the same figure skip the work.
+    // One scenario engine for every target, so `repro all` shares its
+    // memo and cache across figures. Disk cache defaults to <out>/cache
+    // so warm reruns of the same figure skip the work.
     let disk_cache = if args.no_cache {
         None
     } else {
@@ -829,27 +843,27 @@ fn main() -> ExitCode {
     });
     // With --supervise, --jobs means threads *per worker*; the default
     // splits the machine's cores across the worker processes.
-    let jobs = args.jobs.or_else(jobs_from_env).unwrap_or_else(|| {
-        let cores = bbrdom_experiments::runner::default_workers();
-        match args.supervise {
-            Some(n) => (cores / n.max(1)).max(1),
-            None => cores,
-        }
-    });
-    let engine_config = EngineConfig {
+    let env_jobs = std::env::var("BBRDOM_JOBS").ok();
+    let jobs = args
+        .jobs
+        .or_else(|| env_jobs.as_deref().and_then(parse_jobs))
+        .unwrap_or_else(|| {
+            let cores = available_cores();
+            match args.supervise {
+                Some(n) => (cores / n.max(1)).max(1),
+                None => cores,
+            }
+        });
+    let engine = Engine::new(EngineConfig {
         jobs,
         disk_cache,
         memory_cache: !args.no_cache,
         supervise,
         result_store: !args.no_cache && !args.no_store,
-    };
-    Engine::configure(engine_config);
+    });
     match args.supervise {
-        Some(n) => eprintln!(
-            "engine: {n} supervised workers x {} jobs",
-            Engine::global().jobs()
-        ),
-        None => eprintln!("engine: {} jobs", Engine::global().jobs()),
+        Some(n) => eprintln!("engine: {n} supervised workers x {jobs} jobs"),
+        None => eprintln!("engine: {jobs} jobs"),
     }
     let mut targets: Vec<String> = Vec::new();
     for t in &args.targets {
@@ -873,9 +887,10 @@ fn main() -> ExitCode {
         }
         eprintln!("== running {target} ==");
         let started = std::time::Instant::now();
-        let stats_before = Engine::global().stats();
+        let stats_before = engine.stats();
         let ran = std::panic::catch_unwind(|| {
-            run_figure(target, &args.profile).or_else(|| run_extension(target, &args.profile))
+            run_figure(target, &engine, &args.profile)
+                .or_else(|| run_extension(target, &engine, &args.profile))
         });
         match ran {
             Ok(Some(result)) => {
@@ -892,7 +907,7 @@ fn main() -> ExitCode {
                         continue;
                     }
                 }
-                let spent = Engine::global().stats().since(&stats_before);
+                let spent = engine.stats().since(&stats_before);
                 eprintln!(
                     "== {target} done in {:.1}s ({}) ==",
                     started.elapsed().as_secs_f64(),
@@ -904,13 +919,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
             Err(payload) => {
-                let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "<non-string panic payload>".to_string()
-                };
+                let msg = payload_message(&*payload);
                 eprintln!("== {target} FAILED: {msg} ==");
                 failed.push((target.clone(), msg));
             }
@@ -924,4 +933,18 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bbrdom_jobs_parses_positive_counts_only() {
+        assert_eq!(parse_jobs("3"), Some(3));
+        assert_eq!(parse_jobs(" 3 "), Some(3));
+        assert_eq!(parse_jobs("0"), None);
+        assert_eq!(parse_jobs("x"), None);
+        assert_eq!(parse_jobs(""), None);
+    }
 }

@@ -5,8 +5,8 @@
 //! batch of independent `Scenario → SimReport` runs. The engine executes
 //! such batches on a fixed-size pool of OS worker threads (std threads +
 //! channels; simulations are CPU-bound, so an async runtime buys
-//! nothing), sized by `--jobs N` / `BBRDOM_JOBS` / the machine's
-//! parallelism — while keeping the repo's central guarantee intact:
+//! nothing), sized by [`EngineConfig::jobs`] — while keeping the repo's
+//! central guarantee intact:
 //! **output is bit-identical to a serial run.** Three mechanisms deliver
 //! that:
 //!
@@ -26,7 +26,7 @@
 //!    when enabled. NE searches re-evaluate neighboring strategy
 //!    profiles constantly; warm reruns skip the work entirely.
 //!
-//! Fail-soft sweep semantics ([`crate::runner::run_sweep`]) ride on the
+//! Fail-soft sweep semantics ([`Engine::run_sweep`]) ride on the
 //! same machinery: per-trial [`TrialOutcome`]s and event/wall-clock
 //! budgets. Resuming an interrupted sweep is rerunning it against the
 //! same cache: the store and the disk cache answer every trial that
@@ -237,14 +237,6 @@ pub fn scenario_hash_hex(s: &Scenario) -> String {
     format!("{:032x}", scenario_hash(s))
 }
 
-/// How many worker threads `BBRDOM_JOBS` requests, if set and valid.
-pub fn jobs_from_env() -> Option<usize> {
-    std::env::var("BBRDOM_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// Engine configuration: pool size and cache policy.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -267,22 +259,6 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Environment defaults: `BBRDOM_JOBS` (else the machine's
-    /// parallelism), `BBRDOM_CACHE_DIR` (else no disk cache), memory
-    /// memo on.
-    pub fn from_env() -> Self {
-        EngineConfig {
-            jobs: jobs_from_env().unwrap_or_else(crate::runner::default_workers),
-            disk_cache: std::env::var("BBRDOM_CACHE_DIR")
-                .ok()
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from),
-            memory_cache: true,
-            supervise: None,
-            result_store: true,
-        }
-    }
-
     /// A hermetic single-threaded engine with caching off — every run
     /// re-simulates. The baseline for determinism and perf comparisons.
     pub fn serial_uncached() -> Self {
@@ -372,8 +348,9 @@ pub(crate) fn scenario_context(s: &Scenario) -> String {
     )
 }
 
-/// The parallel scenario engine. One lives for the process
-/// ([`Engine::global`]); tests and benches build private ones.
+/// The parallel scenario engine. Callers build one and pass it to every
+/// batch that should share its pool, memo and cache (`repro` builds one
+/// per process from its flags).
 pub struct Engine {
     config: EngineConfig,
     memo: Mutex<HashMap<u128, Arc<SimReport>>>,
@@ -388,8 +365,6 @@ pub struct Engine {
     events_simulated: AtomicU64,
 }
 
-static GLOBAL: OnceLock<Engine> = OnceLock::new();
-
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
@@ -403,25 +378,6 @@ impl Engine {
             simulated: AtomicU64::new(0),
             events_simulated: AtomicU64::new(0),
         }
-    }
-
-    /// Install `config` as the process-wide engine. Returns `false` if
-    /// the global engine was already built (first use wins) — callers
-    /// that care (the `repro` binary) should configure before running
-    /// anything.
-    pub fn configure(config: EngineConfig) -> bool {
-        GLOBAL.set(Engine::new(config)).is_ok()
-    }
-
-    /// The process-wide engine, built from [`EngineConfig::from_env`] on
-    /// first use unless [`Engine::configure`] ran earlier.
-    pub fn global() -> &'static Engine {
-        GLOBAL.get_or_init(|| Engine::new(EngineConfig::from_env()))
-    }
-
-    /// The configured worker-pool size.
-    pub fn jobs(&self) -> usize {
-        self.config.jobs
     }
 
     /// Cumulative cache counters.
@@ -501,8 +457,18 @@ impl Engine {
     /// Run all scenarios fail-soft: one panicking, livelocked, or
     /// invalid scenario becomes a structured [`TrialOutcome::Failed`]
     /// while the rest of the sweep completes. Outcomes come back in
-    /// input order. See [`crate::runner::run_sweep`] for the resume
-    /// contract and the error cases (supervised bring-up failures only).
+    /// input order.
+    ///
+    /// Resuming is rerunning: with a disk cache configured, every
+    /// finished success is cached (and, with the result store on,
+    /// indexed in strict index order), so a rerun of the same sweep
+    /// serves those trials without simulating and runs only the rest.
+    /// Failures are never served from the cache; they run again, so a
+    /// raised budget takes effect. The only sweep-level errors are
+    /// supervised bring-up failures (an unwritable state dir, an
+    /// unspawnable worker), reported as a typed
+    /// [`ConfigError::Io`](bbrdom_netsim::ConfigError::Io) — per-trial
+    /// failures stay fail-soft inside the `Ok` outcome vector.
     pub fn run_sweep(
         &self,
         scenarios: &[Scenario],
@@ -676,21 +642,9 @@ impl Engine {
     /// supervised-worker entry point ([`crate::supervisor::worker_main`]).
     /// Cache, budget, and failure semantics are identical to batch
     /// execution, so a supervised sweep stays bit-identical to a serial
-    /// one.
-    pub fn run_single(
-        &self,
-        scenario: &Scenario,
-        index: usize,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
-    ) -> TrialOutcome {
-        self.run_single_traced(scenario, index, event_budget, wall_budget)
-            .0
-    }
-
-    /// [`Engine::run_single`] plus the recorded event count (when
-    /// known), which supervised workers report back to the parent so
-    /// *its* result store stays budget-admissible.
+    /// one. Also returns the recorded event count (when known), which
+    /// supervised workers report back to the parent so *its* result
+    /// store stays budget-admissible.
     pub(crate) fn run_single_traced(
         &self,
         scenario: &Scenario,
@@ -902,10 +856,133 @@ pub(crate) fn cache_entry_json(hash: u128, scenario: &Scenario, report: &SimRepo
     v.to_json()
 }
 
+/// The engine this crate's unit tests run figures and payoff sweeps on:
+/// one worker, in-process memo on, no disk cache.
+#[cfg(test)]
+pub(crate) fn test_engine() -> Engine {
+    Engine::new(EngineConfig {
+        jobs: 1,
+        disk_cache: None,
+        memory_cache: true,
+        supervise: None,
+        result_store: false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bbrdom_cca::CcaKind;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn tiny(seed: u64) -> Scenario {
+        Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 3.0, seed)
+    }
+
+    #[test]
+    fn results_are_in_input_order() {
+        let scenarios: Vec<Scenario> = (0..6).map(tiny).collect();
+        let parallel = test_engine().run_all_jobs(&scenarios, 4);
+        let serial: Vec<_> = scenarios.iter().map(|s| s.run()).collect();
+        for (p, s) in parallel.iter().zip(&serial) {
+            assert_eq!(p.throughput_mbps, s.throughput_mbps);
+        }
+    }
+
+    #[test]
+    fn single_worker_works() {
+        let scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
+        let results = test_engine().run_all_jobs(&scenarios, 1);
+        assert_eq!(results.len(), 3);
+    }
+
+    #[test]
+    fn empty_input_is_fine() {
+        let results = test_engine().run_all(&[]);
+        assert!(results.is_empty());
+    }
+
+    #[test]
+    fn worker_failure_reports_scenario_index_and_message() {
+        // Scenario 1 has no flows: the engine surfaces the validation
+        // error, tagged with the failing index.
+        let mut scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
+        scenarios[1].flows.clear();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            test_engine().run_all_jobs(&scenarios, 2)
+        }))
+        .expect_err("sweep with a failing scenario must panic");
+        let msg = payload_message(&*caught);
+        assert!(
+            msg.contains("scenario 1") && msg.contains("no flows"),
+            "unhelpful panic message: {msg}"
+        );
+    }
+
+    #[test]
+    fn earliest_failing_scenario_wins() {
+        let mut scenarios: Vec<Scenario> = (0..4).map(tiny).collect();
+        scenarios[0].flows.clear();
+        scenarios[2].flows.clear();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            test_engine().run_all_jobs(&scenarios, 4)
+        }))
+        .expect_err("sweep must panic");
+        let msg = payload_message(&*caught);
+        assert!(
+            msg.contains("scenario 0"),
+            "expected scenario 0 first: {msg}"
+        );
+    }
+
+    #[test]
+    fn sweep_survives_a_failing_scenario() {
+        // Scenario 1 is invalid (no flows): the sweep must record a
+        // structured failure at index 1 and still run the other two.
+        let mut scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
+        scenarios[1].flows.clear();
+        let cfg = SweepConfig {
+            jobs: Some(2),
+            ..SweepConfig::default()
+        };
+        let outcomes = test_engine()
+            .run_sweep(&scenarios, &cfg)
+            .expect("sweep runs");
+        assert_eq!(outcomes.len(), 3);
+        assert!(outcomes[0].ok().is_some());
+        assert!(outcomes[2].ok().is_some());
+        let failure = outcomes[1].failure().expect("scenario 1 must fail");
+        assert_eq!(failure.index, 1);
+        assert!(
+            failure.error.contains("no flows"),
+            "unhelpful error: {}",
+            failure.error
+        );
+        assert!(failure.context.contains("0 flows"));
+    }
+
+    #[test]
+    fn sweep_event_budget_fails_soft() {
+        // 1000 events is far too few for a 3-second trial: the budget
+        // trips and is reported as a structured failure, not a panic.
+        let scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
+        let cfg = SweepConfig {
+            jobs: Some(2),
+            event_budget: Some(1_000),
+            ..SweepConfig::default()
+        };
+        let outcomes = test_engine()
+            .run_sweep(&scenarios, &cfg)
+            .expect("sweep runs");
+        for o in &outcomes {
+            let f = o.failure().expect("budget must trip");
+            assert!(
+                f.error.contains("event budget"),
+                "unhelpful error: {}",
+                f.error
+            );
+        }
+    }
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bbrdom-engine-{name}-{}", std::process::id()));

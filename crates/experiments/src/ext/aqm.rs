@@ -14,11 +14,11 @@
 //! and shifting the NE mix relative to drop-tail.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
-use crate::payoff::{default_epsilon_mbps, measure_payoffs_with_discipline};
+use crate::payoff::{default_epsilon_mbps, measure_payoffs};
 use crate::profile::Profile;
-use crate::runner;
-use crate::scenario::{DisciplineSpec, Scenario};
+use crate::scenario::{DisciplineSpec, FaultSpec, Scenario};
 use bbrdom_cca::CcaKind;
 
 pub const MBPS: f64 = 50.0;
@@ -33,7 +33,7 @@ pub fn buffer_sweep(profile: &Profile) -> Vec<f64> {
     profile.thin(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let buffers = buffer_sweep(profile);
 
     // Part 1: 1v1 split per discipline and buffer.
@@ -69,7 +69,7 @@ pub fn run(profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut idx = 0;
     let mut codel_delay = Vec::new();
     let mut droptail_delay = Vec::new();
@@ -112,7 +112,8 @@ pub fn run(profile: &Profile) -> FigResult {
     );
     let eps = default_epsilon_mbps(MBPS, n);
     for d in DISCIPLINES {
-        let m = measure_payoffs_with_discipline(
+        let m = measure_payoffs(
+            engine,
             MBPS,
             RTT_MS,
             buffer,
@@ -121,6 +122,7 @@ pub fn run(profile: &Profile) -> FigResult {
             profile,
             0xA1_0000,
             d,
+            &FaultSpec::default(),
         );
         let observed = m.observed_ne_cubic_counts(eps);
         ne_table.push_row(vec![
@@ -160,7 +162,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_both_tables() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables.len(), 2);
         assert!(!r.tables[0].rows.is_empty());
         assert_eq!(r.tables[1].rows.len(), 3);

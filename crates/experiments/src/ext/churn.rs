@@ -19,10 +19,10 @@
 //! long flows' standing queue.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
-use crate::payoff::{default_epsilon_mbps, measure_payoffs_with};
+use crate::payoff::{default_epsilon_mbps, measure_payoffs};
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::{DisciplineSpec, FaultSpec, Scenario, WorkloadSpec};
 use bbrdom_cca::CcaKind;
 use bbrdom_netsim::hash::{StableHash, StableHasher};
@@ -59,7 +59,7 @@ pub fn trial_seed(case: usize, t: u32) -> u64 {
     h.finish() as u64
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let cases = churn_levels();
 
     // Part 1: the 1v1 split and the workload's FCT tail per churn level.
@@ -97,7 +97,7 @@ pub fn run(profile: &Profile) -> FigResult {
             );
         }
     }
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut notes = Vec::new();
     let mut quiet_bbr = None;
     let mut busy_bbr = None;
@@ -169,7 +169,8 @@ pub fn run(profile: &Profile) -> FigResult {
     ] {
         let mut p = *profile;
         p.workload = wl;
-        let m = measure_payoffs_with(
+        let m = measure_payoffs(
+            engine,
             MBPS,
             RTT_MS,
             BUFFER_BDP,
@@ -242,7 +243,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_both_tables() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables.len(), 2);
         assert_eq!(r.tables[0].rows.len(), churn_levels().len());
         assert_eq!(r.tables[1].rows.len(), 2);

@@ -14,14 +14,15 @@
 //! tilts the split toward BBR and pulls the NE toward all-BBR —
 //! strengthening the paper's BBR-dominance conclusion on impaired paths.
 //!
-//! The sweep runs fail-soft ([`runner::run_sweep`]): a trial that dies
+//! The sweep runs fail-soft ([`Engine::run_sweep`]): a trial that dies
 //! degrades to a reported error row instead of killing the experiment.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
-use crate::payoff::{default_epsilon_mbps, measure_payoffs_with};
+use crate::payoff::{default_epsilon_mbps, measure_payoffs};
 use crate::profile::Profile;
-use crate::runner::{self, SweepConfig};
+use crate::runner::{SweepConfig, TrialOutcome};
 use crate::scenario::{DisciplineSpec, FaultSpec, Scenario};
 use bbrdom_cca::CcaKind;
 
@@ -91,7 +92,7 @@ pub fn impairments(profile: &Profile) -> Vec<(String, FaultSpec)> {
     cases
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let cases = impairments(profile);
 
     // Part 1: the 1v1 split per impairment, fail-soft.
@@ -126,7 +127,8 @@ pub fn run(profile: &Profile) -> FigResult {
     profile.apply_workload(&mut scenarios);
     // The only sweep-level error is a failed supervisor bring-up;
     // surface it like any other figure failure.
-    let outcomes = runner::run_sweep(&scenarios, &SweepConfig::default())
+    let outcomes = engine
+        .run_sweep(&scenarios, &SweepConfig::default())
         .unwrap_or_else(|e| panic!("fault sweep failed: {e}"));
     let mut notes = Vec::new();
     let mut bbr_clean = 0.0;
@@ -140,13 +142,13 @@ pub fn run(profile: &Profile) -> FigResult {
         for t in 0..profile.trials {
             let idx = case_idx * profile.trials as usize + t as usize;
             match &outcomes[idx] {
-                runner::TrialOutcome::Ok(r) => {
+                TrialOutcome::Ok(r) => {
                     bbr.push(r.mean_throughput_of("bbr").unwrap_or(0.0));
                     cubic.push(r.mean_throughput_of("cubic").unwrap_or(0.0));
                     qd.push(r.avg_queuing_delay_ms);
                     drops += r.dropped_packets;
                 }
-                runner::TrialOutcome::Failed(f) => {
+                TrialOutcome::Failed(f) => {
                     notes.push(format!("'{label}' trial {t} failed: {}", f.error));
                 }
             }
@@ -194,7 +196,8 @@ pub fn run(profile: &Profile) -> FigResult {
             },
         ),
     ] {
-        let m = measure_payoffs_with(
+        let m = measure_payoffs(
+            engine,
             MBPS,
             RTT_MS,
             BUFFER_BDP,
@@ -240,7 +243,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_both_tables() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables.len(), 2);
         // One row per impairment case (none may silently vanish).
         assert_eq!(r.tables[0].rows.len(), impairments(&Profile::smoke()).len());

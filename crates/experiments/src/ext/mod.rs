@@ -23,6 +23,7 @@ pub mod shortflows;
 pub mod ternary;
 pub mod utility;
 
+use crate::engine::Engine;
 use crate::figs::FigResult;
 use crate::profile::Profile;
 
@@ -38,15 +39,15 @@ pub const ALL_EXTENSIONS: [&str; 7] = [
 ];
 
 /// Run an extension experiment by id.
-pub fn run_extension(id: &str, profile: &Profile) -> Option<FigResult> {
+pub fn run_extension(id: &str, engine: &Engine, profile: &Profile) -> Option<FigResult> {
     match id {
-        "ext-aqm" => Some(aqm::run(profile)),
-        "ext-ternary" => Some(ternary::run(profile)),
-        "ext-shortflows" => Some(shortflows::run(profile)),
-        "ext-utility" => Some(utility::run(profile)),
-        "ext-faults" => Some(faults::run(profile)),
-        "ext-churn" => Some(churn::run(profile)),
-        "ext-parkinglot" => Some(parkinglot::run(profile)),
+        "ext-aqm" => Some(aqm::run(engine, profile)),
+        "ext-ternary" => Some(ternary::run(engine, profile)),
+        "ext-shortflows" => Some(shortflows::run(engine, profile)),
+        "ext-utility" => Some(utility::run(engine, profile)),
+        "ext-faults" => Some(faults::run(engine, profile)),
+        "ext-churn" => Some(churn::run(engine, profile)),
+        "ext-parkinglot" => Some(parkinglot::run(engine, profile)),
         _ => None,
     }
 }
@@ -57,6 +58,8 @@ mod tests {
 
     #[test]
     fn unknown_extension_is_none() {
-        assert!(run_extension("ext-nope", &Profile::smoke()).is_none());
+        assert!(
+            run_extension("ext-nope", &crate::engine::test_engine(), &Profile::smoke()).is_none()
+        );
     }
 }

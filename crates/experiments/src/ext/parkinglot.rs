@@ -23,10 +23,11 @@
 //! bottlenecks *accelerate* the paper's drift toward BBR dominance.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::payoff::{default_epsilon_mbps, measure_payoffs, measure_payoffs_from};
 use crate::profile::Profile;
-use crate::scenario::{FlowSpec, Scenario, TopologySpec};
+use crate::scenario::{DisciplineSpec, FaultSpec, FlowSpec, Scenario, TopologySpec};
 use bbrdom_cca::CcaKind;
 use bbrdom_netsim::hash::{StableHash, StableHasher};
 
@@ -81,13 +82,13 @@ pub fn chain_scenario(hops: u32, n: u32, k: u32, duration_secs: f64, seed: u64) 
     s.with_topology(Some(topo))
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let hops = profile.parkinglot_hops.max(2);
     let n = (profile.ne_flows / 2).max(4);
     let trials = profile.ne_trials.max(1);
 
     // Part 1: the long flows' payoff curves over the chain.
-    let chain = measure_payoffs_from(n, CcaKind::Bbr, trials, |k, t| {
+    let chain = measure_payoffs_from(engine, n, CcaKind::Bbr, trials, |k, t| {
         chain_scenario(hops, n, k, profile.duration_secs, trial_seed(k, t))
     });
     let mean = chain.mean_curves();
@@ -116,6 +117,7 @@ pub fn run(profile: &Profile) -> FigResult {
     // Part 2: the observed NE mix, dumbbell vs parking lot.
     let eps = default_epsilon_mbps(MBPS, n);
     let dumbbell = measure_payoffs(
+        engine,
         MBPS,
         RTT_MS,
         BUFFER_BDP,
@@ -123,6 +125,8 @@ pub fn run(profile: &Profile) -> FigResult {
         CcaKind::Bbr,
         profile,
         DUMBBELL_SEED,
+        DisciplineSpec::DropTail,
+        &FaultSpec::default(),
     );
     let fmt_ne = |ne: &[u32]| {
         ne.iter()
@@ -194,7 +198,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_both_tables() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables.len(), 2);
         // n = max(6/2, 4) = 4 long flows -> 5 payoff rows.
         assert_eq!(r.tables[0].rows.len(), 5);

@@ -14,9 +14,9 @@
 //! throughput equilibrium logic is untouched.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::{BackendSpec, DisciplineSpec, FaultSpec, FlowSpec, Scenario};
 use bbrdom_cca::CcaKind;
 use bbrdom_netsim::hash::{StableHash, StableHasher};
@@ -95,7 +95,7 @@ pub fn mean_fct(result: &crate::scenario::TrialResult) -> Option<f64> {
     }
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let n_long = (profile.ne_flows / 2).clamp(4, 10);
     let duration = profile.duration_secs.max(15.0);
     let mut table = Table::new(
@@ -120,7 +120,7 @@ pub fn run(profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut idx = 0;
     let mut fct_all_cubic = None;
     let mut fct_all_bbr = None;
@@ -213,7 +213,7 @@ mod tests {
     fn smoke_run_covers_every_mix() {
         let mut p = Profile::smoke();
         p.duration_secs = 9.0;
-        let r = run(&p);
+        let r = run(&crate::engine::test_engine(), &p);
         let n_long = (p.ne_flows / 2).clamp(4, 10);
         assert_eq!(r.tables[0].rows.len(), n_long as usize + 1);
     }

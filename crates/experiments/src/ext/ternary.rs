@@ -12,9 +12,9 @@
 //! sweeps the board), with BBRv2 displacing some of both.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::{BackendSpec, DisciplineSpec, FaultSpec, FlowSpec, Scenario};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::game::multistrategy::MultiStrategyGame;
@@ -55,7 +55,7 @@ pub type PayoffOracle = Box<dyn Fn(&[u32]) -> Vec<f64>>;
 pub type MeasuredGame = (MultiStrategyGame<PayoffOracle>, Vec<Vec<u32>>);
 
 /// Measure all compositions and build the payoff oracle.
-pub fn measure_game(n: u32, profile: &Profile) -> MeasuredGame {
+pub fn measure_game(engine: &Engine, n: u32, profile: &Profile) -> MeasuredGame {
     // Enumerate compositions via a scratch game (payoffs unused).
     let scratch = MultiStrategyGame::new(n, 3, |_: &[u32]| vec![0.0; 3]);
     let states = scratch.states();
@@ -65,7 +65,7 @@ pub fn measure_game(n: u32, profile: &Profile) -> MeasuredGame {
         .map(|(i, st)| scenario_for(st, profile.duration_secs, 0xE3_0000 + i as u64 * 89))
         .collect();
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut payoffs: HashMap<Vec<u32>, Vec<f64>> = HashMap::new();
     for (state, result) in states.iter().zip(&results) {
         let per_strategy: Vec<f64> = STRATEGIES
@@ -81,9 +81,9 @@ pub fn measure_game(n: u32, profile: &Profile) -> MeasuredGame {
     (game, states)
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let n = (profile.ne_flows / 2).clamp(4, 12);
-    let (game, states) = measure_game(n, profile);
+    let (game, states) = measure_game(engine, n, profile);
 
     let mut table = Table::new(
         format!(
@@ -144,7 +144,7 @@ mod tests {
     fn smoke_game_measures_all_compositions() {
         let mut p = Profile::smoke();
         p.duration_secs = 5.0;
-        let (game, states) = measure_game(4, &p);
+        let (game, states) = measure_game(&crate::engine::test_engine(), 4, &p);
         assert_eq!(states.len(), 15); // C(6,2)
                                       // Every state's oracle answers without panicking.
         for st in &states {

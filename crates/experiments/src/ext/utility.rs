@@ -18,9 +18,11 @@
 //! games; see `game::symmetric`).
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::payoff::measure_payoffs;
 use crate::profile::Profile;
+use crate::scenario::{DisciplineSpec, FaultSpec};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::game::symmetric::SymmetricGame;
 
@@ -30,12 +32,23 @@ pub const BUFFER_BDP: f64 = 2.0;
 /// Delay weights, in Mbps per second of queuing delay.
 pub const WEIGHTS: [f64; 5] = [0.0, 50.0, 200.0, 1000.0, 5000.0];
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let n = (profile.ne_flows / 2).clamp(4, 10);
     let mut p = *profile;
     p.ne_trials = profile.trials;
-    let curves =
-        measure_payoffs(MBPS, RTT_MS, BUFFER_BDP, n, CcaKind::Bbr, &p, 0xE4_0000).mean_curves();
+    let curves = measure_payoffs(
+        engine,
+        MBPS,
+        RTT_MS,
+        BUFFER_BDP,
+        n,
+        CcaKind::Bbr,
+        &p,
+        0xE4_0000,
+        DisciplineSpec::DropTail,
+        &FaultSpec::default(),
+    )
+    .mean_curves();
 
     let mut table = Table::new(
         format!(
@@ -92,7 +105,7 @@ mod tests {
 
     #[test]
     fn smoke_run_has_row_per_weight() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables[0].rows.len(), WEIGHTS.len());
         assert!(!r.notes.is_empty());
     }

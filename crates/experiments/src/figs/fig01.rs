@@ -6,9 +6,9 @@
 //! ≥30% from reality in shallow/moderate buffers.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::Scenario;
 use bbrdom_cca::CcaKind;
 use bbrdom_core::model::ware::WareModel;
@@ -23,7 +23,7 @@ pub fn buffer_sweep(profile: &Profile) -> Vec<f64> {
     profile.thin(full)
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let buffers = buffer_sweep(profile);
     let mut table = Table::new(
         format!("Fig 1: BBR share, 1 CUBIC vs 1 BBR, {MBPS} Mbps, {RTT_MS} ms"),
@@ -47,7 +47,7 @@ pub fn run(profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
 
     let mut max_ware_err: f64 = 0.0;
     for (bi, &b) in buffers.iter().enumerate() {
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_table() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables.len(), 1);
         assert_eq!(
             r.tables[0].rows.len(),

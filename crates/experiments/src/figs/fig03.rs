@@ -7,9 +7,9 @@
 //! in shallow buffers.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::Scenario;
 use bbrdom_cca::CcaKind;
 use bbrdom_core::model::two_flow::TwoFlowModel;
@@ -25,7 +25,7 @@ pub fn buffer_sweep(profile: &Profile) -> Vec<f64> {
 }
 
 /// Data for one panel; exposed so benches/tests can run a single panel.
-pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile) -> (Table, f64) {
+pub fn run_panel(engine: &Engine, mbps: f64, rtt_ms: f64, profile: &Profile) -> (Table, f64) {
     let buffers = buffer_sweep(profile);
     let mut table = Table::new(
         format!("Fig 3: model vs actual, {mbps} Mbps, {rtt_ms} ms"),
@@ -57,7 +57,7 @@ pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile) -> (Table, f64) {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut errs = Vec::new();
     for (bi, &b) in buffers.iter().enumerate() {
         let trials: Vec<f64> = (0..profile.trials as usize)
@@ -93,11 +93,11 @@ pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile) -> (Table, f64) {
     (table, mean(&errs))
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let mut tables = Vec::new();
     let mut notes = Vec::new();
     for (mbps, rtt_ms) in PANELS {
-        let (table, mean_err) = run_panel(mbps, rtt_ms, profile);
+        let (table, mean_err) = run_panel(engine, mbps, rtt_ms, profile);
         // Deep buffers need runs much longer than one CUBIC epoch
         // (K ≈ 25 s at 30 BDP/80 ms) to reach steady state; short-profile
         // errors there measure the transient, not the model. Report the
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn one_panel_smoke() {
-        let (table, err) = run_panel(50.0, 40.0, &Profile::smoke());
+        let (table, err) = run_panel(&crate::engine::test_engine(), 50.0, 40.0, &Profile::smoke());
         assert!(!table.rows.is_empty());
         // Even the smoke profile should land in the right ballpark.
         assert!(err.is_finite());

@@ -9,9 +9,9 @@
 //! traces that CUBIC was indeed not synchronized in these runs.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::Scenario;
 use crate::sync::synchronization_index;
 use bbrdom_cca::CcaKind;
@@ -29,7 +29,7 @@ pub fn buffer_sweep(profile: &Profile) -> Vec<f64> {
     profile.thin(full)
 }
 
-pub fn run_panel(n_cubic: u32, n_bbr: u32, profile: &Profile) -> (Table, f64) {
+pub fn run_panel(engine: &Engine, n_cubic: u32, n_bbr: u32, profile: &Profile) -> (Table, f64) {
     let buffers = buffer_sweep(profile);
     let mut table = Table::new(
         format!("Fig 4: {n_cubic} CUBIC vs {n_bbr} BBR, {MBPS} Mbps, {RTT_MS} ms"),
@@ -58,7 +58,7 @@ pub fn run_panel(n_cubic: u32, n_bbr: u32, profile: &Profile) -> (Table, f64) {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut inside = 0usize;
     let mut total = 0usize;
     for (bi, &b) in buffers.iter().enumerate() {
@@ -116,11 +116,11 @@ pub fn run_panel(n_cubic: u32, n_bbr: u32, profile: &Profile) -> (Table, f64) {
     (table, frac)
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let mut tables = Vec::new();
     let mut notes = Vec::new();
     for (nc, nb) in PANELS {
-        let (t, frac) = run_panel(nc, nb, profile);
+        let (t, frac) = run_panel(engine, nc, nb, profile);
         notes.push(format!(
             "{nc}v{nb}: {:.0}% of measured points inside the predicted region (±15% slack)",
             frac * 100.0
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn smoke_panel_has_band_ordering() {
-        let (table, _) = run_panel(2, 2, &Profile::smoke());
+        let (table, _) = run_panel(&crate::engine::test_engine(), 2, 2, &Profile::smoke());
         for row in &table.rows {
             let sync: f64 = row[2].parse().unwrap();
             let desync: f64 = row[3].parse().unwrap();

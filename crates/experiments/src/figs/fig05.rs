@@ -7,9 +7,11 @@
 //! drives the whole Nash-equilibrium argument.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
 use crate::payoff::measure_payoffs;
 use crate::profile::Profile;
+use crate::scenario::{DisciplineSpec, FaultSpec};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::model::multi_flow::{MultiFlowModel, SyncMode};
 
@@ -18,7 +20,7 @@ pub const RTT_MS: f64 = 40.0;
 /// The four panels: (total flows, buffer in BDP).
 pub const PANELS: [(u32, f64); 4] = [(10, 3.0), (20, 3.0), (10, 10.0), (20, 10.0)];
 
-pub fn run_panel(n: u32, buffer_bdp: f64, profile: &Profile) -> (Table, bool) {
+pub fn run_panel(engine: &Engine, n: u32, buffer_bdp: f64, profile: &Profile) -> (Table, bool) {
     let mut table = Table::new(
         format!("Fig 5: {n} flows, {buffer_bdp} BDP buffer, {MBPS} Mbps, {RTT_MS} ms"),
         &[
@@ -32,7 +34,18 @@ pub fn run_panel(n: u32, buffer_bdp: f64, profile: &Profile) -> (Table, bool) {
     // Use the payoff machinery but with `profile.trials` trials.
     let mut p = *profile;
     p.ne_trials = profile.trials;
-    let measured = measure_payoffs(MBPS, RTT_MS, buffer_bdp, n, CcaKind::Bbr, &p, 0x0505);
+    let measured = measure_payoffs(
+        engine,
+        MBPS,
+        RTT_MS,
+        buffer_bdp,
+        n,
+        CcaKind::Bbr,
+        &p,
+        0x0505,
+        DisciplineSpec::DropTail,
+        &FaultSpec::default(),
+    );
     let curves = measured.mean_curves();
     let fair = MBPS / n as f64;
     let mut per_flow: Vec<f64> = Vec::new();
@@ -58,14 +71,14 @@ pub fn run_panel(n: u32, buffer_bdp: f64, profile: &Profile) -> (Table, bool) {
     (table, head > tail)
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let mut tables = Vec::new();
     let mut notes = Vec::new();
     for (n, b) in PANELS {
         // Scale panel size down with cheap profiles (smoke runs 4+ flows;
         // quick/full keep the paper's 10/20).
         let n = n.min(profile.ne_flows.max(4));
-        let (t, diminishing) = run_panel(n, b, profile);
+        let (t, diminishing) = run_panel(engine, n, b, profile);
         notes.push(format!(
             "{n} flows @ {b} BDP: diminishing returns {}",
             if diminishing { "CONFIRMED" } else { "NOT seen" }
@@ -85,7 +98,7 @@ mod tests {
 
     #[test]
     fn smoke_panel_rows_cover_all_counts() {
-        let (table, _) = run_panel(4, 3.0, &Profile::smoke());
+        let (table, _) = run_panel(&crate::engine::test_engine(), 4, 3.0, &Profile::smoke());
         assert_eq!(table.rows.len(), 4);
     }
 }

@@ -9,9 +9,11 @@
 //! (positive left of the crossing, negative right of it).
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::payoff::{default_epsilon_mbps, measure_payoffs};
 use crate::profile::Profile;
+use crate::scenario::{DisciplineSpec, FaultSpec};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::model::multi_flow::SyncMode;
 use bbrdom_core::model::nash::NashPredictor;
@@ -21,7 +23,7 @@ pub const RTT_MS: f64 = 40.0;
 pub const BUFFER_BDP: f64 = 3.0;
 pub const N: u32 = 10;
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let n = N.min(profile.ne_flows);
     let predictor = NashPredictor::from_paper_units(MBPS, RTT_MS, BUFFER_BDP, n);
     let fair = predictor.fair_share() * 8.0 / 1e6;
@@ -39,7 +41,18 @@ pub fn run(profile: &Profile) -> FigResult {
 
     let mut p = *profile;
     p.ne_trials = profile.trials;
-    let measured = measure_payoffs(MBPS, RTT_MS, BUFFER_BDP, n, CcaKind::Bbr, &p, 0x0606);
+    let measured = measure_payoffs(
+        engine,
+        MBPS,
+        RTT_MS,
+        BUFFER_BDP,
+        n,
+        CcaKind::Bbr,
+        &p,
+        0x0606,
+        DisciplineSpec::DropTail,
+        &FaultSpec::default(),
+    );
     let curves = measured.mean_curves();
 
     let model_curve = predictor
@@ -85,7 +98,7 @@ mod tests {
 
     #[test]
     fn smoke_run_has_rows_for_every_bbr_count() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         // n is clamped to the profile's ne_flows.
         let n = N.min(Profile::smoke().ne_flows);
         assert_eq!(r.tables[0].rows.len(), n as usize);

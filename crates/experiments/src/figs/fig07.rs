@@ -7,9 +7,11 @@
 //! (so a mixed NE must exist); Copa stays below fair share everywhere.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::payoff::measure_payoffs;
 use crate::profile::Profile;
+use crate::scenario::{DisciplineSpec, FaultSpec};
 use bbrdom_cca::CcaKind;
 
 pub const MBPS: f64 = 100.0;
@@ -17,7 +19,7 @@ pub const RTT_MS: f64 = 40.0;
 pub const BUFFER_BDP: f64 = 2.0;
 pub const N: u32 = 10;
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let n = N.min(profile.ne_flows);
     let fair = MBPS / n as f64;
     let mut table = Table::new(
@@ -30,9 +32,20 @@ pub fn run(profile: &Profile) -> FigResult {
     let curves: Vec<Vec<f64>> = challengers
         .iter()
         .map(|&x| {
-            measure_payoffs(MBPS, RTT_MS, BUFFER_BDP, n, x, &p, 0x0707)
-                .mean_curves()
-                .x_per_flow
+            measure_payoffs(
+                engine,
+                MBPS,
+                RTT_MS,
+                BUFFER_BDP,
+                n,
+                x,
+                &p,
+                0x0707,
+                DisciplineSpec::DropTail,
+                &FaultSpec::default(),
+            )
+            .mean_curves()
+            .x_per_flow
         })
         .collect();
     #[allow(clippy::needless_range_loop)] // k is data (col 1), not just an index
@@ -73,7 +86,7 @@ mod tests {
 
     #[test]
     fn smoke_table_has_all_challengers() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables[0].columns.len(), 6);
         assert_eq!(r.notes.len(), 4);
     }

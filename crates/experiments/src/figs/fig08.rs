@@ -9,9 +9,11 @@
 //! (§4.3's argument for simple utility functions).
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::payoff::measure_payoffs;
 use crate::profile::Profile;
+use crate::scenario::{DisciplineSpec, FaultSpec};
 use bbrdom_cca::CcaKind;
 
 pub const MBPS: f64 = 100.0;
@@ -19,11 +21,22 @@ pub const RTT_MS: f64 = 40.0;
 pub const BUFFER_BDP: f64 = 2.0;
 pub const N: u32 = 10;
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let n = N.min(profile.ne_flows);
     let mut p = *profile;
     p.ne_trials = profile.trials;
-    let measured = measure_payoffs(MBPS, RTT_MS, BUFFER_BDP, n, CcaKind::Bbr, &p, 0x0808);
+    let measured = measure_payoffs(
+        engine,
+        MBPS,
+        RTT_MS,
+        BUFFER_BDP,
+        n,
+        CcaKind::Bbr,
+        &p,
+        0x0808,
+        DisciplineSpec::DropTail,
+        &FaultSpec::default(),
+    );
     let curves = measured.mean_curves();
 
     let mut tp = Table::new(
@@ -72,7 +85,7 @@ mod tests {
 
     #[test]
     fn smoke_produces_two_panels() {
-        let r = run(&Profile::smoke());
+        let r = run(&crate::engine::test_engine(), &Profile::smoke());
         assert_eq!(r.tables.len(), 2);
         let n = N.min(Profile::smoke().ne_flows) as usize;
         assert_eq!(r.tables[0].rows.len(), n + 1);

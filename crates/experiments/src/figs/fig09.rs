@@ -12,9 +12,11 @@
 //!   normalized by BDP (it depends on neither C nor RTT individually).
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::payoff::{default_epsilon_mbps, measure_payoffs};
 use crate::profile::Profile;
+use crate::scenario::{DisciplineSpec, FaultSpec};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::model::multi_flow::SyncMode;
 use bbrdom_core::model::nash::NashPredictor;
@@ -35,7 +37,13 @@ pub fn buffer_sweep(profile: &Profile) -> Vec<f64> {
 }
 
 /// One panel: per buffer size, the model band and the observed NE set.
-pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile, challenger: CcaKind) -> Table {
+pub fn run_panel(
+    engine: &Engine,
+    mbps: f64,
+    rtt_ms: f64,
+    profile: &Profile,
+    challenger: CcaKind,
+) -> Table {
     let n = profile.ne_flows;
     let buffers = buffer_sweep(profile);
     let mut table = Table::new(
@@ -67,6 +75,7 @@ pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile, challenger: CcaKind)
             // certify equilibria near the Eq. (25) crossing (dense
             // fallback inside when model and measurement disagree).
             crate::adaptive::find_ne_adaptive(
+                engine,
                 mbps,
                 rtt_ms,
                 b,
@@ -74,13 +83,24 @@ pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile, challenger: CcaKind)
                 challenger,
                 profile,
                 seed,
-                crate::scenario::DisciplineSpec::DropTail,
-                &crate::scenario::FaultSpec::default(),
+                DisciplineSpec::DropTail,
+                &FaultSpec::default(),
             )
             .ne_cubic
         } else {
-            measure_payoffs(mbps, rtt_ms, b, n, challenger, profile, seed)
-                .observed_ne_cubic_counts(eps)
+            measure_payoffs(
+                engine,
+                mbps,
+                rtt_ms,
+                b,
+                n,
+                challenger,
+                profile,
+                seed,
+                DisciplineSpec::DropTail,
+                &FaultSpec::default(),
+            )
+            .observed_ne_cubic_counts(eps)
         };
         let observed_str = observed
             .iter()
@@ -97,10 +117,10 @@ pub fn run_panel(mbps: f64, rtt_ms: f64, profile: &Profile, challenger: CcaKind)
     table
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let mut tables = Vec::new();
     for (mbps, rtt_ms) in PANELS {
-        tables.push(run_panel(mbps, rtt_ms, profile, CcaKind::Bbr));
+        tables.push(run_panel(engine, mbps, rtt_ms, profile, CcaKind::Bbr));
     }
     // BDP-invariance note: the model columns must agree across panels.
     let invariant = {
@@ -133,7 +153,13 @@ mod tests {
 
     #[test]
     fn smoke_panel_runs() {
-        let t = run_panel(50.0, 20.0, &Profile::smoke(), CcaKind::Bbr);
+        let t = run_panel(
+            &crate::engine::test_engine(),
+            50.0,
+            20.0,
+            &Profile::smoke(),
+            CcaKind::Bbr,
+        );
         assert!(!t.rows.is_empty());
         // Observed NE column is a ;-separated list, possibly empty.
         for row in &t.rows {
@@ -143,12 +169,13 @@ mod tests {
 
     #[test]
     fn adaptive_smoke_panel_matches_dense_shape() {
-        let dense = run_panel(50.0, 20.0, &Profile::smoke(), CcaKind::Bbr);
+        let engine = crate::engine::test_engine();
+        let dense = run_panel(&engine, 50.0, 20.0, &Profile::smoke(), CcaKind::Bbr);
         let adaptive_profile = Profile {
             adaptive: true,
             ..Profile::smoke()
         };
-        let adaptive = run_panel(50.0, 20.0, &adaptive_profile, CcaKind::Bbr);
+        let adaptive = run_panel(&engine, 50.0, 20.0, &adaptive_profile, CcaKind::Bbr);
         assert_eq!(adaptive.rows.len(), dense.rows.len());
         // Model columns are identical; only the observed column may
         // differ (and then only within the certification tolerance).

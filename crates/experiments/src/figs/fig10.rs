@@ -13,9 +13,9 @@
 //!   CCAs favour short RTTs; BBR favours long RTTs).
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::{BackendSpec, FlowSpec, Scenario};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::game::multigroup::{GroupPayoffs, MultiGroupGame};
@@ -69,7 +69,11 @@ fn scenario_for_state(
 
 /// Measure per-group payoffs for every state at one buffer size, then
 /// enumerate the equilibria.
-pub fn find_equilibria(buffer_bdp: f64, profile: &Profile) -> (Vec<Vec<u32>>, u32) {
+pub fn find_equilibria(
+    engine: &Engine,
+    buffer_bdp: f64,
+    profile: &Profile,
+) -> (Vec<Vec<u32>>, u32) {
     let g = group_size(profile);
     let n_states = ((g + 1) as usize).pow(3);
     // Enumerate states and build scenarios.
@@ -95,7 +99,7 @@ pub fn find_equilibria(buffer_bdp: f64, profile: &Profile) -> (Vec<Vec<u32>>, u3
         })
         .collect();
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
 
     // Per-state, per-group mean throughput of each algorithm. Flows are
     // laid out group-major: group gi occupies [gi*g, (gi+1)*g), CUBIC
@@ -134,7 +138,7 @@ pub fn find_equilibria(buffer_bdp: f64, profile: &Profile) -> (Vec<Vec<u32>>, u3
     (game.nash_equilibria(), g)
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let buffers = buffer_sweep(profile);
     let mut table = Table::new(
         format!(
@@ -153,7 +157,7 @@ pub fn run(profile: &Profile) -> FigResult {
     let mut all_have_ne = true;
     let mut ordering_holds = true;
     for &b in &buffers {
-        let (nes, g) = find_equilibria(b, profile);
+        let (nes, g) = find_equilibria(engine, b, profile);
         all_have_ne &= !nes.is_empty();
         for ne in &nes {
             // Paper's ordering: CUBIC concentrates at short RTTs, i.e.

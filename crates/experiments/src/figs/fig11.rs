@@ -9,6 +9,7 @@
 
 use super::fig09;
 use super::FigResult;
+use crate::engine::Engine;
 use crate::profile::Profile;
 use bbrdom_cca::CcaKind;
 
@@ -16,11 +17,11 @@ use bbrdom_cca::CcaKind;
 pub const SPEEDS: [f64; 2] = [50.0, 100.0];
 pub const RTTS_MS: [f64; 3] = [20.0, 40.0, 80.0];
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let mut tables = Vec::new();
     for mbps in SPEEDS {
         for rtt in RTTS_MS {
-            let mut t = fig09::run_panel(mbps, rtt, profile, CcaKind::BbrV2);
+            let mut t = fig09::run_panel(engine, mbps, rtt, profile, CcaKind::BbrV2);
             t.title = format!(
                 "Fig 11: #CUBIC at NE with BBRv2, {} flows, {mbps} Mbps, {rtt} ms",
                 profile.ne_flows

@@ -10,9 +10,9 @@
 //! partially limited, and not limited.
 
 use super::FigResult;
+use crate::engine::Engine;
 use crate::output::{mean, Table};
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::Scenario;
 use bbrdom_cca::CcaKind;
 use bbrdom_core::model::two_flow::TwoFlowModel;
@@ -29,7 +29,7 @@ pub fn buffer_sweep(profile: &Profile) -> Vec<f64> {
     profile.thin(full)
 }
 
-pub fn run(profile: &Profile) -> FigResult {
+pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
     let buffers = buffer_sweep(profile);
     let mut table = Table::new(
         format!("Fig 12: ultra-deep buffers, 1v1, {MBPS} Mbps, {RTT_MS} ms"),
@@ -56,7 +56,7 @@ pub fn run(profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let results = runner::run_all(&scenarios);
+    let results = engine.run_all(&scenarios);
     let mut overestimates_deep = 0usize;
     let mut deep_points = 0usize;
     for (bi, &b) in buffers.iter().enumerate() {

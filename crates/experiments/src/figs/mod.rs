@@ -14,8 +14,9 @@
 //! | [`fig11`] | Fig. 11a–b | BBRv2 Nash equilibria vs. BBR-predicted region |
 //! | [`fig12`] | Fig. 12 | Model failure in ultra-deep buffers |
 //!
-//! Each module exposes `run(profile, out_dir) -> FigResult`; the tables
-//! are printed by the `repro` binary and written as CSV.
+//! Each module exposes `run(engine, profile) -> FigResult`, simulating on
+//! the engine it is given; the tables are printed by the `repro` binary
+//! and written as CSV.
 
 pub mod fig01;
 pub mod fig03;
@@ -29,6 +30,7 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 
+use crate::engine::Engine;
 use crate::output::Table;
 use crate::profile::Profile;
 use std::path::Path;
@@ -76,19 +78,19 @@ pub const ALL_FIGURES: [&str; 11] = [
 ];
 
 /// Run a figure by id.
-pub fn run_figure(id: &str, profile: &Profile) -> Option<FigResult> {
+pub fn run_figure(id: &str, engine: &Engine, profile: &Profile) -> Option<FigResult> {
     match id {
-        "fig01" | "1" => Some(fig01::run(profile)),
-        "fig03" | "3" => Some(fig03::run(profile)),
-        "fig04" | "4" => Some(fig04::run(profile)),
-        "fig05" | "5" => Some(fig05::run(profile)),
-        "fig06" | "6" => Some(fig06::run(profile)),
-        "fig07" | "7" => Some(fig07::run(profile)),
-        "fig08" | "8" => Some(fig08::run(profile)),
-        "fig09" | "9" => Some(fig09::run(profile)),
-        "fig10" | "10" => Some(fig10::run(profile)),
-        "fig11" | "11" => Some(fig11::run(profile)),
-        "fig12" | "12" => Some(fig12::run(profile)),
+        "fig01" | "1" => Some(fig01::run(engine, profile)),
+        "fig03" | "3" => Some(fig03::run(engine, profile)),
+        "fig04" | "4" => Some(fig04::run(engine, profile)),
+        "fig05" | "5" => Some(fig05::run(engine, profile)),
+        "fig06" | "6" => Some(fig06::run(engine, profile)),
+        "fig07" | "7" => Some(fig07::run(engine, profile)),
+        "fig08" | "8" => Some(fig08::run(engine, profile)),
+        "fig09" | "9" => Some(fig09::run(engine, profile)),
+        "fig10" | "10" => Some(fig10::run(engine, profile)),
+        "fig11" | "11" => Some(fig11::run(engine, profile)),
+        "fig12" | "12" => Some(fig12::run(engine, profile)),
         _ => None,
     }
 }
@@ -99,7 +101,7 @@ mod tests {
 
     #[test]
     fn unknown_figure_is_none() {
-        assert!(run_figure("fig99", &Profile::smoke()).is_none());
+        assert!(run_figure("fig99", &crate::engine::test_engine(), &Profile::smoke()).is_none());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! * [`scenario`] — declarative experiment specs → simulator runs;
 //! * [`engine`] — the parallel worker-pool engine with a
-//!   content-addressed scenario result cache (`--jobs` / `BBRDOM_JOBS`);
-//! * [`runner`] — the batch-execution façade over the engine;
+//!   content-addressed scenario result cache; every figure, extension
+//!   and payoff sweep takes the engine it runs on as an argument;
+//! * [`runner`] — the fail-soft sweep types ([`runner::SweepConfig`],
+//!   [`runner::TrialOutcome`]) of [`Engine::run_sweep`];
 //! * [`supervisor`] — crash-safe multi-process sharding
 //!   (`repro --supervise N`): worker isolation, heartbeat watchdog,
 //!   retry/backoff, and scenario quarantine;
@@ -54,7 +56,7 @@ pub mod store;
 pub mod supervisor;
 pub mod sync;
 
-pub use adaptive::{find_ne_adaptive, find_ne_adaptive_on, AdaptiveNe, NeOracle};
+pub use adaptive::{find_ne_adaptive, AdaptiveNe, NeOracle};
 pub use engine::{scenario_hash, scenario_hash_hex, CacheStats, Engine, EngineConfig};
 pub use profile::Profile;
 pub use scenario::{

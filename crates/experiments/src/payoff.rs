@@ -9,7 +9,6 @@
 
 use crate::engine::Engine;
 use crate::profile::Profile;
-use crate::runner;
 use crate::scenario::{DisciplineSpec, EarlyStopSpec, FaultSpec, Scenario, TrialResult};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::game::symmetric::{SymmetricGame, SymmetricNe};
@@ -97,61 +96,15 @@ impl PayoffMeasurement {
 }
 
 /// Measure payoff curves for every distribution of `n` flows between
-/// CUBIC and `challenger` (Fig. 5/7/8/9 workhorse).
+/// CUBIC and `challenger` (Fig. 5/7/8/9 workhorse), under a bottleneck
+/// discipline and path impairments (`ext-aqm`, `ext-faults`).
 ///
-/// Runs `profile.ne_trials` trials × `n + 1` distributions, fanned out in
-/// parallel, and reduces to per-trial curves.
+/// Runs `profile.ne_trials` trials × `n + 1` distributions as one batch
+/// on `engine` and reduces to per-trial curves: exactly
+/// [`measure_payoffs_at_on`] over every distribution.
+#[allow(clippy::too_many_arguments)]
 pub fn measure_payoffs(
-    mbps: f64,
-    rtt_ms: f64,
-    buffer_bdp: f64,
-    n: u32,
-    challenger: CcaKind,
-    profile: &Profile,
-    base_seed: u64,
-) -> PayoffMeasurement {
-    measure_payoffs_with_discipline(
-        mbps,
-        rtt_ms,
-        buffer_bdp,
-        n,
-        challenger,
-        profile,
-        base_seed,
-        DisciplineSpec::DropTail,
-    )
-}
-
-/// [`measure_payoffs`] under an arbitrary bottleneck discipline (used by
-/// the `ext-aqm` experiment).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_payoffs_with_discipline(
-    mbps: f64,
-    rtt_ms: f64,
-    buffer_bdp: f64,
-    n: u32,
-    challenger: CcaKind,
-    profile: &Profile,
-    base_seed: u64,
-    discipline: DisciplineSpec,
-) -> PayoffMeasurement {
-    measure_payoffs_with(
-        mbps,
-        rtt_ms,
-        buffer_bdp,
-        n,
-        challenger,
-        profile,
-        base_seed,
-        discipline,
-        &FaultSpec::default(),
-    )
-}
-
-/// [`measure_payoffs`] under an arbitrary discipline *and* path
-/// impairments (used by the `ext-faults` experiment).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_payoffs_with(
+    engine: &Engine,
     mbps: f64,
     rtt_ms: f64,
     buffer_bdp: f64,
@@ -162,44 +115,11 @@ pub fn measure_payoffs_with(
     discipline: DisciplineSpec,
     faults: &FaultSpec,
 ) -> PayoffMeasurement {
-    let trials = profile.ne_trials.max(1);
-    let mut scenarios = Vec::with_capacity(((n + 1) * trials) as usize);
-    for trial in 0..trials {
-        for k in 0..=n {
-            scenarios.push(distribution_scenario(
-                mbps, rtt_ms, buffer_bdp, n, k, trial, challenger, profile, base_seed, discipline,
-                faults,
-            ));
-        }
-    }
-    let results = runner::run_all(&scenarios);
-    let challenger_name = challenger.name().to_string();
-    let mut out = PayoffMeasurement {
-        mbps,
-        rtt_ms,
-        buffer_bdp,
-        trials: Vec::with_capacity(trials as usize),
-    };
-    for trial in 0..trials {
-        let mut x = vec![0.0; n as usize + 1];
-        let mut c = vec![0.0; n as usize + 1];
-        let mut q = vec![0.0; n as usize + 1];
-        for k in 0..=n {
-            let idx = (trial * (n + 1) + k) as usize;
-            let r: &TrialResult = &results[idx];
-            x[k as usize] = r.mean_throughput_of(&challenger_name).unwrap_or(0.0);
-            c[k as usize] = r.mean_throughput_of("cubic").unwrap_or(0.0);
-            q[k as usize] = r.avg_queuing_delay_ms;
-        }
-        out.trials.push(PayoffCurves {
-            n,
-            challenger: challenger_name.clone(),
-            x_per_flow: x,
-            cubic_per_flow: c,
-            queuing_delay_ms: q,
-        });
-    }
-    out
+    let ks: Vec<u32> = (0..=n).collect();
+    measure_payoffs_at_on(
+        engine, mbps, rtt_ms, buffer_bdp, n, &ks, challenger, profile, base_seed, discipline,
+        faults,
+    )
 }
 
 /// The scenario for one distribution cell `(trial, k)` of an NE grid.
@@ -256,57 +176,33 @@ pub fn distribution_scenario(
 /// traffic: they shape the network but are excluded from the payoffs
 /// (the per-flow means use [`TrialResult::mean_throughput_of_first`]).
 pub fn measure_payoffs_from(
+    engine: &Engine,
     n: u32,
     challenger: CcaKind,
     trials: u32,
     build: impl Fn(u32, u32) -> Scenario,
 ) -> PayoffMeasurement {
     let trials = trials.max(1);
-    let mut scenarios = Vec::with_capacity(((n + 1) * trials) as usize);
+    let ks: Vec<u32> = (0..=n).collect();
+    let mut scenarios = Vec::with_capacity(ks.len() * trials as usize);
     for trial in 0..trials {
-        for k in 0..=n {
+        for &k in &ks {
             scenarios.push(build(k, trial));
         }
     }
-    let results = runner::run_all(&scenarios);
-    let challenger_name = challenger.name().to_string();
-    let mut out = PayoffMeasurement {
+    let results = engine.run_all(&scenarios);
+    PayoffMeasurement {
         mbps: scenarios[0].mbps,
         rtt_ms: scenarios[0].reference_rtt_ms,
         buffer_bdp: scenarios[0].buffer_bdp,
-        trials: Vec::with_capacity(trials as usize),
-    };
-    for trial in 0..trials {
-        let mut x = vec![0.0; n as usize + 1];
-        let mut c = vec![0.0; n as usize + 1];
-        let mut q = vec![0.0; n as usize + 1];
-        for k in 0..=n {
-            let idx = (trial * (n + 1) + k) as usize;
-            let r: &TrialResult = &results[idx];
-            x[k as usize] = r
-                .mean_throughput_of_first(n as usize, &challenger_name)
-                .unwrap_or(0.0);
-            c[k as usize] = r
-                .mean_throughput_of_first(n as usize, "cubic")
-                .unwrap_or(0.0);
-            q[k as usize] = r.avg_queuing_delay_ms;
-        }
-        out.trials.push(PayoffCurves {
-            n,
-            challenger: challenger_name.clone(),
-            x_per_flow: x,
-            cubic_per_flow: c,
-            queuing_delay_ms: q,
-        });
+        trials: trial_curves(&results, n, &ks, trials, challenger),
     }
-    out
 }
 
-/// Measure payoffs at a *subset* `ks` of the distributions, on an
-/// explicit engine — the adaptive NE search's workhorse. Unevaluated
-/// entries of the returned curves are `NaN`, so any consumer that reads
-/// a cell the search never simulated fails loudly instead of treating
-/// it as a measured zero.
+/// Measure payoffs at a *subset* `ks` of the distributions — the
+/// adaptive NE search's workhorse. Unevaluated entries of the returned
+/// curves are `NaN`, so any consumer that reads a cell the search never
+/// simulated fails loudly instead of treating it as a measured zero.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_payoffs_at_on(
     engine: &Engine,
@@ -333,33 +229,52 @@ pub fn measure_payoffs_at_on(
         }
     }
     let results = engine.run_all(&scenarios);
-    let challenger_name = challenger.name().to_string();
-    let mut out = PayoffMeasurement {
+    PayoffMeasurement {
         mbps,
         rtt_ms,
         buffer_bdp,
-        trials: Vec::with_capacity(trials as usize),
-    };
-    for trial in 0..trials {
-        let mut x = vec![f64::NAN; n as usize + 1];
-        let mut c = vec![f64::NAN; n as usize + 1];
-        let mut q = vec![f64::NAN; n as usize + 1];
-        for (pos, &k) in ks.iter().enumerate() {
-            let idx = trial as usize * ks.len() + pos;
-            let r: &TrialResult = &results[idx];
-            x[k as usize] = r.mean_throughput_of(&challenger_name).unwrap_or(0.0);
-            c[k as usize] = r.mean_throughput_of("cubic").unwrap_or(0.0);
-            q[k as usize] = r.avg_queuing_delay_ms;
-        }
-        out.trials.push(PayoffCurves {
-            n,
-            challenger: challenger_name.clone(),
-            x_per_flow: x,
-            cubic_per_flow: c,
-            queuing_delay_ms: q,
-        });
+        trials: trial_curves(&results, n, ks, trials, challenger),
     }
-    out
+}
+
+/// Reduce a trial-major batch (`trials` × `ks`) to per-trial curves.
+/// Payoffs average over the first `n` flows of each cell, the game's
+/// own players: cross traffic appended after them is excluded, and on a
+/// [`Scenario::versus`] cell, whose report lists exactly its `n` static
+/// flows, this is the plain per-CCA mean. Entries for distributions
+/// outside `ks` stay `NaN`.
+fn trial_curves(
+    results: &[TrialResult],
+    n: u32,
+    ks: &[u32],
+    trials: u32,
+    challenger: CcaKind,
+) -> Vec<PayoffCurves> {
+    let challenger_name = challenger.name();
+    (0..trials as usize)
+        .map(|trial| {
+            let mut x = vec![f64::NAN; n as usize + 1];
+            let mut c = vec![f64::NAN; n as usize + 1];
+            let mut q = vec![f64::NAN; n as usize + 1];
+            for (pos, &k) in ks.iter().enumerate() {
+                let r = &results[trial * ks.len() + pos];
+                x[k as usize] = r
+                    .mean_throughput_of_first(n as usize, challenger_name)
+                    .unwrap_or(0.0);
+                c[k as usize] = r
+                    .mean_throughput_of_first(n as usize, "cubic")
+                    .unwrap_or(0.0);
+                q[k as usize] = r.avg_queuing_delay_ms;
+            }
+            PayoffCurves {
+                n,
+                challenger: challenger_name.to_string(),
+                x_per_flow: x,
+                cubic_per_flow: c,
+                queuing_delay_ms: q,
+            }
+        })
+        .collect()
 }
 
 /// Default NE tolerance: switches must gain more than 2% of fair share
@@ -376,7 +291,41 @@ mod tests {
     fn tiny_measurement() -> PayoffMeasurement {
         // 4 flows, smoke profile: fast but end-to-end real.
         let profile = Profile::smoke();
-        measure_payoffs(20.0, 20.0, 2.0, 4, CcaKind::Bbr, &profile, 99)
+        measure_payoffs(
+            &crate::engine::test_engine(),
+            20.0,
+            20.0,
+            2.0,
+            4,
+            CcaKind::Bbr,
+            &profile,
+            99,
+            DisciplineSpec::DropTail,
+            &FaultSpec::default(),
+        )
+    }
+
+    /// The shared reduction averages over the first `n` flows. On a
+    /// versus cell that is bit for bit the all-flow mean, even under
+    /// churn: a report lists only the static flows, never workload ones.
+    #[test]
+    fn first_n_mean_is_the_plain_mean_on_versus_cells() {
+        let r = Scenario::versus(10.0, 20.0, 2.0, 2, CcaKind::Bbr, 2, 3.0, 5)
+            .with_workload(Some(crate::scenario::WorkloadSpec::poisson_fixed(
+                CcaKind::Cubic,
+                20.0,
+                30_000,
+                20.0,
+            )))
+            .run();
+        assert!(r.workload_spawned > 0);
+        assert_eq!(r.cc_names.len(), 4);
+        for name in ["bbr", "cubic"] {
+            assert_eq!(
+                r.mean_throughput_of_first(4, name).map(f64::to_bits),
+                r.mean_throughput_of(name).map(f64::to_bits),
+            );
+        }
     }
 
     #[test]

@@ -3,10 +3,14 @@
 
 use bbrdom::cca::CcaKind;
 use bbrdom::experiments::ext::{run_extension, ALL_EXTENSIONS};
-use bbrdom::experiments::{DisciplineSpec, Profile, Scenario};
+use bbrdom::experiments::{DisciplineSpec, Engine, EngineConfig, Profile, Scenario};
 
 fn smoke() -> Profile {
     Profile::smoke()
+}
+
+fn engine() -> Engine {
+    Engine::new(EngineConfig::serial_uncached())
 }
 
 #[test]
@@ -38,7 +42,7 @@ fn red_produces_early_drops() {
 fn ternary_game_measures_and_enumerates() {
     let mut p = smoke();
     p.duration_secs = 6.0;
-    let (game, states) = bbrdom::experiments::ext::ternary::measure_game(4, &p);
+    let (game, states) = bbrdom::experiments::ext::ternary::measure_game(&engine(), 4, &p);
     assert_eq!(states.len(), 15);
     // The oracle answers for every state; NE enumeration runs.
     let _ = game.nash_equilibria();
@@ -46,7 +50,7 @@ fn ternary_game_measures_and_enumerates() {
 
 #[test]
 fn utility_extension_reports_ne_for_every_weight() {
-    let r = run_extension("ext-utility", &smoke()).unwrap();
+    let r = run_extension("ext-utility", &engine(), &smoke()).unwrap();
     assert_eq!(r.id, "ext-utility");
     for row in &r.tables[0].rows {
         assert!(
@@ -61,7 +65,7 @@ fn utility_extension_reports_ne_for_every_weight() {
 #[ignore = "heavier: full extension suite; run via `repro ext`"]
 fn all_extensions_run_end_to_end() {
     for id in ALL_EXTENSIONS {
-        let r = run_extension(id, &smoke()).unwrap_or_else(|| panic!("{id} missing"));
+        let r = run_extension(id, &engine(), &smoke()).unwrap_or_else(|| panic!("{id} missing"));
         assert!(!r.tables.is_empty(), "{id}: no tables");
     }
 }

@@ -6,14 +6,19 @@
 //! `#[ignore]` for the default test run and exercised by `repro`/benches.
 
 use bbrdom::experiments::figs::{run_figure, ALL_FIGURES};
-use bbrdom::experiments::Profile;
+use bbrdom::experiments::{Engine, EngineConfig, Profile};
 
 fn smoke() -> Profile {
     Profile::smoke()
 }
 
+fn engine() -> Engine {
+    Engine::new(EngineConfig::serial_uncached())
+}
+
 fn check(id: &str) {
-    let result = run_figure(id, &smoke()).unwrap_or_else(|| panic!("unknown figure {id}"));
+    let result =
+        run_figure(id, &engine(), &smoke()).unwrap_or_else(|| panic!("unknown figure {id}"));
     assert_eq!(result.id, id);
     assert!(!result.tables.is_empty(), "{id}: no tables");
     for t in &result.tables {
@@ -83,8 +88,44 @@ fn fig12_smoke() {
     check("fig12");
 }
 
+/// The engine's configuration is invisible in a figure's output: fig05
+/// on a serial uncached engine, on a two-worker engine with a cold disk
+/// cache and the result store, and on a second such engine over the now
+/// warm cache writes byte-identical CSVs, and the warm pass simulates
+/// nothing.
+#[test]
+fn engine_config_is_invisible_in_figure_output() {
+    let csvs = |engine: &Engine| -> Vec<String> {
+        run_figure("fig05", engine, &smoke())
+            .expect("fig05 exists")
+            .tables
+            .iter()
+            .map(|t| t.to_csv())
+            .collect()
+    };
+    let cache =
+        std::env::temp_dir().join(format!("bbrdom-figures-smoke-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    let cached = || {
+        Engine::new(EngineConfig {
+            jobs: 2,
+            disk_cache: Some(cache.clone()),
+            memory_cache: true,
+            supervise: None,
+            result_store: true,
+        })
+    };
+
+    let serial = csvs(&engine());
+    assert_eq!(csvs(&cached()), serial, "cold parallel cached run differs");
+    let warm = cached();
+    assert_eq!(csvs(&warm), serial, "warm cached run differs");
+    assert_eq!(warm.stats().simulated, 0, "warm run simulated a cell");
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
 #[test]
 fn unknown_figure_rejected() {
-    assert!(run_figure("fig02", &smoke()).is_none());
+    assert!(run_figure("fig02", &engine(), &smoke()).is_none());
     assert_eq!(ALL_FIGURES.len(), 11);
 }

@@ -3,7 +3,7 @@
 //! ordering.
 
 use bbrdom::experiments::figs::fig10;
-use bbrdom::experiments::Profile;
+use bbrdom::experiments::{Engine, EngineConfig, Profile};
 
 fn tiny_profile() -> Profile {
     let mut p = Profile::smoke();
@@ -14,7 +14,11 @@ fn tiny_profile() -> Profile {
 
 #[test]
 fn multi_rtt_equilibria_exist() {
-    let (nes, g) = fig10::find_equilibria(4.0, &tiny_profile());
+    let (nes, g) = fig10::find_equilibria(
+        &Engine::new(EngineConfig::serial_uncached()),
+        4.0,
+        &tiny_profile(),
+    );
     assert!(g >= 2);
     assert!(
         !nes.is_empty(),

@@ -3,8 +3,8 @@
 //! the §4.4 methodology at test scale.
 
 use bbrdom::cca::CcaKind;
-use bbrdom::experiments::payoff::{default_epsilon_mbps, measure_payoffs};
-use bbrdom::experiments::Profile;
+use bbrdom::experiments::payoff::{default_epsilon_mbps, measure_payoffs, PayoffMeasurement};
+use bbrdom::experiments::{DisciplineSpec, Engine, EngineConfig, FaultSpec, Profile};
 use bbrdom::game::dynamics::{best_response_dynamics, BestResponseOutcome};
 use bbrdom::model::multi_flow::SyncMode;
 use bbrdom::model::nash::NashPredictor;
@@ -13,16 +13,29 @@ const MBPS: f64 = 40.0;
 const RTT_MS: f64 = 30.0;
 const N: u32 = 6;
 
-fn profile() -> Profile {
-    let mut p = Profile::smoke();
-    p.duration_secs = 20.0;
-    p.ne_trials = 1;
-    p
+/// The §4.4 payoff grid of `N` flows at one buffer size, on a serial
+/// uncached engine.
+fn measure(buffer_bdp: f64, seed: u64) -> PayoffMeasurement {
+    let mut profile = Profile::smoke();
+    profile.duration_secs = 20.0;
+    profile.ne_trials = 1;
+    measure_payoffs(
+        &Engine::new(EngineConfig::serial_uncached()),
+        MBPS,
+        RTT_MS,
+        buffer_bdp,
+        N,
+        CcaKind::Bbr,
+        &profile,
+        seed,
+        DisciplineSpec::DropTail,
+        &FaultSpec::default(),
+    )
 }
 
 #[test]
 fn empirical_ne_exists_and_is_mixed_in_shallow_buffer() {
-    let m = measure_payoffs(MBPS, RTT_MS, 2.0, N, CcaKind::Bbr, &profile(), 0xAA);
+    let m = measure(2.0, 0xAA);
     let eps = default_epsilon_mbps(MBPS, N);
     let ne = m.observed_ne_cubic_counts(eps);
     assert!(!ne.is_empty(), "an NE must exist (finite symmetric game)");
@@ -37,7 +50,7 @@ fn empirical_ne_exists_and_is_mixed_in_shallow_buffer() {
 #[test]
 fn empirical_ne_not_far_from_model_region() {
     let buffer = 5.0;
-    let m = measure_payoffs(MBPS, RTT_MS, buffer, N, CcaKind::Bbr, &profile(), 0xBB);
+    let m = measure(buffer, 0xBB);
     let eps = default_epsilon_mbps(MBPS, N);
     let ne = m.observed_ne_cubic_counts(eps);
     assert!(!ne.is_empty());
@@ -54,7 +67,7 @@ fn empirical_ne_not_far_from_model_region() {
 
 #[test]
 fn best_response_dynamics_converge_on_measured_game() {
-    let m = measure_payoffs(MBPS, RTT_MS, 3.0, N, CcaKind::Bbr, &profile(), 0xCC);
+    let m = measure(3.0, 0xCC);
     let eps = default_epsilon_mbps(MBPS, N);
     let game = m.mean_curves().to_game(eps);
     for start in [0, N / 2, N] {
