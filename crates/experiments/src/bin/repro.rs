@@ -338,7 +338,7 @@ fn usage() -> String {
          \x20     --no-early-stop (fixed horizon, default)\n\
          engine: --jobs N (or BBRDOM_JOBS; default: all cores)\n\
          \x20        --no-cache (always re-simulate)  --cache-dir DIR (default: <out>/cache)\n\
-         \x20        --no-store (bypass the indexed result store; full-report cache only)\n\
+         \x20        --no-store (bypass the indexed result store; read each cell's cache entry)\n\
          \x20        --supervise N (shard sweeps across N crash-isolated worker processes;\n\
          \x20          --jobs then means threads per worker, default cores/N)\n\
          \x20        --watchdog SECS (supervised stall limit before a worker is killed;\n\
@@ -397,7 +397,7 @@ fn query_usage() -> String {
     "usage: repro query [--cache-dir DIR] [FILTERS] [OUTPUT]\n\
      \n\
      Search the indexed result store (<cache>/index.jsonl) without opening\n\
-     a single full report. Filters AND together:\n\
+     a single cache entry. Filters AND together:\n\
      \x20 --cca MIX        flow mix: 'bbr' (present, any count) or exact 'cubic:4+bbr:2'\n\
      \x20 --mbps X --rtt MS --buffer BDP   bottleneck capacity / base RTT / buffer size\n\
      \x20 --n N            total flow count      --seed N   trial seed\n\
@@ -678,7 +678,7 @@ fn query_subcommand() -> ExitCode {
 }
 
 /// `repro index rebuild [--cache-dir DIR]` — backfill the index by
-/// scanning every cache entry (tolerant of corrupt/pre-store entries).
+/// scanning every cache entry (corrupt and older-format entries are skipped).
 fn index_subcommand() -> ExitCode {
     let mut cache_dir = default_cache_dir();
     let mut args = std::env::args().skip(2);
@@ -708,12 +708,11 @@ fn index_subcommand() -> ExitCode {
     match Store::rebuild(&cache_dir) {
         Ok((store, stats)) => {
             println!(
-                "rebuilt {}: {} entries indexed from {} cache files ({} corrupt skipped, {} without scenario params)",
+                "rebuilt {}: {} entries indexed from {} cache files ({} unreadable (corrupt or older format) skipped)",
                 cache_dir.join("index.jsonl").display(),
                 store.len(),
                 stats.scanned,
                 stats.corrupt,
-                stats.no_scenario,
             );
             ExitCode::SUCCESS
         }

@@ -14,7 +14,7 @@
 //!   retry/backoff, and scenario quarantine;
 //! * [`store`] — the indexed result store over the cache: content hash
 //!   → scenario params + extracted metrics, so warm figure assembly and
-//!   `repro query` skip both simulation and full-report parsing;
+//!   `repro query` skip both simulation and a file read per cell;
 //! * [`payoff`] — empirical payoff curves over all `n + 1` CUBIC/X splits
 //!   and the §4.4 Nash-equilibrium search;
 //! * [`adaptive`] — the two-tier adaptive NE search (`--adaptive`):

@@ -1443,7 +1443,11 @@ impl TrialResult {
                     self.completion_times_secs
                         .iter()
                         .map(|c| match c {
-                            Some(t) => Value::F64(*t),
+                            Some(t) if t.is_finite() => Value::F64(*t),
+                            // `null` means "never completed": a non-finite
+                            // time must not read back as that, so it is
+                            // written as a value the reader rejects.
+                            Some(_) => Value::Str("non-finite".into()),
                             None => Value::Null,
                         })
                         .collect(),

@@ -1,9 +1,11 @@
 //! End-to-end tests for the indexed result store.
 //!
 //! The contract under test: a warm store serves whole batches with zero
-//! simulations AND zero full-report parses, byte-identical to both the
-//! simulated and the disk-parse paths; the index survives torn tails
-//! and rebuilds from the cache alone; a supervised sweep produces a
+//! simulations AND zero cache-entry reads, byte-identical to both the
+//! simulated and the disk-hit paths; a cache entry is byte for byte its
+//! cell's index line, so the index rebuilds from the cache alone to the
+//! engine's own lines, and an entry of the older full-report layout is
+//! a miss; the index survives torn tails; a supervised sweep produces a
 //! byte-identical index to a serial one (the parent is the single
 //! writer); and opening a store sweeps orphaned tmp files without
 //! touching live writers or published entries.
@@ -71,9 +73,9 @@ fn figure_csv(scenarios: &[Scenario], results: &[TrialResult]) -> String {
 }
 
 /// The pinned byte-identity contract: a warm store answers the whole
-/// batch with zero simulations and zero full-report parses, and the
+/// batch with zero simulations and zero cache-entry reads, and the
 /// figure output it produces is byte-identical to the simulated path
-/// AND the disk-parse path.
+/// AND the disk-hit path.
 #[test]
 fn warm_store_serves_batches_with_zero_sims_and_zero_parses() {
     let dir = temp_dir("identity");
@@ -91,10 +93,10 @@ fn warm_store_serves_batches_with_zero_sims_and_zero_parses() {
     let from_store = store_engine.run_all(&scenarios);
     let s = store_engine.stats();
     assert_eq!(s.simulated, 0, "warm store must simulate nothing");
-    assert_eq!(s.disk_hits, 0, "warm store must parse no full reports");
+    assert_eq!(s.disk_hits, 0, "warm store must read no cache entries");
     assert_eq!(s.store_hits, 6);
 
-    // Warm disk cache with the store disabled: the old parse path.
+    // Warm disk cache with the store disabled: one entry read per cell.
     let parse_engine = engine(&cache, false, false);
     let from_parse = parse_engine.run_all(&scenarios);
     assert_eq!(parse_engine.stats().disk_hits, 6);
@@ -249,7 +251,7 @@ fn store_open_sweeps_orphan_tmps_without_touching_entries() {
 
 /// `repro index rebuild`'s scanner: backfills the index from cache
 /// entries alone, skipping corrupt or key-mismatched files as misses,
-/// and the rebuilt index serves batches with zero parses.
+/// and the rebuilt index serves batches with zero entry reads.
 #[test]
 fn rebuild_backfills_from_cache_and_tolerates_corruption() {
     let dir = temp_dir("rebuild");
@@ -271,7 +273,6 @@ fn rebuild_backfills_from_cache_and_tolerates_corruption() {
     assert_eq!(stats.scanned, 7);
     assert_eq!(stats.indexed, 5);
     assert_eq!(stats.corrupt, 2);
-    assert_eq!(stats.no_scenario, 0);
     assert_eq!(store.len(), 5);
 
     // The rebuilt index serves the whole batch without re-parsing.
@@ -287,5 +288,90 @@ fn rebuild_backfills_from_cache_and_tolerates_corruption() {
     Store::rebuild(&cache).expect("rebuild again");
     let second = std::fs::read(cache.join(INDEX_FILE)).unwrap();
     assert_eq!(first, second);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn entry_path(cache: &Path, s: &Scenario) -> PathBuf {
+    cache.join(format!("{:032x}.json", scenario_hash(s)))
+}
+
+/// One record format: after a cold run with the store on, every cache
+/// entry is byte for byte its cell's index line, and `Store::rebuild`
+/// over the entries alone reproduces the engine's index, sorted by key.
+#[test]
+fn cache_entries_are_index_lines_and_rebuild_reproduces_the_index() {
+    let dir = temp_dir("one-format");
+    let cache = dir.join("cache");
+    let scenarios = batch(6);
+    engine(&cache, true, true).run_all(&scenarios);
+
+    let written = std::fs::read_to_string(cache.join(INDEX_FILE)).expect("engine index");
+    assert_eq!(written.lines().count(), scenarios.len());
+    for (s, line) in scenarios.iter().zip(written.lines()) {
+        let entry = std::fs::read_to_string(entry_path(&cache, s)).expect("cache entry");
+        assert_eq!(entry, line, "a cache entry must be its index line");
+    }
+
+    let mut sorted: Vec<&str> = written.lines().collect();
+    sorted.sort_by_key(|line| {
+        bbrdom_experiments::store::StoreEntry::from_json_line(line)
+            .expect("index line parses")
+            .key
+    });
+    let (_, stats) = Store::rebuild(&cache).expect("rebuild scans");
+    assert_eq!((stats.scanned, stats.indexed, stats.corrupt), (6, 6, 0));
+    let rebuilt = std::fs::read_to_string(cache.join(INDEX_FILE)).unwrap();
+    assert_eq!(
+        rebuilt.lines().collect::<Vec<_>>(),
+        sorted,
+        "rebuild must reproduce the engine's index lines, sorted by key"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache entry layout written before entries became index lines:
+/// `{version, key, scenario, report}` with the full `SimReport`.
+fn write_full_report_entry(cache: &Path, s: &Scenario) {
+    use bbrdom_netsim::json::Value;
+    let report = s.try_report_with(None, None).expect("scenario runs");
+    let mut v = Value::object();
+    v.set("version", Value::U64(1))
+        .set("key", format!("{:032x}", scenario_hash(s)).as_str().into())
+        .set("scenario", s.to_json_value())
+        .set("report", report.to_json_value());
+    std::fs::create_dir_all(cache).unwrap();
+    std::fs::write(entry_path(cache, s), v.to_json()).unwrap();
+}
+
+/// An entry in the older full-report layout is a miss, never a panic:
+/// the engine re-simulates it to a bit-identical result (and rewrites
+/// it as an index line), and `Store::rebuild` skips it.
+#[test]
+fn full_report_entries_of_the_older_layout_are_misses() {
+    let dir = temp_dir("old-layout");
+    let cache = dir.join("cache");
+    let scenarios = batch(2);
+    for s in &scenarios {
+        write_full_report_entry(&cache, s);
+    }
+
+    let (store, stats) = Store::rebuild(&cache).expect("rebuild scans");
+    assert_eq!((stats.scanned, stats.indexed, stats.corrupt), (2, 0, 2));
+    assert!(store.is_empty());
+
+    let fresh = Engine::new(EngineConfig::serial_uncached()).run_all(&scenarios);
+    let reader = engine(&cache, false, false);
+    let results = reader.run_all(&scenarios);
+    assert_eq!(reader.stats().disk_hits, 0, "an old entry must miss");
+    assert_eq!(reader.stats().simulated, 2);
+    assert_eq!(fingerprints(&results), fingerprints(&fresh));
+
+    // The re-simulation rewrote both entries in the current layout.
+    let warm = engine(&cache, false, false);
+    assert_eq!(
+        fingerprints(&warm.run_all(&scenarios)),
+        fingerprints(&fresh)
+    );
+    assert_eq!(warm.stats().disk_hits, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
