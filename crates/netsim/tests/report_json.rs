@@ -1,7 +1,9 @@
-//! `SimReport` JSON round-trip: the scenario result cache persists full
-//! simulator reports to disk, so serialize → parse → serialize must be
-//! the identity (bit-exact floats included) for reports with every
-//! optional feature exercised: traces, drops, wire loss, finite flows.
+//! `SimReport` JSON round-trip: the DES goldens and full-report digests
+//! compare simulator reports by their JSON, so serialize → parse →
+//! serialize must be the identity (bit-exact floats included) for
+//! reports with every optional feature exercised: traces, drops, wire
+//! loss, finite flows. The parser must also reject torn or corrupted
+//! report text without panicking.
 
 use bbrdom_netsim::cc::FixedWindow;
 use bbrdom_netsim::json;
@@ -10,10 +12,14 @@ use bbrdom_netsim::{
 };
 
 fn busy_report() -> SimReport {
+    busy_report_for(3.0)
+}
+
+fn busy_report_for(secs: f64) -> SimReport {
     let rate = Rate::from_mbps(10.0);
     let rtt = SimDuration::from_millis(20);
     let buf = bbrdom_netsim::units::buffer_bytes(rate, rtt, 0.5);
-    let cfg = SimConfig::new(rate, buf, SimDuration::from_secs_f64(3.0))
+    let cfg = SimConfig::new(rate, buf, SimDuration::from_secs_f64(secs))
         .with_trace(SimDuration::from_millis(250))
         .with_faults(FaultSchedule::none().with_loss(0.01).with_seed(7));
     let mut sim = Simulator::new(cfg);
@@ -136,4 +142,58 @@ fn sim_report_parse_rejects_malformed_input() {
         map.remove("queue");
     }
     assert!(SimReport::from_json_value(&missing).is_err());
+}
+
+/// The text of a short busy run (drops, trace, wire loss), small enough
+/// to feed every prefix of it to the parser.
+fn hostile_sample() -> String {
+    let report = busy_report_for(0.5);
+    assert!(report.queue.dropped_packets > 0, "want drops in the sample");
+    assert!(!report.trace.is_empty(), "want trace samples in the sample");
+    report.to_json_value().to_json()
+}
+
+/// Whether `text` parses as a report. Must not panic, whatever the bytes.
+fn reads_as_report(text: &str) -> bool {
+    json::parse(text).is_ok_and(|v| SimReport::from_json_value(&v).is_ok())
+}
+
+/// Torn writes: every prefix of a valid report is rejected without a
+/// panic, and the whole report is accepted.
+#[test]
+fn sim_report_parse_rejects_every_prefix() {
+    let text = hostile_sample();
+    assert!(reads_as_report(&text));
+    for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        assert!(
+            !reads_as_report(&text[..end]),
+            "prefix of {end} bytes accepted"
+        );
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes: arbitrary input never panics the report parser.
+    #[test]
+    fn sim_report_parse_survives_arbitrary_bytes(
+        bytes in proptest::prelude::prop::collection::vec(0u8..=255, 0..512),
+    ) {
+        reads_as_report(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Corrupted reports: random bytes spliced into a valid report reach
+    /// the parser's field checks, not just the tokenizer.
+    #[test]
+    fn sim_report_parse_survives_corrupted_reports(
+        at in 0.0f64..1.0,
+        junk in proptest::prelude::prop::collection::vec(0u8..=255, 1..8),
+    ) {
+        let mut bytes = hostile_sample().into_bytes();
+        let at = (at * bytes.len() as f64) as usize;
+        let end = (at + junk.len()).min(bytes.len());
+        bytes.splice(at..end, junk);
+        reads_as_report(&String::from_utf8_lossy(&bytes));
+    }
 }
