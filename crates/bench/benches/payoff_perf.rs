@@ -96,7 +96,7 @@ fn main() {
             disk_cache: Some(cache_dir.clone()),
             memory_cache: false,
             supervise: None,
-            result_store: false,
+            result_store: true,
         })
     };
     with_cache().run_all(&scenarios);

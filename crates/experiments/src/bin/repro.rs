@@ -10,8 +10,7 @@
 //! repro list                # what's available
 //!
 //! repro query --cca bbr --mbps 10        # query the indexed result store
-//! repro index rebuild                    # backfill the index from the cache
-//! repro cache stats                      # cache size and index coverage
+//! repro cache stats                      # index entry counts and size
 //! ```
 
 use bbrdom_cca::CcaKind;
@@ -32,7 +31,6 @@ struct Args {
     out_dir: PathBuf,
     jobs: Option<usize>,
     no_cache: bool,
-    no_store: bool,
     cache_dir: Option<PathBuf>,
     supervise: Option<usize>,
     watchdog_secs: Option<f64>,
@@ -118,7 +116,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out_dir = PathBuf::from("results");
     let mut jobs = None;
     let mut no_cache = false;
-    let mut no_store = false;
     let mut cache_dir = None;
     let mut supervise = None;
     let mut watchdog_secs = None;
@@ -144,7 +141,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--no-cache" => no_cache = true,
-            "--no-store" => no_store = true,
             "--supervise" => {
                 supervise = Some(
                     args.next()
@@ -313,7 +309,6 @@ fn parse_args() -> Result<Args, String> {
         out_dir,
         jobs,
         no_cache,
-        no_store,
         cache_dir,
         supervise,
         watchdog_secs,
@@ -338,14 +333,12 @@ fn usage() -> String {
          \x20     --no-early-stop (fixed horizon, default)\n\
          engine: --jobs N (or BBRDOM_JOBS; default: all cores)\n\
          \x20        --no-cache (always re-simulate)  --cache-dir DIR (default: <out>/cache)\n\
-         \x20        --no-store (bypass the indexed result store; read each cell's cache entry)\n\
          \x20        --supervise N (shard sweeps across N crash-isolated worker processes;\n\
          \x20          --jobs then means threads per worker, default cores/N)\n\
          \x20        --watchdog SECS (supervised stall limit before a worker is killed;\n\
          \x20          default scales with the profile: ~30s smoke, 120s quick, 480s full)\n\
          store:  repro query [FILTERS] (search the indexed result store; see repro query -h)\n\
-         \x20        repro index rebuild [--cache-dir DIR] (backfill the index from the cache)\n\
-         \x20        repro cache stats [--cache-dir DIR] (entry count, bytes, index coverage)\n",
+         \x20        repro cache stats [--cache-dir DIR] (index entry counts and bytes)\n",
         ALL_FIGURES.join(" "),
         ALL_EXTENSIONS.join(" ")
     )
@@ -396,8 +389,8 @@ fn default_cache_dir() -> PathBuf {
 fn query_usage() -> String {
     "usage: repro query [--cache-dir DIR] [FILTERS] [OUTPUT]\n\
      \n\
-     Search the indexed result store (<cache>/index.jsonl) without opening\n\
-     a single cache entry. Filters AND together:\n\
+     Search the indexed result store (<cache>/index.jsonl) without\n\
+     simulating. Filters AND together:\n\
      \x20 --cca MIX        flow mix: 'bbr' (present, any count) or exact 'cubic:4+bbr:2'\n\
      \x20 --mbps X --rtt MS --buffer BDP   bottleneck capacity / base RTT / buffer size\n\
      \x20 --n N            total flow count      --seed N   trial seed\n\
@@ -677,56 +670,7 @@ fn query_subcommand() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro index rebuild [--cache-dir DIR]` — backfill the index by
-/// scanning every cache entry (corrupt and older-format entries are skipped).
-fn index_subcommand() -> ExitCode {
-    let mut cache_dir = default_cache_dir();
-    let mut args = std::env::args().skip(2);
-    let usage = "usage: repro index rebuild [--cache-dir DIR]";
-    match args.next().as_deref() {
-        Some("rebuild") => {}
-        _ => {
-            eprintln!("{usage}");
-            return ExitCode::from(2);
-        }
-    }
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--cache-dir" => match args.next() {
-                Some(d) => cache_dir = PathBuf::from(d),
-                None => {
-                    eprintln!("--cache-dir needs a directory\n{usage}");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument '{other}'\n{usage}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match Store::rebuild(&cache_dir) {
-        Ok((store, stats)) => {
-            println!(
-                "rebuilt {}: {} entries indexed from {} cache files ({} unreadable (corrupt or older format) skipped)",
-                cache_dir.join("index.jsonl").display(),
-                store.len(),
-                stats.scanned,
-                stats.corrupt,
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!(
-                "repro index rebuild: cannot scan {}: {e}",
-                cache_dir.display()
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro cache stats [--cache-dir DIR]` — entry count, bytes, coverage.
+/// `repro cache stats [--cache-dir DIR]` — index entry counts and bytes.
 fn cache_subcommand() -> ExitCode {
     let mut cache_dir = default_cache_dir();
     let mut args = std::env::args().skip(2);
@@ -754,28 +698,12 @@ fn cache_subcommand() -> ExitCode {
         }
     }
     match Store::cache_stats(&cache_dir) {
-        Ok((_, s)) => {
-            let covered_pct = if s.disk_entries == 0 {
-                0.0
-            } else {
-                100.0 * s.covered as f64 / s.disk_entries as f64
-            };
+        Ok(s) => {
             println!("cache {}", cache_dir.display());
             println!(
-                "  disk entries : {} ({} bytes)",
-                s.disk_entries, s.disk_bytes
-            );
-            println!(
-                "  index        : {} ok + {} failed ({} bytes)",
+                "  index : {} ok + {} failed ({} bytes)",
                 s.index_ok, s.index_failed, s.index_bytes
             );
-            println!(
-                "  coverage     : {}/{} disk entries indexed ({covered_pct:.0}%)",
-                s.covered, s.disk_entries
-            );
-            if s.orphans_swept > 0 {
-                println!("  orphan tmps  : {} swept on open", s.orphans_swept);
-            }
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -792,7 +720,6 @@ fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
         Some("worker") => return worker_subcommand(),
         Some("query") => return query_subcommand(),
-        Some("index") => return index_subcommand(),
         Some("cache") => return cache_subcommand(),
         _ => {}
     }
@@ -858,7 +785,7 @@ fn main() -> ExitCode {
         disk_cache,
         memory_cache: !args.no_cache,
         supervise,
-        result_store: !args.no_cache && !args.no_store,
+        result_store: !args.no_cache,
     });
     match args.supervise {
         Some(n) => eprintln!("engine: {n} supervised workers x {jobs} jobs"),

@@ -23,38 +23,39 @@
 //!    CCAs, RTTs, seeds, discipline, fault schedule — see
 //!    [`scenario_hash`]) returns a previous run's [`TrialResult`] and
 //!    event count instead of re-simulating, in-process always and on
-//!    disk (`results/cache/`) when enabled. The full `SimReport` is
-//!    never kept: it is reduced to its `TrialResult` as the run ends,
-//!    and a disk entry is that cell's result-store index line. NE
-//!    searches re-evaluate neighboring strategy profiles constantly;
+//!    disk when enabled. The full `SimReport` is never kept: it is
+//!    reduced to its `TrialResult` as the run ends. On disk the result
+//!    store's `index.jsonl` (`results/cache/index.jsonl`) is the one
+//!    record: a cell's line holds its scenario, result and event count.
+//!    NE searches re-evaluate neighboring strategy profiles constantly;
 //!    warm reruns skip the work entirely.
 //!
 //! Fail-soft sweep semantics ([`Engine::run_sweep`]) ride on the
 //! same machinery: per-trial [`TrialOutcome`]s and event/wall-clock
 //! budgets. Resuming an interrupted sweep is rerunning it against the
-//! same cache: the store and the disk cache answer every trial that
-//! finished, and failed trials run again. A cached success is only
-//! reused under an event budget when the recorded run fit that budget
-//! (`events_processed <= budget`), so caching never flips a
-//! budget-failure into a success or vice versa.
+//! same cache: the store answers every trial the index recorded before
+//! the stop (a trial that finished past the first unfinished one is
+//! not yet recorded, so it runs again), and failed trials run again. A
+//! cached success is only reused under an event budget when the
+//! recorded run fit that budget (`events_processed <= budget`), so
+//! caching never flips a budget-failure into a success or vice versa.
 
 use crate::runner::{payload_message, SweepConfig, TrialFailure, TrialOutcome};
 use crate::scenario::{Scenario, TrialResult};
-use crate::store::{parse_cache_entry, StoreEntry, StoreOutcome};
 use bbrdom_netsim::hash::{StableHash, StableHasher};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Mutex, OnceLock};
 
 /// Salts [`scenario_hash`]: bumped whenever the hash's coverage or the
 /// meaning of a result changes, so every stale key is orphaned at once.
-/// It does not version the on-disk entry layout: a cache entry is an
-/// index line ([`StoreEntry::to_json_line`]), versioned by the line's
-/// own `"v"` ([`crate::store::INDEX_FORMAT_VERSION`]).
+/// It does not version the on-disk layout: an index line
+/// ([`crate::store::StoreEntry::to_json_line`]) is versioned by its own
+/// `"v"` ([`crate::store::INDEX_FORMAT_VERSION`]).
 pub const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// Stable content hash of everything that determines a scenario's
@@ -236,8 +237,8 @@ pub fn scenario_hash(s: &Scenario) -> u128 {
     h.finish()
 }
 
-/// [`scenario_hash`] as the fixed-width hex string used for cache file
-/// names and store index keys.
+/// [`scenario_hash`] as the fixed-width hex string used for store index
+/// keys.
 pub fn scenario_hash_hex(s: &Scenario) -> String {
     format!("{:032x}", scenario_hash(s))
 }
@@ -248,7 +249,8 @@ pub struct EngineConfig {
     /// Worker threads for scenario batches. Under supervision this is
     /// the thread count *per worker subprocess*.
     pub jobs: usize,
-    /// Directory for the persistent result cache (`None` = memory only).
+    /// Directory of the persistent result cache, the result store's
+    /// `index.jsonl` (`None` = memory only).
     pub disk_cache: Option<PathBuf>,
     /// Keep an in-process memo of completed results (cheap; only worth
     /// disabling for determinism tests that must re-simulate).
@@ -257,9 +259,13 @@ pub struct EngineConfig {
     /// (`repro --supervise N`; see [`crate::supervisor`]). `None` (the
     /// default) executes in-process.
     pub supervise: Option<crate::supervisor::SupervisorConfig>,
-    /// Maintain (and serve from) the indexed result store over the disk
-    /// cache ([`crate::store`]): a store hit skips reading the cell's
-    /// cache entry, not just simulation. No effect without `disk_cache`.
+    /// Maintain (and serve from) the indexed result store in
+    /// `disk_cache` ([`crate::store`]), the only on-disk record: `false`
+    /// means nothing is read from or written to disk, even with
+    /// `disk_cache` set. No effect without `disk_cache`. Transitional:
+    /// the benchmark-only change that drops it from e2ebench's
+    /// `EngineConfig` literal (ROADMAP, "One benchmark-only change")
+    /// deletes the field, leaving `disk_cache` to select the store.
     pub result_store: bool,
 }
 
@@ -285,9 +291,6 @@ pub struct CacheStats {
     /// Results served from the indexed result store (an in-memory
     /// lookup — no file read).
     pub store_hits: u64,
-    /// Results served by reading and parsing the cell's on-disk cache
-    /// entry (its index line).
-    pub disk_hits: u64,
     /// Results copied from an identical scenario in the same batch.
     pub deduped: u64,
     /// Scenarios actually simulated.
@@ -303,7 +306,6 @@ impl CacheStats {
         CacheStats {
             memory_hits: self.memory_hits - earlier.memory_hits,
             store_hits: self.store_hits - earlier.store_hits,
-            disk_hits: self.disk_hits - earlier.disk_hits,
             deduped: self.deduped - earlier.deduped,
             simulated: self.simulated - earlier.simulated,
             events_simulated: self.events_simulated - earlier.events_simulated,
@@ -312,7 +314,7 @@ impl CacheStats {
 
     /// Simulations skipped thanks to the cache (all sources).
     pub fn skipped(&self) -> u64 {
-        self.memory_hits + self.store_hits + self.disk_hits + self.deduped
+        self.memory_hits + self.store_hits + self.deduped
     }
 
     /// Total scenario slots served.
@@ -329,13 +331,12 @@ impl CacheStats {
             100.0 * self.skipped() as f64 / total as f64
         };
         format!(
-            "{} simulated ({} events), {} cache hits ({} memory, {} store, {} disk-parse, {} deduped) — {:.0}% skipped",
+            "{} simulated ({} events), {} cache hits ({} memory, {} store, {} deduped) — {:.0}% skipped",
             self.simulated,
             self.events_simulated,
             self.skipped(),
             self.memory_hits,
             self.store_hits,
-            self.disk_hits,
             self.deduped,
             pct
         )
@@ -366,7 +367,6 @@ pub struct Engine {
     store: OnceLock<crate::store::Store>,
     memory_hits: AtomicU64,
     store_hits: AtomicU64,
-    disk_hits: AtomicU64,
     deduped: AtomicU64,
     simulated: AtomicU64,
     events_simulated: AtomicU64,
@@ -380,7 +380,6 @@ impl Engine {
             store: OnceLock::new(),
             memory_hits: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
             events_simulated: AtomicU64::new(0),
@@ -392,7 +391,6 @@ impl Engine {
         CacheStats {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
             deduped: self.deduped.load(Ordering::Relaxed),
             simulated: self.simulated.load(Ordering::Relaxed),
             events_simulated: self.events_simulated.load(Ordering::Relaxed),
@@ -401,7 +399,7 @@ impl Engine {
 
     /// The indexed result store, if this engine maintains one
     /// (`result_store` on and a disk cache configured). Opened lazily:
-    /// the first call sweeps orphan tmps and loads `index.jsonl`.
+    /// the first call loads `index.jsonl`.
     pub fn store(&self) -> Option<&crate::store::Store> {
         if !self.config.result_store {
             return None;
@@ -466,10 +464,10 @@ impl Engine {
     /// while the rest of the sweep completes. Outcomes come back in
     /// input order.
     ///
-    /// Resuming is rerunning: with a disk cache configured, every
-    /// finished success is cached (and, with the result store on,
-    /// indexed in strict index order), so a rerun of the same sweep
-    /// serves those trials without simulating and runs only the rest.
+    /// Resuming is rerunning: with the result store on, every finished
+    /// trial is indexed in strict index order, so a rerun of the same
+    /// sweep serves the recorded successes without simulating and runs
+    /// only the rest.
     /// Failures are never served from the cache; they run again, so a
     /// raised budget takes effect. The only sweep-level errors are
     /// supervised bring-up failures (an unwritable state dir, an
@@ -557,7 +555,7 @@ impl Engine {
                 cursor += 1;
             }
         };
-        let cache_dir = self.config.disk_cache.as_deref();
+        let cache_dir = store.and(self.config.disk_cache.as_deref());
         let pool = jobs.max(1).min(pending.len().max(1));
 
         if let Some(sup) = &self.config.supervise {
@@ -630,8 +628,8 @@ impl Engine {
                 // contiguous prefix of finished indices.
                 for (i, outcome, events) in rx {
                     finish(i, outcome, events);
-                    // `finish` already recorded the contiguous prefix, so
-                    // a graceful stop loses nothing a rerun could reuse.
+                    // `finish` already recorded the contiguous prefix; a
+                    // graceful stop loses only the results past it.
                     if crate::supervisor::interrupted() {
                         crate::supervisor::exit_interrupted(cache_dir);
                     }
@@ -673,7 +671,6 @@ impl Engine {
     pub(crate) fn absorb(&self, s: &CacheStats) {
         self.memory_hits.fetch_add(s.memory_hits, Ordering::Relaxed);
         self.store_hits.fetch_add(s.store_hits, Ordering::Relaxed);
-        self.disk_hits.fetch_add(s.disk_hits, Ordering::Relaxed);
         self.deduped.fetch_add(s.deduped, Ordering::Relaxed);
         self.simulated.fetch_add(s.simulated, Ordering::Relaxed);
         self.events_simulated
@@ -681,7 +678,7 @@ impl Engine {
     }
 
     /// The memo's or the result store's answer for a content hash, with
-    /// its recorded event count: the cheap lookups, no file read.
+    /// its recorded event count: both are in-memory lookups.
     /// Under an event budget a cached result is reused only if its
     /// recorded event count fits the budget.
     fn cached(&self, hash: u128, event_budget: Option<u64>) -> Option<(TrialResult, Option<u64>)> {
@@ -702,23 +699,12 @@ impl Engine {
         Some(hit)
     }
 
-    /// Remember a finished result in the memo, if it is on.
-    fn memoize(&self, hash: u128, result: &TrialResult, events: u64) {
-        if self.config.memory_cache {
-            self.memo
-                .lock()
-                .expect("engine memo poisoned")
-                .insert(hash, (result.clone(), events));
-        }
-    }
-
     /// Run (or fetch) one scenario, also returning the recorded event
     /// count when known. Cache policy: only successful results are
     /// cached; under an event budget a cached result is reused only if
     /// its recorded event count fits the budget, which keeps cached and
-    /// fresh outcomes identical. Lookup order is cheapest-first: memory
-    /// memo, then the indexed result store (in-memory lookup), then the
-    /// cell's on-disk entry, then simulation.
+    /// fresh outcomes identical. Lookup order: memory memo, then the
+    /// indexed result store, then simulation.
     fn run_one(
         &self,
         scenario: &Scenario,
@@ -731,31 +717,24 @@ impl Engine {
             return (TrialOutcome::Ok(result), events);
         }
 
-        if let Some(dir) = &self.config.disk_cache {
-            if let Some((result, events)) = load_cache_entry(dir, hash) {
-                if event_budget.is_none_or(|budget| events <= budget) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.memoize(hash, &result, events);
-                    return (TrialOutcome::Ok(result), Some(events));
-                }
-            }
-        }
-
         self.simulated.fetch_add(1, Ordering::Relaxed);
         match catch_unwind(AssertUnwindSafe(|| {
             scenario.try_report_with(event_budget, wall_budget)
         })) {
             Ok(Ok(report)) => {
                 // The report is reduced to what the engine reads back and
-                // dropped here: neither the memo nor the disk keeps it.
+                // dropped here: neither the memo nor the index keeps it.
+                // The batch executor's single writer records the result.
                 let events = report.events_processed;
                 let result = TrialResult::from_report(&report);
                 drop(report);
                 self.events_simulated.fetch_add(events, Ordering::Relaxed);
-                if let Some(dir) = &self.config.disk_cache {
-                    store_cache_entry(dir, hash, scenario, &result, events);
+                if self.config.memory_cache {
+                    self.memo
+                        .lock()
+                        .expect("engine memo poisoned")
+                        .insert(hash, (result.clone(), events));
                 }
-                self.memoize(hash, &result, events);
                 (TrialOutcome::Ok(result), Some(events))
             }
             Ok(Err(err)) => (
@@ -787,64 +766,6 @@ fn retarget(outcome: &TrialOutcome, index: usize) -> TrialOutcome {
             error: f.error.clone(),
             context: f.context.clone(),
         }),
-    }
-}
-
-fn cache_entry_path(dir: &Path, hash: u128) -> PathBuf {
-    dir.join(format!("{hash:032x}.json"))
-}
-
-/// Load a disk cache entry: the cell's result and event count. Any
-/// failure — missing file, truncation, garbled JSON, an older layout, a
-/// key mismatch — is a miss, never a panic: the scenario is simply
-/// re-simulated (and the entry rewritten).
-fn load_cache_entry(dir: &Path, hash: u128) -> Option<(TrialResult, u64)> {
-    let text = std::fs::read_to_string(cache_entry_path(dir, hash)).ok()?;
-    let StoreOutcome::Ok {
-        events: Some(events),
-        result,
-    } = parse_cache_entry(&text, &format!("{hash:032x}"))?.outcome
-    else {
-        return None;
-    };
-    Some((result, events))
-}
-
-/// Persist a result. Written to a temp file then renamed, so concurrent
-/// readers never observe a torn entry; I/O errors are ignored (the
-/// cache is an accelerator, not a store of record). The temp name
-/// carries the pid *and* a process-global sequence number: two threads
-/// of one process racing the same key must not share a temp file, or
-/// the interleaved writes could be published by the rename.
-///
-/// The entry embeds the scenario, so `repro index rebuild` can recover
-/// a queryable index from the cache alone.
-fn store_cache_entry(
-    dir: &Path,
-    hash: u128,
-    scenario: &Scenario,
-    result: &TrialResult,
-    events: u64,
-) {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let tmp = dir.join(format!(
-        ".{hash:032x}.tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let entry = StoreEntry {
-        key: format!("{hash:032x}"),
-        scenario: scenario.clone(),
-        outcome: StoreOutcome::Ok {
-            events: Some(events),
-            result: result.clone(),
-        },
-    };
-    if std::fs::write(&tmp, entry.to_json_line()).is_ok() {
-        let _ = std::fs::rename(&tmp, cache_entry_path(dir, hash));
     }
 }
 
@@ -974,54 +895,5 @@ mod tests {
                 f.error
             );
         }
-    }
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bbrdom-engine-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// Threads hammering the same cache key with tmp+rename writes while
-    /// readers poll must never produce a torn read — every load is
-    /// either a miss or the exact result.
-    #[test]
-    fn concurrent_cache_writers_never_tear() {
-        let dir = temp_dir("race");
-        let scenario = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 2.0, 7);
-        let report = scenario
-            .try_report_with(None, None)
-            .expect("tiny scenario runs");
-        let (result, events) = (TrialResult::from_report(&report), report.events_processed);
-        let hash = scenario_hash(&scenario);
-        let expected = result.to_json_value().to_json();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        store_cache_entry(&dir, hash, &scenario, &result, events);
-                    }
-                });
-            }
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..200 {
-                        if let Some((r, e)) = load_cache_entry(&dir, hash) {
-                            assert_eq!(r.to_json_value().to_json(), expected, "torn cache read");
-                            assert_eq!(e, events, "torn cache read");
-                        }
-                    }
-                });
-            }
-        });
-        assert!(load_cache_entry(&dir, hash).is_some());
-        let leaked = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .count();
-        assert_eq!(leaked, 0, "temp files must not leak");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

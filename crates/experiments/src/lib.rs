@@ -63,5 +63,5 @@ pub use scenario::{
     ArrivalSpec, BackendSpec, DisciplineSpec, EarlyStopSpec, FaultSpec, FlowSpec, Scenario,
     SizeSpec, TopoLinkSpec, TopologySpec, TrialResult, WorkloadSpec,
 };
-pub use store::{CacheDirStats, RebuildStats, Store, StoreEntry, StoreOutcome};
+pub use store::{CacheDirStats, Store, StoreEntry, StoreOutcome};
 pub use supervisor::SupervisorConfig;

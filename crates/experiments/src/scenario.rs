@@ -127,9 +127,13 @@ impl FaultSpec {
     /// Lower to the simulator's [`FaultSchedule`]. The loss RNG is seeded
     /// from the trial seed so trials stay reproducible yet decorrelated.
     pub fn to_schedule(&self, seed: u64) -> FaultSchedule {
+        // `+ 0.0` turns a -0.0 probability into 0.0: both lose nothing,
+        // and a spec holding either serializes without faults, so the
+        // schedule (which the content hash covers) must not tell them
+        // apart.
         let mut faults = FaultSchedule::none()
-            .with_loss(self.loss_fwd)
-            .with_ack_loss(self.loss_ack)
+            .with_loss(self.loss_fwd + 0.0)
+            .with_ack_loss(self.loss_ack + 0.0)
             .with_seed(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
         for &(at, down) in &self.outages {
             faults =

@@ -1,65 +1,51 @@
-//! The indexed result store over the content-addressed result cache.
+//! The indexed result store: the result cache's one on-disk record.
 //!
-//! The disk cache (`<cache>/<hash>.json`, see [`crate::engine`]) already
-//! makes warm sweeps skip 100% of *simulation*, but answering a figure
-//! from it still opens and parses one file per cell.
-//!
-//! This module adds the metric layer: an append-only **index**
-//! (`<cache>/index.jsonl` plus an in-memory map) mapping a scenario's
-//! content hash to exactly what the read side consumes — the scenario
-//! parameters (for `repro query`) and the extracted [`TrialResult`]
-//! (per-CCA goodput, queuing delay, FCT percentiles, backoff times),
-//! plus the recorded event count so budget admission works without
-//! touching the cache entry. A store hit therefore short-circuits both
-//! simulation *and* the per-cell file read, and `TrialResult`'s
-//! bit-exact JSON round-trip guarantees store-served figures are
-//! byte-identical to freshly simulated ones.
-//!
-//! One record format serves both files: a successful cell's cache entry
-//! is byte for byte its index line ([`StoreEntry::to_json_line`]), and
-//! [`StoreEntry::from_json_line`] is the one parser of both.
+//! An append-only **index** (`<cache>/index.jsonl` plus an in-memory
+//! map) maps a scenario's content hash to exactly what the read side
+//! consumes — the scenario parameters (for `repro query`) and the
+//! extracted [`TrialResult`] (per-CCA goodput, queuing delay, FCT
+//! percentiles, backoff times), plus the recorded event count so budget
+//! admission works. A store hit short-circuits simulation with an
+//! in-memory lookup, and `TrialResult`'s bit-exact JSON round-trip
+//! guarantees store-served figures are byte-identical to freshly
+//! simulated ones. [`StoreEntry::to_json_line`] writes a line and
+//! [`StoreEntry::from_json_line`] is its one parser.
 //!
 //! The store is also what makes sweeps resumable: the batch executor
 //! records every finished trial here in index order, so rerunning an
-//! interrupted sweep against the same cache serves each finished trial
+//! interrupted sweep against the same cache serves each recorded trial
 //! without simulating it.
 //!
 //! Disciplines:
 //!
 //! * **single writer** — only the batch executor's single-writer thread
 //!   appends (`Store::record`), in strict scenario-index order;
-//!   supervised workers open the store read-only by construction (they
-//!   never run the batch executor), so a supervised sweep produces a
-//!   byte-identical index to a serial run;
-//! * **torn-tail tolerance** — a crash mid-append leaves a partial last
-//!   line; loading skips it (and any malformed line) as a miss, and the
-//!   next append-mode open truncates the tail to the last complete line;
-//! * **tmp+rename compaction** — [`Store::rebuild`] re-derives the index
-//!   from the cache entries themselves (corrupt entries and entries of an
-//!   older layout are skipped as misses) and publishes it atomically;
-//! * **orphan-tmp sweep** — opening the store removes stale `*.tmp.*`
-//!   files left behind by SIGKILLed writers (the supervisor kills
-//!   workers mid-write by design), identified by a dead writer pid.
+//!   supervised workers keep no store at all, so a supervised sweep
+//!   produces a byte-identical index to a serial run. The price of the
+//!   order: a crash loses the trials that finished past the first
+//!   unfinished one, and the rerun simulates them again;
+//! * **hostile-byte tolerance** — loading skips every line that is
+//!   torn, malformed, not UTF-8 or of another format version as a miss,
+//!   and keeps every other line; the next append-mode open truncates a
+//!   torn tail to the last complete line.
+//!
+//! Files of other layouts in the cache directory (per-cell
+//! `<hash>.json` entries, `*.tmp.*` files) are neither read nor
+//! deleted.
 
-use crate::engine::scenario_hash;
 use crate::runner::TrialOutcome;
 use crate::scenario::{Scenario, TrialResult};
 use bbrdom_netsim::json::{self, Value};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bumped whenever the index line layout changes; lines with another
-/// version are skipped on load (and swept away by the next rebuild).
+/// version are skipped on load.
 pub const INDEX_FORMAT_VERSION: u32 = 1;
 
 /// Index file name inside the cache directory.
 pub const INDEX_FILE: &str = "index.jsonl";
-
-/// Orphaned tmp files whose writer pid cannot be checked (non-Linux, or
-/// an unparsable name) are removed only past this age.
-const ORPHAN_TMP_MAX_AGE: std::time::Duration = std::time::Duration::from_secs(3600);
 
 /// How one indexed trial ended.
 #[derive(Debug, Clone)]
@@ -271,72 +257,46 @@ fn key_hash(key: &str) -> Option<u128> {
     u128::from_str_radix(key, 16).ok()
 }
 
-/// What [`Store::rebuild`] found while scanning the cache directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RebuildStats {
-    /// Cache entry files scanned.
-    pub scanned: usize,
-    /// Entries successfully indexed.
-    pub indexed: usize,
-    /// Unreadable, truncated, key-mismatched entries and entries of an
-    /// older layout (skipped as misses — the engine's cache loads treat
-    /// them alike, and a fresh run of the scenario rewrites them).
-    pub corrupt: usize,
-}
-
-/// Aggregate cache-directory statistics for `repro cache stats`.
+/// Index statistics for `repro cache stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheDirStats {
-    /// Cache entry files (`<hash>.json`) on disk.
-    pub disk_entries: usize,
-    /// Total bytes of those entry files.
-    pub disk_bytes: u64,
     /// Index entries with a successful result.
     pub index_ok: usize,
     /// Index entries recording a structured failure.
     pub index_failed: usize,
     /// Bytes of the index file.
     pub index_bytes: u64,
-    /// Disk entries whose key is covered by the index.
-    pub covered: usize,
-    /// Stale tmp files swept while opening.
-    pub orphans_swept: usize,
 }
 
 /// The indexed result store for one cache directory. See the module
 /// docs for the write/repair disciplines.
 pub struct Store {
-    dir: PathBuf,
     index_path: PathBuf,
     map: Mutex<HashMap<u128, Arc<StoreEntry>>>,
     writer: Mutex<Option<std::fs::File>>,
-    orphans_swept: usize,
 }
 
 impl Store {
-    /// Open (or lazily create) the store for a cache directory: sweep
-    /// orphaned tmp files, then load every well-formed index line —
-    /// torn tails and malformed lines are skipped, and for a duplicated
-    /// key the last line wins (appends supersede).
+    /// Open (or lazily create) the store for a cache directory: load
+    /// every well-formed index line. Torn, malformed and non-UTF-8 lines
+    /// are skipped, each on its own, and for a duplicated key the last
+    /// line wins (appends supersede).
     pub fn open(dir: &Path) -> Store {
-        let orphans_swept = clean_orphan_tmps(dir);
         let index_path = dir.join(INDEX_FILE);
         let mut map = HashMap::new();
-        if let Ok(text) = std::fs::read_to_string(&index_path) {
-            for line in text.lines() {
-                if let Some(entry) = StoreEntry::from_json_line(line) {
-                    if let Some(hash) = key_hash(&entry.key) {
-                        map.insert(hash, Arc::new(entry));
-                    }
-                }
+        let bytes = std::fs::read(&index_path).unwrap_or_default();
+        let entries = bytes
+            .split(|&b| b == b'\n')
+            .filter_map(|line| StoreEntry::from_json_line(std::str::from_utf8(line).ok()?));
+        for entry in entries {
+            if let Some(hash) = key_hash(&entry.key) {
+                map.insert(hash, Arc::new(entry));
             }
         }
         Store {
-            dir: dir.to_path_buf(),
             index_path,
             map: Mutex::new(map),
             writer: Mutex::new(None),
-            orphans_swept,
         }
     }
 
@@ -348,11 +308,6 @@ impl Store {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Stale tmp files swept when this store was opened.
-    pub fn orphans_swept(&self) -> usize {
-        self.orphans_swept
     }
 
     /// The full entry for a content hash, if indexed.
@@ -406,7 +361,7 @@ impl Store {
     /// addressing — the result can never change); a failure may be
     /// superseded by a later success (e.g. a raised budget); repeated
     /// failures are not re-appended. I/O errors are swallowed — the
-    /// index, like the cache, is an accelerator, not a store of record.
+    /// index is an accelerator, not a store of record.
     pub(crate) fn record(
         &self,
         key: &str,
@@ -453,98 +408,24 @@ impl Store {
         }
     }
 
-    /// Rewrite the index from the in-memory map, sorted by key, via
-    /// tmp+rename — compaction for an index that accumulated superseded
-    /// lines. Concurrent readers never observe a torn file.
-    pub fn compact(&self) -> std::io::Result<()> {
-        let entries = self.entries();
-        let mut text = String::new();
-        for e in &entries {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-        }
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!(
-            ".{INDEX_FILE}.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &self.index_path)?;
-        // Drop the append handle: it points at the replaced inode.
-        *self.writer.lock().expect("store writer poisoned") = None;
-        Ok(())
-    }
-
-    /// Rebuild the index by scanning every cache entry in `dir` —
-    /// the `repro index rebuild` backfill for caches that predate the
-    /// store (or whose index was lost). Corrupt entries are skipped as
-    /// misses, mirroring the engine's load policy; the fresh index is
-    /// published atomically (tmp+rename, sorted by key). Failure
-    /// records (which live only in the index — failures are never
-    /// cached on disk) are dropped: the rebuilt index reflects exactly
-    /// the reusable on-disk results.
-    pub fn rebuild(dir: &Path) -> std::io::Result<(Store, RebuildStats)> {
-        let mut stats = RebuildStats::default();
-        let mut entries: Vec<StoreEntry> = Vec::new();
-        for name in cache_entry_names(dir)? {
-            stats.scanned += 1;
-            let key = name.trim_end_matches(".json");
-            match read_cache_entry(&dir.join(&name), key) {
-                Some(entry) => {
-                    stats.indexed += 1;
-                    entries.push(entry);
-                }
-                None => stats.corrupt += 1,
-            }
-        }
-        entries.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut text = String::new();
-        for e in &entries {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-        }
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!(
-            ".{INDEX_FILE}.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, dir.join(INDEX_FILE))?;
-        Ok((Store::open(dir), stats))
-    }
-
-    /// Cache-directory statistics for `repro cache stats`.
-    pub fn cache_stats(dir: &Path) -> std::io::Result<(Store, CacheDirStats)> {
+    /// Index statistics for `repro cache stats`; an error when `dir`
+    /// itself cannot be read.
+    pub fn cache_stats(dir: &Path) -> std::io::Result<CacheDirStats> {
+        std::fs::metadata(dir)?;
         let store = Store::open(dir);
         let mut stats = CacheDirStats {
-            orphans_swept: store.orphans_swept,
+            index_bytes: std::fs::metadata(&store.index_path).map_or(0, |m| m.len()),
             ..CacheDirStats::default()
         };
-        for name in cache_entry_names(dir)? {
-            let path = dir.join(&name);
-            stats.disk_entries += 1;
-            stats.disk_bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            let key = name.trim_end_matches(".json");
-            if key_hash(key).is_some_and(|h| store.get(h).is_some()) {
-                stats.covered += 1;
-            }
-        }
-        stats.index_bytes = std::fs::metadata(dir.join(INDEX_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
         for e in store.map.lock().expect("store map poisoned").values() {
             match e.outcome {
                 StoreOutcome::Ok { .. } => stats.index_ok += 1,
                 StoreOutcome::Failed { .. } => stats.index_failed += 1,
             }
         }
-        Ok((store, stats))
+        Ok(stats)
     }
 }
-
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Truncate a JSONL file to its last complete line. A crash (or SIGKILL)
 /// mid-write can leave a partial record with no trailing newline;
@@ -575,101 +456,6 @@ fn open_append(path: &Path) -> std::io::Result<std::fs::File> {
         .create(true)
         .append(true)
         .open(path)
-}
-
-fn cache_entry_names(dir: &Path) -> std::io::Result<Vec<String>> {
-    let mut names: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let Ok(entry) = entry else { continue };
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(stem) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if key_hash(stem).is_some() {
-            names.push(name);
-        }
-    }
-    names.sort();
-    Ok(names)
-}
-
-/// Parse the text of the cache entry for `key`: an index line
-/// ([`StoreEntry::from_json_line`]) whose key is `key` and whose outcome
-/// is a success with its event count. `None` for anything else,
-/// including an entry in the older `{version, key, scenario, report}`
-/// layout, which has no `"v"`. The engine's disk hits and the rebuild
-/// scan both read entries through it.
-pub(crate) fn parse_cache_entry(text: &str, key: &str) -> Option<StoreEntry> {
-    let entry = StoreEntry::from_json_line(text)?;
-    match entry.outcome {
-        StoreOutcome::Ok {
-            events: Some(_), ..
-        } if entry.key == key => Some(entry),
-        _ => None,
-    }
-}
-
-/// Read one on-disk cache entry for the rebuild scan; anything that
-/// would be a miss for the engine is `None` here, and so is an entry
-/// whose embedded scenario does not hash to its key, which would poison
-/// every query that trusts the parameters.
-fn read_cache_entry(path: &Path, key: &str) -> Option<StoreEntry> {
-    let entry = parse_cache_entry(&std::fs::read_to_string(path).ok()?, key)?;
-    (format!("{:032x}", scenario_hash(&entry.scenario)) == key).then_some(entry)
-}
-
-/// Remove stale tmp files (`<stem>.tmp.<pid>.<seq>`) left by writers
-/// that died mid-write — SIGKILLed supervised workers never reach their
-/// rename. A tmp file is an orphan when its embedded writer pid is
-/// provably dead; when the pid cannot be checked the file must instead
-/// outlive `ORPHAN_TMP_MAX_AGE` (one hour). Live writers (including this
-/// process) are never touched, and neither are published entries.
-/// Returns the number of files removed.
-pub fn clean_orphan_tmps(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut removed = 0;
-    for entry in entries.filter_map(Result::ok) {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(pos) = name.find(".tmp.") else {
-            continue;
-        };
-        let mut parts = name[pos + ".tmp.".len()..].split('.');
-        let pid = parts.next().and_then(|p| p.parse::<u32>().ok());
-        let orphaned = match pid {
-            Some(pid) if pid == std::process::id() => false,
-            Some(pid) => match pid_alive(pid) {
-                Some(alive) => !alive,
-                None => aged_out(&entry.path()),
-            },
-            None => aged_out(&entry.path()),
-        };
-        if orphaned && std::fs::remove_file(entry.path()).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// Whether a pid is alive — `Some(alive)` where checkable, `None` where
-/// the platform offers no cheap answer (callers fall back to file age).
-#[cfg(target_os = "linux")]
-fn pid_alive(pid: u32) -> Option<bool> {
-    Some(Path::new("/proc").join(pid.to_string()).exists())
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pid_alive(_pid: u32) -> Option<bool> {
-    None
-}
-
-fn aged_out(path: &Path) -> bool {
-    std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| t.elapsed().ok())
-        .is_some_and(|age| age > ORPHAN_TMP_MAX_AGE)
 }
 
 #[cfg(test)]
@@ -754,36 +540,6 @@ mod tests {
         };
         let line = entry.to_json_line().replace("\"v\":1", "\"v\":999");
         assert!(StoreEntry::from_json_line(&line).is_none());
-    }
-
-    /// A cache entry is a successful index line with its event count,
-    /// filed under its own key; any other valid line is a miss.
-    #[test]
-    fn only_a_keyed_success_with_events_is_a_cache_entry() {
-        let (key, s, outcome) = entry_for(3);
-        let line = |outcome| {
-            StoreEntry {
-                key: key.clone(),
-                scenario: s.clone(),
-                outcome,
-            }
-            .to_json_line()
-        };
-        let ok = |events| StoreOutcome::Ok {
-            events,
-            result: outcome.ok().unwrap().clone(),
-        };
-        let entry = parse_cache_entry(&line(ok(Some(9))), &key).expect("cache entry parses");
-        assert_eq!(entry.to_json_line(), line(ok(Some(9))));
-        assert!(parse_cache_entry(&line(ok(Some(9))), &format!("{:032x}", 7u128)).is_none());
-        assert!(parse_cache_entry(&line(ok(None)), &key).is_none());
-        let failed = StoreOutcome::Failed {
-            error: "event budget exceeded".into(),
-            context: String::new(),
-            event_budget: Some(9),
-            wall_budget_ns: None,
-        };
-        assert!(parse_cache_entry(&line(failed), &key).is_none());
     }
 
     /// Draws `TrialResult`s whose floats are the ones a JSON round-trip
@@ -894,20 +650,38 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The one record format round-trips: a successful cell's line
-        /// reads back, as an index line and as its cache entry, to the
-        /// same bytes and bitwise-equal floats.
+        /// Hostile bytes spliced anywhere into an index never panic the
+        /// loader, and every line they leave intact still loads.
+        #[test]
+        fn an_index_with_spliced_bytes_loads_every_intact_line(
+            at in 0.0f64..1.0,
+            junk in proptest::prelude::prop::collection::vec(0u8..=255, 1..8),
+        ) {
+            let lines = synthetic_lines();
+            let mut index = lines.join("\n").into_bytes();
+            index.push(b'\n');
+            let at = (at * index.len() as f64) as usize;
+            let end = (at + junk.len()).min(index.len());
+            index.splice(at..end, junk);
+            let loaded = loaded("spliced", &index, &lines);
+            for (line, loaded) in lines.iter().zip(loaded) {
+                let intact = index.split(|&b| b == b'\n').any(|l| l == line.as_bytes());
+                proptest::prop_assert!(loaded || !intact, "intact line not loaded: {line}");
+            }
+        }
+
+        /// The record format round-trips: a successful cell's line reads
+        /// back to the same bytes and bitwise-equal floats.
         #[test]
         fn results_round_trip_through_the_record_format(
             result in AnyResult,
             events in (0u32..=u32::MAX, 0u32..=u32::MAX),
         ) {
             let scenario = tiny(1);
-            let hash = scenario_hash(&scenario);
             let events = u64::from(events.0) << 32 | u64::from(events.1);
             let entry = StoreEntry {
-                key: format!("{hash:032x}"),
-                scenario: scenario.clone(),
+                key: crate::engine::scenario_hash_hex(&scenario),
+                scenario,
                 outcome: StoreOutcome::Ok {
                     events: Some(events),
                     result: result.clone(),
@@ -915,21 +689,16 @@ mod tests {
             };
             let line = entry.to_json_line();
             let back = StoreEntry::from_json_line(&line).expect("index line parses");
-            proptest::prop_assert_eq!(back.to_json_line(), line.clone());
-            proptest::prop_assert_eq!(float_bits(back.ok().unwrap()), float_bits(&result));
-
-            let cached = parse_cache_entry(&line, &entry.key).expect("cache entry parses");
-            proptest::prop_assert_eq!(cached.to_json_line(), line);
-            let StoreOutcome::Ok { events: cached_events, result: cached } = cached.outcome else {
-                unreachable!("a cache entry is a success");
+            proptest::prop_assert_eq!(back.to_json_line(), line);
+            let StoreOutcome::Ok { events: back_events, result: back } = back.outcome else {
+                unreachable!("a success reads back as a success");
             };
-            proptest::prop_assert_eq!(cached_events, Some(events));
-            proptest::prop_assert_eq!(float_bits(&cached), float_bits(&result));
+            proptest::prop_assert_eq!(back_events, Some(events));
+            proptest::prop_assert_eq!(float_bits(&back), float_bits(&result));
         }
 
-        /// A non-finite float anywhere in a result makes its index line
-        /// and its cache entry misses, never a different value (JSON has
-        /// no NaN or infinity).
+        /// A non-finite float anywhere in a result makes its index line a
+        /// miss, never a different value (JSON has no NaN or infinity).
         #[test]
         fn a_non_finite_float_is_a_miss(
             result in AnyResult,
@@ -942,10 +711,9 @@ mod tests {
             if let Some(x) = slots.get_mut(at) {
                 **x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which];
                 let scenario = tiny(1);
-                let hash = scenario_hash(&scenario);
                 let line = StoreEntry {
-                    key: format!("{hash:032x}"),
-                    scenario: scenario.clone(),
+                    key: crate::engine::scenario_hash_hex(&scenario),
+                    scenario,
                     outcome: StoreOutcome::Ok {
                         events: Some(1),
                         result: result.clone(),
@@ -953,10 +721,6 @@ mod tests {
                 }
                 .to_json_line();
                 proptest::prop_assert!(StoreEntry::from_json_line(&line).is_none(), "{line}");
-                proptest::prop_assert!(
-                    parse_cache_entry(&line, &format!("{hash:032x}")).is_none(),
-                    "{line}"
-                );
             }
         }
     }
@@ -1051,6 +815,70 @@ mod tests {
         assert_eq!(goodput[1], ("bbr".to_string(), 15.0));
     }
 
+    /// Four index lines with distinct keys, built without simulating.
+    fn synthetic_lines() -> Vec<String> {
+        (0..4)
+            .map(|seed| {
+                let scenario = tiny(seed);
+                StoreEntry {
+                    key: crate::engine::scenario_hash_hex(&scenario),
+                    outcome: StoreOutcome::Ok {
+                        events: Some(seed),
+                        result: TrialResult {
+                            throughput_mbps: vec![seed as f64 + 0.5],
+                            cc_names: vec!["bbr".into()],
+                            avg_queue_occupancy_bytes: vec![1.0],
+                            backoff_times_secs: vec![Vec::new()],
+                            avg_queuing_delay_ms: 2.0,
+                            utilization: 0.9,
+                            dropped_packets: 3,
+                            aqm_drops: 0,
+                            completion_times_secs: vec![None],
+                            workload_spawned: 0,
+                            workload_completed: 0,
+                            workload_fct: Vec::new(),
+                        },
+                    },
+                    scenario,
+                }
+                .to_json_line()
+            })
+            .collect()
+    }
+
+    /// Which of `lines` a store opened over `index` bytes loads, each
+    /// checked against its exact bytes.
+    fn loaded(name: &str, index: &[u8], lines: &[String]) -> Vec<bool> {
+        let dir = temp_dir(name);
+        std::fs::write(dir.join(INDEX_FILE), index).unwrap();
+        let store = Store::open(&dir);
+        lines
+            .iter()
+            .map(|line| {
+                let key = StoreEntry::from_json_line(line).unwrap().key;
+                store
+                    .get(key_hash(&key).unwrap())
+                    .is_some_and(|e| e.to_json_line() == *line)
+            })
+            .collect()
+    }
+
+    /// One line that is not UTF-8 is a miss on its own: every other
+    /// line still loads.
+    #[test]
+    fn a_non_utf8_line_does_not_hide_the_others() {
+        let lines = synthetic_lines();
+        let mut index = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            index.extend_from_slice(line.as_bytes());
+            index.push(b'\n');
+            if i == 1 {
+                index.extend_from_slice(b"{\"v\":1,\"key\":\"\xFF\"}\n");
+            }
+        }
+        assert_eq!(loaded("non-utf8", &index, &lines), [true; 4]);
+    }
+
     #[test]
     fn append_open_truncates_partial_final_line() {
         let dir = temp_dir("tail");
@@ -1072,43 +900,6 @@ mod tests {
         let fresh = dir.join("sub/dir/new.jsonl");
         drop(open_append(&fresh).unwrap());
         assert!(fresh.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn orphan_sweep_spares_live_writers_and_entries() {
-        let dir = temp_dir("orphans");
-        // A published entry and the index itself are never candidates.
-        std::fs::write(dir.join(format!("{:032x}.json", 9u128)), "{}").unwrap();
-        std::fs::write(dir.join(INDEX_FILE), "").unwrap();
-        // This process's own tmp (a writer mid-flight).
-        let mine = dir.join(format!(".{:032x}.tmp.{}.0", 1u128, std::process::id()));
-        std::fs::write(&mine, "x").unwrap();
-        // A provably dead writer: spawn-and-reap a child for a pid that
-        // is gone by the time we sweep.
-        let dead_pid = {
-            let mut child = std::process::Command::new("true")
-                .spawn()
-                .expect("spawn true");
-            let pid = child.id();
-            child.wait().expect("reap");
-            pid
-        };
-        let dead = dir.join(format!(".{:032x}.tmp.{dead_pid}.3", 2u128));
-        std::fs::write(&dead, "y").unwrap();
-        // A fresh tmp with an unparsable pid: too young to age out.
-        let young = dir.join(".cafe.tmp.notapid");
-        std::fs::write(&young, "z").unwrap();
-
-        let removed = clean_orphan_tmps(&dir);
-        if cfg!(target_os = "linux") {
-            assert_eq!(removed, 1);
-            assert!(!dead.exists(), "dead writer's tmp is swept");
-        }
-        assert!(mine.exists(), "own tmp is never swept");
-        assert!(young.exists(), "age fallback keeps fresh files");
-        assert!(dir.join(format!("{:032x}.json", 9u128)).exists());
-        assert!(dir.join(INDEX_FILE).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,9 +5,8 @@
 //! process, exhausts memory, or livelocks past every budget takes the
 //! whole sweep with it. This module adds a process boundary around the
 //! blast radius. The parent partitions a batch across N `repro worker`
-//! subprocesses sharing one content-addressed disk cache, leases
-//! scenario indices to workers over stdin, and collects claim/result
-//! lines over stdout. Liveness is tracked two ways:
+//! subprocesses, leases scenario indices to workers over stdin, and
+//! collects claim/result lines over stdout. Liveness is tracked two ways:
 //!
 //! * **exit** — a worker that dies (non-zero exit, signal) forfeits its
 //!   leased scenarios;
@@ -28,8 +27,9 @@
 //! scenario index in the parent, which remains the result store index's
 //! single writer, so a supervised sweep is bit-identical to a serial one
 //! on every non-quarantined cell (see `tests/supervisor.rs`). Workers
-//! write finished results to the shared disk cache, so a parent killed
-//! mid-batch resumes by rerunning against the same cache.
+//! write nothing to disk: the parent records every result a worker
+//! reports, so a parent killed mid-batch resumes by rerunning against
+//! the same cache, which serves every trial its index recorded.
 //!
 //! Test hooks: `BBRDOM_TEST_POISON_HASH` (comma-separated scenario
 //! keys) makes a worker abort — or stall forever with
@@ -176,7 +176,6 @@ fn parse_stats_line(line: &str) -> Option<CacheStats> {
     Some(CacheStats {
         memory_hits: g("memory_hits"),
         store_hits: g("store_hits"),
-        disk_hits: g("disk_hits"),
         deduped: g("deduped"),
         simulated: g("simulated"),
         events_simulated: g("events_simulated"),
@@ -231,7 +230,6 @@ fn parse_result_line(line: &str) -> Option<(usize, String, TrialOutcome, Option<
 fn add_stats(total: &mut CacheStats, part: &CacheStats) {
     total.memory_hits += part.memory_hits;
     total.store_hits += part.store_hits;
-    total.disk_hits += part.disk_hits;
     total.deduped += part.deduped;
     total.simulated += part.simulated;
     total.events_simulated += part.events_simulated;
@@ -296,9 +294,6 @@ pub(crate) fn run_supervised(
     }
     if let Some(b) = wall_budget_ns {
         manifest.set("wall_budget_ns", Value::U64(b));
-    }
-    if let Some(dir) = cache_dir {
-        manifest.set("cache_dir", dir.display().to_string().as_str().into());
     }
     let manifest_path = work_dir.join("manifest.json");
     std::fs::write(&manifest_path, manifest.to_json())
@@ -652,10 +647,6 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
         .get("wall_budget_ns")
         .and_then(Value::as_u64)
         .map(Duration::from_nanos);
-    let cache_dir = manifest
-        .get("cache_dir")
-        .and_then(Value::as_str)
-        .map(PathBuf::from);
 
     let mut table: HashMap<usize, (String, Result<Scenario, String>)> = HashMap::new();
     let Ok(file) = std::fs::File::open(dir.join("scenarios.jsonl")) else {
@@ -680,13 +671,13 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
 
     let engine = Engine::new(EngineConfig {
         jobs,
-        disk_cache: cache_dir,
+        // Workers keep nothing on disk: the parent answered every store
+        // hit before sharding, and it records what workers report, so it
+        // stays the index's single writer.
+        disk_cache: None,
         memory_cache: true,
         supervise: None,
-        // Workers read the shared index but never append to it: only
-        // the parent runs the batch executor, so the parent stays the
-        // index's single writer.
-        result_store: true,
+        result_store: false,
     });
 
     let inflight: Arc<Mutex<HashMap<usize, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -779,8 +770,8 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
     let _ = hb.join();
     let s = engine.stats();
     emit(&format!(
-        "{{\"stats\":{{\"memory_hits\":{},\"store_hits\":{},\"disk_hits\":{},\"deduped\":{},\"simulated\":{},\"events_simulated\":{}}}}}",
-        s.memory_hits, s.store_hits, s.disk_hits, s.deduped, s.simulated, s.events_simulated
+        "{{\"stats\":{{\"memory_hits\":{},\"store_hits\":{},\"deduped\":{},\"simulated\":{},\"events_simulated\":{}}}}}",
+        s.memory_hits, s.store_hits, s.deduped, s.simulated, s.events_simulated
     ));
     0
 }
@@ -845,13 +836,14 @@ pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
-/// Terminate after a graceful-stop signal. With a disk cache, every
-/// finished success is already cached there, so the hint names it as
-/// the resume point; without one, a rerun restarts the batch.
+/// Terminate after a graceful-stop signal. With the result store on,
+/// its index already holds every trial up to the first unfinished one,
+/// so the hint names the cache as the resume point; without it, a rerun
+/// restarts the batch.
 pub(crate) fn exit_interrupted(cache_dir: Option<&Path>) -> ! {
     match cache_dir {
         Some(dir) => eprintln!(
-            "\ninterrupted: cache {} holds every finished trial; rerun the same command with the same --cache-dir to resume",
+            "\ninterrupted: cache {} holds the trials recorded so far; rerun the same command with the same --cache-dir to resume",
             dir.display()
         ),
         None => eprintln!("\ninterrupted: no disk cache configured — a rerun restarts this batch"),
@@ -884,24 +876,20 @@ mod tests {
         let s = CacheStats {
             memory_hits: 1,
             store_hits: 6,
-            disk_hits: 2,
             deduped: 3,
             simulated: 4,
             events_simulated: 5,
         };
         let line = format!(
-            "{{\"stats\":{{\"memory_hits\":{},\"store_hits\":{},\"disk_hits\":{},\"deduped\":{},\"simulated\":{},\"events_simulated\":{}}}}}",
-            s.memory_hits, s.store_hits, s.disk_hits, s.deduped, s.simulated, s.events_simulated
+            "{{\"stats\":{{\"memory_hits\":{},\"store_hits\":{},\"deduped\":{},\"simulated\":{},\"events_simulated\":{}}}}}",
+            s.memory_hits, s.store_hits, s.deduped, s.simulated, s.events_simulated
         );
         assert_eq!(parse_stats_line(&line), Some(s));
-        // A pre-store worker's stats line still parses (missing counters
-        // read as zero).
-        let legacy = parse_stats_line(
-            "{\"stats\":{\"memory_hits\":1,\"disk_hits\":2,\"deduped\":3,\"simulated\":4,\"events_simulated\":5}}",
-        )
-        .expect("legacy line parses");
-        assert_eq!(legacy.store_hits, 0);
-        assert_eq!(legacy.disk_hits, 2);
+        // Missing counters read as zero.
+        let partial = parse_stats_line("{\"stats\":{\"memory_hits\":1,\"simulated\":4}}")
+            .expect("partial line parses");
+        assert_eq!(partial.store_hits, 0);
+        assert_eq!(partial.simulated, 4);
         assert_eq!(parse_stats_line("{\"claim\":3}"), None);
         assert_eq!(parse_stats_line("not json"), None);
     }
@@ -953,10 +941,9 @@ mod tests {
         assert!(c.backoff_base > Duration::ZERO);
     }
 
-    /// One real entry in each on-disk format a reader consumes: an index
-    /// line, which is also the cell's cache entry, and a worker result
-    /// line, with the entry's hash.
-    fn on_disk_samples() -> (u128, [String; 2]) {
+    /// One real entry in each format a reader consumes: an index line
+    /// and a worker result line.
+    fn on_disk_samples() -> [String; 2] {
         use crate::store::{StoreEntry, StoreOutcome};
         let scenario = Scenario::versus(10.0, 20.0, 1.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 1.0, 3);
         let report = scenario.try_report_with(None, None).unwrap();
@@ -976,32 +963,31 @@ mod tests {
             &TrialOutcome::Ok(result),
             Some(report.events_processed),
         );
-        (hash, [entry.to_json_line(), result_line])
+        [entry.to_json_line(), result_line]
     }
 
-    /// Which of the on-disk readers accept `text`: the cache entry
-    /// reader, the index line reader and the worker result line reader. None may panic, whatever the bytes.
-    fn read_all(text: &str, hash: u128) -> [bool; 3] {
+    /// Which of the readers accept `text`: the index line reader and the
+    /// worker result line reader. Neither may panic, whatever the bytes.
+    fn read_all(text: &str) -> [bool; 2] {
         [
-            crate::store::parse_cache_entry(text, &format!("{hash:032x}")).is_some(),
             crate::store::StoreEntry::from_json_line(text).is_some(),
             parse_result_line(text).is_some(),
         ]
     }
 
     /// Torn writes: every prefix of a valid entry is rejected without a
-    /// panic, and the whole entry is accepted by exactly the readers of
-    /// its format (an index line by both the cache and index readers).
+    /// panic, and the whole entry is accepted by exactly the reader of
+    /// its format.
     #[test]
     fn readers_reject_every_prefix_of_a_valid_entry() {
-        let (hash, samples) = on_disk_samples();
-        let accepts = [[true, true, false], [false, false, true]];
+        let samples = on_disk_samples();
+        let accepts = [[true, false], [false, true]];
         for (text, want) in samples.iter().zip(accepts) {
-            assert_eq!(read_all(text, hash), want, "readers accepting {text}");
+            assert_eq!(read_all(text), want, "readers accepting {text}");
             for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
                 assert_eq!(
-                    read_all(&text[..end], hash),
-                    [false; 3],
+                    read_all(&text[..end]),
+                    [false; 2],
                     "prefix of {end} bytes accepted"
                 );
             }
@@ -1016,7 +1002,7 @@ mod tests {
         fn readers_survive_arbitrary_bytes(
             bytes in proptest::prelude::prop::collection::vec(0u8..=255, 0..512),
         ) {
-            read_all(&String::from_utf8_lossy(&bytes), 0);
+            read_all(&String::from_utf8_lossy(&bytes));
         }
 
         /// Corrupted entries: random bytes spliced into a valid entry
@@ -1027,12 +1013,12 @@ mod tests {
             at in 0.0f64..1.0,
             junk in proptest::prelude::prop::collection::vec(0u8..=255, 1..8),
         ) {
-            let (hash, samples) = on_disk_samples();
+            let samples = on_disk_samples();
             let mut bytes = samples[which].clone().into_bytes();
             let at = (at * bytes.len() as f64) as usize;
             let end = (at + junk.len()).min(bytes.len());
             bytes.splice(at..end, junk);
-            read_all(&String::from_utf8_lossy(&bytes), hash);
+            read_all(&String::from_utf8_lossy(&bytes));
         }
     }
 }

@@ -3,9 +3,10 @@
 //! The engine's contract is that parallelism and caching are *invisible*:
 //! `--jobs 1` and `--jobs 8` produce byte-identical result-store indexes
 //! and bit-identical result vectors, every scenario field is part of the
-//! cache key, a damaged cache entry degrades to re-simulation, never to
-//! a wrong or missing result, and rerunning a sweep against the same
-//! cache resumes it. These tests pin each clause.
+//! cache key and survives the index's JSON round-trip, a damaged index
+//! line degrades to re-simulation, never to a wrong or missing result,
+//! and rerunning a sweep against the same cache resumes it. These tests
+//! pin each clause.
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, scenario_hash_hex, Engine, EngineConfig};
@@ -357,9 +358,9 @@ fn rich_scenario_keeps_its_golden_hash() {
 
 /// Cache-key compatibility: a topology-free scenario must keep the hash
 /// it had before the `topology` field existed (the `b"topology"` marker
-/// is only appended when the field is set), so every historical disk
-/// cache entry and index key stays valid. The digest below was
-/// computed with the pre-topology hasher; it must never change.
+/// is only appended when the field is set), so every historical index
+/// key stays valid. The digest below was computed with the
+/// pre-topology hasher; it must never change.
 #[test]
 fn topology_free_scenarios_keep_their_historical_hash() {
     let s = Scenario::versus(50.0, 40.0, 4.0, 2, CcaKind::Bbr, 2, 10.0, 7);
@@ -388,9 +389,174 @@ fn flow_order_changes_the_hash() {
     assert_ne!(scenario_hash(&swapped), scenario_hash(&rich_scenario()));
 }
 
+/// Draws `Scenario`s with every opt-in extension present or absent —
+/// faults, early stop, backend, workload, topology — and floats that a
+/// JSON round-trip is most likely to get wrong (±0, subnormals, extreme
+/// exponents) or any finite bit pattern. Validity is not required (the
+/// index records whatever scenario a sweep ran), except that fault
+/// times and rates have the signs `scenario_hash` needs to compile the
+/// fault schedule.
+struct AnyScenario;
+
+fn any_finite(rng: &mut rand::rngs::StdRng) -> f64 {
+    use rand::{Rng, RngCore};
+    const EDGES: [f64; 8] = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        1e22,
+        0.1,
+        2.5,
+    ];
+    if rng.gen_bool(0.5) {
+        return EDGES[rng.gen_range(0..EDGES.len())];
+    }
+    loop {
+        let x = f64::from_bits(rng.next_u64());
+        if x.is_finite() {
+            return x;
+        }
+    }
+}
+
+impl proptest::Strategy for AnyScenario {
+    type Value = Scenario;
+
+    fn sample(&self, rng: &mut rand::rngs::StdRng) -> Scenario {
+        use bbrdom_experiments::{
+            ArrivalSpec, BackendSpec, DisciplineSpec, SizeSpec, WorkloadSpec,
+        };
+        use rand::{Rng, RngCore};
+        let cca = |rng: &mut rand::rngs::StdRng| CcaKind::ALL[rng.gen_range(0..CcaKind::ALL.len())];
+        let index = |rng: &mut rand::rngs::StdRng| rng.gen_range(0..6usize);
+        let flows = (0..rng.gen_range(0..4usize))
+            .map(|_| FlowSpec {
+                cca: cca(rng),
+                rtt_ms: any_finite(rng),
+                start_s: any_finite(rng),
+                byte_limit: rng.gen_bool(0.5).then(|| rng.next_u64()),
+            })
+            .collect();
+        let mut s = Scenario::versus(1.0, 1.0, 1.0, 1, CcaKind::Bbr, 1, 1.0, rng.next_u64());
+        s.mbps = any_finite(rng);
+        s.buffer_bdp = any_finite(rng);
+        s.reference_rtt_ms = any_finite(rng);
+        s.duration_secs = any_finite(rng);
+        s.flows = flows;
+        s.discipline = [
+            DisciplineSpec::DropTail,
+            DisciplineSpec::Red,
+            DisciplineSpec::Codel,
+        ][rng.gen_range(0..3usize)];
+        if rng.gen_bool(0.5) {
+            let n = rng.gen_range(0..3usize);
+            let time = |rng: &mut rand::rngs::StdRng| any_finite(rng).abs();
+            let rate = |rng: &mut rand::rngs::StdRng| time(rng).max(f64::MIN_POSITIVE);
+            s.faults = FaultSpec {
+                loss_fwd: any_finite(rng),
+                loss_ack: any_finite(rng),
+                outages: (0..n).map(|_| (time(rng), time(rng))).collect(),
+                rate_steps: (0..n).map(|_| (time(rng), rate(rng))).collect(),
+                delay_spikes: (0..n).map(|_| (time(rng), time(rng), time(rng))).collect(),
+            };
+        }
+        if rng.gen_bool(0.5) {
+            s.early_stop = Some(EarlyStopSpec {
+                epsilon: any_finite(rng),
+                dwell: rng.next_u64() as u32,
+                window_secs: any_finite(rng),
+                min_secs: any_finite(rng),
+            });
+        }
+        if rng.gen_bool(0.5) {
+            s.backend = BackendSpec::Fluid;
+        }
+        if rng.gen_bool(0.5) {
+            s.workload = Some(WorkloadSpec {
+                cca: cca(rng),
+                arrival: if rng.gen_bool(0.5) {
+                    ArrivalSpec::Poisson {
+                        rate_per_sec: any_finite(rng),
+                    }
+                } else {
+                    ArrivalSpec::Deterministic {
+                        interval_s: any_finite(rng),
+                    }
+                },
+                size: if rng.gen_bool(0.5) {
+                    SizeSpec::Fixed {
+                        bytes: rng.next_u64(),
+                    }
+                } else {
+                    SizeSpec::Pareto {
+                        alpha: any_finite(rng),
+                        min_bytes: rng.next_u64(),
+                        max_bytes: rng.next_u64(),
+                    }
+                },
+                rtt_ms: any_finite(rng),
+            });
+        }
+        if rng.gen_bool(0.5) {
+            const NAMES: [&str; 4] = ["a", "n1", "q\"uo\\te\u{e9}\n", ""];
+            let name = |rng: &mut rand::rngs::StdRng| NAMES[rng.gen_range(0..NAMES.len())];
+            s.topology = Some(TopologySpec {
+                nodes: (0..rng.gen_range(0..4usize))
+                    .map(|_| name(rng).to_string())
+                    .collect(),
+                links: (0..rng.gen_range(0..4usize))
+                    .map(|_| TopoLinkSpec {
+                        from: name(rng).to_string(),
+                        to: name(rng).to_string(),
+                        mbps: rng.gen_bool(0.5).then(|| any_finite(rng)),
+                        delay_ms: any_finite(rng),
+                        buffer_bdp: any_finite(rng),
+                    })
+                    .collect(),
+                routes: (0..rng.gen_range(0..3usize))
+                    .map(|_| (0..rng.gen_range(0..4usize)).map(|_| index(rng)).collect())
+                    .collect(),
+                flow_routes: (0..rng.gen_range(0..3usize)).map(|_| index(rng)).collect(),
+                workload_route: rng.gen_bool(0.5).then(|| index(rng)),
+                fault_link: rng.gen_bool(0.5).then(|| index(rng)),
+            });
+        }
+        s
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The index is the only record of which scenario a result belongs
+    /// to (`repro query` and `--missing` read it back): every scenario
+    /// survives `to_json` → `from_json` with the same bytes and the same
+    /// cache key.
+    #[test]
+    fn scenarios_round_trip_through_json(s in AnyScenario) {
+        let text = s.to_json();
+        let back = Scenario::from_json(&text).expect("a serialized scenario parses");
+        prop_assert_eq!(back.to_json(), text.clone());
+        prop_assert_eq!(scenario_hash(&back), scenario_hash(&s), "{}", text);
+    }
+}
+
+/// A -0.0 loss probability loses nothing, like 0.0, so the spec is
+/// serialized without faults: it must read back under the same key.
+#[test]
+fn a_negative_zero_loss_keeps_its_cache_key() {
+    let mut s = short_scenario(10.0, 1.0, 1, 1, 1);
+    s.faults.loss_fwd = -0.0;
+    s.faults.loss_ack = -0.0;
+    let back = Scenario::from_json(&s.to_json()).expect("scenario parses");
+    assert_eq!(scenario_hash(&back), scenario_hash(&s));
+}
+
 /// Backend domain separation end-to-end: the same scenario run on both
-/// backends occupies two distinct disk-cache entries, each warm rerun
-/// hits its own entry, and neither is ever served the other's numbers.
+/// backends occupies two distinct index lines, each warm rerun hits its
+/// own line, and neither is ever served the other's numbers.
 #[test]
 fn fluid_and_des_results_never_alias_in_the_cache() {
     let dir = temp_dir("backend-domains");
@@ -400,7 +566,7 @@ fn fluid_and_des_results_never_alias_in_the_cache() {
         .with_backend(bbrdom_experiments::BackendSpec::Fluid);
     assert_ne!(scenario_hash(&des), scenario_hash(&fluid));
 
-    let warm = engine_with_disk(&dir);
+    let warm = engine_with_store(&dir);
     let first = warm.run_all(&[des.clone(), fluid.clone()]);
     assert_eq!(warm.stats().simulated, 2, "distinct hashes, two real runs");
     assert_ne!(
@@ -408,35 +574,29 @@ fn fluid_and_des_results_never_alias_in_the_cache() {
         first[1].to_json_value().to_json(),
         "the two backends must not report identical results"
     );
-    for s in [&des, &fluid] {
-        assert!(
-            dir.join(format!("{:032x}.json", scenario_hash(s))).exists(),
-            "each backend gets its own cache entry"
-        );
-    }
+    let keys: Vec<String> = std::fs::read_to_string(dir.join(INDEX_FILE))
+        .unwrap()
+        .lines()
+        .map(|l| StoreEntry::from_json_line(l).expect("valid index line").key)
+        .collect();
+    assert_eq!(
+        keys,
+        [scenario_hash_hex(&des), scenario_hash_hex(&fluid)],
+        "each backend gets its own index line"
+    );
 
-    let cold = engine_with_disk(&dir);
+    let cold = engine_with_store(&dir);
     let again = cold.run_all(&[des, fluid]);
-    assert_eq!(cold.stats().disk_hits, 2, "both entries must hit warm");
+    assert_eq!(cold.stats().store_hits, 2, "both lines must hit warm");
     assert_eq!(cold.stats().simulated, 0);
     for (a, b) in first.iter().zip(&again) {
         assert_eq!(
             a.to_json_value().to_json(),
             b.to_json_value().to_json(),
-            "cached reports reproduce live runs bit-for-bit"
+            "cached results reproduce live runs bit-for-bit"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn engine_with_disk(dir: &std::path::Path) -> Engine {
-    Engine::new(EngineConfig {
-        jobs: 1,
-        disk_cache: Some(dir.to_path_buf()),
-        memory_cache: false,
-        supervise: None,
-        result_store: false,
-    })
 }
 
 /// A disk cache with the result store on and no memo: what `repro
@@ -451,28 +611,42 @@ fn engine_with_store(dir: &std::path::Path) -> Engine {
     })
 }
 
-/// A corrupted, truncated, or wrong-format disk cache entry is a miss —
-/// the engine re-simulates and still returns the right answer.
+/// A corrupted, truncated, non-UTF-8 or wrong-format index line is a
+/// miss — the engine re-simulates and still returns the right answer.
 #[test]
 fn corrupted_cache_entry_falls_back_to_simulation() {
     let dir = temp_dir("corrupt-cache");
     let scenario = short_scenario(10.0, 1.0, 1, 1, 9);
     let fresh = uncached().run_all(std::slice::from_ref(&scenario));
 
-    // Seed the cache, then verify it actually hits.
-    let writer = engine_with_disk(&dir);
+    // Seed the index, then verify it actually hits.
+    let writer = engine_with_store(&dir);
     writer.run_all(std::slice::from_ref(&scenario));
     assert_eq!(writer.stats().simulated, 1);
-    let reader = engine_with_disk(&dir);
+    let reader = engine_with_store(&dir);
     reader.run_all(std::slice::from_ref(&scenario));
-    assert_eq!(reader.stats().disk_hits, 1, "want a warm disk hit");
+    assert_eq!(reader.stats().store_hits, 1, "want a warm store hit");
 
-    let entry = dir.join(format!("{:032x}.json", scenario_hash(&scenario)));
-    for garbage in ["", "{", "not json", "{\"version\":999}", "[1,2,3]"] {
-        std::fs::write(&entry, garbage).unwrap();
-        let engine = engine_with_disk(&dir);
+    let index = dir.join(INDEX_FILE);
+    let line = std::fs::read(&index).unwrap();
+    let mut truncated = line[..line.len() / 2].to_vec();
+    truncated.push(b'\n');
+    let mut non_utf8 = line.clone();
+    non_utf8[line.len() / 2] = 0xFF;
+    let wrong_version = String::from_utf8_lossy(&line).replace("\"v\":1", "\"v\":999");
+    for garbage in [
+        b"".to_vec(),
+        b"{".to_vec(),
+        b"not json\n".to_vec(),
+        b"[1,2,3]\n".to_vec(),
+        truncated,
+        non_utf8,
+        wrong_version.into_bytes(),
+    ] {
+        std::fs::write(&index, &garbage).unwrap();
+        let engine = engine_with_store(&dir);
         let results = engine.run_all(std::slice::from_ref(&scenario));
-        assert_eq!(engine.stats().disk_hits, 0, "corrupt entry must miss");
+        assert_eq!(engine.stats().store_hits, 0, "corrupt line must miss");
         assert_eq!(engine.stats().simulated, 1);
         assert_eq!(
             results[0].to_json_value().to_json(),
@@ -484,15 +658,15 @@ fn corrupted_cache_entry_falls_back_to_simulation() {
 }
 
 /// A cached success recorded without budgets must not flip a budgeted
-/// rerun: the entry is only admitted when its event count fits.
+/// rerun: the index line is only admitted when its event count fits.
 #[test]
 fn cache_respects_event_budgets() {
     let dir = temp_dir("budget-cache");
     let scenario = short_scenario(10.0, 1.0, 1, 1, 11);
-    let warm = engine_with_disk(&dir);
+    let warm = engine_with_store(&dir);
     warm.run_all(std::slice::from_ref(&scenario));
 
-    let budgeted = engine_with_disk(&dir);
+    let budgeted = engine_with_store(&dir);
     let outcomes = budgeted
         .run_sweep(
             std::slice::from_ref(&scenario),
@@ -503,7 +677,7 @@ fn cache_respects_event_budgets() {
             },
         )
         .expect("budgeted sweep runs");
-    assert_eq!(budgeted.stats().disk_hits, 0, "over-budget entry admitted");
+    assert_eq!(budgeted.stats().store_hits, 0, "over-budget line admitted");
     let failure = outcomes[0].failure().expect("tiny budget must still trip");
     assert!(failure.error.contains("event budget"));
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,14 +1,12 @@
-//! End-to-end tests for the indexed result store.
+//! End-to-end tests for the indexed result store, the result cache's
+//! one on-disk record.
 //!
 //! The contract under test: a warm store serves whole batches with zero
-//! simulations AND zero cache-entry reads, byte-identical to both the
-//! simulated and the disk-hit paths; a cache entry is byte for byte its
-//! cell's index line, so the index rebuilds from the cache alone to the
-//! engine's own lines, and an entry of the older full-report layout is
-//! a miss; the index survives torn tails; a supervised sweep produces a
-//! byte-identical index to a serial one (the parent is the single
-//! writer); and opening a store sweeps orphaned tmp files without
-//! touching live writers or published entries.
+//! simulations, byte-identical to the simulated path; a cold run leaves
+//! exactly one file, `index.jsonl`, and files of other layouts in the
+//! cache directory are neither read nor deleted; the index survives
+//! torn tails; and a supervised sweep produces a byte-identical index
+//! to a serial one (the parent is the single writer).
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
@@ -44,13 +42,13 @@ fn batch(n: usize) -> Vec<Scenario> {
         .collect()
 }
 
-fn engine(cache: &Path, memory: bool, store: bool) -> Engine {
+fn engine(cache: &Path, memory: bool) -> Engine {
     Engine::new(EngineConfig {
         jobs: 2,
         disk_cache: Some(cache.to_path_buf()),
         memory_cache: memory,
         supervise: None,
-        result_store: store,
+        result_store: true,
     })
 }
 
@@ -73,41 +71,32 @@ fn figure_csv(scenarios: &[Scenario], results: &[TrialResult]) -> String {
 }
 
 /// The pinned byte-identity contract: a warm store answers the whole
-/// batch with zero simulations and zero cache-entry reads, and the
-/// figure output it produces is byte-identical to the simulated path
-/// AND the disk-hit path.
+/// batch with zero simulations, and the figure output it produces is
+/// byte-identical to the simulated path.
 #[test]
 fn warm_store_serves_batches_with_zero_sims_and_zero_parses() {
     let dir = temp_dir("identity");
     let cache = dir.join("cache");
     let scenarios = batch(6);
 
-    // Cold: simulate everything, populating cache + index.
-    let cold = engine(&cache, true, true);
+    // Cold: simulate everything, populating the index.
+    let cold = engine(&cache, true);
     let simulated = cold.run_all(&scenarios);
     assert_eq!(cold.stats().simulated, 6);
     assert!(cache.join(INDEX_FILE).exists(), "index populated on write");
 
     // Warm store (no memory memo): every cell is a store hit.
-    let store_engine = engine(&cache, false, true);
+    let store_engine = engine(&cache, false);
     let from_store = store_engine.run_all(&scenarios);
     let s = store_engine.stats();
     assert_eq!(s.simulated, 0, "warm store must simulate nothing");
-    assert_eq!(s.disk_hits, 0, "warm store must read no cache entries");
     assert_eq!(s.store_hits, 6);
-
-    // Warm disk cache with the store disabled: one entry read per cell.
-    let parse_engine = engine(&cache, false, false);
-    let from_parse = parse_engine.run_all(&scenarios);
-    assert_eq!(parse_engine.stats().disk_hits, 6);
-    assert_eq!(parse_engine.stats().store_hits, 0);
 
     assert_eq!(
         fingerprints(&simulated),
         fingerprints(&from_store),
         "store-served results must be bit-identical to fresh simulation"
     );
-    assert_eq!(fingerprints(&from_store), fingerprints(&from_parse));
     assert_eq!(
         figure_csv(&scenarios, &simulated),
         figure_csv(&scenarios, &from_store),
@@ -123,7 +112,7 @@ fn index_torn_tail_recovers_on_reopen() {
     let dir = temp_dir("torn");
     let cache = dir.join("cache");
     let scenarios = batch(4);
-    engine(&cache, true, true).run_all(&scenarios);
+    engine(&cache, true).run_all(&scenarios);
 
     // Simulate a crash mid-append: garbage line, then a torn fragment
     // with no trailing newline.
@@ -156,7 +145,7 @@ fn index_torn_tail_recovers_on_reopen() {
         0.4,
         7_777,
     ));
-    let e = engine(&cache, false, true);
+    let e = engine(&cache, false);
     e.run_all(&extended);
     assert_eq!(e.stats().store_hits, 4);
     assert_eq!(e.stats().simulated, 1);
@@ -184,7 +173,7 @@ fn supervised_index_is_byte_identical_to_serial() {
     let scenarios = batch(6);
 
     let serial_cache = dir.join("serial-cache");
-    engine(&serial_cache, true, true)
+    engine(&serial_cache, true)
         .run_sweep(&scenarios, &SweepConfig::default())
         .expect("serial sweep runs");
 
@@ -213,165 +202,45 @@ fn supervised_index_is_byte_identical_to_serial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Opening a store sweeps tmp files orphaned by SIGKILLed writers —
-/// and only those: live writers' tmps and published entries survive.
+/// One on-disk record: a cold run on a fresh cache directory leaves
+/// exactly `index.jsonl`. A per-cell `<hash>.json` entry or a `*.tmp.*`
+/// file left in the directory is neither read nor deleted: the cell
+/// re-simulates, and the index comes out byte-identical to the one a
+/// clean directory gets.
 #[test]
-fn store_open_sweeps_orphan_tmps_without_touching_entries() {
-    let dir = temp_dir("orphans");
-    let cache = dir.join("cache");
-    let scenarios = batch(2);
-    engine(&cache, true, true).run_all(&scenarios);
+fn a_cold_run_writes_only_the_index_and_ignores_other_files() {
+    let dir = temp_dir("one-record");
+    let scenarios = batch(3);
 
-    let entry_name = format!("{:032x}.json", scenario_hash(&scenarios[0]));
-    assert!(cache.join(&entry_name).exists());
+    let clean = dir.join("clean");
+    engine(&clean, true).run_all(&scenarios);
+    let files: Vec<String> = std::fs::read_dir(&clean)
+        .expect("cache dir exists")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(files, [INDEX_FILE]);
+    let index = std::fs::read(clean.join(INDEX_FILE)).unwrap();
 
-    // An orphan from a provably dead writer (spawn-and-reap `true`).
-    let dead_pid = {
-        let mut child = std::process::Command::new("true").spawn().expect("spawn");
-        let pid = child.id();
-        child.wait().expect("reap");
-        pid
-    };
-    let orphan = cache.join(format!(".{:032x}.tmp.{dead_pid}.0", 3u128));
-    std::fs::write(&orphan, "half-written entry").unwrap();
-    // A live writer's tmp (this process).
-    let live = cache.join(format!(".{:032x}.tmp.{}.0", 4u128, std::process::id()));
-    std::fs::write(&live, "in flight").unwrap();
-
-    let store = Store::open(&cache);
-    if cfg!(target_os = "linux") {
-        assert!(!orphan.exists(), "dead writer's tmp must be swept");
-        assert_eq!(store.orphans_swept(), 1);
-    }
-    assert!(live.exists(), "live writer's tmp must survive");
-    assert!(cache.join(&entry_name).exists(), "entries must survive");
-    assert_eq!(store.len(), 2, "index must survive the sweep");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `repro index rebuild`'s scanner: backfills the index from cache
-/// entries alone, skipping corrupt or key-mismatched files as misses,
-/// and the rebuilt index serves batches with zero entry reads.
-#[test]
-fn rebuild_backfills_from_cache_and_tolerates_corruption() {
-    let dir = temp_dir("rebuild");
-    let cache = dir.join("cache");
-    let scenarios = batch(5);
-    // Populate the cache with the store disabled: entries exist (with
-    // embedded scenarios), but no index — the pre-store state.
-    let cold = engine(&cache, true, false);
-    let simulated = cold.run_all(&scenarios);
-    assert!(!cache.join(INDEX_FILE).exists());
-
-    // Sabotage: a garbled entry and a valid entry copied under the
-    // wrong key (hash self-check must reject it).
-    std::fs::write(cache.join(format!("{:032x}.json", 1u128)), "{garbled").unwrap();
-    let donor = cache.join(format!("{:032x}.json", scenario_hash(&scenarios[0])));
-    std::fs::copy(&donor, cache.join(format!("{:032x}.json", 2u128))).unwrap();
-
-    let (store, stats) = Store::rebuild(&cache).expect("rebuild scans");
-    assert_eq!(stats.scanned, 7);
-    assert_eq!(stats.indexed, 5);
-    assert_eq!(stats.corrupt, 2);
-    assert_eq!(store.len(), 5);
-
-    // The rebuilt index serves the whole batch without re-parsing.
-    let warm = engine(&cache, false, true);
-    let from_store = warm.run_all(&scenarios);
-    assert_eq!(warm.stats().store_hits, 5);
-    assert_eq!(warm.stats().simulated, 0);
-    assert_eq!(warm.stats().disk_hits, 0);
-    assert_eq!(fingerprints(&simulated), fingerprints(&from_store));
-
-    // Rebuild is idempotent: a second scan produces the same bytes.
-    let first = std::fs::read(cache.join(INDEX_FILE)).unwrap();
-    Store::rebuild(&cache).expect("rebuild again");
-    let second = std::fs::read(cache.join(INDEX_FILE)).unwrap();
-    assert_eq!(first, second);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn entry_path(cache: &Path, s: &Scenario) -> PathBuf {
-    cache.join(format!("{:032x}.json", scenario_hash(s)))
-}
-
-/// One record format: after a cold run with the store on, every cache
-/// entry is byte for byte its cell's index line, and `Store::rebuild`
-/// over the entries alone reproduces the engine's index, sorted by key.
-#[test]
-fn cache_entries_are_index_lines_and_rebuild_reproduces_the_index() {
-    let dir = temp_dir("one-format");
-    let cache = dir.join("cache");
-    let scenarios = batch(6);
-    engine(&cache, true, true).run_all(&scenarios);
-
-    let written = std::fs::read_to_string(cache.join(INDEX_FILE)).expect("engine index");
-    assert_eq!(written.lines().count(), scenarios.len());
-    for (s, line) in scenarios.iter().zip(written.lines()) {
-        let entry = std::fs::read_to_string(entry_path(&cache, s)).expect("cache entry");
-        assert_eq!(entry, line, "a cache entry must be its index line");
-    }
-
-    let mut sorted: Vec<&str> = written.lines().collect();
-    sorted.sort_by_key(|line| {
-        bbrdom_experiments::store::StoreEntry::from_json_line(line)
-            .expect("index line parses")
-            .key
-    });
-    let (_, stats) = Store::rebuild(&cache).expect("rebuild scans");
-    assert_eq!((stats.scanned, stats.indexed, stats.corrupt), (6, 6, 0));
-    let rebuilt = std::fs::read_to_string(cache.join(INDEX_FILE)).unwrap();
-    assert_eq!(
-        rebuilt.lines().collect::<Vec<_>>(),
-        sorted,
-        "rebuild must reproduce the engine's index lines, sorted by key"
+    // A leftover entry holding a valid line for the first cell, and a
+    // leftover tmp file.
+    let cluttered = dir.join("cluttered");
+    std::fs::create_dir_all(&cluttered).unwrap();
+    let first_line = String::from_utf8_lossy(&index)
+        .lines()
+        .next()
+        .unwrap()
+        .to_string();
+    let entry = cluttered.join(format!("{:032x}.json", scenario_hash(&scenarios[0])));
+    let tmp = cluttered.join(format!(".{:032x}.tmp.1.0", scenario_hash(&scenarios[1])));
+    std::fs::write(&entry, first_line).unwrap();
+    std::fs::write(&tmp, "half-written").unwrap();
+    let e = engine(&cluttered, true);
+    e.run_all(&scenarios);
+    assert_eq!(e.stats().simulated, 3, "a leftover entry file is not read");
+    assert!(
+        entry.exists() && tmp.exists(),
+        "leftover files are not deleted"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The cache entry layout written before entries became index lines:
-/// `{version, key, scenario, report}` with the full `SimReport`.
-fn write_full_report_entry(cache: &Path, s: &Scenario) {
-    use bbrdom_netsim::json::Value;
-    let report = s.try_report_with(None, None).expect("scenario runs");
-    let mut v = Value::object();
-    v.set("version", Value::U64(1))
-        .set("key", format!("{:032x}", scenario_hash(s)).as_str().into())
-        .set("scenario", s.to_json_value())
-        .set("report", report.to_json_value());
-    std::fs::create_dir_all(cache).unwrap();
-    std::fs::write(entry_path(cache, s), v.to_json()).unwrap();
-}
-
-/// An entry in the older full-report layout is a miss, never a panic:
-/// the engine re-simulates it to a bit-identical result (and rewrites
-/// it as an index line), and `Store::rebuild` skips it.
-#[test]
-fn full_report_entries_of_the_older_layout_are_misses() {
-    let dir = temp_dir("old-layout");
-    let cache = dir.join("cache");
-    let scenarios = batch(2);
-    for s in &scenarios {
-        write_full_report_entry(&cache, s);
-    }
-
-    let (store, stats) = Store::rebuild(&cache).expect("rebuild scans");
-    assert_eq!((stats.scanned, stats.indexed, stats.corrupt), (2, 0, 2));
-    assert!(store.is_empty());
-
-    let fresh = Engine::new(EngineConfig::serial_uncached()).run_all(&scenarios);
-    let reader = engine(&cache, false, false);
-    let results = reader.run_all(&scenarios);
-    assert_eq!(reader.stats().disk_hits, 0, "an old entry must miss");
-    assert_eq!(reader.stats().simulated, 2);
-    assert_eq!(fingerprints(&results), fingerprints(&fresh));
-
-    // The re-simulation rewrote both entries in the current layout.
-    let warm = engine(&cache, false, false);
-    assert_eq!(
-        fingerprints(&warm.run_all(&scenarios)),
-        fingerprints(&fresh)
-    );
-    assert_eq!(warm.stats().disk_hits, 2);
+    assert_eq!(std::fs::read(cluttered.join(INDEX_FILE)).unwrap(), index);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -293,7 +293,7 @@ fn stalled_worker_trips_the_watchdog_and_work_is_retried() {
     sup.worker_env = env;
     let engine = Engine::new(EngineConfig {
         jobs: 1,
-        disk_cache: Some(dir.join("cache")),
+        disk_cache: None,
         memory_cache: true,
         supervise: Some(sup),
         result_store: false,
