@@ -166,11 +166,25 @@ done
 # backend must run the panel end to end through the same repro CLI and
 # produce structurally identical CSV (same files, same header, same row
 # count) — numeric columns legitimately differ between the two models.
-echo "==> fluid backend smoke (repro 9 --backend fluid vs des, one panel)"
+# The fluid run is cold with a cache, then warm: the warm run reads
+# every fluid-shaped index line back (fifty-odd flows, long backoff
+# lists), so it must simulate nothing and write the same CSVs, and
+# `repro query` must find the fluid cells in that index.
+echo "==> fluid backend smoke (repro 9 --backend fluid vs des, cold then warm store)"
 fl_out="${TMPDIR:-/tmp}/bbrdom-ci-fluid"
 rm -rf "$fl_out"
 cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
-    --jobs 1 --no-cache --backend fluid --out "$fl_out/fluid"
+    --jobs 1 --cache-dir "$fl_out/cache" --backend fluid --out "$fl_out/fluid"
+cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
+    --jobs 1 --cache-dir "$fl_out/cache" --backend fluid --out "$fl_out/warm" \
+    2> "$fl_out/warm.log" || { cat "$fl_out/warm.log"; exit 1; }
+cat "$fl_out/warm.log"
+diff -r "$fl_out/fluid" "$fl_out/warm"
+grep -F "(0 simulated (0 events)" "$fl_out/warm.log" >/dev/null \
+    || { echo "warm fluid run against its own cache still simulated something"; exit 1; }
+fluid_hits=$(cargo run --release -p bbrdom-experiments --bin repro -- query \
+    --cache-dir "$fl_out/cache" --backend fluid --ok --count)
+[[ "$fluid_hits" -gt 0 ]] || { echo "repro query found no fluid cells in the index"; exit 1; }
 for f in "$ne_out/serial"/fig09_*.csv; do
     base="$(basename "$f")"
     [[ -f "$fl_out/fluid/$base" ]] || { echo "fluid run missing $base"; exit 1; }
@@ -248,10 +262,12 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
 
     # Result-store perf smoke: store-hit figure assembly vs cold
     # simulation of the same grid, timed in the same run, on a reduced
-    # grid. The >= 18x floor (cold pass over median store pass) is
-    # asserted inside the bench; BENCH_store.json records the numbers
-    # (the full default grid is 1000 cells — BENCH_STORE_CELLS shrinks
-    # it for CI).
+    # grid, and the read rate of Store::open on an index of n = 50 fluid
+    # cells. The >= 18x floor (cold pass over median store pass), the
+    # open-rate floor and the open rate's floor over json::parse on the
+    # same lines are asserted inside the bench; BENCH_store.json
+    # records the numbers (the full default grid is 1000 cells —
+    # BENCH_STORE_CELLS shrinks it for CI; the fluid index is fixed).
     echo "==> store perf smoke (store_perf, BENCH_STORE_CELLS=200)"
     BENCH_STORE_CELLS=200 cargo bench -p bbrdom-bench --bench store_perf
 

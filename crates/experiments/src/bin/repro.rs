@@ -573,10 +573,7 @@ fn query_subcommand() -> ExitCode {
             if line.trim().is_empty() {
                 continue;
             }
-            let scenario = bbrdom_netsim::json::parse(line)
-                .ok()
-                .and_then(|v| Scenario::from_json_value(&v).ok());
-            let Some(scenario) = scenario else {
+            let Ok(scenario) = Scenario::from_json(line) else {
                 eprintln!(
                     "repro query: --missing line {} is not a scenario",
                     lineno + 1

@@ -77,8 +77,8 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 /// ```
 pub fn scenario_hash(s: &Scenario) -> u128 {
     use crate::scenario::{
-        ArrivalSpec, BackendSpec, EarlyStopSpec, FlowSpec, SizeSpec, TopoLinkSpec, TopologySpec,
-        WorkloadSpec,
+        ArrivalSpec, BackendSpec, EarlyStopSpec, FaultSpec, FlowSpec, SizeSpec, TopoLinkSpec,
+        TopologySpec, WorkloadSpec,
     };
     // Every struct hashed field by field is destructured without `..`,
     // so adding a field breaks the build here until the field is hashed.
@@ -120,8 +120,37 @@ pub fn scenario_hash(s: &Scenario) -> u128 {
         byte_limit.stable_hash(&mut h);
     }
     // Hash the *compiled* netsim fault schedule: it already folds in the
-    // derived per-trial RNG stream seed.
-    faults.to_schedule(*seed).stable_hash(&mut h);
+    // derived per-trial RNG stream seed. A spec that cannot be compiled
+    // (a negative time, a non-positive rate step) never runs — validation
+    // rejects it — but still gets a key, from its raw fields behind a
+    // marker no compiled schedule starts with.
+    if faults.check_lowerable().is_ok() {
+        faults.to_schedule(*seed).stable_hash(&mut h);
+    } else {
+        let FaultSpec {
+            loss_fwd,
+            loss_ack,
+            outages,
+            rate_steps,
+            delay_spikes,
+        } = faults;
+        h.write_bytes(b"unlowerable_faults");
+        loss_fwd.stable_hash(&mut h);
+        loss_ack.stable_hash(&mut h);
+        for list in [outages, rate_steps] {
+            (list.len() as u64).stable_hash(&mut h);
+            for (a, b) in list {
+                a.stable_hash(&mut h);
+                b.stable_hash(&mut h);
+            }
+        }
+        (delay_spikes.len() as u64).stable_hash(&mut h);
+        for (a, b, c) in delay_spikes {
+            a.stable_hash(&mut h);
+            b.stable_hash(&mut h);
+            c.stable_hash(&mut h);
+        }
+    }
     // Opt-in stop policy extends the byte stream only when engaged: every
     // pre-existing scenario keeps its hash, and an early-stopped run can
     // never alias the fixed-horizon run of the same scenario (the marker

@@ -7,13 +7,14 @@
 
 use bbrdom_cca::CcaKind;
 use bbrdom_netsim::hash::{StableHash, StableHasher};
-use bbrdom_netsim::json::{self, Value};
+use bbrdom_netsim::json::{Field, Kind, ParseError, Reader, Value};
 use bbrdom_netsim::{
     ConfigError, FaultSchedule, FlowConfig, Rate, SimConfig, SimDuration, SimError, SimTime,
     Simulator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// One flow in a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,8 +125,40 @@ impl FaultSpec {
             && self.delay_spikes.is_empty()
     }
 
+    /// Check the fields [`FaultSpec::to_schedule`] would assert on: every
+    /// time, length and spike delay must be zero or more, every rate step
+    /// positive (NaN fails both). A spec that passes always lowers.
+    pub fn check_lowerable(&self) -> Result<(), ConfigError> {
+        let time = |field, secs: f64| {
+            if secs >= 0.0 {
+                Ok(())
+            } else {
+                Err(ConfigError::Negative { field })
+            }
+        };
+        for &(at, down) in &self.outages {
+            time("fault outage start", at)?;
+            time("fault outage length", down)?;
+        }
+        for &(at, mbps) in &self.rate_steps {
+            time("fault rate step time", at)?;
+            if mbps.is_nan() || mbps <= 0.0 {
+                return Err(ConfigError::NonPositive {
+                    field: "fault rate step mbps",
+                });
+            }
+        }
+        for &(at, len, extra_ms) in &self.delay_spikes {
+            time("fault delay spike start", at)?;
+            time("fault delay spike length", len)?;
+            time("fault delay spike extra_ms", extra_ms / 1e3)?;
+        }
+        Ok(())
+    }
+
     /// Lower to the simulator's [`FaultSchedule`]. The loss RNG is seeded
     /// from the trial seed so trials stay reproducible yet decorrelated.
+    /// Panics on a spec [`FaultSpec::check_lowerable`] rejects.
     pub fn to_schedule(&self, seed: u64) -> FaultSchedule {
         // `+ 0.0` turns a -0.0 probability into 0.0: both lose nothing,
         // and a spec holding either serializes without faults, so the
@@ -174,42 +207,66 @@ impl FaultSpec {
         v
     }
 
-    fn from_json_value(v: &Value) -> Result<Self, String> {
-        fn nums(v: &Value, want: usize, what: &str) -> Result<Vec<f64>, String> {
-            let arr = v
-                .as_array()
+    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        /// One `[at, ...]` tuple of `want` numbers.
+        fn nums(
+            r: &mut Reader<'_>,
+            want: usize,
+            what: &str,
+        ) -> Result<Field<Vec<f64>>, ParseError> {
+            let items = r.array_of(|r| Ok(Ok(r.f64()?)))?;
+            Ok(items
+                .and_then(Result::ok)
                 .filter(|a| a.len() == want)
-                .ok_or_else(|| format!("fault {what} must be a {want}-element array"))?;
-            arr.iter()
-                .map(|x| x.as_f64().ok_or_else(|| format!("non-numeric {what}")))
-                .collect()
+                .ok_or_else(|| format!("fault {what} must be a {want}-element array"))
+                .and_then(|a| {
+                    a.into_iter()
+                        .map(|x| x.ok_or_else(|| format!("non-numeric {what}")))
+                        .collect()
+                }))
         }
+        /// An absent list is empty; a present one must be an array.
         fn list<T>(
-            v: &Value,
+            r: &mut Reader<'_>,
             key: &str,
-            f: impl Fn(&Value) -> Result<T, String>,
-        ) -> Result<Vec<T>, String> {
-            match v.get(key) {
-                None => Ok(Vec::new()),
-                Some(x) => x
-                    .as_array()
-                    .ok_or_else(|| format!("fault '{key}' must be an array"))?
-                    .iter()
-                    .map(f)
-                    .collect(),
-            }
+            item: impl FnMut(&mut Reader<'_>) -> Result<Field<T>, ParseError>,
+        ) -> Result<Field<Vec<T>>, ParseError> {
+            Ok(r.array_of(item)?
+                .unwrap_or_else(|| Err(format!("fault '{key}' must be an array"))))
         }
-        Ok(FaultSpec {
-            loss_fwd: v.get("loss_fwd").and_then(Value::as_f64).unwrap_or(0.0),
-            loss_ack: v.get("loss_ack").and_then(Value::as_f64).unwrap_or(0.0),
-            outages: list(v, "outages", |x| nums(x, 2, "outage").map(|n| (n[0], n[1])))?,
-            rate_steps: list(v, "rate_steps", |x| {
-                nums(x, 2, "rate step").map(|n| (n[0], n[1]))
-            })?,
-            delay_spikes: list(v, "delay_spikes", |x| {
-                nums(x, 3, "delay spike").map(|n| (n[0], n[1], n[2]))
-            })?,
-        })
+        let (mut loss_fwd, mut loss_ack) = (None, None);
+        let (mut outages, mut rate_steps, mut delay_spikes) =
+            (Ok(Vec::new()), Ok(Vec::new()), Ok(Vec::new()));
+        r.object(|r, key| {
+            match key {
+                "loss_fwd" => loss_fwd = r.f64()?,
+                "loss_ack" => loss_ack = r.f64()?,
+                "outages" => {
+                    outages = list(r, key, |r| Ok(nums(r, 2, "outage")?.map(|n| (n[0], n[1]))))?
+                }
+                "rate_steps" => {
+                    rate_steps = list(r, key, |r| {
+                        Ok(nums(r, 2, "rate step")?.map(|n| (n[0], n[1])))
+                    })?
+                }
+                "delay_spikes" => {
+                    delay_spikes = list(r, key, |r| {
+                        Ok(nums(r, 3, "delay spike")?.map(|n| (n[0], n[1], n[2])))
+                    })?
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            Ok(FaultSpec {
+                loss_fwd: loss_fwd.unwrap_or(0.0),
+                loss_ack: loss_ack.unwrap_or(0.0),
+                outages: outages?,
+                rate_steps: rate_steps?,
+                delay_spikes: delay_spikes?,
+            })
+        })())
     }
 }
 
@@ -262,21 +319,29 @@ impl EarlyStopSpec {
         v
     }
 
-    fn from_json_value(v: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("early_stop missing '{name}'"))
+    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        let (mut epsilon, mut dwell, mut window_secs, mut min_secs) = (None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "epsilon" => epsilon = r.f64()?,
+                "dwell" => dwell = r.u64()?,
+                "window_secs" => window_secs = r.f64()?,
+                "min_secs" => min_secs = r.f64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let field = |slot: Option<f64>, name: &str| {
+            slot.ok_or_else(|| format!("early_stop missing '{name}'"))
         };
-        Ok(EarlyStopSpec {
-            epsilon: field("epsilon")?,
-            dwell: v
-                .get("dwell")
-                .and_then(Value::as_u64)
-                .ok_or("early_stop missing 'dwell'")? as u32,
-            window_secs: field("window_secs")?,
-            min_secs: field("min_secs")?,
-        })
+        Ok((|| {
+            Ok(EarlyStopSpec {
+                epsilon: field(epsilon, "epsilon")?,
+                dwell: dwell.ok_or("early_stop missing 'dwell'")? as u32,
+                window_secs: field(window_secs, "window_secs")?,
+                min_secs: field(min_secs, "min_secs")?,
+            })
+        })())
     }
 }
 
@@ -436,46 +501,50 @@ impl WorkloadSpec {
         v
     }
 
-    fn from_json_value(v: &Value) -> Result<Self, String> {
-        let cca_name = v
-            .get("cca")
-            .and_then(Value::as_str)
-            .ok_or("workload missing 'cca'")?;
-        let cca =
-            cca_from_name(cca_name).ok_or_else(|| format!("unknown workload cca '{cca_name}'"))?;
-        let arrival = if let Some(rate) = v.get("poisson_per_sec").and_then(Value::as_f64) {
-            ArrivalSpec::Poisson { rate_per_sec: rate }
-        } else if let Some(gap) = v.get("interval_s").and_then(Value::as_f64) {
-            ArrivalSpec::Deterministic { interval_s: gap }
-        } else {
-            return Err("workload missing arrival process".to_string());
-        };
-        let size = if let Some(bytes) = v.get("fixed_bytes").and_then(Value::as_u64) {
-            SizeSpec::Fixed { bytes }
-        } else if let Some(alpha) = v.get("pareto_alpha").and_then(Value::as_f64) {
-            SizeSpec::Pareto {
-                alpha,
-                min_bytes: v
-                    .get("min_bytes")
-                    .and_then(Value::as_u64)
-                    .ok_or("workload pareto missing 'min_bytes'")?,
-                max_bytes: v
-                    .get("max_bytes")
-                    .and_then(Value::as_u64)
-                    .ok_or("workload pareto missing 'max_bytes'")?,
+    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        let (mut cca, mut rtt_ms, mut poisson, mut interval) = (None, None, None, None);
+        let (mut fixed, mut alpha, mut min_bytes, mut max_bytes) = (None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "cca" => cca = r.str()?,
+                "poisson_per_sec" => poisson = r.f64()?,
+                "interval_s" => interval = r.f64()?,
+                "fixed_bytes" => fixed = r.u64()?,
+                "pareto_alpha" => alpha = r.f64()?,
+                "min_bytes" => min_bytes = r.u64()?,
+                "max_bytes" => max_bytes = r.u64()?,
+                "rtt_ms" => rtt_ms = r.f64()?,
+                _ => r.skip()?,
             }
-        } else {
-            return Err("workload missing size model".to_string());
-        };
-        Ok(WorkloadSpec {
-            cca,
-            arrival,
-            size,
-            rtt_ms: v
-                .get("rtt_ms")
-                .and_then(Value::as_f64)
-                .ok_or("workload missing 'rtt_ms'")?,
-        })
+            Ok(())
+        })?;
+        Ok((|| {
+            let cca_name = cca.ok_or("workload missing 'cca'")?;
+            let cca = cca_from_name(&cca_name)
+                .ok_or_else(|| format!("unknown workload cca '{cca_name}'"))?;
+            // A Poisson rate wins over an interval, a fixed size over a
+            // Pareto one.
+            let arrival = match (poisson, interval) {
+                (Some(rate_per_sec), _) => ArrivalSpec::Poisson { rate_per_sec },
+                (None, Some(interval_s)) => ArrivalSpec::Deterministic { interval_s },
+                (None, None) => return Err("workload missing arrival process".to_string()),
+            };
+            let size = match (fixed, alpha) {
+                (Some(bytes), _) => SizeSpec::Fixed { bytes },
+                (None, Some(alpha)) => SizeSpec::Pareto {
+                    alpha,
+                    min_bytes: min_bytes.ok_or("workload pareto missing 'min_bytes'")?,
+                    max_bytes: max_bytes.ok_or("workload pareto missing 'max_bytes'")?,
+                },
+                (None, None) => return Err("workload missing size model".to_string()),
+            };
+            Ok(WorkloadSpec {
+                cca,
+                arrival,
+                size,
+                rtt_ms: rtt_ms.ok_or("workload missing 'rtt_ms'")?,
+            })
+        })())
     }
 }
 
@@ -717,78 +786,89 @@ impl TopologySpec {
         v
     }
 
-    fn from_json_value(v: &Value) -> Result<Self, String> {
-        fn indices(v: &Value, what: &str) -> Result<Vec<usize>, String> {
-            v.as_array()
-                .ok_or_else(|| format!("{what} must be an array"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("non-integer entry in {what}"))
-                })
-                .collect()
+    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        /// A list of link or route indices; `None` when not an array.
+        fn indices(
+            r: &mut Reader<'_>,
+            what: &str,
+        ) -> Result<Option<Field<Vec<usize>>>, ParseError> {
+            r.array_of(|r| {
+                Ok(r.u64()?
+                    .map(|n| n as usize)
+                    .ok_or_else(|| format!("non-integer entry in {what}")))
+            })
         }
-        let nodes = v
-            .get("nodes")
-            .and_then(Value::as_array)
-            .ok_or("topology missing 'nodes'")?
-            .iter()
-            .map(|n| {
-                n.as_str()
-                    .map(String::from)
-                    .ok_or_else(|| "non-string node name".to_string())
+        let (mut nodes, mut links, mut routes) = (None, None, None);
+        let (mut flow_routes, mut workload_route, mut fault_link) = (None, None, None);
+        r.object(|r, key| {
+            match key {
+                "nodes" => {
+                    nodes = r.array_of(|r| {
+                        Ok(r.str()?
+                            .map(Cow::into_owned)
+                            .ok_or_else(|| "non-string node name".to_string()))
+                    })?
+                }
+                "links" => links = r.array_of(TopoLinkSpec::read)?,
+                "routes" => {
+                    routes = r.array_of(|r| {
+                        Ok(indices(r, "topology route")?
+                            .unwrap_or_else(|| Err("topology route must be an array".into())))
+                    })?
+                }
+                "flow_routes" => {
+                    flow_routes = Some(
+                        indices(r, "topology flow_routes")?
+                            .unwrap_or_else(|| Err("topology flow_routes must be an array".into())),
+                    )
+                }
+                "workload_route" => workload_route = r.u64()?,
+                "fault_link" => fault_link = r.u64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            Ok(TopologySpec {
+                nodes: nodes.ok_or("topology missing 'nodes'")??,
+                links: links.ok_or("topology missing 'links'")??,
+                routes: routes.ok_or("topology missing 'routes'")??,
+                flow_routes: flow_routes.unwrap_or(Ok(Vec::new()))?,
+                workload_route: workload_route.map(|r| r as usize),
+                fault_link: fault_link.map(|l| l as usize),
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let links = v
-            .get("links")
-            .and_then(Value::as_array)
-            .ok_or("topology missing 'links'")?
-            .iter()
-            .map(|l| {
-                let name = |key: &str| {
-                    l.get(key)
-                        .and_then(Value::as_str)
-                        .map(String::from)
-                        .ok_or_else(|| format!("topology link missing '{key}'"))
-                };
-                Ok(TopoLinkSpec {
-                    from: name("from")?,
-                    to: name("to")?,
-                    mbps: l.get("mbps").and_then(Value::as_f64),
-                    delay_ms: l
-                        .get("delay_ms")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| "topology link missing 'delay_ms'".to_string())?,
-                    buffer_bdp: l.get("buffer_bdp").and_then(Value::as_f64).unwrap_or(0.0),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let routes = v
-            .get("routes")
-            .and_then(Value::as_array)
-            .ok_or("topology missing 'routes'")?
-            .iter()
-            .map(|r| indices(r, "topology route"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let flow_routes = match v.get("flow_routes") {
-            None => Vec::new(),
-            Some(fr) => indices(fr, "topology flow_routes")?,
+        })())
+    }
+}
+
+impl TopoLinkSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        let (mut from, mut to, mut mbps, mut delay_ms, mut buffer_bdp) =
+            (None, None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "from" => from = r.str()?,
+                "to" => to = r.str()?,
+                "mbps" => mbps = r.f64()?,
+                "delay_ms" => delay_ms = r.f64()?,
+                "buffer_bdp" => buffer_bdp = r.f64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let name = |slot: Option<Cow<'_, str>>, key: &str| {
+            slot.map(Cow::into_owned)
+                .ok_or_else(|| format!("topology link missing '{key}'"))
         };
-        Ok(TopologySpec {
-            nodes,
-            links,
-            routes,
-            flow_routes,
-            workload_route: v
-                .get("workload_route")
-                .and_then(Value::as_u64)
-                .map(|r| r as usize),
-            fault_link: v
-                .get("fault_link")
-                .and_then(Value::as_u64)
-                .map(|l| l as usize),
-        })
+        Ok((|| {
+            Ok(TopoLinkSpec {
+                from: name(from, "from")?,
+                to: name(to, "to")?,
+                mbps,
+                delay_ms: delay_ms.ok_or("topology link missing 'delay_ms'")?,
+                buffer_bdp: buffer_bdp.unwrap_or(0.0),
+            })
+        })())
     }
 }
 
@@ -1050,6 +1130,7 @@ impl Scenario {
                 });
             }
         }
+        self.faults.check_lowerable()?;
         self.faults.to_schedule(self.seed).validate()
     }
 
@@ -1200,20 +1281,27 @@ impl FlowSpec {
         v
     }
 
-    fn from_json_value(v: &Value) -> Result<Self, String> {
-        let cca_name = v
-            .get("cca")
-            .and_then(Value::as_str)
-            .ok_or("flow missing 'cca'")?;
-        Ok(FlowSpec {
-            cca: cca_from_name(cca_name).ok_or_else(|| format!("unknown cca '{cca_name}'"))?,
-            rtt_ms: v
-                .get("rtt_ms")
-                .and_then(Value::as_f64)
-                .ok_or("flow missing 'rtt_ms'")?,
-            start_s: v.get("start_s").and_then(Value::as_f64).unwrap_or(0.0),
-            byte_limit: v.get("byte_limit").and_then(Value::as_u64),
-        })
+    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        let (mut cca, mut rtt_ms, mut start_s, mut byte_limit) = (None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "cca" => cca = r.str()?,
+                "rtt_ms" => rtt_ms = r.f64()?,
+                "start_s" => start_s = r.f64()?,
+                "byte_limit" => byte_limit = r.u64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            let cca_name = cca.ok_or("flow missing 'cca'")?;
+            Ok(FlowSpec {
+                cca: cca_from_name(&cca_name).ok_or_else(|| format!("unknown cca '{cca_name}'"))?,
+                rtt_ms: rtt_ms.ok_or("flow missing 'rtt_ms'")?,
+                start_s: start_s.unwrap_or(0.0),
+                byte_limit,
+            })
+        })())
     }
 }
 
@@ -1226,9 +1314,8 @@ impl Scenario {
     }
 
     /// Serialize as a JSON [`Value`], for embedding inside a larger
-    /// document (the supervisor's worker manifest stores one scenario
-    /// per batch index this way). Inverse of
-    /// [`Scenario::from_json_value`].
+    /// document (an index line, the supervisor's batch file). Read back
+    /// with [`Scenario::read`].
     pub fn to_json_value(&self) -> Value {
         let mut v = Value::object();
         v.set("mbps", self.mbps.into())
@@ -1262,69 +1349,70 @@ impl Scenario {
     /// Parse a scenario serialized with [`Scenario::to_json`].
     /// `start_s`, `byte_limit`, and `discipline` may be omitted.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        Scenario::from_json_value(&v)
+        Reader::document(text, Scenario::read).map_err(|e| e.to_string())?
     }
 
-    /// Parse a scenario from a JSON [`Value`] (inverse of
-    /// [`Scenario::to_json_value`]).
-    pub fn from_json_value(v: &Value) -> Result<Self, String> {
-        let flows = v
-            .get("flows")
-            .and_then(Value::as_array)
-            .ok_or("scenario missing 'flows'")?
-            .iter()
-            .map(FlowSpec::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("scenario missing '{name}'"))
-        };
-        let discipline = match v.get("discipline").and_then(Value::as_str) {
-            None => DisciplineSpec::DropTail,
-            Some(name) => DisciplineSpec::from_name(name)
-                .ok_or_else(|| format!("unknown discipline '{name}'"))?,
-        };
-        let faults = match v.get("faults") {
-            None => FaultSpec::default(),
-            Some(f) => FaultSpec::from_json_value(f)?,
-        };
-        let early_stop = match v.get("early_stop") {
-            None => None,
-            Some(s) => Some(EarlyStopSpec::from_json_value(s)?),
-        };
-        let backend = match v.get("backend").and_then(Value::as_str) {
-            None => BackendSpec::Des,
-            Some(name) => {
-                BackendSpec::from_name(name).ok_or_else(|| format!("unknown backend '{name}'"))?
+    /// Read a scenario off a JSON reader (inverse of
+    /// [`Scenario::to_json_value`]): the one field reader of this type.
+    /// Unknown keys are ignored, a repeated key's last value wins, and a
+    /// field of the wrong type reads as absent.
+    pub fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        let (mut mbps, mut buffer_bdp, mut reference_rtt_ms) = (None, None, None);
+        let (mut flows, mut duration_secs, mut seed) = (None, None, None);
+        let (mut discipline, mut faults, mut early_stop) = (None, None, None);
+        let (mut backend, mut workload, mut topology) = (None, None, None);
+        r.object(|r, key| {
+            match key {
+                "mbps" => mbps = r.f64()?,
+                "buffer_bdp" => buffer_bdp = r.f64()?,
+                "reference_rtt_ms" => reference_rtt_ms = r.f64()?,
+                "flows" => flows = r.array_of(FlowSpec::read)?,
+                "duration_secs" => duration_secs = r.f64()?,
+                "seed" => seed = r.u64()?,
+                "discipline" => discipline = r.str()?,
+                "faults" => faults = Some(FaultSpec::read(r)?),
+                "early_stop" => early_stop = Some(EarlyStopSpec::read(r)?),
+                "backend" => backend = r.str()?,
+                "workload" => workload = Some(WorkloadSpec::read(r)?),
+                "topology" => topology = Some(TopologySpec::read(r)?),
+                _ => r.skip()?,
             }
-        };
-        let workload = match v.get("workload") {
-            None => None,
-            Some(w) => Some(WorkloadSpec::from_json_value(w)?),
-        };
-        let topology = match v.get("topology") {
-            None => None,
-            Some(t) => Some(TopologySpec::from_json_value(t)?),
-        };
-        Ok(Scenario {
-            mbps: field("mbps")?,
-            buffer_bdp: field("buffer_bdp")?,
-            reference_rtt_ms: field("reference_rtt_ms")?,
-            flows,
-            duration_secs: field("duration_secs")?,
-            seed: v
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or("scenario missing 'seed'")?,
-            discipline,
-            faults,
-            early_stop,
-            backend,
-            workload,
-            topology,
-        })
+            Ok(())
+        })?;
+        Ok((|| {
+            let flows = flows.ok_or("scenario missing 'flows'")??;
+            let field = |slot: Option<f64>, name: &str| {
+                slot.ok_or_else(|| format!("scenario missing '{name}'"))
+            };
+            let discipline = match discipline {
+                None => DisciplineSpec::DropTail,
+                Some(name) => DisciplineSpec::from_name(&name)
+                    .ok_or_else(|| format!("unknown discipline '{name}'"))?,
+            };
+            let faults = faults.unwrap_or(Ok(FaultSpec::default()))?;
+            let early_stop = early_stop.transpose()?;
+            let backend = match backend {
+                None => BackendSpec::Des,
+                Some(name) => BackendSpec::from_name(&name)
+                    .ok_or_else(|| format!("unknown backend '{name}'"))?,
+            };
+            let workload = workload.transpose()?;
+            let topology = topology.transpose()?;
+            Ok(Scenario {
+                mbps: field(mbps, "mbps")?,
+                buffer_bdp: field(buffer_bdp, "buffer_bdp")?,
+                reference_rtt_ms: field(reference_rtt_ms, "reference_rtt_ms")?,
+                flows,
+                duration_secs: field(duration_secs, "duration_secs")?,
+                seed: seed.ok_or("scenario missing 'seed'")?,
+                discipline,
+                faults,
+                early_stop,
+                backend,
+                workload,
+                topology,
+            })
+        })())
     }
 }
 
@@ -1414,7 +1502,7 @@ impl TrialResult {
     }
 
     /// Serialize for the result store and the supervisor wire protocol
-    /// (inverse of [`TrialResult::from_json_value`]). Floats round-trip
+    /// (inverse of [`TrialResult::read`]). Floats round-trip
     /// bit-exactly, so store-served sweeps reproduce the original numbers.
     pub fn to_json_value(&self) -> Value {
         let f64s = |xs: &[f64]| Value::Array(xs.iter().map(|&x| x.into()).collect());
@@ -1476,90 +1564,82 @@ impl TrialResult {
     }
 
     /// Parse a result serialized with [`TrialResult::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<Self, String> {
-        fn f64s(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-            v.get(key)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("result missing '{key}'"))?
-                .iter()
-                .map(|x| x.as_f64().ok_or_else(|| format!("non-numeric '{key}'")))
-                .collect()
-        }
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("result missing '{key}'"))
-        };
-        Ok(TrialResult {
-            throughput_mbps: f64s(v, "throughput_mbps")?,
-            cc_names: v
-                .get("cc_names")
-                .and_then(Value::as_array)
-                .ok_or("result missing 'cc_names'")?
-                .iter()
-                .map(|x| {
-                    x.as_str()
-                        .map(String::from)
-                        .ok_or_else(|| "non-string cc name".to_string())
-                })
-                .collect::<Result<_, _>>()?,
-            avg_queue_occupancy_bytes: f64s(v, "avg_queue_occupancy_bytes")?,
-            backoff_times_secs: v
-                .get("backoff_times_secs")
-                .and_then(Value::as_array)
-                .ok_or("result missing 'backoff_times_secs'")?
-                .iter()
-                .map(|xs| {
-                    xs.as_array()
-                        .ok_or_else(|| "non-array backoff list".to_string())?
-                        .iter()
-                        .map(|x| {
-                            x.as_f64()
-                                .ok_or_else(|| "non-numeric backoff time".to_string())
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        Reader::document(text, TrialResult::read).map_err(|e| e.to_string())?
+    }
+
+    /// Read a result off a JSON reader: the one field reader of this
+    /// type. Unknown keys are ignored and a repeated key's last value
+    /// wins.
+    pub fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
+        let (mut throughput, mut cc_names, mut occupancy, mut backoffs) = (None, None, None, None);
+        let (mut delay, mut utilization, mut dropped, mut aqm_drops) = (None, None, None, None);
+        let (mut completions, mut spawned, mut completed) = (None, None, None);
+        let mut fct = None;
+        r.object(|r, key| {
+            match key {
+                "throughput_mbps" => throughput = r.f64s("'throughput_mbps'")?,
+                "cc_names" => {
+                    cc_names = r.array_of(|r| {
+                        Ok(r.str()?
+                            .map(Cow::into_owned)
+                            .ok_or_else(|| "non-string cc name".to_string()))
+                    })?
+                }
+                "avg_queue_occupancy_bytes" => occupancy = r.f64s("'avg_queue_occupancy_bytes'")?,
+                "backoff_times_secs" => {
+                    backoffs = r.array_of(|r| {
+                        Ok(r.f64s("backoff time")?
+                            .unwrap_or_else(|| Err("non-array backoff list".into())))
+                    })?
+                }
+                "avg_queuing_delay_ms" => delay = r.f64()?,
+                "utilization" => utilization = r.f64()?,
+                "dropped_packets" => dropped = r.u64()?,
+                "aqm_drops" => aqm_drops = r.u64()?,
+                "completion_times_secs" => {
+                    completions = r.array_of(|r| {
+                        Ok(if r.peek()? == Kind::Null {
+                            r.skip()?;
+                            Ok(None)
+                        } else {
+                            r.f64()?
+                                .map(Some)
+                                .ok_or_else(|| "non-numeric completion time".to_string())
                         })
-                        .collect()
-                })
-                .collect::<Result<_, _>>()?,
-            avg_queuing_delay_ms: field("avg_queuing_delay_ms")?,
-            utilization: field("utilization")?,
-            dropped_packets: v
-                .get("dropped_packets")
-                .and_then(Value::as_u64)
-                .ok_or("result missing 'dropped_packets'")?,
-            aqm_drops: v.get("aqm_drops").and_then(Value::as_u64).unwrap_or(0),
-            completion_times_secs: v
-                .get("completion_times_secs")
-                .and_then(Value::as_array)
-                .ok_or("result missing 'completion_times_secs'")?
-                .iter()
-                .map(|x| {
-                    if x.is_null() {
-                        Ok(None)
-                    } else {
-                        x.as_f64()
-                            .map(Some)
-                            .ok_or_else(|| "non-numeric completion time".to_string())
-                    }
-                })
-                .collect::<Result<_, _>>()?,
-            workload_spawned: v
-                .get("workload_spawned")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            workload_completed: v
-                .get("workload_completed")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            workload_fct: match v.get("workload_fct") {
-                None => Vec::new(),
-                Some(arr) => arr
-                    .as_array()
-                    .ok_or("'workload_fct' must be an array")?
-                    .iter()
-                    .map(bbrdom_netsim::FctPercentiles::from_json_value)
-                    .collect::<Result<_, _>>()?,
-            },
-        })
+                    })?
+                }
+                "workload_spawned" => spawned = r.u64()?,
+                "workload_completed" => completed = r.u64()?,
+                "workload_fct" => {
+                    fct = Some(
+                        r.array_of(bbrdom_netsim::FctPercentiles::read)?
+                            .unwrap_or_else(|| Err("'workload_fct' must be an array".into())),
+                    )
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let missing = |key: &str| format!("result missing '{key}'");
+        Ok((|| {
+            Ok(TrialResult {
+                throughput_mbps: throughput.ok_or_else(|| missing("throughput_mbps"))??,
+                cc_names: cc_names.ok_or_else(|| missing("cc_names"))??,
+                avg_queue_occupancy_bytes: occupancy
+                    .ok_or_else(|| missing("avg_queue_occupancy_bytes"))??,
+                backoff_times_secs: backoffs.ok_or_else(|| missing("backoff_times_secs"))??,
+                avg_queuing_delay_ms: delay.ok_or_else(|| missing("avg_queuing_delay_ms"))?,
+                utilization: utilization.ok_or_else(|| missing("utilization"))?,
+                dropped_packets: dropped.ok_or_else(|| missing("dropped_packets"))?,
+                aqm_drops: aqm_drops.unwrap_or(0),
+                completion_times_secs: completions
+                    .ok_or_else(|| missing("completion_times_secs"))??,
+                workload_spawned: spawned.unwrap_or(0),
+                workload_completed: completed.unwrap_or(0),
+                workload_fct: fct.unwrap_or(Ok(Vec::new()))?,
+            })
+        })())
     }
 }
 
@@ -1777,6 +1857,36 @@ mod tests {
         let mut s = ok.clone();
         s.faults.loss_fwd = 1.5;
         assert!(s.validate().is_err());
+
+        // Fault fields the schedule's constructors assert on are screened
+        // first: an error, not a panic.
+        for faults in [
+            FaultSpec {
+                outages: vec![(-1.0, 0.5)],
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                outages: vec![(1.0, f64::NAN)],
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                rate_steps: vec![(1.0, 0.0)],
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                rate_steps: vec![(f64::NAN, 5.0)],
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                delay_spikes: vec![(1.0, 0.5, -2.0)],
+                ..FaultSpec::default()
+            },
+        ] {
+            let s = ok.clone().with_faults(faults);
+            assert!(s.faults.check_lowerable().is_err());
+            assert!(s.validate().is_err(), "{:?}", s.faults);
+            assert!(s.try_run_with(None, None).is_err());
+        }
     }
 
     #[test]
@@ -1789,7 +1899,7 @@ mod tests {
     #[test]
     fn trial_result_roundtrips_through_json() {
         let r = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 9).run();
-        let back = TrialResult::from_json_value(&r.to_json_value()).unwrap();
+        let back = TrialResult::from_json(&r.to_json_value().to_json()).unwrap();
         assert_eq!(back.throughput_mbps, r.throughput_mbps);
         assert_eq!(back.cc_names, r.cc_names);
         assert_eq!(back.backoff_times_secs, r.backoff_times_secs);
@@ -1940,7 +2050,7 @@ mod tests {
         assert_eq!(r.throughput_mbps.len(), 1);
 
         // Workload results ride through the store serialization.
-        let back = TrialResult::from_json_value(&r.to_json_value()).unwrap();
+        let back = TrialResult::from_json(&r.to_json_value().to_json()).unwrap();
         assert_eq!(back.workload_spawned, r.workload_spawned);
         assert_eq!(back.workload_fct, r.workload_fct);
 

@@ -215,31 +215,50 @@ impl StoreEntry {
     }
 
     /// Parse one index line; `None` for anything torn, malformed, or of
-    /// another format version — the caller treats it as a miss.
+    /// another format version — the caller treats it as a miss. The line
+    /// is read field by field off one [`json::Reader`], with no
+    /// [`Value`] tree in between; as with [`json::parse`], a repeated key's
+    /// last value wins and unknown keys are ignored.
     pub fn from_json_line(line: &str) -> Option<StoreEntry> {
-        let v = json::parse(line).ok()?;
-        if v.get("v").and_then(Value::as_u64) != Some(INDEX_FORMAT_VERSION as u64) {
+        let (mut version, mut key, mut scenario, mut ok) = (None, None, None, None);
+        let (mut events, mut result, mut error, mut context) = (None, None, None, None);
+        let (mut event_budget, mut wall_budget_ns) = (None, None);
+        json::Reader::document(line, |r| {
+            r.object(|r, k| {
+                match k {
+                    "v" => version = r.u64()?,
+                    "key" => key = Some(r.str()?),
+                    "scenario" => scenario = Some(Scenario::read(r)?),
+                    "ok" => ok = Some(r.bool()?),
+                    "events" => events = r.u64()?,
+                    "result" => result = Some(TrialResult::read(r)?),
+                    "error" => error = Some(r.str()?),
+                    "context" => context = r.str()?,
+                    "event_budget" => event_budget = r.u64()?,
+                    "wall_budget_ns" => wall_budget_ns = r.u64()?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+        })
+        .ok()?;
+        if version != Some(INDEX_FORMAT_VERSION as u64) {
             return None;
         }
-        let key = v.get("key")?.as_str()?.to_string();
+        let key = key??.into_owned();
         key_hash(&key)?;
-        let scenario = Scenario::from_json_value(v.get("scenario")?).ok()?;
-        let outcome = match v.get("ok")? {
-            Value::Bool(true) => StoreOutcome::Ok {
-                events: v.get("events").and_then(Value::as_u64),
-                result: TrialResult::from_json_value(v.get("result")?).ok()?,
+        let scenario = scenario?.ok()?;
+        let outcome = match ok?? {
+            true => StoreOutcome::Ok {
+                events,
+                result: result?.ok()?,
             },
-            Value::Bool(false) => StoreOutcome::Failed {
-                error: v.get("error")?.as_str()?.to_string(),
-                context: v
-                    .get("context")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                event_budget: v.get("event_budget").and_then(Value::as_u64),
-                wall_budget_ns: v.get("wall_budget_ns").and_then(Value::as_u64),
+            false => StoreOutcome::Failed {
+                error: error??.into_owned(),
+                context: context.unwrap_or_default().into_owned(),
+                event_budget,
+                wall_budget_ns,
             },
-            _ => return None,
         };
         Some(StoreEntry {
             key,
@@ -670,31 +689,74 @@ mod tests {
             }
         }
 
-        /// The record format round-trips: a successful cell's line reads
-        /// back to the same bytes and bitwise-equal floats.
+        /// The record format round-trips: a cell's line reads back to the
+        /// same bytes, a success with bitwise-equal floats, a failure
+        /// with the same message and budgets.
         #[test]
         fn results_round_trip_through_the_record_format(
             result in AnyResult,
             events in (0u32..=u32::MAX, 0u32..=u32::MAX),
+            failed in 0u8..4,
         ) {
             let scenario = tiny(1);
             let events = u64::from(events.0) << 32 | u64::from(events.1);
+            let outcome = match failed {
+                0 => StoreOutcome::Failed {
+                    error: result.cc_names.join("\n"),
+                    context: format!("{events}"),
+                    event_budget: (events % 3 != 0).then_some(events),
+                    wall_budget_ns: (events % 2 == 0).then_some(events / 2),
+                },
+                _ => StoreOutcome::Ok {
+                    events: (failed > 1).then_some(events),
+                    result: result.clone(),
+                },
+            };
             let entry = StoreEntry {
                 key: crate::engine::scenario_hash_hex(&scenario),
                 scenario,
-                outcome: StoreOutcome::Ok {
-                    events: Some(events),
-                    result: result.clone(),
-                },
+                outcome,
             };
             let line = entry.to_json_line();
             let back = StoreEntry::from_json_line(&line).expect("index line parses");
             proptest::prop_assert_eq!(back.to_json_line(), line);
-            let StoreOutcome::Ok { events: back_events, result: back } = back.outcome else {
-                unreachable!("a success reads back as a success");
-            };
-            proptest::prop_assert_eq!(back_events, Some(events));
-            proptest::prop_assert_eq!(float_bits(&back), float_bits(&result));
+            match (back.outcome, entry.outcome) {
+                (
+                    StoreOutcome::Ok { events: back_events, result: back },
+                    StoreOutcome::Ok { events, .. },
+                ) => {
+                    proptest::prop_assert_eq!(back_events, events);
+                    proptest::prop_assert_eq!(float_bits(&back), float_bits(&result));
+                }
+                (back, want) => proptest::prop_assert_eq!(format!("{back:?}"), format!("{want:?}")),
+            }
+        }
+
+        /// A flipped byte or a spliced run of arbitrary bytes anywhere in
+        /// either line shape never panics the reader, and every corrupted
+        /// line `json::parse` rejects is a miss.
+        #[test]
+        fn corrupted_lines_never_panic_and_malformed_ones_are_misses(
+            shape in 0usize..2,
+            at in 0.0f64..1.0,
+            flip in 1u8..=255,
+            splice in proptest::prelude::prop::bool::weighted(0.5),
+            junk in proptest::prelude::prop::collection::vec(0u8..=255, 0..8),
+            cut in 0usize..8,
+        ) {
+            let mut bytes = line_shapes()[shape].clone().into_bytes();
+            let at = (at * bytes.len() as f64) as usize;
+            if splice {
+                let end = (at + cut).min(bytes.len());
+                bytes.splice(at..end, junk);
+            } else {
+                bytes[at] ^= flip;
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let read = StoreEntry::from_json_line(&text);
+            if json::parse(&text).is_err() {
+                proptest::prop_assert!(read.is_none(), "{}", text);
+            }
         }
 
         /// A non-finite float anywhere in a result makes its index line a
@@ -721,6 +783,88 @@ mod tests {
                 }
                 .to_json_line();
                 proptest::prop_assert!(StoreEntry::from_json_line(&line).is_none(), "{line}");
+            }
+        }
+    }
+
+    /// The two line shapes an index holds at the paper's scale: an n = 50
+    /// fluid cell (fifty long backoff lists) and a DES cell with faults,
+    /// a workload and a topology (its result made up, not simulated).
+    fn line_shapes() -> &'static [String; 2] {
+        static SHAPES: std::sync::OnceLock<[String; 2]> = std::sync::OnceLock::new();
+        SHAPES.get_or_init(|| {
+            use crate::scenario::{BackendSpec, FaultSpec, TopologySpec, WorkloadSpec};
+            let fluid = Scenario::versus(50.0, 20.0, 0.5, 25, CcaKind::Bbr, 25, 3.0, 7)
+                .with_backend(BackendSpec::Fluid);
+            let result = fluid.run();
+            let cubic = &result.backoff_times_secs[..25];
+            assert!(cubic.iter().all(|b| b.len() > 40), "long backoff lists");
+            let fluid = StoreEntry {
+                key: crate::engine::scenario_hash_hex(&fluid),
+                scenario: fluid,
+                outcome: StoreOutcome::Ok {
+                    events: Some(9_000),
+                    result,
+                },
+            };
+            let mut topology = TopologySpec::parking_lot(2, 40.0, 2.0, 2.0);
+            topology.flow_routes = vec![0, 0, 1];
+            topology.fault_link = Some(1);
+            let des = Scenario::versus(40.0, 40.0, 2.0, 2, CcaKind::Bbr, 1, 5.0, 3)
+                .with_faults(FaultSpec {
+                    loss_fwd: 0.01,
+                    loss_ack: 0.002,
+                    outages: vec![(2.0, 0.5)],
+                    rate_steps: vec![(1.0, 5.0), (3.0, 10.0)],
+                    delay_spikes: vec![(4.0, 0.25, 40.0)],
+                })
+                .with_workload(Some(WorkloadSpec::web(CcaKind::Cubic, 80.0, 30.0)))
+                .with_topology(Some(topology));
+            let des = StoreEntry {
+                key: crate::engine::scenario_hash_hex(&des),
+                scenario: des,
+                outcome: StoreOutcome::Ok {
+                    events: Some(123_456),
+                    result: TrialResult {
+                        throughput_mbps: vec![11.5, 9.25, 14.0],
+                        cc_names: vec!["cubic".into(), "cubic".into(), "bbr".into()],
+                        avg_queue_occupancy_bytes: vec![1e4, 0.0, 5e-324],
+                        backoff_times_secs: vec![vec![0.1, 0.25], Vec::new(), vec![1.5]],
+                        avg_queuing_delay_ms: 2.5,
+                        utilization: 0.93,
+                        dropped_packets: 17,
+                        aqm_drops: 0,
+                        completion_times_secs: vec![Some(1.25), None, None],
+                        workload_spawned: 40,
+                        workload_completed: 31,
+                        workload_fct: vec![bbrdom_netsim::FctPercentiles {
+                            cc_name: "cubic".into(),
+                            count: 31,
+                            p50_secs: 0.125,
+                            p95_secs: 0.5,
+                            p99_secs: 0.875,
+                        }],
+                    },
+                },
+            };
+            [fluid.to_json_line(), des.to_json_line()]
+        })
+    }
+
+    /// A torn append leaves a strict prefix of a line: every one of them,
+    /// in either line shape, is a miss that `json::parse` rejects too.
+    #[test]
+    fn every_strict_prefix_of_a_line_is_a_miss() {
+        for line in line_shapes() {
+            let entry = StoreEntry::from_json_line(line).expect("the whole line reads");
+            assert_eq!(entry.to_json_line(), *line);
+            for end in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                let prefix = &line[..end];
+                assert!(json::parse(prefix).is_err(), "prefix of {end} bytes parses");
+                assert!(
+                    StoreEntry::from_json_line(prefix).is_none(),
+                    "prefix of {end} bytes reads"
+                );
             }
         }
     }

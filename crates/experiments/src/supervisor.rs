@@ -206,25 +206,38 @@ fn result_line(index: usize, key: &str, outcome: &TrialOutcome, events: Option<u
 }
 
 /// Parse a worker's result line into `(index, key, outcome, events)`;
-/// `None` for anything else (claims, stats, garbage).
+/// `None` for anything else (claims, stats, garbage). Read field by
+/// field, like an index line ([`crate::store::StoreEntry::from_json_line`]).
 fn parse_result_line(line: &str) -> Option<(usize, String, TrialOutcome, Option<u64>)> {
-    let v = json::parse(line).ok()?;
-    let index = v.get("index")?.as_u64()? as usize;
-    let key = v.get("key")?.as_str()?.to_string();
-    let outcome = match v.get("ok")? {
-        Value::Bool(true) => TrialOutcome::Ok(TrialResult::from_json_value(v.get("result")?).ok()?),
-        Value::Bool(false) => TrialOutcome::Failed(TrialFailure {
+    let (mut index, mut key, mut ok, mut result) = (None, None, None, None);
+    let (mut error, mut context, mut events) = (None, None, None);
+    json::Reader::document(line, |r| {
+        r.object(|r, k| {
+            match k {
+                "index" => index = Some(r.u64()?),
+                "key" => key = Some(r.str()?),
+                "ok" => ok = Some(r.bool()?),
+                "result" => result = Some(TrialResult::read(r)?),
+                "error" => error = Some(r.str()?),
+                "context" => context = r.str()?,
+                "events" => events = r.u64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+    })
+    .ok()?;
+    let index = index?? as usize;
+    let key = key??.into_owned();
+    let outcome = match ok?? {
+        true => TrialOutcome::Ok(result?.ok()?),
+        false => TrialOutcome::Failed(TrialFailure {
             index,
-            error: v.get("error")?.as_str()?.to_string(),
-            context: v
-                .get("context")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
+            error: error??.into_owned(),
+            context: context.unwrap_or_default().into_owned(),
         }),
-        _ => return None,
     };
-    Some((index, key, outcome, v.get("events").and_then(Value::as_u64)))
+    Some((index, key, outcome, events))
 }
 
 fn add_stats(total: &mut CacheStats, part: &CacheStats) {
@@ -655,18 +668,23 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
     };
     for line in BufReader::new(file).lines() {
         let Ok(line) = line else { break };
-        let Ok(v) = json::parse(&line) else { continue };
-        let (Some(i), Some(key)) = (
-            v.get("index").and_then(Value::as_u64),
-            v.get("key").and_then(Value::as_str),
-        ) else {
+        let (mut index, mut key, mut scenario) = (None, None, None);
+        let read = json::Reader::document(&line, |r| {
+            r.object(|r, k| {
+                match k {
+                    "index" => index = r.u64()?,
+                    "key" => key = r.str()?,
+                    "scenario" => scenario = Some(Scenario::read(r)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+        });
+        let (Ok(_), Some(i), Some(key)) = (read, index, key) else {
             continue;
         };
-        let parsed = match v.get("scenario") {
-            Some(sv) => Scenario::from_json_value(sv),
-            None => Err("record has no scenario".to_string()),
-        };
-        table.insert(i as usize, (key.to_string(), parsed));
+        let parsed = scenario.unwrap_or_else(|| Err("record has no scenario".to_string()));
+        table.insert(i as usize, (key.into_owned(), parsed));
     }
 
     let engine = Engine::new(EngineConfig {

@@ -11,7 +11,7 @@
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, scenario_hash_hex, Engine, EngineConfig};
 use bbrdom_experiments::runner::{SweepConfig, TrialOutcome};
-use bbrdom_experiments::store::{StoreEntry, INDEX_FILE};
+use bbrdom_experiments::store::{StoreEntry, StoreOutcome, INDEX_FILE};
 use bbrdom_experiments::{
     EarlyStopSpec, FaultSpec, FlowSpec, Scenario, TopoLinkSpec, TopologySpec,
 };
@@ -392,10 +392,11 @@ fn flow_order_changes_the_hash() {
 /// Draws `Scenario`s with every opt-in extension present or absent —
 /// faults, early stop, backend, workload, topology — and floats that a
 /// JSON round-trip is most likely to get wrong (±0, subnormals, extreme
-/// exponents) or any finite bit pattern. Validity is not required (the
-/// index records whatever scenario a sweep ran), except that fault
-/// times and rates have the signs `scenario_hash` needs to compile the
-/// fault schedule.
+/// exponents) or any finite bit pattern. Validity is not required: the
+/// index records whatever scenario a sweep ran, and `scenario_hash` keys
+/// fault specs that cannot be compiled (negative times, non-positive
+/// rate steps) too. Half the fault specs are drawn compilable, half
+/// arbitrary.
 struct AnyScenario;
 
 fn any_finite(rng: &mut rand::rngs::StdRng) -> f64 {
@@ -451,9 +452,26 @@ impl proptest::Strategy for AnyScenario {
             DisciplineSpec::Codel,
         ][rng.gen_range(0..3usize)];
         if rng.gen_bool(0.5) {
+            // Half the specs compile (non-negative times, positive rate
+            // steps), so both of `scenario_hash`'s paths get cases.
             let n = rng.gen_range(0..3usize);
-            let time = |rng: &mut rand::rngs::StdRng| any_finite(rng).abs();
-            let rate = |rng: &mut rand::rngs::StdRng| time(rng).max(f64::MIN_POSITIVE);
+            let lowerable = rng.gen_bool(0.5);
+            let time = |rng: &mut rand::rngs::StdRng| {
+                let x = any_finite(rng);
+                if lowerable {
+                    x.abs()
+                } else {
+                    x
+                }
+            };
+            let rate = |rng: &mut rand::rngs::StdRng| {
+                let x = time(rng);
+                if lowerable {
+                    x.max(f64::MIN_POSITIVE)
+                } else {
+                    x
+                }
+            };
             s.faults = FaultSpec {
                 loss_fwd: any_finite(rng),
                 loss_ack: any_finite(rng),
@@ -533,14 +551,74 @@ proptest! {
     /// The index is the only record of which scenario a result belongs
     /// to (`repro query` and `--missing` read it back): every scenario
     /// survives `to_json` → `from_json` with the same bytes and the same
-    /// cache key.
+    /// cache key, and so does the index line that records it.
     #[test]
-    fn scenarios_round_trip_through_json(s in AnyScenario) {
+    fn scenarios_round_trip_through_json(s in AnyScenario, budget in 0u64..u64::MAX) {
         let text = s.to_json();
         let back = Scenario::from_json(&text).expect("a serialized scenario parses");
         prop_assert_eq!(back.to_json(), text.clone());
         prop_assert_eq!(scenario_hash(&back), scenario_hash(&s), "{}", text);
+
+        let entry = StoreEntry {
+            key: scenario_hash_hex(&s),
+            scenario: s,
+            outcome: StoreOutcome::Failed {
+                error: "invalid \"config\"".into(),
+                context: String::new(),
+                event_budget: Some(budget),
+                wall_budget_ns: (budget % 2 == 0).then_some(budget / 2),
+            },
+        };
+        let line = entry.to_json_line();
+        let back = StoreEntry::from_json_line(&line).expect("an index line parses");
+        prop_assert_eq!(back.to_json_line(), line);
     }
+}
+
+/// A fault spec that cannot be compiled — a negative outage start, a
+/// zero rate step — fails its own cell with a config error: hashing it
+/// does not panic, and its siblings in the fail-soft batch still run.
+#[test]
+fn an_unlowerable_fault_spec_fails_only_its_own_cell() {
+    let mut negative = short_scenario(10.0, 1.0, 1, 1, 62);
+    negative.faults.outages = vec![(-1.0, 0.5)];
+    let mut zero_rate = short_scenario(10.0, 1.0, 1, 1, 63);
+    zero_rate.faults.rate_steps = vec![(1.0, 0.0)];
+    let mut nan_spike = short_scenario(10.0, 1.0, 1, 1, 64);
+    nan_spike.faults.delay_spikes = vec![(1.0, f64::NAN, 5.0)];
+    let batch = [
+        short_scenario(10.0, 1.0, 1, 1, 61),
+        negative,
+        zero_rate,
+        nan_spike,
+        short_scenario(10.0, 1.0, 1, 1, 65),
+    ];
+    let keys: Vec<u128> = batch.iter().map(scenario_hash).collect();
+    for (i, a) in keys.iter().enumerate() {
+        assert!(keys[i + 1..].iter().all(|b| a != b), "distinct keys");
+    }
+    assert_eq!(scenario_hash(&batch[1].clone()), keys[1], "a stable key");
+
+    let dir = temp_dir("unlowerable-faults");
+    let outcomes = engine_with_store(&dir)
+        .run_sweep(
+            &batch,
+            &SweepConfig {
+                jobs: Some(2),
+                ..SweepConfig::default()
+            },
+        )
+        .expect("the sweep runs");
+    assert!(outcomes[0].ok().is_some() && outcomes[4].ok().is_some());
+    for (i, needle) in [
+        (1, "fault outage start must be zero or more"),
+        (2, "fault rate step mbps must be positive"),
+        (3, "fault delay spike length must be zero or more"),
+    ] {
+        let failure = outcomes[i].failure().expect("an unlowerable spec fails");
+        assert!(failure.error.contains(needle), "{}", failure.error);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A -0.0 loss probability loses nothing, like 0.0, so the spec is

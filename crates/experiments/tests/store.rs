@@ -244,3 +244,34 @@ fn a_cold_run_writes_only_the_index_and_ignores_other_files() {
     assert_eq!(std::fs::read(cluttered.join(INDEX_FILE)).unwrap(), index);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `repro query --missing` hashes every scenario line it reads; a line
+/// whose fault spec cannot be compiled (a negative outage start) is
+/// reported as missing like any other unserved scenario, not a panic.
+#[test]
+fn query_missing_reports_an_unlowerable_fault_line() {
+    let dir = temp_dir("missing-faults");
+    let mut scenarios = batch(2);
+    scenarios[0].faults.outages = vec![(-1.0, 0.5)];
+    let list = dir.join("scenarios.jsonl");
+    let lines: Vec<String> = scenarios.iter().map(Scenario::to_json).collect();
+    std::fs::write(&list, lines.join("\n") + "\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("query")
+        .arg("--cache-dir")
+        .arg(dir.join("cache"))
+        .arg("--missing")
+        .arg(&list)
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        lines.join("\n") + "\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

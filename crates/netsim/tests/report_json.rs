@@ -197,3 +197,162 @@ proptest::proptest! {
         reads_as_report(&String::from_utf8_lossy(&bytes));
     }
 }
+
+/// Draws `SimReport`s whose floats are the ones a JSON round-trip is
+/// most likely to get wrong (±0, subnormals, extreme exponents, short
+/// decimals) or any finite bit pattern, with every optional part present
+/// or absent: traces, per-hop queues, drops, early stops, workload FCTs,
+/// RTTs and completion times.
+struct AnyReport;
+
+fn any_finite(rng: &mut rand::rngs::StdRng) -> f64 {
+    use rand::{Rng, RngCore};
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1e22,
+        0.1,
+        1206.8342526583306,
+        0.006666666666666667,
+    ];
+    if rng.gen_bool(0.5) {
+        return EDGES[rng.gen_range(0..EDGES.len())];
+    }
+    loop {
+        let x = f64::from_bits(rng.next_u64());
+        if x.is_finite() {
+            return x;
+        }
+    }
+}
+
+fn any_queue(rng: &mut rand::rngs::StdRng) -> bbrdom_netsim::QueueReport {
+    use rand::{Rng, RngCore};
+    bbrdom_netsim::QueueReport {
+        avg_occupancy_bytes: any_finite(rng),
+        avg_queuing_delay_secs: any_finite(rng),
+        peak_occupancy_bytes: rng.next_u64(),
+        capacity_bytes: rng.next_u64(),
+        dropped_packets: rng.next_u64(),
+        aqm_drops: rng.next_u64(),
+        enqueued_packets: rng.next_u64(),
+        utilization: any_finite(rng),
+        drops: (0..rng.gen_range(0..4usize))
+            .map(|_| {
+                (
+                    any_finite(rng),
+                    bbrdom_netsim::FlowId(rng.next_u64() as u32),
+                )
+            })
+            .collect(),
+    }
+}
+
+impl proptest::Strategy for AnyReport {
+    type Value = SimReport;
+
+    fn sample(&self, rng: &mut rand::rngs::StdRng) -> SimReport {
+        use rand::{Rng, RngCore};
+        const NAMES: [&str; 3] = ["cubic", "bbr", "q\"uo\\te\u{e9}\n"];
+        let name = |rng: &mut rand::rngs::StdRng| NAMES[rng.gen_range(0..NAMES.len())].to_string();
+        let opt = |rng: &mut rand::rngs::StdRng| rng.gen_bool(0.5).then(|| any_finite(rng));
+        let flows = (0..rng.gen_range(0..4usize))
+            .map(|_| bbrdom_netsim::FlowReport {
+                flow: bbrdom_netsim::FlowId(rng.next_u64() as u32),
+                cc_name: name(rng),
+                throughput_bytes_per_sec: any_finite(rng),
+                goodput_bytes: rng.next_u64(),
+                sent_bytes: rng.next_u64(),
+                retransmits: rng.next_u64(),
+                lost_packets: rng.next_u64(),
+                congestion_events: rng.next_u64(),
+                rtos: rng.next_u64(),
+                wire_lost_fwd: rng.next_u64(),
+                wire_lost_ack: rng.next_u64(),
+                avg_queue_occupancy_bytes: any_finite(rng),
+                min_rtt_secs: opt(rng),
+                mean_rtt_secs: opt(rng),
+                avg_cwnd_bytes: any_finite(rng),
+                max_cwnd_bytes: rng.next_u64(),
+                completion_time_secs: opt(rng),
+                backoff_times_secs: (0..rng.gen_range(0..5usize))
+                    .map(|_| any_finite(rng))
+                    .collect(),
+            })
+            .collect();
+        let u64s = |rng: &mut rand::rngs::StdRng, n: usize| -> Vec<u64> {
+            (0..n).map(|_| rng.next_u64()).collect()
+        };
+        let samples = (0..rng.gen_range(0..3usize))
+            .map(|_| {
+                let n = rng.gen_range(0..3usize);
+                bbrdom_netsim::Sample {
+                    time: bbrdom_netsim::SimTime(rng.next_u64()),
+                    queue_bytes: rng.next_u64(),
+                    cwnd_bytes: u64s(rng, n),
+                    inflight_bytes: u64s(rng, n),
+                    delivered_bytes: u64s(rng, n),
+                }
+            })
+            .collect();
+        let duration_secs = any_finite(rng);
+        let early_stopped = rng.gen_bool(0.3);
+        let workload_spawned = if rng.gen_bool(0.5) {
+            rng.gen_range(1..u64::MAX)
+        } else {
+            0
+        };
+        let (workload_completed, workload_fct) = if workload_spawned > 0 {
+            let fct = (0..rng.gen_range(0..3usize))
+                .map(|_| bbrdom_netsim::FctPercentiles {
+                    cc_name: name(rng),
+                    count: rng.next_u64(),
+                    p50_secs: any_finite(rng),
+                    p95_secs: any_finite(rng),
+                    p99_secs: any_finite(rng),
+                })
+                .collect();
+            (rng.next_u64(), fct)
+        } else {
+            (0, Vec::new())
+        };
+        SimReport {
+            flows,
+            queue: any_queue(rng),
+            hops: (0..rng.gen_range(0..3usize) * 2)
+                .map(|_| any_queue(rng))
+                .collect(),
+            duration_secs,
+            effective_duration_secs: if early_stopped {
+                any_finite(rng)
+            } else {
+                duration_secs
+            },
+            early_stopped,
+            events_processed: rng.next_u64(),
+            trace: bbrdom_netsim::Trace { samples },
+            workload_spawned,
+            workload_completed,
+            workload_fct,
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+    /// Generated reports survive serialize → `json::parse` →
+    /// `SimReport::from_json_value`: the text is the same and so is every
+    /// field (the `Debug` form spells every float's bits).
+    #[test]
+    fn generated_reports_round_trip_through_json(report in AnyReport) {
+        let text = report.to_json_value().to_json();
+        let parsed = SimReport::from_json_value(&json::parse(&text).unwrap()).unwrap();
+        proptest::prop_assert_eq!(parsed.to_json_value().to_json(), text);
+        proptest::prop_assert_eq!(format!("{parsed:?}"), format!("{report:?}"));
+    }
+}
