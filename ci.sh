@@ -169,7 +169,10 @@ done
 # The fluid run is cold with a cache, then warm: the warm run reads
 # every fluid-shaped index line back (fifty-odd flows, long backoff
 # lists), so it must simulate nothing and write the same CSVs, and
-# `repro query` must find the fluid cells in that index.
+# `repro query` must find the fluid cells in that index. A second warm
+# run reads a copy of the cache with a non-UTF-8 line and a malformed
+# line spliced into the middle of its index: each is skipped on its
+# own, so that run too must simulate nothing and write the same CSVs.
 echo "==> fluid backend smoke (repro 9 --backend fluid vs des, cold then warm store)"
 fl_out="${TMPDIR:-/tmp}/bbrdom-ci-fluid"
 rm -rf "$fl_out"
@@ -182,6 +185,24 @@ cat "$fl_out/warm.log"
 diff -r "$fl_out/fluid" "$fl_out/warm"
 grep -F "(0 simulated (0 events)" "$fl_out/warm.log" >/dev/null \
     || { echo "warm fluid run against its own cache still simulated something"; exit 1; }
+cp -r "$fl_out/cache" "$fl_out/spliced-cache"
+fl_index="$fl_out/spliced-cache/index.jsonl"
+fl_half=$(( $(wc -l < "$fl_out/cache/index.jsonl") / 2 ))
+{
+    head -n "$fl_half" "$fl_out/cache/index.jsonl"
+    printf '{"v":1,"key":"\xff\xfe"}\n'
+    printf '{"v":1,"key":"torn\n'
+    tail -n "+$(( fl_half + 1 ))" "$fl_out/cache/index.jsonl"
+} > "$fl_index"
+[[ "$(wc -l < "$fl_index")" -eq $(( $(wc -l < "$fl_out/cache/index.jsonl") + 2 )) ]] \
+    || { echo "the spliced index lacks its two bad lines"; exit 1; }
+cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
+    --jobs 1 --cache-dir "$fl_out/spliced-cache" --backend fluid --out "$fl_out/spliced" \
+    2> "$fl_out/spliced.log" || { cat "$fl_out/spliced.log"; exit 1; }
+cat "$fl_out/spliced.log"
+diff -r "$fl_out/fluid" "$fl_out/spliced"
+grep -F "(0 simulated (0 events)" "$fl_out/spliced.log" >/dev/null \
+    || { echo "warm fluid run over a spliced index still simulated something"; exit 1; }
 fluid_hits=$(cargo run --release -p bbrdom-experiments --bin repro -- query \
     --cache-dir "$fl_out/cache" --backend fluid --ok --count)
 [[ "$fluid_hits" -gt 0 ]] || { echo "repro query found no fluid cells in the index"; exit 1; }

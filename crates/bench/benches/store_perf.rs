@@ -129,7 +129,7 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, start.elapsed())
 }
 
-fn fingerprint(results: &[bbrdom_experiments::TrialResult]) -> String {
+fn fingerprint(results: &[std::sync::Arc<bbrdom_experiments::TrialResult>]) -> String {
     results
         .iter()
         .map(|r| r.to_json_value().to_json())

@@ -713,6 +713,21 @@ fn cache_subcommand() -> ExitCode {
     }
 }
 
+/// Peak resident set of this process so far (`VmHWM`), MB; `None`
+/// where `/proc/self/status` cannot be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb * 1024.0 / 1e6)
+}
+
 fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
         Some("worker") => return worker_subcommand(),
@@ -832,9 +847,10 @@ fn main() -> ExitCode {
                 }
                 let spent = engine.stats().since(&stats_before);
                 eprintln!(
-                    "== {target} done in {:.1}s ({}) ==",
+                    "== {target} done in {:.1}s ({}){} ==",
                     started.elapsed().as_secs_f64(),
-                    spent.summary()
+                    spent.summary(),
+                    peak_rss_mb().map_or_else(String::new, |mb| format!(", peak RSS {mb:.1} MB"))
                 );
             }
             Ok(None) => {

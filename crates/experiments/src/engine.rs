@@ -24,9 +24,12 @@
 //!    [`scenario_hash`]) returns a previous run's [`TrialResult`] and
 //!    event count instead of re-simulating, in-process always and on
 //!    disk when enabled. The full `SimReport` is never kept: it is
-//!    reduced to its `TrialResult` as the run ends. On disk the result
-//!    store's `index.jsonl` (`results/cache/index.jsonl`) is the one
-//!    record: a cell's line holds its scenario, result and event count.
+//!    reduced to its `TrialResult` as the run ends, and that result is
+//!    held once, behind an `Arc`: the memo, the result store's entry and
+//!    every outcome that serves it share the one allocation. On disk the
+//!    result store's `index.jsonl` (`results/cache/index.jsonl`) is the
+//!    one record: a cell's line holds its scenario, result and event
+//!    count.
 //!    NE searches re-evaluate neighboring strategy profiles constantly;
 //!    warm reruns skip the work entirely.
 //!
@@ -49,7 +52,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Salts [`scenario_hash`]: bumped whenever the hash's coverage or the
 /// meaning of a result changes, so every stale key is orphaned at once.
@@ -389,8 +392,9 @@ pub(crate) fn scenario_context(s: &Scenario) -> String {
 /// per process from its flags).
 pub struct Engine {
     config: EngineConfig,
-    /// Completed results with their event counts, by content hash.
-    memo: Mutex<HashMap<u128, (TrialResult, u64)>>,
+    /// Completed results with their event counts, by content hash. Each
+    /// result is the one the batch returned and the store recorded.
+    memo: Mutex<HashMap<u128, (Arc<TrialResult>, u64)>>,
     /// The indexed result store over `disk_cache`, opened lazily on
     /// first use (so engines that never touch a cache never scan one).
     store: OnceLock<crate::store::Store>,
@@ -439,7 +443,8 @@ impl Engine {
 
     /// Run all scenarios with the engine's pool, panicking on the first
     /// (lowest-index) failure — the strict interface figure sweeps use.
-    /// Results come back in input order.
+    /// Results come back in input order, each shared with the memo and
+    /// the store rather than copied out of them.
     ///
     /// ```
     /// use bbrdom_cca::CcaKind;
@@ -467,12 +472,12 @@ impl Engine {
     /// engine.run_all(&cells);
     /// assert_eq!(engine.stats().memory_hits, 2);
     /// ```
-    pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<TrialResult> {
+    pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Arc<TrialResult>> {
         self.run_all_jobs(scenarios, self.config.jobs)
     }
 
     /// [`Engine::run_all`] with an explicit pool size.
-    pub fn run_all_jobs(&self, scenarios: &[Scenario], jobs: usize) -> Vec<TrialResult> {
+    pub fn run_all_jobs(&self, scenarios: &[Scenario], jobs: usize) -> Vec<Arc<TrialResult>> {
         let outcomes = self
             .execute(scenarios, jobs, None, None)
             .unwrap_or_else(|e| panic!("sweep failed: {e}"));
@@ -710,13 +715,17 @@ impl Engine {
     /// its recorded event count: both are in-memory lookups.
     /// Under an event budget a cached result is reused only if its
     /// recorded event count fits the budget.
-    fn cached(&self, hash: u128, event_budget: Option<u64>) -> Option<(TrialResult, Option<u64>)> {
+    fn cached(
+        &self,
+        hash: u128,
+        event_budget: Option<u64>,
+    ) -> Option<(Arc<TrialResult>, Option<u64>)> {
         if self.config.memory_cache {
             let memo = self.memo.lock().expect("engine memo poisoned");
             if let Some((result, events)) = memo.get(&hash) {
                 if event_budget.is_none_or(|budget| *events <= budget) {
                     self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((result.clone(), Some(*events)));
+                    return Some((Arc::clone(result), Some(*events)));
                 }
             }
         }
@@ -755,14 +764,14 @@ impl Engine {
                 // dropped here: neither the memo nor the index keeps it.
                 // The batch executor's single writer records the result.
                 let events = report.events_processed;
-                let result = TrialResult::from_report(&report);
+                let result = Arc::new(TrialResult::from_report(&report));
                 drop(report);
                 self.events_simulated.fetch_add(events, Ordering::Relaxed);
                 if self.config.memory_cache {
                     self.memo
                         .lock()
                         .expect("engine memo poisoned")
-                        .insert(hash, (result.clone(), events));
+                        .insert(hash, (Arc::clone(&result), events));
                 }
                 (TrialOutcome::Ok(result), Some(events))
             }
@@ -789,7 +798,7 @@ impl Engine {
 /// Copy a representative's outcome onto a duplicate scenario's slot.
 fn retarget(outcome: &TrialOutcome, index: usize) -> TrialOutcome {
     match outcome {
-        TrialOutcome::Ok(r) => TrialOutcome::Ok(r.clone()),
+        TrialOutcome::Ok(r) => TrialOutcome::Ok(Arc::clone(r)),
         TrialOutcome::Failed(f) => TrialOutcome::Failed(TrialFailure {
             index,
             error: f.error.clone(),
@@ -901,6 +910,64 @@ mod tests {
             failure.error
         );
         assert!(failure.context.contains("0 flows"));
+    }
+
+    /// One allocation per result: after a cold batch with memo and store,
+    /// the memo, the store's entry and the returned outcome of each cell
+    /// (a deduplicated alias included) point at the same `TrialResult`,
+    /// and a warm engine's outcomes point at its store's entries.
+    #[test]
+    fn a_result_is_held_once_and_shared() {
+        use crate::store::StoreOutcome;
+        let dir = std::env::temp_dir().join(format!("bbrdom-engine-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = EngineConfig {
+            jobs: 2,
+            disk_cache: Some(dir.clone()),
+            memory_cache: true,
+            supervise: None,
+            result_store: true,
+        };
+        let mut scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
+        scenarios.push(tiny(1));
+        let stored = |engine: &Engine, s: &Scenario| -> Arc<TrialResult> {
+            let entry = engine.store().unwrap().get(scenario_hash(s)).unwrap();
+            let StoreOutcome::Ok { result, .. } = &entry.outcome else {
+                panic!("a successful entry");
+            };
+            Arc::clone(result)
+        };
+        let ok = |outcome: &TrialOutcome| -> Arc<TrialResult> {
+            let TrialOutcome::Ok(result) = outcome else {
+                panic!("a successful outcome");
+            };
+            Arc::clone(result)
+        };
+
+        let cold = Engine::new(config.clone());
+        let outcomes = cold.run_sweep(&scenarios, &SweepConfig::default()).unwrap();
+        assert_eq!((cold.stats().simulated, cold.stats().deduped), (3, 1));
+        for (s, outcome) in scenarios.iter().zip(&outcomes) {
+            let memo = Arc::clone(&cold.memo.lock().unwrap()[&scenario_hash(s)].0);
+            assert!(Arc::ptr_eq(&ok(outcome), &memo), "outcome copies the memo");
+            assert!(
+                Arc::ptr_eq(&memo, &stored(&cold, s)),
+                "store copies the memo"
+            );
+        }
+
+        let warm = Engine::new(config);
+        let outcomes = warm.run_sweep(&scenarios, &SweepConfig::default()).unwrap();
+        let results = warm.run_all(&scenarios);
+        assert_eq!((warm.stats().simulated, warm.stats().store_hits), (0, 6));
+        for ((s, outcome), result) in scenarios.iter().zip(&outcomes).zip(&results) {
+            assert!(
+                Arc::ptr_eq(&ok(outcome), &stored(&warm, s)),
+                "store hit copied"
+            );
+            assert!(Arc::ptr_eq(result, &stored(&warm, s)), "run_all copied");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

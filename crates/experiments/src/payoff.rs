@@ -12,6 +12,7 @@ use crate::profile::Profile;
 use crate::scenario::{DisciplineSpec, EarlyStopSpec, FaultSpec, Scenario, TrialResult};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::game::symmetric::{SymmetricGame, SymmetricNe};
+use std::sync::Arc;
 
 /// Per-distribution payoff measurements for one trial (or averaged).
 #[derive(Debug, Clone)]
@@ -244,7 +245,7 @@ pub fn measure_payoffs_at_on(
 /// flows, this is the plain per-CCA mean. Entries for distributions
 /// outside `ks` stay `NaN`.
 fn trial_curves(
-    results: &[TrialResult],
+    results: &[Arc<TrialResult>],
     n: u32,
     ks: &[u32],
     trials: u32,

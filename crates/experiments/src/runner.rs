@@ -6,6 +6,7 @@
 
 use crate::scenario::TrialResult;
 use std::any::Any;
+use std::sync::Arc;
 
 /// Render a caught panic payload the way `panic!` would display it.
 pub fn payload_message(payload: &(dyn Any + Send)) -> String {
@@ -30,10 +31,12 @@ pub struct TrialFailure {
 }
 
 /// The fail-soft result of one trial: the measurement, or a structured
-/// failure that the rest of the sweep survived.
+/// failure that the rest of the sweep survived. A measurement is shared,
+/// not copied: the engine's memo, the result store's entry and every
+/// outcome that served it point at one allocation.
 #[derive(Debug, Clone)]
 pub enum TrialOutcome {
-    Ok(TrialResult),
+    Ok(Arc<TrialResult>),
     Failed(TrialFailure),
 }
 

@@ -27,7 +27,12 @@
 //! * **hostile-byte tolerance** — loading skips every line that is
 //!   torn, malformed, not UTF-8 or of another format version as a miss,
 //!   and keeps every other line; the next append-mode open truncates a
-//!   torn tail to the last complete line.
+//!   torn tail to the last complete line;
+//! * **one copy per result** — [`Store::open`] reads the index a line at
+//!   a time through one reused buffer, never the whole file, and each
+//!   entry's [`TrialResult`] sits behind an `Arc` that a hit
+//!   ([`Store::lookup`]) and a record (`Store::record`) share with the
+//!   engine's memo and its outcomes instead of copying.
 //!
 //! Files of other layouts in the cache directory (per-cell
 //! `<hash>.json` entries, `*.tmp.*` files) are neither read nor
@@ -37,6 +42,7 @@ use crate::runner::TrialOutcome;
 use crate::scenario::{Scenario, TrialResult};
 use bbrdom_netsim::json::{self, Value};
 use std::collections::HashMap;
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -55,7 +61,7 @@ pub enum StoreOutcome {
     /// written by older builds may lack it).
     Ok {
         events: Option<u64>,
-        result: TrialResult,
+        result: Arc<TrialResult>,
     },
     /// The trial failed (budget trip, invalid config, quarantine). Kept
     /// for `repro query --failed` sweep planning; never served as a
@@ -251,7 +257,7 @@ impl StoreEntry {
         let outcome = match ok?? {
             true => StoreOutcome::Ok {
                 events,
-                result: result?.ok()?,
+                result: Arc::new(result?.ok()?),
             },
             false => StoreOutcome::Failed {
                 error: error??.into_owned(),
@@ -276,6 +282,10 @@ fn key_hash(key: &str) -> Option<u128> {
     u128::from_str_radix(key, 16).ok()
 }
 
+/// Capacity of the buffer [`Store::open`] reads the index through; a
+/// longer line is gathered across refills.
+const OPEN_BUFFER: usize = 64 * 1024;
+
 /// Index statistics for `repro cache stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheDirStats {
@@ -299,19 +309,14 @@ impl Store {
     /// Open (or lazily create) the store for a cache directory: load
     /// every well-formed index line. Torn, malformed and non-UTF-8 lines
     /// are skipped, each on its own, and for a duplicated key the last
-    /// line wins (appends supersede).
+    /// line wins (appends supersede). The file is streamed, so the open
+    /// holds one line at a time, not the index.
     pub fn open(dir: &Path) -> Store {
         let index_path = dir.join(INDEX_FILE);
-        let mut map = HashMap::new();
-        let bytes = std::fs::read(&index_path).unwrap_or_default();
-        let entries = bytes
-            .split(|&b| b == b'\n')
-            .filter_map(|line| StoreEntry::from_json_line(std::str::from_utf8(line).ok()?));
-        for entry in entries {
-            if let Some(hash) = key_hash(&entry.key) {
-                map.insert(hash, Arc::new(entry));
-            }
-        }
+        let map = match std::fs::File::open(&index_path) {
+            Ok(file) => read_index(std::io::BufReader::with_capacity(OPEN_BUFFER, file)),
+            Err(_) => HashMap::new(),
+        };
         Store {
             index_path,
             map: Mutex::new(map),
@@ -347,15 +352,15 @@ impl Store {
         &self,
         hash: u128,
         event_budget: Option<u64>,
-    ) -> Option<(TrialResult, Option<u64>)> {
+    ) -> Option<(Arc<TrialResult>, Option<u64>)> {
         let map = self.map.lock().expect("store map poisoned");
         let entry = map.get(&hash)?;
         let StoreOutcome::Ok { events, result } = &entry.outcome else {
             return None;
         };
         match (event_budget, events) {
-            (None, ev) => Some((result.clone(), *ev)),
-            (Some(budget), Some(ev)) if *ev <= budget => Some((result.clone(), Some(*ev))),
+            (None, ev) => Some((Arc::clone(result), *ev)),
+            (Some(budget), Some(ev)) if *ev <= budget => Some((Arc::clone(result), Some(*ev))),
             (Some(_), _) => None,
         }
     }
@@ -403,7 +408,7 @@ impl Store {
             outcome: match outcome {
                 TrialOutcome::Ok(r) => StoreOutcome::Ok {
                     events,
-                    result: r.clone(),
+                    result: Arc::clone(r),
                 },
                 TrialOutcome::Failed(f) => StoreOutcome::Failed {
                     error: f.error.clone(),
@@ -443,6 +448,32 @@ impl Store {
             }
         }
         Ok(stats)
+    }
+}
+
+/// Load index lines from `reader` into a map by content hash, one line
+/// at a time through one reused buffer. A line ends at its `\n` (the
+/// final one may lack it); a line that does not read is skipped, and an
+/// I/O error ends the load with the lines before it kept.
+fn read_index(mut reader: impl BufRead) -> HashMap<u128, Arc<StoreEntry>> {
+    let mut map = HashMap::new();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return map,
+            Ok(_) => {}
+        }
+        let text = line.strip_suffix(b"\n").unwrap_or(&line);
+        let Some(entry) = std::str::from_utf8(text)
+            .ok()
+            .and_then(StoreEntry::from_json_line)
+        else {
+            continue;
+        };
+        if let Some(hash) = key_hash(&entry.key) {
+            map.insert(hash, Arc::new(entry));
+        }
     }
 }
 
@@ -498,7 +529,7 @@ mod tests {
         let s = tiny(seed);
         let r = s.run();
         let key = crate::engine::scenario_hash_hex(&s);
-        (key, s, TrialOutcome::Ok(r))
+        (key, s, TrialOutcome::Ok(Arc::new(r)))
     }
 
     #[test]
@@ -509,7 +540,7 @@ mod tests {
             scenario: s,
             outcome: StoreOutcome::Ok {
                 events: Some(12345),
-                result: outcome.ok().unwrap().clone(),
+                result: Arc::new(outcome.ok().unwrap().clone()),
             },
         };
         let line = entry.to_json_line();
@@ -554,7 +585,7 @@ mod tests {
             scenario: s,
             outcome: StoreOutcome::Ok {
                 events: None,
-                result: outcome.ok().unwrap().clone(),
+                result: Arc::new(outcome.ok().unwrap().clone()),
             },
         };
         let line = entry.to_json_line().replace("\"v\":1", "\"v\":999");
@@ -709,7 +740,7 @@ mod tests {
                 },
                 _ => StoreOutcome::Ok {
                     events: (failed > 1).then_some(events),
-                    result: result.clone(),
+                    result: Arc::new(result.clone()),
                 },
             };
             let entry = StoreEntry {
@@ -778,7 +809,7 @@ mod tests {
                     scenario,
                     outcome: StoreOutcome::Ok {
                         events: Some(1),
-                        result: result.clone(),
+                        result: Arc::new(result.clone()),
                     },
                 }
                 .to_json_line();
@@ -804,7 +835,7 @@ mod tests {
                 scenario: fluid,
                 outcome: StoreOutcome::Ok {
                     events: Some(9_000),
-                    result,
+                    result: Arc::new(result),
                 },
             };
             let mut topology = TopologySpec::parking_lot(2, 40.0, 2.0, 2.0);
@@ -825,7 +856,7 @@ mod tests {
                 scenario: des,
                 outcome: StoreOutcome::Ok {
                     events: Some(123_456),
-                    result: TrialResult {
+                    result: Arc::new(TrialResult {
                         throughput_mbps: vec![11.5, 9.25, 14.0],
                         cc_names: vec!["cubic".into(), "cubic".into(), "bbr".into()],
                         avg_queue_occupancy_bytes: vec![1e4, 0.0, 5e-324],
@@ -844,7 +875,7 @@ mod tests {
                             p95_secs: 0.5,
                             p99_secs: 0.875,
                         }],
-                    },
+                    }),
                 },
             };
             [fluid.to_json_line(), des.to_json_line()]
@@ -924,7 +955,7 @@ mod tests {
             scenario: s,
             outcome: StoreOutcome::Ok {
                 events: None,
-                result: TrialResult {
+                result: Arc::new(TrialResult {
                     throughput_mbps: vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0],
                     cc_names: vec![
                         "cubic".into(),
@@ -944,7 +975,7 @@ mod tests {
                     workload_spawned: 0,
                     workload_completed: 0,
                     workload_fct: Vec::new(),
-                },
+                }),
             },
         };
         assert_eq!(entry.mix(), "cubic:4+bbr:2");
@@ -968,7 +999,7 @@ mod tests {
                     key: crate::engine::scenario_hash_hex(&scenario),
                     outcome: StoreOutcome::Ok {
                         events: Some(seed),
-                        result: TrialResult {
+                        result: Arc::new(TrialResult {
                             throughput_mbps: vec![seed as f64 + 0.5],
                             cc_names: vec!["bbr".into()],
                             avg_queue_occupancy_bytes: vec![1.0],
@@ -981,7 +1012,7 @@ mod tests {
                             workload_spawned: 0,
                             workload_completed: 0,
                             workload_fct: Vec::new(),
-                        },
+                        }),
                     },
                     scenario,
                 }
@@ -1021,6 +1052,171 @@ mod tests {
             }
         }
         assert_eq!(loaded("non-utf8", &index, &lines), [true; 4]);
+    }
+
+    /// What the whole-file loader that streaming replaced made of
+    /// `index`: every `\n`-separated piece that reads, the last line of a
+    /// repeated key winning, as lines sorted by key.
+    fn whole_file_entries(index: &[u8]) -> Vec<String> {
+        let mut by_key = std::collections::BTreeMap::new();
+        for piece in index.split(|&b| b == b'\n') {
+            if let Some(e) = std::str::from_utf8(piece)
+                .ok()
+                .and_then(StoreEntry::from_json_line)
+            {
+                by_key.insert(e.key.clone(), e.to_json_line());
+            }
+        }
+        by_key.into_values().collect()
+    }
+
+    fn lines_of(map: &HashMap<u128, Arc<StoreEntry>>) -> Vec<String> {
+        let mut entries: Vec<&Arc<StoreEntry>> = map.values().collect();
+        entries.sort_by(|a, b| a.key.cmp(&b.key));
+        entries.iter().map(|e| e.to_json_line()).collect()
+    }
+
+    /// A result whose line is longer than [`OPEN_BUFFER`].
+    fn long_line() -> String {
+        let scenario = tiny(99);
+        let backoffs: Vec<f64> = (0..OPEN_BUFFER / 8).map(|i| i as f64 / 7.0).collect();
+        let line = StoreEntry {
+            key: crate::engine::scenario_hash_hex(&scenario),
+            outcome: StoreOutcome::Ok {
+                events: Some(1),
+                result: Arc::new(TrialResult {
+                    throughput_mbps: vec![1.5],
+                    cc_names: vec!["bbr".into()],
+                    avg_queue_occupancy_bytes: vec![1.0],
+                    backoff_times_secs: vec![backoffs],
+                    avg_queuing_delay_ms: 2.0,
+                    utilization: 0.9,
+                    dropped_packets: 3,
+                    aqm_drops: 0,
+                    completion_times_secs: vec![None],
+                    workload_spawned: 0,
+                    workload_completed: 0,
+                    workload_fct: Vec::new(),
+                }),
+            },
+            scenario,
+        }
+        .to_json_line();
+        assert!(line.len() > 2 * OPEN_BUFFER);
+        line
+    }
+
+    /// The streamed open reads what a whole-file split read: a line
+    /// longer than the read buffer, empty lines, a non-UTF-8 line between
+    /// valid ones, a CRLF line, a malformed line, a repeated key and a
+    /// final line without a newline.
+    #[test]
+    fn the_streamed_open_reads_what_a_whole_file_split_read() {
+        let lines = synthetic_lines();
+        let mut superseded = StoreEntry::from_json_line(&lines[0]).unwrap();
+        superseded.outcome = StoreOutcome::Failed {
+            error: "event budget exceeded".into(),
+            context: "ctx".into(),
+            event_budget: Some(5),
+            wall_budget_ns: None,
+        };
+        let mut index = Vec::new();
+        for piece in [
+            superseded.to_json_line().as_bytes(),
+            b"\n\n",
+            long_line().as_bytes(),
+            b"\n",
+            lines[0].as_bytes(),
+            b"\n{\"v\":1,\"key\":\"\xFF\"}\n",
+            lines[1].as_bytes(),
+            b"\r\n{\"v\":1,\"key\":\n\n",
+            lines[2].as_bytes(),
+            b"\n",
+            lines[3].as_bytes(),
+        ] {
+            index.extend_from_slice(piece);
+        }
+        let want = whole_file_entries(&index);
+        assert_eq!(want.len(), 5, "every well-formed key reads");
+        let dir = temp_dir("streamed");
+        std::fs::write(dir.join(INDEX_FILE), &index).unwrap();
+        let store = Store::open(&dir);
+        let got: Vec<String> = store.entries().iter().map(|e| e.to_json_line()).collect();
+        assert_eq!(got, want);
+        assert!(got.contains(&lines[0]), "the last line of a key wins");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reader that hands out `data` up to `fail_at`, then fails.
+    struct FailsAt {
+        data: Vec<u8>,
+        pos: usize,
+        fail_at: usize,
+    }
+
+    impl std::io::Read for FailsAt {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.fail_at {
+                return Err(std::io::Error::other("device error"));
+            }
+            let n = buf.len().min(self.fail_at - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// An I/O error partway through the index keeps every line read
+    /// before it and drops the line it cut.
+    #[test]
+    fn an_io_error_keeps_the_lines_before_it() {
+        let lines = synthetic_lines();
+        let index = (lines.join("\n") + "\n").into_bytes();
+        for fail_at in 0..=index.len() {
+            let reader = std::io::BufReader::with_capacity(
+                16,
+                FailsAt {
+                    data: index.clone(),
+                    pos: 0,
+                    fail_at,
+                },
+            );
+            let whole = index[..fail_at].iter().rposition(|&b| b == b'\n');
+            let want = whole_file_entries(&index[..whole.map_or(0, |p| p + 1)]);
+            assert_eq!(lines_of(&read_index(reader)), want, "failing at {fail_at}");
+        }
+    }
+
+    /// Lists read off an index line are allocated at their exact length:
+    /// the store keeps them for the life of the process.
+    #[test]
+    fn lists_read_from_a_fluid_line_have_no_slack() {
+        let entry = StoreEntry::from_json_line(&line_shapes()[0]).unwrap();
+        let flows = &entry.scenario.flows;
+        assert_eq!(flows.len(), 50);
+        assert_eq!(flows.capacity(), flows.len());
+        let r = entry.ok().unwrap();
+        for (len, capacity) in [
+            (r.throughput_mbps.len(), r.throughput_mbps.capacity()),
+            (r.cc_names.len(), r.cc_names.capacity()),
+            (
+                r.avg_queue_occupancy_bytes.len(),
+                r.avg_queue_occupancy_bytes.capacity(),
+            ),
+            (r.backoff_times_secs.len(), r.backoff_times_secs.capacity()),
+            (
+                r.completion_times_secs.len(),
+                r.completion_times_secs.capacity(),
+            ),
+        ] {
+            assert_eq!((len, capacity), (50, 50));
+        }
+        for backoffs in &r.backoff_times_secs {
+            assert_eq!(backoffs.capacity(), backoffs.len());
+        }
+        for name in &r.cc_names {
+            assert_eq!(name.capacity(), name.len());
+        }
     }
 
     #[test]

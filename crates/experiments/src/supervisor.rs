@@ -230,7 +230,7 @@ fn parse_result_line(line: &str) -> Option<(usize, String, TrialOutcome, Option<
     let index = index?? as usize;
     let key = key??.into_owned();
     let outcome = match ok?? {
-        true => TrialOutcome::Ok(result?.ok()?),
+        true => TrialOutcome::Ok(Arc::new(result?.ok()?)),
         false => TrialOutcome::Failed(TrialFailure {
             index,
             error: error??.into_owned(),
@@ -936,7 +936,9 @@ mod tests {
         assert!(!line.contains("budget\":"), "no budget fields: {line}");
 
         let ok = TrialOutcome::Ok(
-            Scenario::versus(10.0, 20.0, 2.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 0.5, 1).run(),
+            Scenario::versus(10.0, 20.0, 2.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 0.5, 1)
+                .run()
+                .into(),
         );
         let line = result_line(0, "def", &ok, Some(42));
         let (_, _, outcome, events) = parse_result_line(&line).expect("line parses");
@@ -966,13 +968,13 @@ mod tests {
         let scenario = Scenario::versus(10.0, 20.0, 1.0, 1, bbrdom_cca::CcaKind::Bbr, 1, 1.0, 3);
         let report = scenario.try_report_with(None, None).unwrap();
         let hash = crate::engine::scenario_hash(&scenario);
-        let result = TrialResult::from_report(&report);
+        let result = Arc::new(TrialResult::from_report(&report));
         let entry = StoreEntry {
             key: format!("{hash:032x}"),
             scenario,
             outcome: StoreOutcome::Ok {
                 events: Some(report.events_processed),
-                result: result.clone(),
+                result: Arc::clone(&result),
             },
         };
         let result_line = result_line(

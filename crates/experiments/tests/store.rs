@@ -14,6 +14,7 @@ use bbrdom_experiments::runner::SweepConfig;
 use bbrdom_experiments::store::{Store, INDEX_FILE};
 use bbrdom_experiments::{Scenario, SupervisorConfig, TrialResult};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -52,7 +53,7 @@ fn engine(cache: &Path, memory: bool) -> Engine {
     })
 }
 
-fn fingerprints(results: &[TrialResult]) -> Vec<String> {
+fn fingerprints(results: &[Arc<TrialResult>]) -> Vec<String> {
     results
         .iter()
         .map(|r| r.to_json_value().to_json())
@@ -61,7 +62,7 @@ fn fingerprints(results: &[TrialResult]) -> Vec<String> {
 
 /// A miniature figure assembly: the goodput columns a fig 9/11-style
 /// grid would emit, rendered to CSV bytes.
-fn figure_csv(scenarios: &[Scenario], results: &[TrialResult]) -> String {
+fn figure_csv(scenarios: &[Scenario], results: &[Arc<TrialResult>]) -> String {
     let mut table = bbrdom_experiments::output::Table::new("store-vs-sim", &["mbps", "goodput"]);
     for (s, r) in scenarios.iter().zip(results) {
         let total: f64 = r.throughput_mbps.iter().sum();

@@ -89,9 +89,12 @@ fn fig12_smoke() {
 }
 
 /// The engine's configuration is invisible in a figure's output: fig05
-/// on a serial uncached engine, on a two-worker engine with a cold disk
-/// cache and the result store, and on a second such engine over the now
-/// warm cache writes byte-identical CSVs, and the warm pass simulates
+/// on a serial uncached engine, on a two-worker memory-only engine (memo,
+/// no disk, run twice so the second pass is served by the memo), on a
+/// serial and a two-worker engine each with a cold disk cache and the
+/// result store, and on a second two-worker engine over the now warm
+/// cache writes byte-identical CSVs. The two cold caches hold
+/// byte-identical `index.jsonl` files, and the warm pass simulates
 /// nothing.
 #[test]
 fn engine_config_is_invisible_in_figure_output() {
@@ -103,13 +106,14 @@ fn engine_config_is_invisible_in_figure_output() {
             .map(|t| t.to_csv())
             .collect()
     };
-    let cache =
+    let base =
         std::env::temp_dir().join(format!("bbrdom-figures-smoke-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let cached = || {
+    let _ = std::fs::remove_dir_all(&base);
+    let (serial_cache, pooled_cache) = (base.join("serial"), base.join("pooled"));
+    let cached = |jobs: usize, cache: &std::path::Path| {
         Engine::new(EngineConfig {
-            jobs: 2,
-            disk_cache: Some(cache.clone()),
+            jobs,
+            disk_cache: Some(cache.to_path_buf()),
             memory_cache: true,
             supervise: None,
             result_store: true,
@@ -117,11 +121,40 @@ fn engine_config_is_invisible_in_figure_output() {
     };
 
     let serial = csvs(&engine());
-    assert_eq!(csvs(&cached()), serial, "cold parallel cached run differs");
-    let warm = cached();
+    let memory_only = Engine::new(EngineConfig {
+        jobs: 2,
+        disk_cache: None,
+        memory_cache: true,
+        supervise: None,
+        result_store: false,
+    });
+    assert_eq!(csvs(&memory_only), serial, "cold memory-only run differs");
+    let simulated = memory_only.stats().simulated;
+    assert_eq!(csvs(&memory_only), serial, "memo-served run differs");
+    assert_eq!(
+        memory_only.stats().simulated,
+        simulated,
+        "memo missed a cell"
+    );
+    assert_eq!(
+        csvs(&cached(1, &serial_cache)),
+        serial,
+        "cold serial cached run differs"
+    );
+    assert_eq!(
+        csvs(&cached(2, &pooled_cache)),
+        serial,
+        "cold parallel cached run differs"
+    );
+    let index = |cache: &std::path::Path| std::fs::read(cache.join("index.jsonl")).unwrap();
+    assert!(
+        index(&serial_cache) == index(&pooled_cache),
+        "serial and parallel runs wrote different indexes"
+    );
+    let warm = cached(2, &pooled_cache);
     assert_eq!(csvs(&warm), serial, "warm cached run differs");
     assert_eq!(warm.stats().simulated, 0, "warm run simulated a cell");
-    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
