@@ -254,17 +254,19 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     trap 'cp "$bench_saved"/BENCH_*.json . && rm -rf "$bench_saved"' EXIT
 
     # Perf smoke: a short netsim_perf run (few samples) to catch gross
-    # regressions. The three dumbbell cases (64 simulated seconds each)
-    # are report-only — wall-clock numbers don't travel across machines;
-    # compare BENCH_netsim.json runs by hand. The 10 s open-loop churn,
-    # 24 s parking-lot and 120 s Fig 9 cases are gated on pinned events/s
-    # floors, a fifth to a half of what a 2-core Xeon VM measures, so
-    # noise does not trip them but a structural regression does (leaked
+    # regressions. The 1- and 50-flow dumbbell cases (64 simulated
+    # seconds each) are report-only — wall-clock numbers don't travel
+    # across machines; compare BENCH_netsim.json runs by hand. The 64 s
+    # 10-flow dumbbell (bare per-packet forwarding), 48 s open-loop
+    # churn, 24 s parking-lot and 120 s Fig 9 cases are gated on pinned
+    # events/s floors, a fifth to a half of what a 2-core Xeon VM
+    # measures, so noise does not trip them but a structural regression
+    # does (work added to every packet or queue operation, leaked
     # timers, unrecycled slots, per-slot queue work, leaked per-hop work,
-    # per-ACK window rescans); the churn case also asserts >= 10k
+    # per-ACK window rescans); the churn case also asserts >= 50k
     # cumulative workload flows. Export BENCH_NO_FLOOR=1 to report
     # without gating.
-    echo "==> perf smoke (netsim_perf incl. churn, parking-lot and Fig 9 floors, BENCH_SAMPLES=5)"
+    echo "==> perf smoke (netsim_perf incl. 10-flow dumbbell, churn, parking-lot and Fig 9 floors, BENCH_SAMPLES=5)"
     BENCH_SAMPLES=5 cargo bench -p bbrdom-bench --bench netsim_perf
 
     # Payoff-engine smoke: serial vs parallel vs warm-cache timings for

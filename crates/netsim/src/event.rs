@@ -15,16 +15,18 @@
 //! horizon (long RTO timers, flows starting seconds in) sit in an
 //! overflow min-heap that is pulled in as the wheel advances.
 //!
-//! The events of the current tick live in a tiny binary heap (`active`)
-//! so that ties within a tick still resolve by `(time, seq)`; because a
-//! tick is ~16 µs ([`TICK_NS`]), shorter than a packet's serialization
-//! time on the figures' links, most ticks hold a single event, which pops
-//! straight from its bucket without entering the heap. The result is O(1)
-//! amortized schedule/pop versus the O(log n) of a global heap — and,
-//! more importantly at simulation scale, far less pointer churn per
-//! event. The ring spans [`HORIZON_NS`] (~67 ms) in 4096 buckets, ~230 KB,
-//! so a simulator builds its queue when a run starts rather than when it
-//! is configured.
+//! A tick is ~16 µs ([`TICK_NS`]), shorter than a packet's serialization
+//! time on the figures' links, so most ticks hold a single event, which
+//! pops straight from its bucket. The events of a tick that holds more
+//! (`active`) are drained as one sorted run: a `Vec` ordered by
+//! descending `(time, seq)`, so the next event is always its last element
+//! and a pop is `Vec::pop`. The bucket's events are moved in and sorted
+//! once, and an event scheduled into the draining tick (or the past) is
+//! inserted at its ordered place, so ties within a tick still resolve by
+//! `(time, seq)`. The result is O(1) amortized schedule/pop
+//! versus the O(log n) of a global heap, with no sift per event. The ring
+//! spans [`HORIZON_NS`] (~67 ms) in 4096 buckets, ~230 KB, so a simulator
+//! builds its queue when a run starts rather than when it is configured.
 //!
 //! [`BinaryHeapQueue`] is the original global-heap engine, kept as an
 //! executable specification: property tests drive both engines with the
@@ -103,7 +105,7 @@ impl Ord for Scheduled {
 /// Tick width: 2^14 ns ≈ 16.4 µs. Finer than the per-packet event
 /// spacing of the figures' links (a 1500 B packet serializes in 240 µs at
 /// 50 Mbps, 120 µs at 100 Mbps), so most buckets hold one event and pop
-/// without touching the `active` heap.
+/// without touching the `active` run.
 const TICK_SHIFT: u32 = 14;
 /// Ring size (power of two). Horizon = `NUM_BUCKETS << TICK_SHIFT` ≈
 /// 67 ms — wide enough that pacing, serialization and RTT-scale
@@ -122,7 +124,7 @@ const WORDS: usize = NUM_BUCKETS / 64;
 
 /// One ring slot. The first event of a tick is stored inline so the
 /// overwhelmingly common singleton bucket costs one cache line and no
-/// heap traffic; simultaneous extras spill into `rest`.
+/// allocation; simultaneous extras spill into `rest`.
 #[derive(Debug, Default)]
 struct Bucket {
     head: Option<Scheduled>,
@@ -141,8 +143,9 @@ fn tick_of(t: SimTime) -> u64 {
 pub struct EventQueue {
     /// Tick currently being drained; all its events are in `active`.
     cur_tick: u64,
-    /// Events of `cur_tick` (and any scheduled into the past), ordered.
-    active: BinaryHeap<Reverse<Scheduled>>,
+    /// Events of `cur_tick` (and any scheduled into the past), sorted by
+    /// descending `(time, seq)`: the next event is the last element.
+    active: Vec<Scheduled>,
     /// `ring[tick & BUCKET_MASK]` holds the events of `tick`, for ticks
     /// in `(cur_tick, cur_tick + NUM_BUCKETS)`. Unsorted within a bucket.
     ring: Vec<Bucket>,
@@ -171,7 +174,7 @@ impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             cur_tick: 0,
-            active: BinaryHeap::new(),
+            active: Vec::new(),
             ring: (0..NUM_BUCKETS).map(|_| Bucket::default()).collect(),
             ring_len: 0,
             occupied: [0; WORDS],
@@ -203,7 +206,8 @@ impl EventQueue {
             // Current tick (or a time already in the past — the heap
             // engine accepted those too, and ordering still holds because
             // every earlier tick has been fully drained).
-            self.active.push(Reverse(s));
+            let pos = self.active.partition_point(|a| *a > s);
+            self.active.insert(pos, s);
         } else if tick - self.cur_tick < NUM_BUCKETS as u64 {
             self.ring_insert(tick, s);
         } else {
@@ -257,28 +261,31 @@ impl EventQueue {
     /// into the ring (or straight to `active` after a jump landed on
     /// their tick). Restores the invariant `overflow ticks ≥ cur_tick +
     /// NUM_BUCKETS` … except transiently right after a horizon move,
-    /// which is exactly when this is called.
+    /// which is exactly when this is called. `active` is empty on entry.
     fn pull_overflow(&mut self) {
+        debug_assert!(self.active.is_empty());
+        self.overflow_next_tick = u64::MAX;
         while let Some(Reverse(s)) = self.overflow.peek() {
             let tick = tick_of(s.time);
             if tick >= self.cur_tick + NUM_BUCKETS as u64 {
                 self.overflow_next_tick = tick;
-                return;
+                break;
             }
             let Reverse(s) = self.overflow.pop().unwrap();
             if tick <= self.cur_tick {
-                self.active.push(Reverse(s));
+                // Ascending off the heap; reversed into a run below.
+                self.active.push(s);
             } else {
                 self.ring_insert(tick, s);
             }
         }
-        self.overflow_next_tick = u64::MAX;
+        self.active.reverse();
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         loop {
-            if let Some(Reverse(s)) = self.active.pop() {
+            if let Some(s) = self.active.pop() {
                 return Some((s.time, s.event));
             }
             if self.ring_len > 0 {
@@ -298,15 +305,17 @@ impl EventQueue {
                 self.ring_len -= 1 + bucket.rest.len();
                 // `active` is empty here (its pop just failed) and every
                 // other pending event is in a later tick, so a lone bucket
-                // entry — the common case — is the global minimum; skip
-                // the heap round-trip.
+                // entry — the common case — is the global minimum.
                 if bucket.rest.is_empty() {
                     return Some((head.time, head.event));
                 }
-                self.active.push(Reverse(head));
-                for s in bucket.rest.drain(..) {
-                    self.active.push(Reverse(s));
-                }
+                // Move the tick into the run and sort it once. `append`
+                // leaves the spill its capacity. `(time, seq)` keys are
+                // unique, so an unstable sort is still deterministic.
+                debug_assert!(self.active.is_empty());
+                self.active.push(head);
+                self.active.append(&mut bucket.rest);
+                self.active.sort_unstable_by(|a, b| b.cmp(a));
             } else if !self.overflow.is_empty() {
                 // The wheel is empty: jump straight to the earliest
                 // overflow tick and redistribute what now fits.
@@ -323,7 +332,7 @@ impl EventQueue {
     /// O(ring scan) in the worst case — fine for assertions and tests;
     /// the hot loop only ever pops.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(Reverse(s)) = self.active.peek() {
+        if let Some(s) = self.active.last() {
             return Some(s.time);
         }
         if self.ring_len > 0 {

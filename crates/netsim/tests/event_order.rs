@@ -5,8 +5,10 @@
 //! specification. Determinism of every simulation hinges on both popping
 //! the exact same `(time, insertion-seq)` order, so these tests drive the
 //! two engines through identical schedule/pop streams — same-tick bursts,
-//! cross-bucket gaps, and far-future RTO-style deadlines that land in the
-//! overflow level — and require identical output at every step.
+//! multi-event ticks drained as one sorted run, schedules into the tick
+//! being drained, cross-bucket gaps, and far-future RTO-style deadlines
+//! that land in the overflow level — and require identical output at
+//! every step.
 
 use bbrdom_netsim::event::{BinaryHeapQueue, Event, EventQueue, HORIZON_NS, TICK_NS};
 use bbrdom_netsim::{FlowId, SimTime};
@@ -171,5 +173,71 @@ proptest! {
             step
         });
         assert_engines_agree(stream);
+    }
+
+    /// Multi-event ticks: bursts of 1–300 events, each into one tick a
+    /// few ticks ahead of the last, with times drawn from four instants
+    /// inside that tick, so most events tie exactly with many others and
+    /// a bucket's spill holds them out of time order. Pops between bursts
+    /// drain some ticks part-way, so later bursts also land in the tick
+    /// being drained and in ticks already passed.
+    #[test]
+    fn multi_event_ticks_match_reference(
+        bursts in prop::collection::vec(
+            (0u64..3, prop::collection::vec(0u64..4, 1..301), 0usize..80),
+            1..6,
+        ),
+    ) {
+        let mut ops = Vec::new();
+        for (i, (ahead, instants, pops)) in bursts.into_iter().enumerate() {
+            let tick_start = (i as u64 * 2 + ahead) * TICK_NS;
+            for k in instants {
+                ops.push(Op::Schedule(SimTime(tick_start + k * (TICK_NS / 4) + 7)));
+            }
+            ops.extend((0..pops).map(|_| Op::Pop));
+        }
+        assert_engines_agree(ops.into_iter());
+    }
+
+    /// Schedules into the tick being drained. A burst fills tick 10 at
+    /// four instants (with a lone event in an earlier tick, so the cursor
+    /// arrives from behind, and one in the next tick) and is popped
+    /// part-way; then each step schedules into a tick already passed, or
+    /// into tick 10 earlier than every pending event, at a pending
+    /// instant, just after one, or later than all, with pops interleaved.
+    #[test]
+    fn schedules_into_draining_tick_match_reference(
+        burst in prop::collection::vec(0u64..4, 2..301),
+        drained in 1usize..300,
+        steps in prop::collection::vec(
+            (0u64..5, 0u64..4, prop::bool::weighted(0.4)),
+            1..120,
+        ),
+    ) {
+        const TICK: u64 = 10;
+        let start = TICK * TICK_NS;
+        let instant = |k: u64| start + TICK_NS / 8 + k * (TICK_NS / 5);
+        let mut ops = vec![
+            Op::Schedule(SimTime((TICK - 3) * TICK_NS + 5)),
+            Op::Schedule(SimTime((TICK + 1) * TICK_NS + 5)),
+        ];
+        let n = burst.len();
+        ops.extend(burst.into_iter().map(|k| Op::Schedule(SimTime(instant(k)))));
+        // The lone earlier event, then part of the burst.
+        ops.extend((0..1 + drained.min(n - 1)).map(|_| Op::Pop));
+        for (kind, k, pop) in steps {
+            let t = match kind {
+                0 => (TICK - 1 - k) * TICK_NS + k * 11,
+                1 => start + k,
+                2 => instant(k),
+                3 => instant(k) + 1,
+                _ => start + TICK_NS - 1 - k,
+            };
+            ops.push(Op::Schedule(SimTime(t)));
+            if pop {
+                ops.push(Op::Pop);
+            }
+        }
+        assert_engines_agree(ops.into_iter());
     }
 }
