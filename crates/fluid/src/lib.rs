@@ -40,14 +40,20 @@
 //! count, which [`FluidConfig::steps`] gives before integrating, so event
 //! budgets and perf accounting stay meaningful.
 //!
-//! Each step divides once per active flow (`1/R`; CUBIC once more) and,
-//! when the buffer overflows, takes one RNG draw per active flow. Three
-//! shortcuts keep that cheap without changing an output bit or the order
-//! of draws: a draw no flow can act on (BBRv1, or a flow inside its
-//! once-per-RTT guard) only advances the stream; the hit test decides
-//! from the bracket `x − x²/2 ≤ 1 − e^−x ≤ x` and calls `exp` only for a
-//! draw near the probability; and `min`/`max` are NaN-free compares.
-//! `DESIGN.md` §6.2 gives the exactness arguments.
+//! Flow state lives in columns, one pass per CCA class: loss-based
+//! windows as one `Vec<f64>` per field, stepped two lanes at a time,
+//! BBR as one record per flow, and the rates and accumulators of every
+//! flow as shared columns. `R`, `1/R` and the window ceiling are computed
+//! once per group of flows with the same CCA and base RTT. The total
+//! rate is summed in flow order, and on an overflow step one sweep in
+//! flow order takes one RNG draw per started flow and applies the
+//! reactions, so every output bit is the one the per-flow loop it
+//! replaced produced. Three shortcuts keep the draws cheap without
+//! changing a bit or their order: a draw no flow can act on (BBRv1, or a
+//! flow inside its once-per-RTT guard) only advances the stream; the hit
+//! test decides from the bracket `x − x²/2 ≤ 1 − e^−x ≤ x` and calls
+//! `exp` only for a draw near the probability; and `min`/`max` are
+//! NaN-free compares. `DESIGN.md` §6.2 gives the exactness arguments.
 //!
 //! ## Validity envelope
 //!
@@ -86,6 +92,10 @@ use bbrdom_netsim::{FlowReport, QueueReport, SimReport, Trace, MSS};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
+use std::ops::Range;
+
+#[cfg(test)]
+mod reference;
 
 /// CUBIC multiplicative back-off factor (RFC 8312).
 const CUBIC_BETA: f64 = 0.7;
@@ -267,42 +277,259 @@ impl FluidConfig {
     }
 }
 
-/// Per-flow loss-based (CUBIC / NewReno) window state.
-struct LossState {
-    /// Congestion window, bytes.
-    w: f64,
-    /// Window at the last back-off, MSS units (CUBIC's `W_max`).
-    w_max_mss: f64,
-    /// Seconds since the last back-off (CUBIC epoch clock).
-    epoch: f64,
-    /// CUBIC's `K` for the current `w_max_mss` — cached because `cbrt`
-    /// in the per-step window evaluation dominates the loss-flow cost.
-    k: f64,
-    slow_start: bool,
-    /// Last back-off time (one reaction per RTT, like TCP).
-    last_backoff: f64,
+/// Rank of a CCA in slot order: the loss-based classes come first.
+fn class_rank(cca: FluidCca) -> u8 {
+    match cca {
+        FluidCca::Cubic => 0,
+        FluidCca::NewReno => 1,
+        FluidCca::Bbr => 2,
+        FluidCca::BbrV2 => 3,
+    }
 }
 
-/// Per-flow BBR (v1/v2) state.
-struct BbrState {
+/// A run of slots whose flows share a CCA and a base RTT, so one step's
+/// `R`, `1/R` and window ceiling are computed once for all of them. The
+/// run is in start-time order, so its started flows are the prefix
+/// `first..first + active`.
+struct Group {
+    cca: FluidCca,
+    rtt: f64,
+    first: usize,
+    len: usize,
+    active: usize,
+    cohorts: Vec<Cohort>,
+}
+
+/// The flows of one group that started at the same step. Each of them
+/// adds the same `dt` and `R·dt` every step, so their active time and
+/// RTT integral are one sum each, kept for the cohort.
+struct Cohort {
+    slots: Range<usize>,
+    active_secs: f64,
+    rtt_integral: f64,
+}
+
+/// The per-slot columns both classes share: base RTT, sending rate,
+/// loss-reaction guard, hit-test input and measurement accumulators
+/// (mirrors the DES's `FlowStats`). `rate` holds the current step's
+/// value; a flow that has not started keeps rate 0.
+struct Acc {
+    rtt: Vec<f64>,
+    rate: Vec<f64>,
+    /// Time of the last reaction to a loss (one per RTT, like TCP); +∞
+    /// for BBRv1, which never reacts.
+    last_reaction: Vec<f64>,
+    /// This step's hit-test input: the flow's share of the overflow in
+    /// MSS units, or −1 when the flow cannot react and its draw only
+    /// advances the stream.
+    hit_x: Vec<f64>,
+    sent: Vec<f64>,
+    delivered: Vec<f64>,
+    dropped: Vec<f64>,
+    occupancy: Vec<f64>,
+    cwnd_integral: Vec<f64>,
+    max_cwnd: Vec<f64>,
+    congestion_events: Vec<u64>,
+}
+
+impl Acc {
+    fn new(n: usize) -> Self {
+        Acc {
+            rtt: vec![0.0; n],
+            rate: vec![0.0; n],
+            last_reaction: vec![f64::NEG_INFINITY; n],
+            hit_x: vec![0.0; n],
+            sent: vec![0.0; n],
+            delivered: vec![0.0; n],
+            dropped: vec![0.0; n],
+            occupancy: vec![0.0; n],
+            cwnd_integral: vec![0.0; n],
+            max_cwnd: vec![0.0; n],
+            congestion_events: vec![0; n],
+        }
+    }
+
+    /// The window integrals of a flow whose window this step is `cwnd`.
+    #[inline]
+    fn integrate(cwnd_integral: &mut f64, max_cwnd: &mut f64, cwnd: f64, dt: f64) {
+        *cwnd_integral += cwnd * dt;
+        *max_cwnd = fmax(*max_cwnd, cwnd);
+    }
+
+    /// The service pass over every slot: each flow's share of the
+    /// departures and of the queue. A flow that has not started has rate
+    /// 0, so it adds exact zeros.
+    #[inline]
+    fn serve(&mut self, inv_total: f64, depart: f64, q_next: f64, dt: f64) {
+        for (((&rate, sent), delivered), occupancy) in self
+            .rate
+            .iter()
+            .zip(&mut self.sent)
+            .zip(&mut self.delivered)
+            .zip(&mut self.occupancy)
+        {
+            let share = rate * inv_total;
+            *sent += rate * dt;
+            *delivered += depart * share * dt;
+            *occupancy += q_next * share * dt;
+        }
+    }
+
+    /// Attribute an overflow of `overflow` bytes at time `t` to the slots
+    /// in proportion to their rates, and set each slot's hit-test input:
+    /// a flow may react if its last reaction is more than one RTT
+    /// (`rtt + q_delay`) old.
+    #[inline]
+    fn shed(&mut self, inv_total: f64, overflow: f64, t: f64, q_delay: f64) {
+        let mss = MSS as f64;
+        for ((((&rate, &rtt), &last), dropped), hit_x) in self
+            .rate
+            .iter()
+            .zip(&self.rtt)
+            .zip(&self.last_reaction)
+            .zip(&mut self.dropped)
+            .zip(&mut self.hit_x)
+        {
+            let dropped_i = overflow * (rate * inv_total);
+            *dropped += dropped_i;
+            *hit_x = if t - last > rtt + q_delay {
+                dropped_i / mss
+            } else {
+                -1.0
+            };
+        }
+    }
+}
+
+/// Loss-based (CUBIC / NewReno) window state, one column per field,
+/// indexed by slot (these flows hold slots `0..n_loss`).
+struct LossCols {
+    /// Congestion window, bytes.
+    w: Vec<f64>,
+    /// Window at the last back-off, MSS units (CUBIC's `W_max`).
+    w_max_mss: Vec<f64>,
+    /// Seconds since the last back-off (CUBIC epoch clock).
+    epoch: Vec<f64>,
+    /// CUBIC's `K` for the current `w_max_mss` — cached because `cbrt`
+    /// in the per-step window evaluation dominates the loss-flow cost.
+    k: Vec<f64>,
+    slow_start: Vec<bool>,
+    backoffs: Vec<Vec<f64>>,
+}
+
+impl LossCols {
+    fn new(n: usize) -> Self {
+        LossCols {
+            w: vec![10.0 * MSS as f64; n],
+            w_max_mss: vec![10.0; n],
+            epoch: vec![0.0; n],
+            k: vec![cubic_k(10.0); n],
+            slow_start: vec![true; n],
+            backoffs: vec![Vec::new(); n],
+        }
+    }
+
+    /// One step of the window ODE for slots `lanes` (one group's started
+    /// flows) at `1/R` = `r_inv`, capped at `ceiling`; `growth(epoch,
+    /// w_max_mss, k)` is the class's congestion-avoidance window in bytes.
+    #[inline]
+    fn rates(
+        &mut self,
+        acc: &mut Acc,
+        lanes: Range<usize>,
+        (r_inv, ceiling, dt): (f64, f64, f64),
+        growth: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        // Once every flow has left slow start, the doubling is not needed.
+        if self.slow_start[lanes.clone()].contains(&true) {
+            self.step::<true>(acc, lanes, (r_inv, ceiling, dt), growth);
+        } else {
+            self.step::<false>(acc, lanes, (r_inv, ceiling, dt), growth);
+        }
+    }
+
+    /// [`LossCols::rates`], with `SLOW_START` false when no flow of
+    /// `lanes` is in slow start. Written as selects over slices of equal
+    /// length, so the loop runs two lanes at a time. The epoch clock runs
+    /// in slow start too: it is reset at the first back-off, which is also
+    /// when slow start ends, so no growth curve reads those ticks.
+    #[inline]
+    fn step<const SLOW_START: bool>(
+        &mut self,
+        acc: &mut Acc,
+        lanes: Range<usize>,
+        (r_inv, ceiling, dt): (f64, f64, f64),
+        growth: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let mss = MSS as f64;
+        let n = lanes.len();
+        let w = &mut self.w[lanes.clone()][..n];
+        let epoch = &mut self.epoch[lanes.clone()][..n];
+        let w_max_mss = &self.w_max_mss[lanes.clone()][..n];
+        let k = &self.k[lanes.clone()][..n];
+        let slow_start = &self.slow_start[lanes.clone()][..n];
+        let rate = &mut acc.rate[lanes.clone()][..n];
+        let cwnd_integral = &mut acc.cwnd_integral[lanes.clone()][..n];
+        let max_cwnd = &mut acc.max_cwnd[lanes][..n];
+        for j in 0..n {
+            epoch[j] += dt;
+            let mut w_j = fmax(growth(epoch[j], w_max_mss[j], k[j]), 2.0 * mss);
+            if SLOW_START && slow_start[j] {
+                // Doubling per RTT: dw/dt = w·ln2/R.
+                w_j = w[j] + w[j] * std::f64::consts::LN_2 * dt * r_inv;
+            }
+            // Physical ceiling: a window beyond BDP + buffer only
+            // inflates drops the queue already accounts for.
+            let w_j = fmin(w_j, ceiling);
+            w[j] = w_j;
+            rate[j] = w_j * r_inv;
+            Acc::integrate(&mut cwnd_integral[j], &mut max_cwnd[j], w_j, dt);
+        }
+    }
+
+    /// React to a sampled loss at time `t`: multiplicative back-off and a
+    /// new growth epoch.
+    fn back_off(&mut self, p: usize, cca: FluidCca, t: f64) {
+        let mss = MSS as f64;
+        let w_mss = self.w[p] / mss;
+        // CUBIC fast convergence: a shrinking flow remembers a slightly
+        // smaller W_max.
+        self.w_max_mss[p] = if w_mss < self.w_max_mss[p] {
+            w_mss * (2.0 - CUBIC_BETA) / 2.0
+        } else {
+            w_mss
+        };
+        let beta = if cca == FluidCca::Cubic {
+            CUBIC_BETA
+        } else {
+            RENO_BETA
+        };
+        self.k[p] = cubic_k(self.w_max_mss[p]);
+        self.w[p] = fmax(self.w[p] * beta, 2.0 * mss);
+        self.epoch[p] = 0.0;
+        self.slow_start[p] = false;
+        self.backoffs[p].push(t);
+    }
+}
+
+/// One BBR (v1/v2) flow's state. BBR's step is branchy scalar code, so
+/// its state stays one record per flow: as a column per field its hot
+/// path would need more base pointers than there are registers. The
+/// class still gets a vector of its own, with no per-flow dispatch.
+struct BbrFlow {
     /// Output of the delivery-rate max filter, bytes/s.
     btlbw: f64,
-    /// Ring of per-round delivery-rate samples feeding the max filter.
-    bw_ring: Vec<f64>,
+    /// Per-round delivery-rate samples feeding the max filter, the first
+    /// `bw_len` filled.
+    bw_ring: [f64; BW_FILTER_ROUNDS],
+    bw_len: usize,
     bw_pos: usize,
     /// Windowed-minimum RTT estimate and its freshness stamp.
     rtprop: f64,
     rtprop_stamp: f64,
-    /// Current round (one rtprop) bookkeeping. The bandwidth sample fed
-    /// to the max filter is the *maximum instantaneous* delivered rate
-    /// seen within the round (mirroring per-ACK delivery-rate sampling):
-    /// this is what lets BBR's estimate ratchet upward during the brief
-    /// queue drain after a competing CUBIC back-off — the inflight-cap
-    /// domination mechanism (Ware et al., IMC '19) that decides shallow
-    /// buffers. A round-average sample misses those spikes and
-    /// systematically underestimates BBR's share.
+    /// Start of the current round (one rtprop). The bandwidth sample fed
+    /// to the max filter at its end is the round's `round_max_rate`.
     round_start: f64,
-    round_max_rate: f64,
     /// ProbeBW gain-cycle index.
     phase: usize,
     startup: bool,
@@ -312,37 +539,152 @@ struct BbrState {
     /// While `t < probe_rtt_until` the flow sits at 4 MSS of inflight.
     probe_rtt_until: f64,
     probe_rtt_min: f64,
+    /// The class's inflight-cap factor ([`V2_HEADROOM`] for BBRv2).
+    headroom: f64,
     /// BBRv2 inflight-ceiling multiplier (1.0 for v1; cut on loss).
     hi_mult: f64,
-    last_loss_cut: f64,
+    /// `pacing_gain·btlbw` and the inflight cap `max(cwnd_gain·btlbw·
+    /// rtprop·headroom·hi_mult, 4 MSS)` of the current mode, recomputed
+    /// by [`BbrFlow::refresh`] whenever one of their inputs changes.
+    pacing_rate: f64,
+    cwnd_cap: f64,
 }
 
-enum CcState {
-    Loss(LossState),
-    Bbr(BbrState),
-}
+impl BbrFlow {
+    /// A flow of base RTT `rtt` starting at `start`, whose gain cycle
+    /// starts at index `phase` and whose first round starts at
+    /// `round_start`.
+    fn new(cca: FluidCca, rtt: f64, start: f64, round_start: f64, phase: usize) -> Self {
+        let mut s = BbrFlow {
+            btlbw: 10.0 * MSS as f64 / rtt,
+            bw_ring: [0.0; BW_FILTER_ROUNDS],
+            bw_len: 0,
+            bw_pos: 0,
+            rtprop: rtt,
+            rtprop_stamp: start,
+            round_start,
+            phase,
+            startup: true,
+            drain: false,
+            full_bw: 0.0,
+            full_rounds: 0,
+            probe_rtt_until: f64::NEG_INFINITY,
+            probe_rtt_min: f64::INFINITY,
+            headroom: if cca == FluidCca::BbrV2 {
+                V2_HEADROOM
+            } else {
+                1.0
+            },
+            hi_mult: 1.0,
+            pacing_rate: 0.0,
+            cwnd_cap: 0.0,
+        };
+        s.refresh();
+        s
+    }
 
-/// One flow's integration state: its CC model, its sending rate this
-/// step (0 before it starts) and its measurement accumulators.
-struct FlowSim {
-    cc: CcState,
-    rate: f64,
-    acc: FlowAcc,
-}
+    /// One step at RTT `r` (`floor_rate` = `MSS/R`, `r_inv` = `1/R`) and
+    /// time `t`: update the estimators, end the round if it is over
+    /// (taking its `round_max_rate`), and return `(rate, cwnd)`.
+    #[inline]
+    fn step(
+        &mut self,
+        round_max_rate: &mut f64,
+        (r, r_inv, floor_rate): (f64, f64, f64),
+        (t, dt): (f64, f64),
+        c: f64,
+    ) -> (f64, f64) {
+        // rtprop tracking and ProbeRTT.
+        let mut stale = false;
+        if t < self.probe_rtt_until {
+            self.probe_rtt_min = fmin(self.probe_rtt_min, r);
+        } else if self.probe_rtt_min.is_finite() {
+            // Leaving ProbeRTT: adopt the drained floor.
+            self.rtprop = self.probe_rtt_min;
+            self.rtprop_stamp = t;
+            self.probe_rtt_min = f64::INFINITY;
+            stale = true;
+        } else if r <= self.rtprop {
+            self.rtprop = r;
+            self.rtprop_stamp = t;
+            stale = true;
+        } else if t - self.rtprop_stamp > RTPROP_WINDOW_SECS {
+            self.probe_rtt_until = t + PROBE_RTT_SECS;
+            self.probe_rtt_min = r;
+        }
+        if fmax(t - self.round_start, dt) >= self.rtprop {
+            self.end_round(round_max_rate, t, c);
+            stale = true;
+        }
+        if stale {
+            self.refresh();
+        }
+        let cwnd = if t < self.probe_rtt_until {
+            4.0 * MSS as f64
+        } else {
+            self.cwnd_cap
+        };
+        (fmax(fmin(self.pacing_rate, cwnd * r_inv), floor_rate), cwnd)
+    }
 
-/// Per-flow measurement accumulators (mirrors the DES's `FlowStats`).
-#[derive(Default)]
-struct FlowAcc {
-    sent_bytes: f64,
-    delivered_bytes: f64,
-    dropped_bytes: f64,
-    backoffs: Vec<f64>,
-    occupancy_integral: f64,
-    cwnd_integral: f64,
-    max_cwnd: f64,
-    rtt_integral: f64,
-    active_secs: f64,
-    congestion_events: u64,
+    /// Round boundary at time `t`: fold the round's delivery rate into
+    /// the max filter and advance the gain cycle and the mode.
+    fn end_round(&mut self, round_max_rate: &mut f64, t: f64, c: f64) {
+        let sample = fmin(*round_max_rate * BW_SAMPLE_HEADROOM, c);
+        if self.bw_len < BW_FILTER_ROUNDS {
+            self.bw_ring[self.bw_len] = sample;
+            self.bw_len += 1;
+        } else {
+            self.bw_ring[self.bw_pos] = sample;
+            self.bw_pos = (self.bw_pos + 1) % BW_FILTER_ROUNDS;
+        }
+        self.btlbw = self.bw_ring[..self.bw_len]
+            .iter()
+            .copied()
+            .fold(sample, fmax);
+        self.round_start = t;
+        *round_max_rate = 0.0;
+        self.phase = (self.phase + 1) % PROBE_GAINS.len();
+        if self.startup {
+            if self.btlbw > self.full_bw * 1.25 {
+                self.full_bw = self.btlbw;
+                self.full_rounds = 0;
+            } else {
+                self.full_rounds += 1;
+                if self.full_rounds >= STARTUP_FULL_ROUNDS {
+                    self.startup = false;
+                    self.drain = true;
+                }
+            }
+        } else if self.drain {
+            self.drain = false; // one drain round
+        }
+        // BBRv2 ceiling recovers a few percent per round.
+        self.hi_mult = fmin(self.hi_mult * 1.05, 1.0);
+    }
+
+    /// Recompute the pacing rate and inflight cap from the mode, the
+    /// estimates and the ceiling multiplier.
+    fn refresh(&mut self) {
+        let (pacing_gain, cwnd_gain) = if self.startup {
+            (STARTUP_GAIN, STARTUP_GAIN)
+        } else if self.drain {
+            (1.0 / STARTUP_GAIN, 2.0)
+        } else {
+            (PROBE_GAINS[self.phase], 2.0)
+        };
+        self.pacing_rate = pacing_gain * self.btlbw;
+        self.cwnd_cap = fmax(
+            cwnd_gain * self.btlbw * self.rtprop * self.headroom * self.hi_mult,
+            4.0 * MSS as f64,
+        );
+    }
+
+    /// BBRv2's reaction to a sampled loss: cut the inflight ceiling.
+    fn cut(&mut self) {
+        self.hi_mult = fmax(self.hi_mult * V2_LOSS_CUT, 0.3);
+        self.refresh();
+    }
 }
 
 fn cubic_k(w_max_mss: f64) -> f64 {
@@ -422,168 +764,152 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf1u64.rotate_left(32));
     let dt = cfg.dt();
     let steps = cfg.steps();
+    let n = cfg.flows.len();
+
+    // Slot order: loss-based flows first, then by CCA, base RTT and
+    // start time, so each (CCA, RTT) group is one run of slots.
+    let mut flow_of: Vec<usize> = (0..n).collect();
+    flow_of.sort_by(|&a, &b| {
+        let (a, b) = (&cfg.flows[a], &cfg.flows[b]);
+        (class_rank(a.cca), a.rtt_secs.to_bits())
+            .cmp(&(class_rank(b.cca), b.rtt_secs.to_bits()))
+            .then(a.start_secs.total_cmp(&b.start_secs))
+    });
+    let mut slot_of = vec![0; n];
+    for (p, &i) in flow_of.iter().enumerate() {
+        slot_of[i] = p;
+    }
+    let start: Vec<f64> = flow_of.iter().map(|&i| cfg.flows[i].start_secs).collect();
+    let mut groups: Vec<Group> = Vec::new();
+    for (p, &i) in flow_of.iter().enumerate() {
+        let f = &cfg.flows[i];
+        match groups.last_mut() {
+            Some(g) if g.cca == f.cca && g.rtt.to_bits() == f.rtt_secs.to_bits() => g.len += 1,
+            _ => groups.push(Group {
+                cca: f.cca,
+                rtt: f.rtt_secs,
+                first: p,
+                len: 1,
+                active: 0,
+                cohorts: Vec::new(),
+            }),
+        }
+    }
+    let n_loss = flow_of
+        .iter()
+        .take_while(|&&i| cfg.flows[i].cca.is_loss_based())
+        .count();
 
     // Initial per-flow state. BBR phases and round clocks are staggered
     // by the seed so flows (and trials) decorrelate, mirroring the DES's
-    // per-flow phase seeds.
-    let mut sims: Vec<FlowSim> = cfg
+    // per-flow phase seeds; they are drawn in flow order.
+    let mut acc = Acc::new(n);
+    for (p, &i) in flow_of.iter().enumerate() {
+        acc.rtt[p] = cfg.flows[i].rtt_secs;
+        if cfg.flows[i].cca == FluidCca::Bbr {
+            acc.last_reaction[p] = f64::INFINITY;
+        }
+    }
+    let mut loss = LossCols::new(n_loss);
+    let draws: Vec<(f64, usize)> = cfg
         .flows
         .iter()
-        .map(|f| {
-            let cc = if f.cca.is_loss_based() {
-                CcState::Loss(LossState {
-                    w: 10.0 * mss,
-                    w_max_mss: 10.0,
-                    epoch: 0.0,
-                    k: cubic_k(10.0),
-                    slow_start: true,
-                    last_backoff: f64::NEG_INFINITY,
-                })
-            } else {
-                CcState::Bbr(BbrState {
-                    btlbw: 10.0 * mss / f.rtt_secs,
-                    bw_ring: Vec::with_capacity(BW_FILTER_ROUNDS),
-                    bw_pos: 0,
-                    rtprop: f.rtt_secs,
-                    rtprop_stamp: f.start_secs,
-                    round_start: f.start_secs + rng.gen_range(0.0..f.rtt_secs),
-                    round_max_rate: 0.0,
-                    phase: rng.gen_range(0..PROBE_GAINS.len()),
-                    startup: true,
-                    drain: false,
-                    full_bw: 0.0,
-                    full_rounds: 0,
-                    probe_rtt_until: f64::NEG_INFINITY,
-                    probe_rtt_min: f64::INFINITY,
-                    hi_mult: 1.0,
-                    last_loss_cut: f64::NEG_INFINITY,
-                })
-            };
-            FlowSim {
-                cc,
-                rate: 0.0,
-                acc: FlowAcc::default(),
-            }
+        .map(|f| match f.cca.is_loss_based() {
+            true => (0.0, 0),
+            false => (
+                f.start_secs + rng.gen_range(0.0..f.rtt_secs),
+                rng.gen_range(0..PROBE_GAINS.len()),
+            ),
         })
         .collect();
+    let mut bbr: Vec<BbrFlow> = flow_of[n_loss..]
+        .iter()
+        .map(|&i| {
+            let f = &cfg.flows[i];
+            let (round_start, phase) = draws[i];
+            BbrFlow::new(f.cca, f.rtt_secs, f.start_secs, round_start, phase)
+        })
+        .collect();
+    // Each BBR flow's bandwidth sample for the current round: the
+    // *maximum instantaneous* delivered rate seen within the round
+    // (mirroring per-ACK delivery-rate sampling). This is what lets BBR's
+    // estimate ratchet upward during the brief queue drain after a
+    // competing CUBIC back-off — the inflight-cap domination mechanism
+    // (Ware et al., IMC '19) that decides shallow buffers. A round-average
+    // sample misses those spikes and systematically underestimates BBR's
+    // share.
+    let mut round_max_rate = vec![0.0; n - n_loss];
 
     let mut q = 0.0_f64;
     let mut q_integral = 0.0;
     let mut q_peak = 0.0_f64;
     let mut total_dropped = 0.0;
 
+    // The slots of the flows that have started, in flow order.
+    let mut live: Vec<usize> = Vec::with_capacity(n);
     let inv_c = 1.0 / c;
     for step in 0..steps {
         let t = step as f64 * dt;
-        let mut total_rate = 0.0;
         let q_delay = q * inv_c;
-        for (f, sim) in cfg.flows.iter().zip(&mut sims) {
-            if t < f.start_secs {
-                sim.rate = 0.0;
-                continue;
+        let started = live.len();
+        // Rate pass, one group at a time: each started flow's rate goes
+        // into `acc.rate`; a flow that has not started keeps rate 0.
+        for g in &mut groups {
+            let was_active = g.active;
+            while g.active < g.len && t >= start[g.first + g.active] {
+                live.push(g.first + g.active);
+                g.active += 1;
             }
-            let r = f.rtt_secs + q_delay;
+            let lanes = g.first..g.first + g.active;
+            if g.active > was_active {
+                g.cohorts.push(Cohort {
+                    slots: g.first + was_active..lanes.end,
+                    active_secs: 0.0,
+                    rtt_integral: 0.0,
+                });
+            }
+            let r = g.rtt + q_delay;
             let r_inv = 1.0 / r;
-            let (rate, cwnd) = match &mut sim.cc {
-                CcState::Loss(s) => {
-                    if s.slow_start {
-                        // Doubling per RTT: dw/dt = w·ln2/R.
-                        s.w += s.w * std::f64::consts::LN_2 * dt * r_inv;
-                    } else {
-                        s.epoch += dt;
-                        let growth = match f.cca {
-                            FluidCca::Cubic => cubic_window_mss(s.epoch, s.w_max_mss, s.k, r) * mss,
-                            // NewReno: one MSS per RTT from the back-off point.
-                            _ => s.w_max_mss * RENO_BETA * mss + mss * s.epoch * r_inv,
-                        };
-                        s.w = fmax(growth, 2.0 * mss);
-                    }
-                    // Physical ceiling: a window beyond BDP + buffer only
-                    // inflates drops the queue already accounts for.
-                    s.w = fmin(s.w, 2.0 * (c * r + buffer));
-                    (s.w * r_inv, s.w)
+            let ceiling = 2.0 * (c * r + buffer);
+            match g.cca {
+                FluidCca::Cubic => {
+                    loss.rates(&mut acc, lanes, (r_inv, ceiling, dt), |e, w_max, k| {
+                        cubic_window_mss(e, w_max, k, r) * mss
+                    })
                 }
-                CcState::Bbr(s) => {
-                    // rtprop tracking and ProbeRTT.
-                    if t < s.probe_rtt_until {
-                        s.probe_rtt_min = fmin(s.probe_rtt_min, r);
-                    } else if s.probe_rtt_min.is_finite() {
-                        // Leaving ProbeRTT: adopt the drained floor.
-                        s.rtprop = s.probe_rtt_min;
-                        s.rtprop_stamp = t;
-                        s.probe_rtt_min = f64::INFINITY;
-                    } else if r <= s.rtprop {
-                        s.rtprop = r;
-                        s.rtprop_stamp = t;
-                    } else if t - s.rtprop_stamp > RTPROP_WINDOW_SECS {
-                        s.probe_rtt_until = t + PROBE_RTT_SECS;
-                        s.probe_rtt_min = r;
-                    }
-                    // Round boundary: fold the round's delivery rate into
-                    // the max filter, advance the gain cycle.
-                    let round_len = fmax(t - s.round_start, dt);
-                    if round_len >= s.rtprop {
-                        let sample = fmin(s.round_max_rate * BW_SAMPLE_HEADROOM, c);
-                        if s.bw_ring.len() < BW_FILTER_ROUNDS {
-                            s.bw_ring.push(sample);
-                        } else {
-                            s.bw_ring[s.bw_pos] = sample;
-                            s.bw_pos = (s.bw_pos + 1) % BW_FILTER_ROUNDS;
-                        }
-                        s.btlbw = s.bw_ring.iter().copied().fold(sample, fmax);
-                        s.round_start = t;
-                        s.round_max_rate = 0.0;
-                        s.phase = (s.phase + 1) % PROBE_GAINS.len();
-                        if s.startup {
-                            if s.btlbw > s.full_bw * 1.25 {
-                                s.full_bw = s.btlbw;
-                                s.full_rounds = 0;
-                            } else {
-                                s.full_rounds += 1;
-                                if s.full_rounds >= STARTUP_FULL_ROUNDS {
-                                    s.startup = false;
-                                    s.drain = true;
-                                }
-                            }
-                        } else if s.drain {
-                            s.drain = false; // one drain round
-                        }
-                        // BBRv2 ceiling recovers a few percent per round.
-                        s.hi_mult = fmin(s.hi_mult * 1.05, 1.0);
-                    }
-                    let in_probe_rtt = t < s.probe_rtt_until;
-                    let (pacing_gain, cwnd_gain) = if s.startup {
-                        (STARTUP_GAIN, STARTUP_GAIN)
-                    } else if s.drain {
-                        (1.0 / STARTUP_GAIN, 2.0)
-                    } else {
-                        (PROBE_GAINS[s.phase], 2.0)
-                    };
-                    let headroom = if f.cca == FluidCca::BbrV2 {
-                        V2_HEADROOM
-                    } else {
-                        1.0
-                    };
-                    let cwnd = if in_probe_rtt {
-                        4.0 * mss
-                    } else {
-                        fmax(
-                            cwnd_gain * s.btlbw * s.rtprop * headroom * s.hi_mult,
-                            4.0 * mss,
-                        )
-                    };
-                    let rate = fmax(fmin(pacing_gain * s.btlbw, cwnd * r_inv), mss * r_inv);
-                    (rate, cwnd)
+                // NewReno: one MSS per RTT from the back-off point.
+                FluidCca::NewReno => {
+                    loss.rates(&mut acc, lanes, (r_inv, ceiling, dt), |e, w_max, _| {
+                        w_max * RENO_BETA * mss + mss * e * r_inv
+                    })
                 }
-            };
-            sim.rate = rate;
-            total_rate += rate;
-            let a = &mut sim.acc;
-            a.active_secs += dt;
-            a.rtt_integral += r * dt;
-            a.cwnd_integral += cwnd * dt;
-            a.max_cwnd = fmax(a.max_cwnd, cwnd);
+                FluidCca::Bbr | FluidCca::BbrV2 => {
+                    let b = lanes.start - n_loss..lanes.end - n_loss;
+                    let floor_rate = mss * r_inv;
+                    for ((((s, max), rate), cwnd_i), max_cwnd) in bbr[b.clone()]
+                        .iter_mut()
+                        .zip(&mut round_max_rate[b])
+                        .zip(&mut acc.rate[lanes.clone()])
+                        .zip(&mut acc.cwnd_integral[lanes.clone()])
+                        .zip(&mut acc.max_cwnd[lanes.clone()])
+                    {
+                        let cwnd;
+                        (*rate, cwnd) = s.step(max, (r, r_inv, floor_rate), (t, dt), c);
+                        Acc::integrate(cwnd_i, max_cwnd, cwnd, dt);
+                    }
+                }
+            }
+            let r_dt = r * dt;
+            for cohort in &mut g.cohorts {
+                cohort.active_secs += dt;
+                cohort.rtt_integral += r_dt;
+            }
         }
+        if live.len() > started {
+            live.sort_unstable_by_key(|&p| flow_of[p]);
+        }
+        // Summed in flow order, as the flows' rates are defined.
+        let total_rate = live.iter().fold(0.0, |sum, &p| sum + acc.rate[p]);
 
         // Shared-queue service: drain at link rate while backlogged.
         let depart = if q > 0.0 { c } else { fmin(total_rate, c) };
@@ -593,66 +919,32 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
         total_dropped += overflow;
 
         let inv_total = 1.0 / fmax(total_rate, f64::MIN_POSITIVE);
-        for (f, sim) in cfg.flows.iter().zip(&mut sims) {
-            if sim.rate <= 0.0 {
-                continue;
-            }
-            let share = sim.rate * inv_total;
-            let a = &mut sim.acc;
-            a.sent_bytes += sim.rate * dt;
-            a.delivered_bytes += depart * share * dt;
-            a.occupancy_integral += q_next * share * dt;
-            if overflow > 0.0 {
-                let dropped_i = overflow * share;
-                a.dropped_bytes += dropped_i;
-                // Poisson thinning: the chance this flow saw at least one
-                // of the event's dropped packets. Partial synchronization
-                // — the regime the paper measures — emerges naturally:
-                // small overflows hit few flows, deep ones hit all.
-                // Every active flow takes one draw per overflow step, but
-                // only a flow that may react (loss-based or BBRv2, past
-                // its once-per-RTT guard) needs the outcome; the others
-                // just advance the stream.
-                let r = f.rtt_secs + q_next * inv_c;
-                let armed = match &sim.cc {
-                    CcState::Loss(s) => t - s.last_backoff > r,
-                    CcState::Bbr(s) => f.cca == FluidCca::BbrV2 && t - s.last_loss_cut > r,
-                };
-                if !armed {
+        acc.serve(inv_total, depart, q_next, dt);
+        for (max, &rate) in round_max_rate.iter_mut().zip(&acc.rate[n_loss..]) {
+            *max = fmax(*max, depart * (rate * inv_total));
+        }
+        if overflow > 0.0 {
+            acc.shed(inv_total, overflow, t, q_next * inv_c);
+            // Poisson thinning, in flow order: the chance each started
+            // flow saw at least one of the event's dropped packets.
+            // Partial synchronization — the regime the paper measures —
+            // emerges naturally: small overflows hit few flows, deep ones
+            // hit all. Every started flow takes one draw, but only a flow
+            // that may react (loss-based or BBRv2, past its once-per-RTT
+            // guard) needs the outcome; the others just advance the
+            // stream. A reaction changes no value this step reads.
+            for &p in &live {
+                let x = acc.hit_x[p];
+                if x < 0.0 {
                     rng.next_u64();
-                } else if poisson_hit(rng.gen_range(0.0..1.0), dropped_i / mss) {
-                    match &mut sim.cc {
-                        CcState::Loss(s) => {
-                            let w_mss = s.w / mss;
-                            // CUBIC fast convergence: a shrinking flow
-                            // remembers a slightly smaller W_max.
-                            s.w_max_mss = if w_mss < s.w_max_mss {
-                                w_mss * (2.0 - CUBIC_BETA) / 2.0
-                            } else {
-                                w_mss
-                            };
-                            let beta = if f.cca == FluidCca::Cubic {
-                                CUBIC_BETA
-                            } else {
-                                RENO_BETA
-                            };
-                            s.k = cubic_k(s.w_max_mss);
-                            s.w = fmax(s.w * beta, 2.0 * mss);
-                            s.epoch = 0.0;
-                            s.slow_start = false;
-                            s.last_backoff = t;
-                            a.backoffs.push(t);
-                        }
-                        CcState::Bbr(s) => {
-                            s.hi_mult = fmax(s.hi_mult * V2_LOSS_CUT, 0.3);
-                            s.last_loss_cut = t;
-                        }
+                } else if poisson_hit(rng.gen_range(0.0..1.0), x) {
+                    match p.checked_sub(n_loss) {
+                        None => loss.back_off(p, cfg.flows[flow_of[p]].cca, t),
+                        Some(b) => bbr[b].cut(),
                     }
-                    a.congestion_events += 1;
+                    acc.last_reaction[p] = t;
+                    acc.congestion_events[p] += 1;
                 }
-            }
-            if let CcState::Bbr(s) = &mut sim.cc {
-                s.round_max_rate = fmax(s.round_max_rate, depart * share);
             }
         }
 
@@ -662,41 +954,51 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
     }
 
     let horizon = steps as f64 * dt;
+    let mut active_secs = vec![0.0; n];
+    let mut rtt_integral = vec![0.0; n];
+    for cohort in groups.iter().flat_map(|g| &g.cohorts) {
+        active_secs[cohort.slots.clone()].fill(cohort.active_secs);
+        rtt_integral[cohort.slots.clone()].fill(cohort.rtt_integral);
+    }
+    let delivered_total: f64 = slot_of.iter().map(|&p| acc.delivered[p]).sum();
+    let sent_total: f64 = slot_of.iter().map(|&p| acc.sent[p]).sum();
     let flows = cfg
         .flows
         .iter()
-        .zip(&sims)
+        .zip(&slot_of)
         .enumerate()
-        .map(|(i, (f, sim))| {
-            let a = &sim.acc;
+        .map(|(i, (f, &p))| {
+            let active_secs = active_secs[p];
             FlowReport {
                 flow: FlowId(i as u32),
                 cc_name: f.cca.name().to_string(),
-                throughput_bytes_per_sec: a.delivered_bytes / horizon,
-                goodput_bytes: a.delivered_bytes.round() as u64,
-                sent_bytes: a.sent_bytes.round() as u64,
-                retransmits: (a.dropped_bytes / mss).round() as u64,
-                lost_packets: (a.dropped_bytes / mss).round() as u64,
-                congestion_events: a.congestion_events,
+                throughput_bytes_per_sec: acc.delivered[p] / horizon,
+                goodput_bytes: acc.delivered[p].round() as u64,
+                sent_bytes: acc.sent[p].round() as u64,
+                retransmits: (acc.dropped[p] / mss).round() as u64,
+                lost_packets: (acc.dropped[p] / mss).round() as u64,
+                congestion_events: acc.congestion_events[p],
                 rtos: 0,
                 wire_lost_fwd: 0,
                 wire_lost_ack: 0,
-                avg_queue_occupancy_bytes: a.occupancy_integral / horizon,
-                min_rtt_secs: (a.active_secs > 0.0).then_some(f.rtt_secs),
-                mean_rtt_secs: (a.active_secs > 0.0).then(|| a.rtt_integral / a.active_secs),
-                avg_cwnd_bytes: if a.active_secs > 0.0 {
-                    a.cwnd_integral / a.active_secs
+                avg_queue_occupancy_bytes: acc.occupancy[p] / horizon,
+                min_rtt_secs: (active_secs > 0.0).then_some(f.rtt_secs),
+                mean_rtt_secs: (active_secs > 0.0).then(|| rtt_integral[p] / active_secs),
+                avg_cwnd_bytes: if active_secs > 0.0 {
+                    acc.cwnd_integral[p] / active_secs
                 } else {
                     0.0
                 },
-                max_cwnd_bytes: a.max_cwnd.round() as u64,
+                max_cwnd_bytes: acc.max_cwnd[p].round() as u64,
                 completion_time_secs: None,
-                backoff_times_secs: a.backoffs.clone(),
+                backoff_times_secs: loss
+                    .backoffs
+                    .get_mut(p)
+                    .map(std::mem::take)
+                    .unwrap_or_default(),
             }
         })
         .collect::<Vec<_>>();
-    let delivered_total: f64 = sims.iter().map(|s| s.acc.delivered_bytes).sum();
-    let sent_total: f64 = sims.iter().map(|s| s.acc.sent_bytes).sum();
     let queue = QueueReport {
         avg_occupancy_bytes: q_integral / horizon,
         avg_queuing_delay_secs: q_integral / horizon / c,
@@ -853,6 +1155,55 @@ mod tests {
             2 => 1e-20 * (1.0 + v),
             3 => 1e-6 * 2e6_f64.powf(v),
             _ => 40.0 * 1e10_f64.powf(v),
+        }
+    }
+
+    /// Base RTTs the differential test draws from (several RTT classes
+    /// per config).
+    const RTTS: [f64; 4] = [0.01, 0.02, 0.035, 0.08];
+    const CCAS: [FluidCca; 4] = [
+        FluidCca::Cubic,
+        FluidCca::NewReno,
+        FluidCca::Bbr,
+        FluidCca::BbrV2,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        /// The column kernel writes the reference kernel's report bit for
+        /// bit: every fluid CCA, interleaved in flow order, several RTT
+        /// classes, starts staggered over most of the horizon, buffers
+        /// from 0.3 to 40 BDP (steps with and without overflow) and 1 to
+        /// 60 flows.
+        #[test]
+        fn column_kernel_matches_the_reference(
+            flows in proptest::prop::collection::vec(((0usize..4, 0usize..4), (0u8..3, 0.0f64..1.0)), 1..61),
+            mbps in 0usize..3,
+            bdp in 0.3f64..40.0,
+            duration_secs in 0.5f64..3.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let capacity_bytes_per_sec = [10.0, 50.0, 100.0][mbps] * 1e6 / 8.0;
+            let cfg = FluidConfig {
+                capacity_bytes_per_sec,
+                buffer_bytes: (bdp * capacity_bytes_per_sec * 0.02).round(),
+                duration_secs,
+                seed,
+                flows: flows
+                    .iter()
+                    .map(|&((cca, rtt), (stagger, at))| FluidFlowSpec {
+                        cca: CCAS[cca],
+                        rtt_secs: RTTS[rtt],
+                        // A third of the flows start at 0; the others
+                        // within the first 80% of the horizon.
+                        start_secs: if stagger == 0 { 0.0 } else { at * 0.8 * duration_secs },
+                    })
+                    .collect(),
+            };
+            let got = simulate(&cfg).unwrap().to_json_value().to_json();
+            let want = reference::simulate(&cfg).unwrap().to_json_value().to_json();
+            proptest::prop_assert!(got == want, "reports differ for {cfg:?}");
         }
     }
 

@@ -833,7 +833,7 @@ impl Simulator {
                                 "completion edge without a completion time"
                             );
                             let fct = now.as_secs_f64() - f.start_time.as_secs_f64();
-                            rt.fct.entry(f.cc_name().to_string()).or_default().push(fct);
+                            rt.fct.entry(f.cc_name()).or_default().push(fct);
                             rt.completed += 1;
                             rt.free.push(idx);
                         }
@@ -1196,8 +1196,9 @@ struct WorkloadRuntime {
     spawned: u64,
     completed: u64,
     /// Completed-flow FCT samples (seconds) keyed by CC name; the
-    /// BTreeMap keeps report ordering deterministic.
-    fct: BTreeMap<String, Vec<f64>>,
+    /// BTreeMap keeps report ordering deterministic (`str` orders as
+    /// `String` does).
+    fct: BTreeMap<&'static str, Vec<f64>>,
     /// Completed slot indices awaiting recycling (not necessarily
     /// quiescent yet — in-flight duplicates may still be draining).
     free: Vec<usize>,
