@@ -133,33 +133,33 @@ diff -r --exclude=cache "$ne_out/serial" "$sv_out/resumed"
 grep -F "(0 simulated (0 events)" "$sv_out/resumed.log" >/dev/null \
     || { echo "supervised rerun against a warm cache still simulated something"; exit 1; }
 
-# Adaptive NE smoke: the model-guided search with early termination must
-# land every observed NE within one grid step of the dense grid's, per
-# row of every fig 9 panel (an empty adaptive set against a non-empty
-# dense set also fails).
-echo "==> adaptive NE smoke (repro 9 --adaptive --early-stop vs dense)"
+# Early-stop NE smoke: with convergence-aware early termination every
+# observed NE must land within one grid step of the fixed-horizon grid's,
+# per row of every fig 9 panel (an empty early-stop set against a
+# non-empty fixed-horizon set also fails).
+echo "==> early-stop NE smoke (repro 9 --early-stop vs fixed horizon)"
 cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
-    --jobs 1 --no-cache --adaptive --early-stop --out "$ne_out/adaptive"
+    --jobs 1 --no-cache --early-stop --out "$ne_out/early-stop"
 for f in "$ne_out/serial"/fig09_*.csv; do
     base="$(basename "$f")"
-    paste -d, "$f" "$ne_out/adaptive/$base" | awk -F, 'NR > 1 {
-        nd = split($4, dense, ";"); na = split($8, adaptive, ";");
-        if ((na == 0) != (nd == 0)) {
-            print "row " NR ": NE sets disagree (dense \"" $4 "\" vs adaptive \"" $8 "\")"
+    paste -d, "$f" "$ne_out/early-stop/$base" | awk -F, 'NR > 1 {
+        nd = split($4, dense, ";"); ns = split($8, stopped, ";");
+        if ((ns == 0) != (nd == 0)) {
+            print "row " NR ": NE sets disagree (fixed \"" $4 "\" vs early-stop \"" $8 "\")"
             exit 1
         }
-        for (i = 1; i <= na; i++) {
+        for (i = 1; i <= ns; i++) {
             best = 1e9
             for (j = 1; j <= nd; j++) {
-                d = adaptive[i] - dense[j]; if (d < 0) d = -d
+                d = stopped[i] - dense[j]; if (d < 0) d = -d
                 if (d < best) best = d
             }
             if (best > 1) {
-                print "row " NR ": adaptive NE " adaptive[i] " not within 1 of dense (" $4 ")"
+                print "row " NR ": early-stop NE " stopped[i] " not within 1 of fixed (" $4 ")"
                 exit 1
             }
         }
-    }' || { echo "adaptive-vs-dense NE mismatch in $base"; exit 1; }
+    }' || { echo "early-stop-vs-fixed NE mismatch in $base"; exit 1; }
 done
 
 # Fluid-vs-DES smoke diff: one fig 9 panel on each backend. The fluid
@@ -270,18 +270,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     BENCH_SAMPLES=5 cargo bench -p bbrdom-bench --bench netsim_perf
 
     # Payoff-engine smoke: serial vs parallel vs warm-cache timings for
-    # the payoff workload, recorded in BENCH_payoff.json (with the core
-    # count — speedup is machine-relative). Also asserts serial/parallel
-    # bit-identity internally.
+    # the payoff workload, recorded in BENCH_payoff.json (with the CPU
+    # model and count — speedup is machine-relative). Also asserts
+    # serial/parallel bit-identity internally.
     echo "==> payoff engine smoke (payoff_perf)"
     cargo bench -p bbrdom-bench --bench payoff_perf
-
-    # Sweep-scale smoke: adaptive + early-stop must simulate >= 3x fewer
-    # events than the dense grid and land within one NE grid step on the
-    # pinned case (asserted inside the bench; BENCH_sweep.json records
-    # the numbers).
-    echo "==> sweep perf smoke (sweep_perf)"
-    cargo bench -p bbrdom-bench --bench sweep_perf
 
     # Result-store perf smoke: store-hit figure assembly vs cold
     # simulation of the same grid, timed in the same run, on a reduced
@@ -296,12 +289,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
 
     # Fluid perf smoke: the fluid kernel alone over an n = 50 grid shaped
     # like e2ebench's ne-fluid, gated at <= 16 ns per flow-step (median;
-    # about twice what a 2-vCPU Xeon VM measures), then the two-tier
-    # pipeline's pinned claims — the fluid payoff grid >= 15x faster than
-    # the DES grid timed in the same run on a fig 9 panel, and the
-    # fluid-located/DES-certified NE within one grid step of dense
-    # (asserted inside the bench; BENCH_fluid.json records the numbers).
-    echo "==> fluid perf smoke (fluid_perf: kernel ns/flow-step ceiling, fluid/DES speedup floor, two-tier NE)"
+    # about twice what a 2-vCPU Xeon VM measures), then the fluid payoff
+    # grid >= 15x faster than the DES grid timed in the same run on a
+    # fig 9 panel (asserted inside the bench; BENCH_fluid.json records
+    # the numbers).
+    echo "==> fluid perf smoke (fluid_perf: kernel ns/flow-step ceiling, fluid/DES speedup floor)"
     cargo bench -p bbrdom-bench --bench fluid_perf
 fi
 

@@ -1,8 +1,8 @@
 //! Fluid-backend performance: the simulate-cheap/verify-expensive claim.
 //!
 //! Not a paper figure — this times the fluid kernel alone and pins the
-//! fluid backend's two promises on one fig 9 panel (100 Mbps / 40 ms, a
-//! buffer sweep, every distribution of `n` flows):
+//! fluid backend's speed on one fig 9 panel (100 Mbps / 40 ms, a buffer
+//! sweep, every distribution of `n` flows):
 //!
 //! 0. **Kernel**: `bbrdom_fluid::simulate` alone, with no engine, over an
 //!    n = 50 grid shaped like the `ne-fluid` workload of `e2ebench`,
@@ -14,22 +14,15 @@
 //!    job count. A same-run ratio cancels machine speed and load; what it
 //!    guards is the fluid backend's cost relative to the DES, so a DES
 //!    speedup lowers it (see `MIN_SPEEDUP`).
-//! 2. **Fidelity where it counts**: the two-tier adaptive search (fluid
-//!    oracle locates the band, DES certifies only the bracket —
-//!    `bbrdom_experiments::adaptive`) lands within one grid step of the
-//!    dense DES answer on every buffer point of the panel.
 //!
-//! All three are asserted inline, so a regression fails the bench run.
+//! Both are asserted inline, so a regression fails the bench run.
 //! Besides the stdout report, the run writes `BENCH_fluid.json` at the
 //! repo root (format documented in `EXPERIMENTS.md`). The speedup is
 //! hardware-dependent, so the file records the core count next to it.
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::adaptive::find_ne_adaptive;
 use bbrdom_experiments::engine::{Engine, EngineConfig};
-use bbrdom_experiments::payoff::{
-    default_epsilon_mbps, distribution_scenario, measure_payoffs_at_on,
-};
+use bbrdom_experiments::payoff::distribution_scenario;
 use bbrdom_experiments::{fluid_backend, BackendSpec, DisciplineSpec, FaultSpec, Profile};
 use bbrdom_fluid::FluidConfig;
 use std::hint::black_box;
@@ -129,28 +122,6 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, start.elapsed())
 }
 
-/// Smallest grid distance between two observed NE sets (`None` when
-/// exactly one side is empty — an automatic failure).
-fn ne_distance(a: &[u32], b: &[u32]) -> Option<u32> {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => Some(0),
-        (true, false) | (false, true) => None,
-        _ => a
-            .iter()
-            .flat_map(|&x| b.iter().map(move |&y| x.abs_diff(y)))
-            .min(),
-    }
-}
-
-fn fmt_set(s: &[u32]) -> String {
-    let inner = s
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("[{inner}]")
-}
-
 fn main() {
     let (model, nproc) = bbrdom_bench::machine();
     let jobs = nproc.min(4);
@@ -187,7 +158,6 @@ fn main() {
         ne_trials: 1,
         ..Profile::smoke()
     };
-    let eps = default_epsilon_mbps(MBPS, N);
     let all_ks: Vec<u32> = (0..=N).collect();
 
     // The full panel grid: every (buffer, k) cell, on each backend.
@@ -234,69 +204,9 @@ fn main() {
         "fluid grid must be >= {MIN_SPEEDUP}x faster than DES (measured {speedup:.1}x)"
     );
 
-    // Two-tier NE per buffer point vs the dense DES answer.
-    let mut rows = Vec::new();
-    for &buf in &BUFFERS {
-        let dense_ne = measure_payoffs_at_on(
-            &engine(jobs),
-            MBPS,
-            RTT_MS,
-            buf,
-            N,
-            &all_ks,
-            CcaKind::Bbr,
-            &profile,
-            SEED,
-            DisciplineSpec::DropTail,
-            &FaultSpec::default(),
-        )
-        .observed_ne_cubic_counts(eps);
-        let two_tier = find_ne_adaptive(
-            &engine(jobs),
-            MBPS,
-            RTT_MS,
-            buf,
-            N,
-            CcaKind::Bbr,
-            &profile,
-            SEED,
-            DisciplineSpec::DropTail,
-            &FaultSpec::default(),
-        );
-        let distance = ne_distance(&two_tier.ne_cubic, &dense_ne);
-        println!(
-            "fluid_perf/ne buf={buf}: dense {dense_ne:?} two-tier {:?} \
-             (fluid band {:?}, oracle {:?}, retries {}, fallback {})",
-            two_tier.ne_cubic,
-            two_tier.fluid_band,
-            two_tier.oracle.map(|o| o.name()),
-            two_tier.oracle_retries,
-            two_tier.dense_fallback,
-        );
-        assert!(
-            distance.is_some_and(|d| d <= 1),
-            "two-tier NE {:?} must land within one grid step of dense {dense_ne:?} at buf={buf}",
-            two_tier.ne_cubic
-        );
-        rows.push(format!(
-            "    {{\"buffer_bdp\": {buf}, \"dense_ne_cubic\": {}, \"two_tier_ne_cubic\": {}, \
-             \"ne_grid_distance\": {}, \"oracle\": {}, \"oracle_retries\": {}, \
-             \"dense_fallback\": {}}}",
-            fmt_set(&dense_ne),
-            fmt_set(&two_tier.ne_cubic),
-            distance.expect("checked above"),
-            two_tier
-                .oracle
-                .map(|o| format!("\"{}\"", o.name()))
-                .unwrap_or_else(|| "null".to_string()),
-            two_tier.oracle_retries,
-            two_tier.dense_fallback,
-        ));
-    }
-
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fluid.json");
     let json = format!(
-        "{{\n  \"schema\": \"fluid-perf-v3\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
+        "{{\n  \"schema\": \"fluid-perf-v4\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
          \"jobs\": {jobs},\n  \
          \"kernel\": {{\"panels\": [[50, 20], [100, 40]], \"buffers_bdp\": [0.5, 2.0, 8.0, 32.0], \
          \"n\": {KERNEL_N}, \"split_step\": {KERNEL_SPLIT_STEP}, \"duration_secs\": {KERNEL_DURATION_SECS}, \
@@ -306,14 +216,12 @@ fn main() {
          \"panel\": {{\"mbps\": {MBPS}, \"rtt_ms\": {RTT_MS}, \"buffers_bdp\": [0.5, 2.0, 8.0, 32.0], \
          \"n\": {N}, \"duration_secs\": {DURATION_SECS}, \"seed\": {SEED}}},\n  \
          \"grid_cells\": {},\n  \"des_secs\": {:.6},\n  \"fluid_secs\": {:.6},\n  \
-         \"speedup\": {speedup:.1},\n  \"min_speedup\": {MIN_SPEEDUP},\n  \
-         \"ne_rows\": [\n{}\n  ]\n}}\n",
+         \"speedup\": {speedup:.1},\n  \"min_speedup\": {MIN_SPEEDUP}\n}}\n",
         bbrdom_netsim::json::Value::Str(model).to_json(),
         kernel.len(),
         des_grid.len(),
         des_wall.as_secs_f64(),
         fluid_wall.as_secs_f64(),
-        rows.join(",\n"),
     );
     std::fs::write(out, json).expect("write BENCH_fluid.json");
     println!("wrote {out}");

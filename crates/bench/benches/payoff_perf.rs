@@ -10,8 +10,8 @@
 //!
 //! Besides the stdout report, the run writes `BENCH_payoff.json` at the
 //! repo root (format documented in `EXPERIMENTS.md`). Speedup is
-//! machine-relative — the file records the core count next to the
-//! numbers, so a 1-core box reporting ~1.0x is expected, not a
+//! machine-relative — the file records the CPU model and count next to
+//! the numbers, so a 1-core box reporting ~1.0x is expected, not a
 //! regression.
 
 use bbrdom_cca::CcaKind;
@@ -59,10 +59,8 @@ fn result_fingerprint(results: &[std::sync::Arc<bbrdom_experiments::TrialResult>
 
 fn main() {
     let scenarios = payoff_batch();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs = cores.min(4);
+    let (model, nproc) = bbrdom_bench::machine();
+    let jobs = nproc.min(4);
 
     let uncached = || {
         Engine::new(EngineConfig {
@@ -111,7 +109,7 @@ fn main() {
     println!(
         "payoff/{} scenarios: serial {:>9.3?}  jobs={jobs} {:>9.3?} ({speedup:.2}x)  \
          warm-cache {:>9.3?} ({warm_speedup:.1}x, {skipped_pct:.0}% skipped)  \
-         [{cores} cores, bit-identical: {bit_identical}]",
+         [{nproc} CPUs, bit-identical: {bit_identical}]",
         scenarios.len(),
         serial,
         parallel,
@@ -121,10 +119,12 @@ fn main() {
     // Repo root: two levels up from this crate's manifest.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_payoff.json");
     let json = format!(
-        "{{\n  \"schema\": \"payoff-perf-v1\",\n  \"cores\": {cores},\n  \"jobs\": {jobs},\n  \
+        "{{\n  \"schema\": \"payoff-perf-v2\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
+         \"jobs\": {jobs},\n  \
          \"scenarios\": {},\n  \"serial_secs\": {:.6},\n  \"parallel_secs\": {:.6},\n  \
          \"speedup\": {:.3},\n  \"warm_cache_secs\": {:.6},\n  \"warm_cache_speedup\": {:.1},\n  \
          \"cache_skipped_pct\": {:.1},\n  \"bit_identical\": {bit_identical}\n}}\n",
+        bbrdom_netsim::json::Value::Str(model).to_json(),
         scenarios.len(),
         serial.as_secs_f64(),
         parallel.as_secs_f64(),

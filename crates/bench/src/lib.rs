@@ -1,10 +1,10 @@
 //! Shared helpers for the performance benchmarks in `benches/`.
 //!
 //! Each bench times one layer of the reproduction (the packet DES, the
-//! scenario engine, the result store, the adaptive NE search, the fluid
-//! backend), asserts its pinned claims, and writes a `BENCH_*.json`
-//! record at the repository root. Figure data itself comes from the
-//! `repro` binary (`bbrdom-experiments`).
+//! scenario engine, the result store, the fluid backend), asserts its
+//! pinned claims, and writes a `BENCH_*.json` record at the repository
+//! root. Figure data itself comes from the `repro` binary
+//! (`bbrdom-experiments`).
 
 /// The machine a bench ran on, for the `BENCH_*.json` it writes: the CPU
 /// model (the first `model name` of `/proc/cpuinfo`, or `"unknown"` where

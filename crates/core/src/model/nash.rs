@@ -184,8 +184,8 @@ impl NashPredictor {
 
     /// Inclusive integer bracket `[lo, hi]` (in BBR-flow counts) that
     /// covers every integer NE candidate Eq. (25) admits under either
-    /// synchronization bound — the seed bracket a model-guided empirical
-    /// NE search refines with simulations.
+    /// synchronization bound — the band an empirical NE is compared
+    /// against.
     pub fn ne_band(&self) -> Result<(u32, u32), ModelError> {
         let (sync, desync) = self.predict_region()?;
         let mut lo = u32::MAX;

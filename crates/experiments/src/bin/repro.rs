@@ -45,7 +45,6 @@ struct Overrides {
     buffer_points: Option<usize>,
     loss: Option<f64>,
     ack_loss: Option<f64>,
-    adaptive: Option<bool>,
     early_stop: Option<Option<(f64, u32)>>,
     backend: Option<BackendSpec>,
     workload: Option<WorkloadSpec>,
@@ -209,7 +208,6 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or_else(|| "--ack-loss needs a probability in [0, 1]".to_string())?,
                 );
             }
-            "--adaptive" => overrides.adaptive = Some(true),
             "--backend" => {
                 let name = args
                     .next()
@@ -219,7 +217,6 @@ fn parse_args() -> Result<Args, String> {
                         format!("--backend must be 'des' or 'fluid', got '{name}'")
                     })?);
             }
-            "--dense" => overrides.adaptive = Some(false),
             "--parkinglot-hops" => {
                 overrides.parkinglot_hops = Some(
                     args.next()
@@ -268,9 +265,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if let Some(p) = overrides.ack_loss {
         profile.ack_loss = p;
-    }
-    if let Some(a) = overrides.adaptive {
-        profile.adaptive = a;
     }
     if let Some(e) = overrides.early_stop {
         profile.early_stop = e;
@@ -327,8 +321,7 @@ fn usage() -> String {
          workload: --workload CCA:RATE:SIZE (open-loop churn on every scenario; RATE in\n\
          \x20          flows/s, SIZE in kB or 'pareto', e.g. cubic:80:pareto)\n\
          topology: --parkinglot-hops N (bottleneck count of the ext-parkinglot chain; >= 2)\n\
-         perf: --adaptive (model-guided NE search) / --dense (full grid, default)\n\
-         \x20     --backend des|fluid (packet DES, default, or the fluid/ODE fast model)\n\
+         perf: --backend des|fluid (packet DES, default, or the fluid/ODE fast model)\n\
          \x20     --early-stop[=EPS,DWELL] (stop converged runs early; default 0.05,3)\n\
          \x20     --no-early-stop (fixed horizon, default)\n\
          engine: --jobs N (or BBRDOM_JOBS; default: all cores)\n\

@@ -70,38 +70,19 @@ pub fn run_panel(
             .map(|p| p.n_cubic)
             .unwrap_or(f64::NAN);
         let seed = 0x0909 + (mbps as u64) * 31 + (rtt_ms as u64) * 7 + (b * 100.0) as u64;
-        let observed = if profile.adaptive {
-            // Model-guided search: simulate only the cells needed to
-            // certify equilibria near the Eq. (25) crossing (dense
-            // fallback inside when model and measurement disagree).
-            crate::adaptive::find_ne_adaptive(
-                engine,
-                mbps,
-                rtt_ms,
-                b,
-                n,
-                challenger,
-                profile,
-                seed,
-                DisciplineSpec::DropTail,
-                &FaultSpec::default(),
-            )
-            .ne_cubic
-        } else {
-            measure_payoffs(
-                engine,
-                mbps,
-                rtt_ms,
-                b,
-                n,
-                challenger,
-                profile,
-                seed,
-                DisciplineSpec::DropTail,
-                &FaultSpec::default(),
-            )
-            .observed_ne_cubic_counts(eps)
-        };
+        let observed = measure_payoffs(
+            engine,
+            mbps,
+            rtt_ms,
+            b,
+            n,
+            challenger,
+            profile,
+            seed,
+            DisciplineSpec::DropTail,
+            &FaultSpec::default(),
+        )
+        .observed_ne_cubic_counts(eps);
         let observed_str = observed
             .iter()
             .map(|c| c.to_string())
@@ -164,23 +145,6 @@ mod tests {
         // Observed NE column is a ;-separated list, possibly empty.
         for row in &t.rows {
             assert_eq!(row.len(), 4);
-        }
-    }
-
-    #[test]
-    fn adaptive_smoke_panel_matches_dense_shape() {
-        let engine = crate::engine::test_engine();
-        let dense = run_panel(&engine, 50.0, 20.0, &Profile::smoke(), CcaKind::Bbr);
-        let adaptive_profile = Profile {
-            adaptive: true,
-            ..Profile::smoke()
-        };
-        let adaptive = run_panel(&engine, 50.0, 20.0, &adaptive_profile, CcaKind::Bbr);
-        assert_eq!(adaptive.rows.len(), dense.rows.len());
-        // Model columns are identical; only the observed column may
-        // differ (and then only within the certification tolerance).
-        for (a, d) in adaptive.rows.iter().zip(&dense.rows) {
-            assert_eq!(a[..3], d[..3]);
         }
     }
 }

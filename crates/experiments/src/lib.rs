@@ -17,10 +17,6 @@
 //!   `repro query` skip both simulation and a file read per cell;
 //! * [`payoff`] — empirical payoff curves over all `n + 1` CUBIC/X splits
 //!   and the §4.4 Nash-equilibrium search;
-//! * [`adaptive`] — the two-tier adaptive NE search (`--adaptive`):
-//!   cheap oracles (the fluid backend, then Eq. (25)) each propose a NE
-//!   bracket, DES certifies only inside it, and a dense-grid fallback
-//!   runs only after every oracle's band has been tried and logged;
 //! * [`fluid_backend`] — lowers a [`Scenario`] onto `bbrdom-fluid`'s
 //!   ODE integrator and enforces its validity envelope;
 //! * [`sync`] — CUBIC loss-synchronization measurement (used to decide
@@ -42,7 +38,6 @@
 //! evaluation reruns in minutes on a laptop. EXPERIMENTS.md records the
 //! profile used for the committed numbers.
 
-pub mod adaptive;
 pub mod engine;
 pub mod ext;
 pub mod figs;
@@ -56,7 +51,6 @@ pub mod store;
 pub mod supervisor;
 pub mod sync;
 
-pub use adaptive::{find_ne_adaptive, AdaptiveNe, NeOracle};
 pub use engine::{scenario_hash, scenario_hash_hex, CacheStats, Engine, EngineConfig};
 pub use profile::Profile;
 pub use scenario::{

@@ -125,12 +125,12 @@ pub fn measure_payoffs(
 
 /// The scenario for one distribution cell `(trial, k)` of an NE grid.
 ///
-/// This is the single place the per-cell seed formula lives: the dense
-/// grid and the adaptive search both build their scenarios here, so a
-/// cell evaluated by either path is *the same scenario* — same seed,
-/// same content hash — and the engine's cache can serve one to the
-/// other. The profile's opt-in early-stop policy is attached here too,
-/// which (deliberately) changes the cell's content hash: an
+/// This is the single place the per-cell seed formula lives: every
+/// measurement of an NE grid, whole or partial, builds its scenarios
+/// here, so a cell is *the same scenario* — same seed, same content
+/// hash — whichever call evaluates it, and the engine's cache can serve
+/// one to the other. The profile's opt-in early-stop policy is attached
+/// here too, which (deliberately) changes the cell's content hash: an
 /// early-stopped measurement is a different result.
 #[allow(clippy::too_many_arguments)]
 pub fn distribution_scenario(
@@ -200,10 +200,11 @@ pub fn measure_payoffs_from(
     }
 }
 
-/// Measure payoffs at a *subset* `ks` of the distributions — the
-/// adaptive NE search's workhorse. Unevaluated entries of the returned
-/// curves are `NaN`, so any consumer that reads a cell the search never
-/// simulated fails loudly instead of treating it as a measured zero.
+/// Measure payoffs at a *subset* `ks` of the distributions;
+/// [`measure_payoffs`] passes every `k`. Unevaluated entries of the
+/// returned curves are `NaN`, so any consumer that reads a cell the
+/// caller never simulated fails loudly instead of treating it as a
+/// measured zero.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_payoffs_at_on(
     engine: &Engine,
@@ -288,6 +289,7 @@ pub fn default_epsilon_mbps(mbps: f64, n: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::test_engine;
 
     fn tiny_measurement() -> PayoffMeasurement {
         // 4 flows, smoke profile: fast but end-to-end real.
@@ -381,5 +383,79 @@ mod tests {
         for &c in &ne {
             assert!(c <= 4);
         }
+    }
+
+    /// An early-stop profile changes the per-cell scenarios (and their
+    /// hashes), so stopped and fixed-horizon grids can never alias.
+    #[test]
+    fn early_stop_profile_changes_the_cells() {
+        let profile = Profile::smoke();
+        let stopped = Profile {
+            early_stop: Some((0.05, 3)),
+            ..profile
+        };
+        let make = |p: &Profile| {
+            crate::payoff::distribution_scenario(
+                20.0,
+                20.0,
+                2.0,
+                4,
+                2,
+                0,
+                CcaKind::Bbr,
+                p,
+                7,
+                DisciplineSpec::DropTail,
+                &FaultSpec::default(),
+            )
+        };
+        assert_ne!(
+            crate::engine::scenario_hash(&make(&profile)),
+            crate::engine::scenario_hash(&make(&stopped))
+        );
+    }
+
+    /// `measure_payoffs` (the dense path) and a subset measurement on a
+    /// separate engine agree cell for cell — one seed formula.
+    #[test]
+    fn dense_grid_uses_the_shared_cell_builder() {
+        let profile = Profile::smoke();
+        let dense = measure_payoffs(
+            &test_engine(),
+            20.0,
+            20.0,
+            2.0,
+            4,
+            CcaKind::Bbr,
+            &profile,
+            7,
+            DisciplineSpec::DropTail,
+            &FaultSpec::default(),
+        );
+        let subset = measure_payoffs_at_on(
+            &test_engine(),
+            20.0,
+            20.0,
+            2.0,
+            4,
+            &[1, 2, 3],
+            CcaKind::Bbr,
+            &profile,
+            7,
+            DisciplineSpec::DropTail,
+            &FaultSpec::default(),
+        );
+        for k in 1..=3usize {
+            assert_eq!(
+                dense.trials[0].x_per_flow[k], subset.trials[0].x_per_flow[k],
+                "cell k={k} differs between dense and subset measurement"
+            );
+            assert_eq!(
+                dense.trials[0].cubic_per_flow[k],
+                subset.trials[0].cubic_per_flow[k]
+            );
+        }
+        assert!(subset.trials[0].x_per_flow[0].is_nan());
+        assert!(subset.trials[0].x_per_flow[4].is_nan());
     }
 }

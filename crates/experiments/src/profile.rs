@@ -27,10 +27,6 @@ pub struct Profile {
     pub loss: f64,
     /// Reverse-path (ACK) random wire-loss probability (`repro --ack-loss`).
     pub ack_loss: f64,
-    /// Model-guided adaptive NE search (`repro --adaptive`): seed the
-    /// search bracket from Eq. (25) and refine with simulations instead
-    /// of running every distribution of the dense grid.
-    pub adaptive: bool,
     /// Convergence-aware early termination (`repro --early-stop`):
     /// `(epsilon, dwell)` for the per-flow steady-state detector, `None`
     /// for fixed-horizon runs (the bit-identical default).
@@ -60,7 +56,6 @@ impl Profile {
             ne_trials: 3,
             loss: 0.0,
             ack_loss: 0.0,
-            adaptive: false,
             early_stop: None,
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
@@ -78,7 +73,6 @@ impl Profile {
             ne_trials: 1,
             loss: 0.0,
             ack_loss: 0.0,
-            adaptive: false,
             early_stop: None,
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
@@ -97,7 +91,6 @@ impl Profile {
             ne_trials: 1,
             loss: 0.0,
             ack_loss: 0.0,
-            adaptive: false,
             early_stop: None,
             backend: crate::scenario::BackendSpec::Des,
             workload: None,

@@ -65,8 +65,8 @@
 //! the envelope, steady-state shares track the DES within the tolerances
 //! documented in `EXPERIMENTS.md` (cross-validation suite in
 //! `tests/fluid_vs_des.rs`); transients, per-packet loss patterns and
-//! queue-delay microstructure are *not* faithful, which is why the
-//! two-tier pipeline always certifies equilibria with DES cells.
+//! queue-delay microstructure are *not* faithful, which is why every
+//! committed figure, its equilibria included, comes from the DES.
 //!
 //! ```
 //! use bbrdom_fluid::{simulate, FluidCca, FluidConfig, FluidFlowSpec};
@@ -1110,6 +1110,60 @@ mod tests {
             !r.flows[0].backoff_times_secs.is_empty(),
             "a lone CUBIC flow must hit the buffer and back off"
         );
+    }
+
+    /// The once-per-RTT loss guard measures the RTT on the queue after
+    /// the step's service, which is full on every overflow step. A lone
+    /// CUBIC flow backs off at `t0` and its queue drains; 25 steps later
+    /// a burst of starting flows overflows the buffer in one step. That
+    /// back-off is then 25 steps old: more than `rtt + q/C` on the
+    /// drained queue, but not more than `rtt + buffer/C` (25.5 steps),
+    /// so the flow must not react to the burst.
+    #[test]
+    fn loss_guard_reads_the_queue_after_service() {
+        let mbps = 100.0;
+        let c = mbps * 1e6 / 8.0;
+        let rtt = 0.02;
+        let mut cfg = FluidConfig {
+            capacity_bytes_per_sec: c,
+            buffer_bytes: 0.0,
+            duration_secs: 4.0,
+            seed: 3,
+            flows: vec![FluidFlowSpec {
+                cca: FluidCca::Cubic,
+                rtt_secs: rtt,
+                start_secs: 0.0,
+            }],
+        };
+        let dt = cfg.dt();
+        assert_eq!(dt, rtt / 24.0);
+        cfg.buffer_bytes = 1.5 * c * dt;
+        let alone = simulate(&cfg).unwrap();
+        let t0 = alone.flows[0].backoff_times_secs[0];
+        let burst_step = (t0 / dt).round() + 25.0;
+        cfg.flows.extend((0..100).map(|_| FluidFlowSpec {
+            cca: FluidCca::Cubic,
+            rtt_secs: rtt,
+            start_secs: burst_step * dt,
+        }));
+        let r = simulate(&cfg).unwrap();
+        let backoffs = &r.flows[0].backoff_times_secs;
+        assert_eq!(backoffs[0], t0, "the burst cannot change the past");
+        assert!(
+            r.flows[1..]
+                .iter()
+                .any(|f| f.backoff_times_secs.first() == Some(&(burst_step * dt))),
+            "the burst must overflow the buffer on its first step"
+        );
+        let guard = rtt + cfg.buffer_bytes * (1.0 / c);
+        for pair in backoffs.windows(2) {
+            assert!(
+                pair[1] - pair[0] > guard,
+                "back-offs at {} and {} are within one RTT ({guard} s)",
+                pair[0],
+                pair[1]
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fluid ↔ DES cross-validation: the documented tolerance contract.
 //!
-//! The fluid backend's job is to *rank and bracket* — locate the NE band
-//! and reproduce steady-state share structure — not to match the DES
+//! The fluid backend's job is to *rank* — reproduce steady-state share
+//! structure and its trend with buffer depth — not to match the DES
 //! per-packet. These tests pin the tolerances EXPERIMENTS.md documents
 //! ("Fluid backend — cross-validation tolerances"): inside the validity
 //! envelope (drop-tail, clean path, backlogged CUBIC/NewReno/BBR/BBRv2,
@@ -25,10 +25,10 @@
 //! `BW_SAMPLE_HEADROOM = 1.2` (worst seed-averaged share delta 0.16,
 //! worst utilization delta 0.02); recalibrating means editing that
 //! constant in `crates/fluid/src/lib.rs` and rerunning this suite. They
-//! are deliberately loose: the two-tier pipeline (fluid locates, DES
-//! certifies) only needs the fluid NE band to usually contain the true
-//! NE — `crates/experiments/src/adaptive.rs` retries with the Eq. (25)
-//! band and then the dense grid when it does not.
+//! are deliberately loose: `--backend fluid` is a fast approximation,
+//! and its NE is not the DES's in deep buffers, where the fluid model
+//! puts the equilibrium at all-BBR while the DES finds mixed ones
+//! (EXPERIMENTS.md, "Fluid backend").
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::{scenario_hash, BackendSpec, Scenario};
