@@ -11,13 +11,13 @@ cargo fmt --all --check
 
 # Hidden-input gate: a result must be a function of its Scenario alone,
 # so the crates that produce results may read only allow-listed env vars
-# (the audit switch, supervisor test hooks, a CCA trace). The engine's
-# worker count, BBRDOM_JOBS, is read by the repro binary alone: library
-# callers pass the engine they built.
+# (the audit switch and a CCA trace). The engine's worker count,
+# BBRDOM_JOBS, is read by the repro binary alone: library callers pass
+# the engine they built.
 echo "==> env var allow-list (result-producing crates)"
 env_reads=$(grep -rnE 'env::var(_os)?\(' \
     crates/netsim/src crates/cca/src crates/fluid/src crates/core/src crates/experiments/src \
-    | grep -vE 'env::var(_os)?\("(BBRDOM_AUDIT|BBRDOM_TEST_POISON_[A-Z_]+|BBRDOM_VIVACE_TRACE)"\)' \
+    | grep -vE 'env::var(_os)?\("(BBRDOM_AUDIT|BBRDOM_VIVACE_TRACE)"\)' \
     | grep -vE '^crates/experiments/src/bin/repro\.rs:[0-9]+:.*env::var\("BBRDOM_JOBS"\)' \
     || true)
 if [[ -n "$env_reads" ]]; then
@@ -85,7 +85,9 @@ rm -rf "$ne_out"
 cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
     --jobs 1 --no-cache --out "$ne_out/serial"
 cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
-    --jobs 2 --cache-dir "$ne_out/cache" --out "$ne_out/parallel"
+    --jobs 2 --cache-dir "$ne_out/cache" --out "$ne_out/parallel" \
+    2> "$ne_out/parallel.log" || { cat "$ne_out/parallel.log"; exit 1; }
+cat "$ne_out/parallel.log"
 diff -r "$ne_out/serial" "$ne_out/parallel"
 cache_files=$(ls -A "$ne_out/cache")
 [[ "$cache_files" == "index.jsonl" ]] \
@@ -94,44 +96,64 @@ cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
     --jobs 2 --cache-dir "$ne_out/cache" --out "$ne_out/warm"
 diff -r "$ne_out/serial" "$ne_out/warm"
 
-# Supervised sweep smoke: the same NE pipeline sharded across two
-# crash-isolated worker processes, with one worker SIGKILLed shortly
-# after launch. The supervisor must absorb the kill (retry the
-# forfeited leases on the survivor / a replacement) and the figures
-# must still be byte-identical to the serial run; a second supervised
-# run against the same cache is the resume path: it must match too, with
-# every cell served from the store (zero simulations on stderr).
-echo "==> supervised sweep smoke (repro 9 --supervise 2, one worker SIGKILLed)"
-sv_out="${TMPDIR:-/tmp}/bbrdom-ci-supervised"
-rm -rf "$sv_out"
-(
-    # Kill the first worker that appears (pid files live under the
-    # supervisor's work dir). Give up quietly after 60 polls — the
-    # smoke batch may finish before a kill lands, which is fine: the
-    # assertion is output identity either way.
-    for _ in $(seq 60); do
-        pidfile=$(find "$sv_out/cache/supervise" -name 'worker-*.pid' 2>/dev/null | head -1)
-        if [[ -n "$pidfile" ]]; then
-            kill -9 "$(cat "$pidfile")" 2>/dev/null || true
-            exit 0
-        fi
-        sleep 0.1
-    done
-) &
-killer=$!
-cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
-    --supervise 2 --jobs 1 --watchdog 10 \
-    --cache-dir "$sv_out/cache" --out "$sv_out/supervised"
-wait "$killer" || true
-diff -r --exclude=cache "$ne_out/serial" "$sv_out/supervised"
-cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
-    --supervise 2 --jobs 1 --watchdog 10 \
-    --cache-dir "$sv_out/cache" --out "$sv_out/resumed" \
-    2> "$sv_out/resumed.log" || { cat "$sv_out/resumed.log"; exit 1; }
-cat "$sv_out/resumed.log"
-diff -r --exclude=cache "$ne_out/serial" "$sv_out/resumed"
-grep -F "(0 simulated (0 events)" "$sv_out/resumed.log" >/dev/null \
-    || { echo "supervised rerun against a warm cache still simulated something"; exit 1; }
+# The repro binary itself, for the steps below that signal it or read
+# its exit code (cargo run would stand between them and the process).
+repro_bin="${CARGO_TARGET_DIR:-target}/release/repro"
+
+# Retired and unknown flags are usage errors: exit code 2, nothing run.
+echo "==> unknown flags are rejected (exit code 2)"
+for flags in "--supervise 2" "--watchdog 10" "--adaptive" "--no-such-flag"; do
+    # shellcheck disable=SC2086 # word-split the flag and its value
+    code=0; "$repro_bin" 9 --smoke $flags --no-cache --out "$ne_out/rejected" 2>/dev/null || code=$?
+    [[ "$code" -eq 2 ]] || { echo "repro 9 $flags exited $code, want 2"; exit 1; }
+done
+[[ ! -e "$ne_out/rejected" ]] || { echo "a rejected command wrote output"; exit 1; }
+
+# Graceful-stop smoke: SIGINT a pooled fig 9 run once its index holds a
+# line. It must exit 130 with the resume hint, and rerunning the same
+# command against the same cache must write the serial run's CSVs while
+# simulating fewer cells than the cold run did (the store serves the
+# recorded prefix). A run that finishes before the signal lands fails
+# the step: the smoke would then have tested nothing.
+echo "==> graceful stop smoke (repro 9 --jobs 2, SIGINT once the index has a line)"
+int_out="${TMPDIR:-/tmp}/bbrdom-ci-interrupt"
+rm -rf "$int_out"
+mkdir -p "$int_out"
+"$repro_bin" 9 --smoke --jobs 2 --cache-dir "$int_out/cache" --out "$int_out/out" \
+    > /dev/null 2> "$int_out/stopped.log" &
+repro_pid=$!
+for _ in $(seq 600); do
+    [[ "$(wc -l 2>/dev/null < "$int_out/cache/index.jsonl" || echo 0)" -ge 1 ]] && break
+    kill -0 "$repro_pid" 2>/dev/null || break
+    sleep 0.01
+done
+kill -INT "$repro_pid" 2>/dev/null || true
+code=0; wait "$repro_pid" || code=$?
+cat "$int_out/stopped.log"
+[[ "$code" -eq 130 ]] \
+    || { echo "SIGINT run exited $code, want 130 (0: it finished before the signal landed)"; exit 1; }
+grep -E "^interrupted: cache .* rerun " "$int_out/stopped.log" >/dev/null \
+    || { echo "SIGINT run printed no resume hint"; exit 1; }
+"$repro_bin" 9 --smoke --jobs 2 --cache-dir "$int_out/cache" --out "$int_out/out" \
+    2> "$int_out/resumed.log" || { cat "$int_out/resumed.log"; exit 1; }
+cat "$int_out/resumed.log"
+diff -r "$ne_out/serial" "$int_out/out"
+simulated() { sed -n 's/^== .* done in [0-9.]*s (\([0-9]*\) simulated .*/\1/p' "$1"; }
+cold_cells=$(simulated "$ne_out/parallel.log")
+resumed_cells=$(simulated "$int_out/resumed.log")
+[[ -n "$cold_cells" && -n "$resumed_cells" && "$resumed_cells" -lt "$cold_cells" ]] \
+    || { echo "resumed run simulated '$resumed_cells' cells, cold run '$cold_cells'"; exit 1; }
+
+# Audit-identity smoke: the runtime auditor checks, it never changes a
+# result. An audited cold run must write the serial run's CSVs and an
+# index byte-identical to the un-audited cold run's.
+echo "==> audit identity smoke (BBRDOM_AUDIT=1 repro 9 vs un-audited)"
+au_out="${TMPDIR:-/tmp}/bbrdom-ci-audit"
+rm -rf "$au_out"
+BBRDOM_AUDIT=1 "$repro_bin" 9 --smoke --jobs 2 --cache-dir "$au_out/cache" --out "$au_out/out"
+diff -r "$ne_out/serial" "$au_out/out"
+cmp "$ne_out/cache/index.jsonl" "$au_out/cache/index.jsonl" \
+    || { echo "the audited run wrote a different index"; exit 1; }
 
 # Early-stop NE smoke: with convergence-aware early termination every
 # observed NE must land within one grid step of the fixed-horizon grid's,

@@ -111,8 +111,8 @@ fn engine(jobs: usize) -> Engine {
         jobs,
         disk_cache: None,
         memory_cache: true,
-        supervise: None,
         result_store: false,
+        ..EngineConfig::default()
     })
 }
 

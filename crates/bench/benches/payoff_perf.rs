@@ -62,15 +62,7 @@ fn main() {
     let (model, nproc) = bbrdom_bench::machine();
     let jobs = nproc.min(4);
 
-    let uncached = || {
-        Engine::new(EngineConfig {
-            jobs: 1,
-            disk_cache: None,
-            memory_cache: false,
-            supervise: None,
-            result_store: false,
-        })
-    };
+    let uncached = || Engine::new(EngineConfig::serial_uncached());
     // Warm-up: fault the code paths and page in the batch once.
     uncached().run_all_jobs(&scenarios[..2.min(scenarios.len())], 1);
 
@@ -93,8 +85,8 @@ fn main() {
             jobs,
             disk_cache: Some(cache_dir.clone()),
             memory_cache: false,
-            supervise: None,
             result_store: true,
+            ..EngineConfig::default()
         })
     };
     with_cache().run_all(&scenarios);

@@ -118,8 +118,8 @@ fn engine(cache: &Path, jobs: usize) -> Engine {
         jobs,
         disk_cache: Some(cache.to_path_buf()),
         memory_cache: false,
-        supervise: None,
         result_store: true,
+        ..EngineConfig::default()
     })
 }
 

@@ -381,8 +381,8 @@ mod tests {
 
     #[test]
     fn nan_buffer_in_region_sweep_is_an_error() {
-        // A single degenerate buffer point poisons from_paper_units with
-        // a NaN buffer; the sweep must fail loudly, not emit NaN rows.
+        // A single degenerate buffer point hands from_paper_units a NaN
+        // buffer; the sweep must fail loudly, not emit NaN rows.
         let err = nash_region_over_buffers(100.0, 40.0, &[2.0, f64::NAN, 10.0], 50);
         assert!(err.is_err());
         let err = nash_region_over_buffers(100.0, 40.0, &[2.0, 0.0], 50);

@@ -5,7 +5,6 @@
 //! repro fig03 --full        # one figure at paper scale
 //! repro 9 --out results/    # figure 9, CSVs into results/
 //! repro 9 --jobs 4          # four simulation workers
-//! repro 9 --supervise 4     # shard across 4 crash-isolated processes
 //! repro 9 --no-cache        # bypass the scenario result cache
 //! repro list                # what's available
 //!
@@ -14,16 +13,17 @@
 //! ```
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
+use bbrdom_experiments::engine::{
+    install_signal_handlers, interrupted, scenario_hash, Engine, EngineConfig,
+};
 use bbrdom_experiments::ext::{run_extension, ALL_EXTENSIONS};
 use bbrdom_experiments::figs::{run_figure, ALL_FIGURES};
 use bbrdom_experiments::output::Table;
 use bbrdom_experiments::runner::payload_message;
 use bbrdom_experiments::store::{Store, StoreOutcome};
-use bbrdom_experiments::{BackendSpec, Profile, Scenario, SupervisorConfig, WorkloadSpec};
+use bbrdom_experiments::{BackendSpec, Profile, Scenario, WorkloadSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 struct Args {
     targets: Vec<String>,
@@ -32,8 +32,6 @@ struct Args {
     jobs: Option<usize>,
     no_cache: bool,
     cache_dir: Option<PathBuf>,
-    supervise: Option<usize>,
-    watchdog_secs: Option<f64>,
 }
 
 /// Optional per-knob overrides applied on top of the chosen profile.
@@ -116,8 +114,6 @@ fn parse_args() -> Result<Args, String> {
     let mut jobs = None;
     let mut no_cache = false;
     let mut cache_dir = None;
-    let mut supervise = None;
-    let mut watchdog_secs = None;
     let mut overrides = Overrides::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -140,24 +136,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--no-cache" => no_cache = true,
-            "--supervise" => {
-                supervise = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--supervise needs a positive worker count".to_string())?,
-                );
-            }
-            "--watchdog" => {
-                watchdog_secs = Some(
-                    args.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|&s| s.is_finite() && s > 0.0)
-                        .ok_or_else(|| {
-                            "--watchdog needs a positive number of seconds".to_string()
-                        })?,
-                );
-            }
             "--cache-dir" => {
                 cache_dir =
                     Some(PathBuf::from(args.next().ok_or_else(|| {
@@ -294,9 +272,6 @@ fn parse_args() -> Result<Args, String> {
             );
         }
     }
-    if watchdog_secs.is_some() && supervise.is_none() {
-        return Err("--watchdog only makes sense with --supervise N".to_string());
-    }
     Ok(Args {
         targets,
         profile,
@@ -304,8 +279,6 @@ fn parse_args() -> Result<Args, String> {
         jobs,
         no_cache,
         cache_dir,
-        supervise,
-        watchdog_secs,
     })
 }
 
@@ -326,38 +299,11 @@ fn usage() -> String {
          \x20     --no-early-stop (fixed horizon, default)\n\
          engine: --jobs N (or BBRDOM_JOBS; default: all cores)\n\
          \x20        --no-cache (always re-simulate)  --cache-dir DIR (default: <out>/cache)\n\
-         \x20        --supervise N (shard sweeps across N crash-isolated worker processes;\n\
-         \x20          --jobs then means threads per worker, default cores/N)\n\
-         \x20        --watchdog SECS (supervised stall limit before a worker is killed;\n\
-         \x20          default scales with the profile: ~30s smoke, 120s quick, 480s full)\n\
          store:  repro query [FILTERS] (search the indexed result store; see repro query -h)\n\
          \x20        repro cache stats [--cache-dir DIR] (index entry counts and bytes)\n",
         ALL_FIGURES.join(" "),
         ALL_EXTENSIONS.join(" ")
     )
-}
-
-/// Entry point for the hidden `repro worker --dir D --id K` subcommand:
-/// the supervised-sweep worker process (see [`bbrdom_experiments::supervisor`]).
-fn worker_subcommand() -> ExitCode {
-    let mut dir = None;
-    let mut id = None;
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--dir" => dir = args.next().map(PathBuf::from),
-            "--id" => id = args.next(),
-            other => {
-                eprintln!("repro worker: unknown argument '{other}'");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let (Some(dir), Some(id)) = (dir, id) else {
-        eprintln!("usage: repro worker --dir WORKDIR --id ID  (internal; spawned by --supervise)");
-        return ExitCode::from(2);
-    };
-    ExitCode::from(bbrdom_experiments::supervisor::worker_main(&dir, &id) as u8)
 }
 
 /// Parse a `BBRDOM_JOBS` value: a positive worker count, surrounding
@@ -723,7 +669,6 @@ fn peak_rss_mb() -> Option<f64> {
 
 fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
-        Some("worker") => return worker_subcommand(),
         Some("query") => return query_subcommand(),
         Some("cache") => return cache_subcommand(),
         _ => {}
@@ -741,7 +686,7 @@ fn main() -> ExitCode {
     }
     // Ctrl-C / SIGTERM finish recording the finished trials and print a
     // resume hint instead of tearing the process down mid-write.
-    bbrdom_experiments::supervisor::install_signal_handlers();
+    install_signal_handlers();
     // One scenario engine for every target, so `repro all` shares its
     // memo and cache across figures. Disk cache defaults to <out>/cache
     // so warm reruns of the same figure skip the work.
@@ -754,48 +699,19 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| args.out_dir.join("cache")),
         )
     };
-    let supervise = args.supervise.map(|workers| {
-        // Supervisor scratch state (per-batch work dirs) lives next to
-        // the cache; with --no-cache it falls back to a temp dir.
-        let state_dir = disk_cache
-            .as_ref()
-            .map(|c| c.join("supervise"))
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("bbrdom-supervise-{}", std::process::id()))
-            });
-        let mut sup = SupervisorConfig::new(workers, state_dir);
-        // The watchdog default scales with the profile: a --full trial
-        // legitimately runs minutes of wall-clock, a --smoke one doesn't.
-        sup.watchdog = args
-            .watchdog_secs
-            .map(Duration::from_secs_f64)
-            .unwrap_or_else(|| args.profile.supervise_watchdog());
-        sup
-    });
-    // With --supervise, --jobs means threads *per worker*; the default
-    // splits the machine's cores across the worker processes.
     let env_jobs = std::env::var("BBRDOM_JOBS").ok();
     let jobs = args
         .jobs
         .or_else(|| env_jobs.as_deref().and_then(parse_jobs))
-        .unwrap_or_else(|| {
-            let cores = available_cores();
-            match args.supervise {
-                Some(n) => (cores / n.max(1)).max(1),
-                None => cores,
-            }
-        });
+        .unwrap_or_else(available_cores);
     let engine = Engine::new(EngineConfig {
         jobs,
         disk_cache,
         memory_cache: !args.no_cache,
-        supervise,
         result_store: !args.no_cache,
+        ..EngineConfig::default()
     });
-    match args.supervise {
-        Some(n) => eprintln!("engine: {n} supervised workers x {jobs} jobs"),
-        None => eprintln!("engine: {jobs} jobs"),
-    }
+    eprintln!("engine: {jobs} jobs");
     let mut targets: Vec<String> = Vec::new();
     for t in &args.targets {
         match t.as_str() {
@@ -812,7 +728,7 @@ fn main() -> ExitCode {
     // remaining figures still run; the exit code records the damage.
     let mut failed: Vec<(String, String)> = Vec::new();
     for target in &targets {
-        if bbrdom_experiments::supervisor::interrupted() {
+        if interrupted() {
             eprintln!("interrupted — skipping remaining targets");
             return ExitCode::from(130);
         }

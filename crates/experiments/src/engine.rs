@@ -42,6 +42,12 @@
 //! cached success is only reused under an event budget when the
 //! recorded run fit that budget (`events_processed <= budget`), so
 //! caching never flips a budget-failure into a success or vice versa.
+//!
+//! A SIGINT or SIGTERM (once [`install_signal_handlers`] has run, as
+//! `repro` does) stops a batch gracefully: the executor checks
+//! [`interrupted`] between trials, and once the index holds every trial
+//! up to the first unfinished one it prints a resume hint and exits with
+//! code 130.
 
 use crate::runner::{payload_message, SweepConfig, TrialFailure, TrialOutcome};
 use crate::scenario::{Scenario, TrialResult};
@@ -49,8 +55,8 @@ use bbrdom_netsim::hash::{StableHash, StableHasher};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -275,11 +281,12 @@ pub fn scenario_hash_hex(s: &Scenario) -> String {
     format!("{:032x}", scenario_hash(s))
 }
 
-/// Engine configuration: pool size and cache policy.
-#[derive(Debug, Clone)]
+/// Engine configuration: pool size and cache policy. `Default` is
+/// [`EngineConfig::serial_uncached`] with `jobs: 0`, which runs as one
+/// worker.
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Worker threads for scenario batches. Under supervision this is
-    /// the thread count *per worker subprocess*.
+    /// Worker threads for scenario batches.
     pub jobs: usize,
     /// Directory of the persistent result cache, the result store's
     /// `index.jsonl` (`None` = memory only).
@@ -287,10 +294,12 @@ pub struct EngineConfig {
     /// Keep an in-process memo of completed results (cheap; only worth
     /// disabling for determinism tests that must re-simulate).
     pub memory_cache: bool,
-    /// Shard batches across crash-isolated worker subprocesses
-    /// (`repro --supervise N`; see [`crate::supervisor`]). `None` (the
-    /// default) executes in-process.
-    pub supervise: Option<crate::supervisor::SupervisorConfig>,
+    /// A placeholder that selects nothing: `Some` cannot be built. It
+    /// stays only because e2ebench's `EngineConfig` literal names it
+    /// (`supervise: None`); the benchmark-only change that drops it there
+    /// (ROADMAP, "One benchmark-only change") deletes it together with
+    /// `result_store`.
+    pub supervise: Option<std::convert::Infallible>,
     /// Maintain (and serve from) the indexed result store in
     /// `disk_cache` ([`crate::store`]), the only on-disk record: `false`
     /// means nothing is read from or written to disk, even with
@@ -307,10 +316,7 @@ impl EngineConfig {
     pub fn serial_uncached() -> Self {
         EngineConfig {
             jobs: 1,
-            disk_cache: None,
-            memory_cache: false,
-            supervise: None,
-            result_store: false,
+            ..EngineConfig::default()
         }
     }
 }
@@ -452,10 +458,8 @@ impl Engine {
     ///
     /// let engine = Engine::new(EngineConfig {
     ///     jobs: 1,
-    ///     disk_cache: None,
     ///     memory_cache: true,
-    ///     supervise: None,
-    ///     result_store: false,
+    ///     ..EngineConfig::default()
     /// });
     /// // Two cells of a payoff sweep on the fluid fast backend.
     /// let cells: Vec<Scenario> = [1u32, 2]
@@ -478,9 +482,7 @@ impl Engine {
 
     /// [`Engine::run_all`] with an explicit pool size.
     pub fn run_all_jobs(&self, scenarios: &[Scenario], jobs: usize) -> Vec<Arc<TrialResult>> {
-        let outcomes = self
-            .execute(scenarios, jobs, None, None)
-            .unwrap_or_else(|e| panic!("sweep failed: {e}"));
+        let outcomes = self.execute(scenarios, jobs, None, None);
         let mut results = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome {
@@ -503,22 +505,20 @@ impl Engine {
     /// sweep serves the recorded successes without simulating and runs
     /// only the rest.
     /// Failures are never served from the cache; they run again, so a
-    /// raised budget takes effect. The only sweep-level errors are
-    /// supervised bring-up failures (an unwritable state dir, an
-    /// unspawnable worker), reported as a typed
-    /// [`ConfigError::Io`](bbrdom_netsim::ConfigError::Io) — per-trial
-    /// failures stay fail-soft inside the `Ok` outcome vector.
+    /// raised budget takes effect. A sweep as a whole cannot fail: every
+    /// per-trial failure stays inside the outcome vector. The `Result`
+    /// stays for callers outside this workspace that `.expect` it.
     pub fn run_sweep(
         &self,
         scenarios: &[Scenario],
         config: &SweepConfig,
-    ) -> Result<Vec<TrialOutcome>, bbrdom_netsim::ConfigError> {
-        self.execute(
+    ) -> Result<Vec<TrialOutcome>, std::convert::Infallible> {
+        Ok(self.execute(
             scenarios,
             config.jobs.unwrap_or(self.config.jobs),
             config.event_budget,
             config.wall_budget,
-        )
+        ))
     }
 
     /// The shared batch executor. Deterministic contract: the returned
@@ -531,7 +531,7 @@ impl Engine {
         jobs: usize,
         event_budget: Option<u64>,
         wall_budget: Option<std::time::Duration>,
-    ) -> Result<Vec<TrialOutcome>, bbrdom_netsim::ConfigError> {
+    ) -> Vec<TrialOutcome> {
         let n = scenarios.len();
         let hashes: Vec<u128> = scenarios.iter().map(scenario_hash).collect();
         let keys: Vec<String> = hashes.iter().map(|h| format!("{h:032x}")).collect();
@@ -562,9 +562,9 @@ impl Engine {
 
         // Slot a finished trial (and its duplicates) by index, then record
         // the contiguous prefix of finished indices in the result store,
-        // in strict index order — one cursor, one writer, so serial,
-        // pooled, and supervised runs produce byte-identical index files,
-        // and an interrupted batch leaves every trial before the cursor
+        // in strict index order — one cursor, one writer, so serial and
+        // pooled runs produce byte-identical index files, and an
+        // interrupted batch leaves every trial before the cursor
         // recorded for the rerun to serve.
         let store = self.store();
         let mut cursor = 0usize;
@@ -592,42 +592,15 @@ impl Engine {
         let cache_dir = store.and(self.config.disk_cache.as_deref());
         let pool = jobs.max(1).min(pending.len().max(1));
 
-        if let Some(sup) = &self.config.supervise {
-            // Supervised execution: memo and store hits are answered here
-            // (a rerun of a finished batch spawns no workers); the rest is
-            // sharded across worker subprocesses. This process slots
-            // results by index and remains the index's single writer, so
-            // the output is bit-identical to the in-process paths below.
-            let mut remote = Vec::new();
-            for &i in &pending {
-                match self.cached(hashes[i], event_budget) {
-                    Some((result, events)) => finish(i, TrialOutcome::Ok(result), events),
-                    None => remote.push(i),
-                }
-            }
-            if !remote.is_empty() {
-                let stats = crate::supervisor::run_supervised(
-                    sup,
-                    scenarios,
-                    &keys,
-                    &remote,
-                    event_budget,
-                    wall_budget_ns,
-                    jobs.max(1),
-                    cache_dir,
-                    &mut finish,
-                )?;
-                self.absorb(&stats);
-            }
-        } else if pool == 1 {
+        if pool == 1 {
             // Serial path: a one-worker pool still pays for thread spawn,
             // channel traffic, and cross-core cache misses with nothing
             // to show for it (measured ~6% slower than inline on a
             // single-core box). Run the batch inline instead; the
             // ordering contract holds trivially.
             for &i in &pending {
-                if crate::supervisor::interrupted() {
-                    crate::supervisor::exit_interrupted(cache_dir);
+                if interrupted() {
+                    exit_interrupted(cache_dir);
                 }
                 let (outcome, events) =
                     self.run_one(&scenarios[i], hashes[i], i, event_budget, wall_budget);
@@ -664,51 +637,16 @@ impl Engine {
                     finish(i, outcome, events);
                     // `finish` already recorded the contiguous prefix; a
                     // graceful stop loses only the results past it.
-                    if crate::supervisor::interrupted() {
-                        crate::supervisor::exit_interrupted(cache_dir);
+                    if interrupted() {
+                        exit_interrupted(cache_dir);
                     }
                 }
             });
         }
 
-        Ok(done
-            .into_iter()
+        done.into_iter()
             .map(|slot| slot.expect("scenario not executed"))
-            .collect())
-    }
-
-    /// Run (or fetch) a single scenario outside a batch — the
-    /// supervised-worker entry point ([`crate::supervisor::worker_main`]).
-    /// Cache, budget, and failure semantics are identical to batch
-    /// execution, so a supervised sweep stays bit-identical to a serial
-    /// one. Also returns the recorded event count (when known), which
-    /// supervised workers report back to the parent so *its* result
-    /// store stays budget-admissible.
-    pub(crate) fn run_single_traced(
-        &self,
-        scenario: &Scenario,
-        index: usize,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
-    ) -> (TrialOutcome, Option<u64>) {
-        self.run_one(
-            scenario,
-            scenario_hash(scenario),
-            index,
-            event_budget,
-            wall_budget,
-        )
-    }
-
-    /// Fold worker-subprocess cache counters into this engine's, so the
-    /// sweep summary reflects work done across process boundaries.
-    pub(crate) fn absorb(&self, s: &CacheStats) {
-        self.memory_hits.fetch_add(s.memory_hits, Ordering::Relaxed);
-        self.store_hits.fetch_add(s.store_hits, Ordering::Relaxed);
-        self.deduped.fetch_add(s.deduped, Ordering::Relaxed);
-        self.simulated.fetch_add(s.simulated, Ordering::Relaxed);
-        self.events_simulated
-            .fetch_add(s.events_simulated, Ordering::Relaxed);
+            .collect()
     }
 
     /// The memo's or the result store's answer for a content hash, with
@@ -721,7 +659,7 @@ impl Engine {
         event_budget: Option<u64>,
     ) -> Option<(Arc<TrialResult>, Option<u64>)> {
         if self.config.memory_cache {
-            let memo = self.memo.lock().expect("engine memo poisoned");
+            let memo = self.memo.lock().expect("engine memo lock");
             if let Some((result, events)) = memo.get(&hash) {
                 if event_budget.is_none_or(|budget| *events <= budget) {
                     self.memory_hits.fetch_add(1, Ordering::Relaxed);
@@ -770,7 +708,7 @@ impl Engine {
                 if self.config.memory_cache {
                     self.memo
                         .lock()
-                        .expect("engine memo poisoned")
+                        .expect("engine memo lock")
                         .insert(hash, (Arc::clone(&result), events));
                 }
                 (TrialOutcome::Ok(result), Some(events))
@@ -795,6 +733,59 @@ impl Engine {
     }
 }
 
+static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+
+#[cfg(unix)]
+mod sig {
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+    extern "C" fn note(_: i32) {
+        super::INTERRUPTED.store(true, std::sync::atomic::Ordering::SeqCst);
+    }
+    pub(super) fn install() {
+        unsafe {
+            signal(SIGINT, note);
+            signal(SIGTERM, note);
+        }
+    }
+}
+
+#[cfg(not(unix))]
+mod sig {
+    pub(super) fn install() {}
+}
+
+/// Install SIGINT/SIGTERM handlers that request a graceful stop: the
+/// engine finishes recording the contiguous prefix of finished trials,
+/// prints a resume hint, and exits with code 130. Only the `repro`
+/// binary calls this; library users keep default signal behavior.
+pub fn install_signal_handlers() {
+    sig::install();
+}
+
+/// Whether a graceful-stop signal has arrived.
+pub fn interrupted() -> bool {
+    INTERRUPTED.load(Ordering::SeqCst)
+}
+
+/// Terminate after a graceful-stop signal. With the result store on,
+/// its index already holds every trial up to the first unfinished one,
+/// so the hint names the cache as the resume point; without it, a rerun
+/// restarts the batch.
+fn exit_interrupted(cache_dir: Option<&Path>) -> ! {
+    match cache_dir {
+        Some(dir) => eprintln!(
+            "\ninterrupted: cache {} holds the trials recorded so far; rerun the same command with the same --cache-dir to resume",
+            dir.display()
+        ),
+        None => eprintln!("\ninterrupted: no disk cache configured — a rerun restarts this batch"),
+    }
+    std::process::exit(130);
+}
+
 /// Copy a representative's outcome onto a duplicate scenario's slot.
 fn retarget(outcome: &TrialOutcome, index: usize) -> TrialOutcome {
     match outcome {
@@ -813,10 +804,8 @@ fn retarget(outcome: &TrialOutcome, index: usize) -> TrialOutcome {
 pub(crate) fn test_engine() -> Engine {
     Engine::new(EngineConfig {
         jobs: 1,
-        disk_cache: None,
         memory_cache: true,
-        supervise: None,
-        result_store: false,
+        ..EngineConfig::default()
     })
 }
 
@@ -925,8 +914,8 @@ mod tests {
             jobs: 2,
             disk_cache: Some(dir.clone()),
             memory_cache: true,
-            supervise: None,
             result_store: true,
+            ..EngineConfig::default()
         };
         let mut scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
         scenarios.push(tiny(1));

@@ -125,11 +125,7 @@ pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    // The only sweep-level error is a failed supervisor bring-up;
-    // surface it like any other figure failure.
-    let outcomes = engine
-        .run_sweep(&scenarios, &SweepConfig::default())
-        .unwrap_or_else(|e| panic!("fault sweep failed: {e}"));
+    let Ok(outcomes) = engine.run_sweep(&scenarios, &SweepConfig::default());
     let mut notes = Vec::new();
     let mut bbr_clean = 0.0;
     let mut bbr_lossy = 0.0;

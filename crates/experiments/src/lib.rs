@@ -9,9 +9,6 @@
 //!   and payoff sweep takes the engine it runs on as an argument;
 //! * [`runner`] — the fail-soft sweep types ([`runner::SweepConfig`],
 //!   [`runner::TrialOutcome`]) of [`Engine::run_sweep`];
-//! * [`supervisor`] — crash-safe multi-process sharding
-//!   (`repro --supervise N`): worker isolation, heartbeat watchdog,
-//!   retry/backoff, and scenario quarantine;
 //! * [`store`] — the indexed result store over the cache: content hash
 //!   → scenario params + extracted metrics, so warm figure assembly and
 //!   `repro query` skip both simulation and a file read per cell;
@@ -48,7 +45,6 @@ pub mod profile;
 pub mod runner;
 pub mod scenario;
 pub mod store;
-pub mod supervisor;
 pub mod sync;
 
 pub use engine::{scenario_hash, scenario_hash_hex, CacheStats, Engine, EngineConfig};
@@ -58,4 +54,3 @@ pub use scenario::{
     SizeSpec, TopoLinkSpec, TopologySpec, TrialResult, WorkloadSpec,
 };
 pub use store::{CacheDirStats, Store, StoreEntry, StoreOutcome};
-pub use supervisor::SupervisorConfig;

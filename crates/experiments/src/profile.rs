@@ -121,18 +121,6 @@ impl Profile {
         }
     }
 
-    /// Default supervised-sweep watchdog (`--supervise` without
-    /// `--watchdog`). The watchdog must comfortably exceed an *honest*
-    /// trial's wall-clock time, which scales with the profile's
-    /// simulated duration — a fixed 30 s would kill healthy workers
-    /// mid-trial at paper scale (`--full` runs 2-minute flows), while
-    /// smoke trials livelock-detect fastest with the floor. Heartbeats
-    /// stop at `watchdog / 2` of per-trial stall, so effective livelock
-    /// latency is about `1.5 ×` this value.
-    pub fn supervise_watchdog(&self) -> std::time::Duration {
-        std::time::Duration::from_secs_f64((self.duration_secs * 4.0).clamp(30.0, 600.0))
-    }
-
     /// Thin `points` down to at most `self.buffer_points`, always keeping
     /// the first and last.
     pub fn thin(&self, points: Vec<f64>) -> Vec<f64> {
@@ -197,16 +185,6 @@ mod tests {
         let p = Profile::quick();
         let pts = vec![1.0, 2.0, 3.0];
         assert_eq!(p.thin(pts.clone()), pts);
-    }
-
-    #[test]
-    fn watchdog_tracks_profile_scale() {
-        let smoke = Profile::smoke().supervise_watchdog();
-        let quick = Profile::quick().supervise_watchdog();
-        let full = Profile::full().supervise_watchdog();
-        assert!(smoke.as_secs() >= 30, "floor keeps spawn/startup slack");
-        assert!(quick > smoke && full > quick, "watchdog scales with cost");
-        assert!(full.as_secs() <= 600, "bounded even at paper scale");
     }
 
     #[test]

@@ -1314,8 +1314,7 @@ impl Scenario {
     }
 
     /// Serialize as a JSON [`Value`], for embedding inside a larger
-    /// document (an index line, the supervisor's batch file). Read back
-    /// with [`Scenario::read`].
+    /// document (an index line). Read back with [`Scenario::read`].
     pub fn to_json_value(&self) -> Value {
         let mut v = Value::object();
         v.set("mbps", self.mbps.into())
@@ -1501,7 +1500,7 @@ impl TrialResult {
         self.throughput_mbps.iter().sum()
     }
 
-    /// Serialize for the result store and the supervisor wire protocol
+    /// Serialize for the result store's index lines
     /// (inverse of [`TrialResult::read`]). Floats round-trip
     /// bit-exactly, so store-served sweeps reproduce the original numbers.
     pub fn to_json_value(&self) -> Value {

@@ -19,11 +19,10 @@
 //! Disciplines:
 //!
 //! * **single writer** — only the batch executor's single-writer thread
-//!   appends (`Store::record`), in strict scenario-index order;
-//!   supervised workers keep no store at all, so a supervised sweep
-//!   produces a byte-identical index to a serial run. The price of the
-//!   order: a crash loses the trials that finished past the first
-//!   unfinished one, and the rerun simulates them again;
+//!   appends (`Store::record`), in strict scenario-index order, so a
+//!   pooled sweep produces a byte-identical index to a serial run. The
+//!   price of the order: a crash loses the trials that finished past
+//!   the first unfinished one, and the rerun simulates them again;
 //! * **hostile-byte tolerance** — loading skips every line that is
 //!   torn, malformed, not UTF-8 or of another format version as a miss,
 //!   and keeps every other line; the next append-mode open truncates a
@@ -63,7 +62,7 @@ pub enum StoreOutcome {
         events: Option<u64>,
         result: Arc<TrialResult>,
     },
-    /// The trial failed (budget trip, invalid config, quarantine). Kept
+    /// The trial failed (budget trip, invalid config, panic). Kept
     /// for `repro query --failed` sweep planning; never served as a
     /// result — failures are always re-run, exactly like the engine's
     /// cache policy.
@@ -326,7 +325,7 @@ impl Store {
 
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("store map poisoned").len()
+        self.map.lock().expect("store map lock").len()
     }
 
     /// Whether the index is empty.
@@ -336,11 +335,7 @@ impl Store {
 
     /// The full entry for a content hash, if indexed.
     pub fn get(&self, hash: u128) -> Option<Arc<StoreEntry>> {
-        self.map
-            .lock()
-            .expect("store map poisoned")
-            .get(&hash)
-            .cloned()
+        self.map.lock().expect("store map lock").get(&hash).cloned()
     }
 
     /// Serve a successful result for a content hash, if the index holds
@@ -353,7 +348,7 @@ impl Store {
         hash: u128,
         event_budget: Option<u64>,
     ) -> Option<(Arc<TrialResult>, Option<u64>)> {
-        let map = self.map.lock().expect("store map poisoned");
+        let map = self.map.lock().expect("store map lock");
         let entry = map.get(&hash)?;
         let StoreOutcome::Ok { events, result } = &entry.outcome else {
             return None;
@@ -371,7 +366,7 @@ impl Store {
         let mut all: Vec<Arc<StoreEntry>> = self
             .map
             .lock()
-            .expect("store map poisoned")
+            .expect("store map lock")
             .values()
             .cloned()
             .collect();
@@ -396,7 +391,7 @@ impl Store {
         wall_budget_ns: Option<u64>,
     ) {
         let Some(hash) = key_hash(key) else { return };
-        let mut map = self.map.lock().expect("store map poisoned");
+        let mut map = self.map.lock().expect("store map lock");
         match (map.get(&hash).map(|e| &e.outcome), outcome) {
             (Some(StoreOutcome::Ok { .. }), _) => return,
             (Some(StoreOutcome::Failed { .. }), TrialOutcome::Failed(_)) => return,
@@ -419,7 +414,7 @@ impl Store {
             },
         };
         let line = entry.to_json_line();
-        let mut writer = self.writer.lock().expect("store writer poisoned");
+        let mut writer = self.writer.lock().expect("store writer lock");
         if writer.is_none() {
             *writer = open_append(&self.index_path).ok();
         }
@@ -441,7 +436,7 @@ impl Store {
             index_bytes: std::fs::metadata(&store.index_path).map_or(0, |m| m.len()),
             ..CacheDirStats::default()
         };
-        for e in store.map.lock().expect("store map poisoned").values() {
+        for e in store.map.lock().expect("store map lock").values() {
             match e.outcome {
                 StoreOutcome::Ok { .. } => stats.index_ok += 1,
                 StoreOutcome::Failed { .. } => stats.index_failed += 1,

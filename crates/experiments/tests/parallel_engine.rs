@@ -20,13 +20,7 @@ use std::path::PathBuf;
 
 /// A hermetic engine: no memo, no disk — every run truly simulates.
 fn uncached() -> Engine {
-    Engine::new(EngineConfig {
-        jobs: 1,
-        disk_cache: None,
-        memory_cache: false,
-        supervise: None,
-        result_store: false,
-    })
+    Engine::new(EngineConfig::serial_uncached())
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -684,8 +678,8 @@ fn engine_with_store(dir: &std::path::Path) -> Engine {
         jobs: 1,
         disk_cache: Some(dir.to_path_buf()),
         memory_cache: false,
-        supervise: None,
         result_store: true,
+        ..EngineConfig::default()
     })
 }
 

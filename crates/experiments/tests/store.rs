@@ -5,17 +5,14 @@
 //! simulations, byte-identical to the simulated path; a cold run leaves
 //! exactly one file, `index.jsonl`, and files of other layouts in the
 //! cache directory are neither read nor deleted; the index survives
-//! torn tails; and a supervised sweep produces a byte-identical index
-//! to a serial one (the parent is the single writer).
+//! torn tails.
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
-use bbrdom_experiments::runner::SweepConfig;
 use bbrdom_experiments::store::{Store, INDEX_FILE};
-use bbrdom_experiments::{Scenario, SupervisorConfig, TrialResult};
+use bbrdom_experiments::{Scenario, TrialResult};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn temp_dir(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("bbrdom-store-it-{name}-{}", std::process::id()));
@@ -24,8 +21,7 @@ fn temp_dir(name: &str) -> PathBuf {
     p
 }
 
-/// Short scenarios with distinct cache keys (same shape as the
-/// supervisor suite's batches).
+/// Short scenarios with distinct cache keys.
 fn batch(n: usize) -> Vec<Scenario> {
     (0..n)
         .map(|i| {
@@ -48,8 +44,8 @@ fn engine(cache: &Path, memory: bool) -> Engine {
         jobs: 2,
         disk_cache: Some(cache.to_path_buf()),
         memory_cache: memory,
-        supervise: None,
         result_store: true,
+        ..EngineConfig::default()
     })
 }
 
@@ -162,44 +158,6 @@ fn index_torn_tail_recovers_on_reopen() {
     );
     // The garbage *complete* line is preserved as an ignored line (the
     // repair only owns the tail), but every reader treats it as a miss.
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Single-writer discipline across process boundaries: a supervised
-/// sweep's index (written only by the parent, from worker-reported
-/// results) is byte-identical to the serial run's.
-#[test]
-fn supervised_index_is_byte_identical_to_serial() {
-    let dir = temp_dir("supervised");
-    let scenarios = batch(6);
-
-    let serial_cache = dir.join("serial-cache");
-    engine(&serial_cache, true)
-        .run_sweep(&scenarios, &SweepConfig::default())
-        .expect("serial sweep runs");
-
-    let sup_cache = dir.join("sup-cache");
-    let mut sup = SupervisorConfig::new(2, dir.join("state"));
-    sup.worker_exe = PathBuf::from(env!("CARGO_BIN_EXE_repro"));
-    sup.backoff_base = Duration::from_millis(50);
-    let supervised = Engine::new(EngineConfig {
-        jobs: 2,
-        disk_cache: Some(sup_cache.clone()),
-        memory_cache: true,
-        supervise: Some(sup),
-        result_store: true,
-    });
-    supervised
-        .run_sweep(&scenarios, &SweepConfig::default())
-        .expect("supervised sweep runs");
-
-    let serial_index = std::fs::read(serial_cache.join(INDEX_FILE)).expect("serial index");
-    let sup_index = std::fs::read(sup_cache.join(INDEX_FILE)).expect("supervised index");
-    assert_eq!(
-        String::from_utf8_lossy(&serial_index),
-        String::from_utf8_lossy(&sup_index),
-        "supervised index must be byte-identical to the serial one"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -39,16 +39,6 @@ pub enum ConfigError {
         /// Human-readable description naming the offending element.
         reason: String,
     },
-    /// A filesystem resource the run depends on (supervisor state dir,
-    /// batch file) could not be opened or created.
-    Io {
-        /// What the path is for ("supervisor state dir", "supervisor batch file").
-        what: &'static str,
-        /// The offending path, as displayed.
-        path: String,
-        /// The underlying OS error text.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -69,9 +59,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidTopology { reason } => {
                 write!(f, "invalid topology: {reason}")
-            }
-            ConfigError::Io { what, path, reason } => {
-                write!(f, "cannot open {what} {path}: {reason}")
             }
         }
     }
@@ -174,19 +161,6 @@ mod tests {
         assert_eq!(e.to_string(), "buffer must be positive");
         let e = ConfigError::NonPositive { field: "duration" };
         assert_eq!(e.to_string(), "duration must be positive");
-    }
-
-    #[test]
-    fn io_error_display_names_path_and_reason() {
-        let e = ConfigError::Io {
-            what: "supervisor state dir",
-            path: "/nope/supervise".into(),
-            reason: "No such file or directory".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("supervisor state dir"), "{s}");
-        assert!(s.contains("/nope/supervise"), "{s}");
-        assert!(s.contains("No such file"), "{s}");
     }
 
     #[test]

@@ -115,18 +115,16 @@ fn engine_config_is_invisible_in_figure_output() {
             jobs,
             disk_cache: Some(cache.to_path_buf()),
             memory_cache: true,
-            supervise: None,
             result_store: true,
+            ..EngineConfig::default()
         })
     };
 
     let serial = csvs(&engine());
     let memory_only = Engine::new(EngineConfig {
         jobs: 2,
-        disk_cache: None,
         memory_cache: true,
-        supervise: None,
-        result_store: false,
+        ..EngineConfig::default()
     });
     assert_eq!(csvs(&memory_only), serial, "cold memory-only run differs");
     let simulated = memory_only.stats().simulated;
