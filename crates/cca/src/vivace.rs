@@ -228,13 +228,6 @@ impl Vivace {
 
     /// Consume a finalized MI's utility.
     fn on_mi_utility(&mut self, role: MiRole, rate: f64, u: f64) {
-        if std::env::var_os("BBRDOM_VIVACE_TRACE").is_some() {
-            eprintln!(
-                "vivace: finalize role={role:?} rate={:.2}Mbps u={u:.2} base={:.2}Mbps",
-                rate * 8.0 / 1e6,
-                self.rate * 8.0 / 1e6
-            );
-        }
         match role {
             MiRole::SlowStart => {
                 match self.prev_utility {

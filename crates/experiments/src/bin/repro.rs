@@ -43,14 +43,10 @@ struct Overrides {
     buffer_points: Option<usize>,
     loss: Option<f64>,
     ack_loss: Option<f64>,
-    early_stop: Option<Option<(f64, u32)>>,
     backend: Option<BackendSpec>,
     workload: Option<WorkloadSpec>,
     parkinglot_hops: Option<u32>,
 }
-
-/// Default detector knobs for a bare `--early-stop`.
-const DEFAULT_EARLY_STOP: (f64, u32) = (0.05, 3);
 
 /// Base RTT of `--workload` flows, ms.
 const WORKLOAD_RTT_MS: f64 = 20.0;
@@ -92,21 +88,6 @@ fn parse_workload(spec: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-/// Parse `--early-stop` / `--early-stop=EPS,DWELL`.
-fn parse_early_stop(arg: &str) -> Result<(f64, u32), String> {
-    let Some(spec) = arg.strip_prefix("--early-stop=") else {
-        return Ok(DEFAULT_EARLY_STOP);
-    };
-    let err = || format!("--early-stop={spec} must be EPS,DWELL (e.g. 0.05,3)");
-    let (eps, dwell) = spec.split_once(',').ok_or_else(err)?;
-    let eps: f64 = eps.trim().parse().map_err(|_| err())?;
-    let dwell: u32 = dwell.trim().parse().map_err(|_| err())?;
-    if eps.is_nan() || eps <= 0.0 || dwell == 0 {
-        return Err(err());
-    }
-    Ok((eps, dwell))
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut targets = Vec::new();
     let mut profile = Profile::quick();
@@ -145,29 +126,36 @@ fn parse_args() -> Result<Args, String> {
             "--ne-flows" => {
                 overrides.ne_flows = Some(
                     args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--ne-flows needs a number".to_string())?,
+                        .and_then(|v| v.parse::<u32>().ok())
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| "--ne-flows needs a positive number".to_string())?,
                 );
             }
             "--duration" => {
                 overrides.duration = Some(
                     args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--duration needs seconds".to_string())?,
+                        .and_then(|v| v.parse::<f64>().ok())
+                        .filter(|&d| d.is_finite() && d > 0.0)
+                        .ok_or_else(|| {
+                            "--duration needs a positive number of seconds".to_string()
+                        })?,
                 );
             }
             "--trials" => {
                 overrides.trials = Some(
                     args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--trials needs a number".to_string())?,
+                        .and_then(|v| v.parse::<u32>().ok())
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| "--trials needs a positive number".to_string())?,
                 );
             }
             "--buffer-points" => {
+                // `Profile::thin` keeps every point below 2.
                 overrides.buffer_points = Some(
                     args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--buffer-points needs a number".to_string())?,
+                        .and_then(|v| v.parse::<usize>().ok())
+                        .filter(|&n| n >= 2)
+                        .ok_or_else(|| "--buffer-points needs a count >= 2".to_string())?,
                 );
             }
             "--loss" => {
@@ -209,10 +197,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| "--workload needs CCA:RATE:SIZE".to_string())?;
                 overrides.workload = Some(parse_workload(&spec)?);
             }
-            s if s == "--early-stop" || s.starts_with("--early-stop=") => {
-                overrides.early_stop = Some(Some(parse_early_stop(s)?));
-            }
-            "--no-early-stop" => overrides.early_stop = Some(None),
             "--help" | "-h" => {
                 return Err(usage());
             }
@@ -244,9 +228,6 @@ fn parse_args() -> Result<Args, String> {
     if let Some(p) = overrides.ack_loss {
         profile.ack_loss = p;
     }
-    if let Some(e) = overrides.early_stop {
-        profile.early_stop = e;
-    }
     if let Some(b) = overrides.backend {
         profile.backend = b;
     }
@@ -256,21 +237,12 @@ fn parse_args() -> Result<Args, String> {
     if let Some(h) = overrides.parkinglot_hops {
         profile.parkinglot_hops = h;
     }
-    if profile.workload.is_some() {
-        if profile.early_stop.is_some() {
-            return Err(
-                "--workload is incompatible with --early-stop: goodput never quiesces \
-                 under open-loop churn"
-                    .to_string(),
-            );
-        }
-        if profile.backend == BackendSpec::Fluid {
-            return Err(
-                "--workload is incompatible with --backend fluid: churn is outside the \
-                 fluid model's envelope"
-                    .to_string(),
-            );
-        }
+    if profile.workload.is_some() && profile.backend == BackendSpec::Fluid {
+        return Err(
+            "--workload is incompatible with --backend fluid: churn is outside the \
+             fluid model's envelope"
+                .to_string(),
+        );
     }
     Ok(Args {
         targets,
@@ -295,8 +267,6 @@ fn usage() -> String {
          \x20          flows/s, SIZE in kB or 'pareto', e.g. cubic:80:pareto)\n\
          topology: --parkinglot-hops N (bottleneck count of the ext-parkinglot chain; >= 2)\n\
          perf: --backend des|fluid (packet DES, default, or the fluid/ODE fast model)\n\
-         \x20     --early-stop[=EPS,DWELL] (stop converged runs early; default 0.05,3)\n\
-         \x20     --no-early-stop (fixed horizon, default)\n\
          engine: --jobs N (or BBRDOM_JOBS; default: all cores)\n\
          \x20        --no-cache (always re-simulate)  --cache-dir DIR (default: <out>/cache)\n\
          store:  repro query [FILTERS] (search the indexed result store; see repro query -h)\n\

@@ -86,8 +86,8 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 /// ```
 pub fn scenario_hash(s: &Scenario) -> u128 {
     use crate::scenario::{
-        ArrivalSpec, BackendSpec, EarlyStopSpec, FaultSpec, FlowSpec, SizeSpec, TopoLinkSpec,
-        TopologySpec, WorkloadSpec,
+        ArrivalSpec, BackendSpec, FaultSpec, FlowSpec, SizeSpec, TopoLinkSpec, TopologySpec,
+        WorkloadSpec,
     };
     // Every struct hashed field by field is destructured without `..`,
     // so adding a field breaks the build here until the field is hashed.
@@ -102,7 +102,6 @@ pub fn scenario_hash(s: &Scenario) -> u128 {
         seed,
         discipline,
         faults,
-        early_stop,
         backend,
         workload,
         topology,
@@ -160,26 +159,9 @@ pub fn scenario_hash(s: &Scenario) -> u128 {
             c.stable_hash(&mut h);
         }
     }
-    // Opt-in stop policy extends the byte stream only when engaged: every
-    // pre-existing scenario keeps its hash, and an early-stopped run can
-    // never alias the fixed-horizon run of the same scenario (the marker
-    // bytes make the extension unambiguous).
-    if let Some(EarlyStopSpec {
-        epsilon,
-        dwell,
-        window_secs,
-        min_secs,
-    }) = early_stop
-    {
-        h.write_bytes(b"early_stop");
-        epsilon.stable_hash(&mut h);
-        dwell.stable_hash(&mut h);
-        window_secs.stable_hash(&mut h);
-        min_secs.stable_hash(&mut h);
-    }
-    // Backend domain separation, by the same opt-in marker scheme: DES
-    // scenarios (the default) keep their historical hashes, while a fluid
-    // run of the same scenario lives under a distinct key.
+    // Backend domain separation, by an opt-in marker: DES scenarios (the
+    // default) keep their historical hashes, while a fluid run of the
+    // same scenario lives under a distinct key.
     if *backend != BackendSpec::Des {
         h.write_bytes(b"backend");
         backend.name().stable_hash(&mut h);

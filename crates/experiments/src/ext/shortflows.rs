@@ -74,7 +74,6 @@ pub fn scenario(n_long: u32, n_bbr: u32, size: u64, duration: f64, seed: u64) ->
         seed,
         discipline: DisciplineSpec::DropTail,
         faults: FaultSpec::default(),
-        early_stop: None,
         backend: BackendSpec::Des,
         workload: None,
         topology: None,

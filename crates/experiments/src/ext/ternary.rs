@@ -41,7 +41,6 @@ fn scenario_for(state: &[u32], duration: f64, seed: u64) -> Scenario {
         seed,
         discipline: DisciplineSpec::DropTail,
         faults: FaultSpec::default(),
-        early_stop: None,
         backend: BackendSpec::Des,
         workload: None,
         topology: None,

@@ -60,7 +60,6 @@ fn scenario_for_state(
         seed,
         discipline: Default::default(),
         faults: Default::default(),
-        early_stop: None,
         backend: BackendSpec::Des,
         workload: None,
         topology: None,

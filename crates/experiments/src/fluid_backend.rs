@@ -11,7 +11,6 @@
 //! * AQM disciplines (RED/CoDel) — the fluid queue is drop-tail only;
 //! * fault injection (wire loss, outages, rate steps, delay spikes);
 //! * finite (`byte_limit`) flows — fluid models backlogged aggregates;
-//! * early-stop policies — the ODE horizon is already cheap;
 //! * explicit multi-hop topologies — the fluid queue models exactly one
 //!   bottleneck;
 //! * CCAs outside {CUBIC, NewReno, BBR, BBRv2}.
@@ -54,9 +53,6 @@ pub fn lower(scenario: &Scenario) -> Result<FluidConfig, SimError> {
     }
     if !scenario.faults.is_noop() {
         return Err(unsupported("fault injection"));
-    }
-    if scenario.early_stop.is_some() {
-        return Err(unsupported("early-stop policies"));
     }
     if scenario.flows.iter().any(|f| f.byte_limit.is_some()) {
         return Err(unsupported("finite (byte-limited) flows"));

@@ -50,7 +50,7 @@ pub mod sync;
 pub use engine::{scenario_hash, scenario_hash_hex, CacheStats, Engine, EngineConfig};
 pub use profile::Profile;
 pub use scenario::{
-    ArrivalSpec, BackendSpec, DisciplineSpec, EarlyStopSpec, FaultSpec, FlowSpec, Scenario,
-    SizeSpec, TopoLinkSpec, TopologySpec, TrialResult, WorkloadSpec,
+    ArrivalSpec, BackendSpec, DisciplineSpec, FaultSpec, FlowSpec, Scenario, SizeSpec,
+    TopoLinkSpec, TopologySpec, TrialResult, WorkloadSpec,
 };
 pub use store::{CacheDirStats, Store, StoreEntry, StoreOutcome};

@@ -9,7 +9,7 @@
 
 use crate::engine::Engine;
 use crate::profile::Profile;
-use crate::scenario::{DisciplineSpec, EarlyStopSpec, FaultSpec, Scenario, TrialResult};
+use crate::scenario::{DisciplineSpec, FaultSpec, Scenario, TrialResult};
 use bbrdom_cca::CcaKind;
 use bbrdom_core::game::symmetric::{SymmetricGame, SymmetricNe};
 use std::sync::Arc;
@@ -129,9 +129,7 @@ pub fn measure_payoffs(
 /// measurement of an NE grid, whole or partial, builds its scenarios
 /// here, so a cell is *the same scenario* — same seed, same content
 /// hash — whichever call evaluates it, and the engine's cache can serve
-/// one to the other. The profile's opt-in early-stop policy is attached
-/// here too, which (deliberately) changes the cell's content hash: an
-/// early-stopped measurement is a different result.
+/// one to the other.
 #[allow(clippy::too_many_arguments)]
 pub fn distribution_scenario(
     mbps: f64,
@@ -160,11 +158,6 @@ pub fn distribution_scenario(
     )
     .with_discipline(discipline)
     .with_faults(faults.clone())
-    .with_early_stop(
-        profile
-            .early_stop
-            .map(|(epsilon, dwell)| EarlyStopSpec::new(epsilon, dwell)),
-    )
     .with_backend(profile.backend)
     .with_workload(profile.workload)
 }
@@ -383,36 +376,6 @@ mod tests {
         for &c in &ne {
             assert!(c <= 4);
         }
-    }
-
-    /// An early-stop profile changes the per-cell scenarios (and their
-    /// hashes), so stopped and fixed-horizon grids can never alias.
-    #[test]
-    fn early_stop_profile_changes_the_cells() {
-        let profile = Profile::smoke();
-        let stopped = Profile {
-            early_stop: Some((0.05, 3)),
-            ..profile
-        };
-        let make = |p: &Profile| {
-            crate::payoff::distribution_scenario(
-                20.0,
-                20.0,
-                2.0,
-                4,
-                2,
-                0,
-                CcaKind::Bbr,
-                p,
-                7,
-                DisciplineSpec::DropTail,
-                &FaultSpec::default(),
-            )
-        };
-        assert_ne!(
-            crate::engine::scenario_hash(&make(&profile)),
-            crate::engine::scenario_hash(&make(&stopped))
-        );
     }
 
     /// `measure_payoffs` (the dense path) and a subset measurement on a

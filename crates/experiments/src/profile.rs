@@ -27,10 +27,6 @@ pub struct Profile {
     pub loss: f64,
     /// Reverse-path (ACK) random wire-loss probability (`repro --ack-loss`).
     pub ack_loss: f64,
-    /// Convergence-aware early termination (`repro --early-stop`):
-    /// `(epsilon, dwell)` for the per-flow steady-state detector, `None`
-    /// for fixed-horizon runs (the bit-identical default).
-    pub early_stop: Option<(f64, u32)>,
     /// Which simulation backend runs the scenarios (`repro --backend`):
     /// the packet DES (default, ground truth) or the fluid/ODE model
     /// (µs-scale, envelope-restricted; see `bbrdom-fluid`).
@@ -56,7 +52,6 @@ impl Profile {
             ne_trials: 3,
             loss: 0.0,
             ack_loss: 0.0,
-            early_stop: None,
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
             parkinglot_hops: 3,
@@ -73,7 +68,6 @@ impl Profile {
             ne_trials: 1,
             loss: 0.0,
             ack_loss: 0.0,
-            early_stop: None,
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
             parkinglot_hops: 3,
@@ -91,7 +85,6 @@ impl Profile {
             ne_trials: 1,
             loss: 0.0,
             ack_loss: 0.0,
-            early_stop: None,
             backend: crate::scenario::BackendSpec::Des,
             workload: None,
             parkinglot_hops: 2,

@@ -270,81 +270,6 @@ impl FaultSpec {
     }
 }
 
-/// Serializable early-stop policy: a seconds-denominated mirror of the
-/// simulator's [`bbrdom_netsim::EarlyStop`] (which uses integer-nanosecond
-/// sim types). Attached per scenario so the stop policy travels with the
-/// run's identity — it feeds the engine's content hash, keeping
-/// early-stopped and fixed-horizon results apart in the cache.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EarlyStopSpec {
-    /// Maximum relative window-to-window per-flow goodput delta that
-    /// still counts as steady.
-    pub epsilon: f64,
-    /// Consecutive steady windows required before stopping.
-    pub dwell: u32,
-    /// Width of each goodput window, seconds.
-    pub window_secs: f64,
-    /// Never stop before this much simulated time, seconds.
-    pub min_secs: f64,
-}
-
-impl EarlyStopSpec {
-    /// Policy with the given threshold and dwell and the simulator's
-    /// default 1-second window / 3-second floor.
-    pub fn new(epsilon: f64, dwell: u32) -> Self {
-        EarlyStopSpec {
-            epsilon,
-            dwell,
-            window_secs: 1.0,
-            min_secs: 3.0,
-        }
-    }
-
-    /// Lower to the simulator's policy type.
-    pub fn to_policy(self) -> bbrdom_netsim::EarlyStop {
-        bbrdom_netsim::EarlyStop {
-            window: SimDuration::from_secs_f64(self.window_secs),
-            epsilon: self.epsilon,
-            dwell: self.dwell,
-            min_time: SimDuration::from_secs_f64(self.min_secs),
-        }
-    }
-
-    fn to_json_value(self) -> Value {
-        let mut v = Value::object();
-        v.set("epsilon", self.epsilon.into())
-            .set("dwell", Value::U64(self.dwell as u64))
-            .set("window_secs", self.window_secs.into())
-            .set("min_secs", self.min_secs.into());
-        v
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
-        let (mut epsilon, mut dwell, mut window_secs, mut min_secs) = (None, None, None, None);
-        r.object(|r, key| {
-            match key {
-                "epsilon" => epsilon = r.f64()?,
-                "dwell" => dwell = r.u64()?,
-                "window_secs" => window_secs = r.f64()?,
-                "min_secs" => min_secs = r.f64()?,
-                _ => r.skip()?,
-            }
-            Ok(())
-        })?;
-        let field = |slot: Option<f64>, name: &str| {
-            slot.ok_or_else(|| format!("early_stop missing '{name}'"))
-        };
-        Ok((|| {
-            Ok(EarlyStopSpec {
-                epsilon: field(epsilon, "epsilon")?,
-                dwell: dwell.ok_or("early_stop missing 'dwell'")? as u32,
-                window_secs: field(window_secs, "window_secs")?,
-                min_secs: field(min_secs, "min_secs")?,
-            })
-        })())
-    }
-}
-
 /// Arrival process of an open-loop workload, in paper units (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
@@ -942,9 +867,6 @@ pub struct Scenario {
     pub discipline: DisciplineSpec,
     /// Path impairments (default: none — the paper's clean testbed).
     pub faults: FaultSpec,
-    /// Opt-in convergence-aware early termination (default: none — run
-    /// the full fixed horizon, bit-identical to historical behavior).
-    pub early_stop: Option<EarlyStopSpec>,
     /// Which simulator executes the scenario (default: the packet DES).
     pub backend: BackendSpec,
     /// Opt-in open-loop background workload (default: none — only the
@@ -1015,7 +937,6 @@ impl Scenario {
             seed,
             discipline: DisciplineSpec::DropTail,
             faults: FaultSpec::default(),
-            early_stop: None,
             backend: BackendSpec::Des,
             workload: None,
             topology: None,
@@ -1031,12 +952,6 @@ impl Scenario {
     /// Attach path impairments.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attach a convergence-aware early-stop policy.
-    pub fn with_early_stop(mut self, spec: Option<EarlyStopSpec>) -> Self {
-        self.early_stop = spec;
         self
     }
 
@@ -1118,12 +1033,6 @@ impl Scenario {
                     ),
                 });
             }
-            if self.early_stop.is_some() {
-                return Err(ConfigError::Unsupported {
-                    backend: "multi-hop topology",
-                    feature: "convergence early-stop",
-                });
-            }
             if self.workload.is_some() && t.workload_route.is_none() {
                 return Err(ConfigError::InvalidTopology {
                     reason: "an open-loop workload needs workload_route".into(),
@@ -1171,9 +1080,6 @@ impl Scenario {
             // (see `SimConfig::ack_jitter`).
             .with_ack_jitter(SimDuration::from_micros(100), self.seed)
             .with_faults(self.faults.to_schedule(self.seed));
-        if let Some(stop) = self.early_stop {
-            cfg = cfg.with_early_stop(stop.to_policy());
-        }
         if let Some(wl) = self.workload {
             cfg = cfg.with_workload(wl.to_config(self.seed));
         }
@@ -1330,9 +1236,6 @@ impl Scenario {
         if !self.faults.is_noop() {
             v.set("faults", self.faults.to_json_value());
         }
-        if let Some(stop) = self.early_stop {
-            v.set("early_stop", stop.to_json_value());
-        }
         if self.backend != BackendSpec::Des {
             v.set("backend", self.backend.name().into());
         }
@@ -1354,11 +1257,12 @@ impl Scenario {
     /// Read a scenario off a JSON reader (inverse of
     /// [`Scenario::to_json_value`]): the one field reader of this type.
     /// Unknown keys are ignored, a repeated key's last value wins, and a
-    /// field of the wrong type reads as absent.
+    /// field of the wrong type reads as absent. An `early_stop` member
+    /// fails the field.
     pub fn read(r: &mut Reader<'_>) -> Result<Field<Self>, ParseError> {
         let (mut mbps, mut buffer_bdp, mut reference_rtt_ms) = (None, None, None);
         let (mut flows, mut duration_secs, mut seed) = (None, None, None);
-        let (mut discipline, mut faults, mut early_stop) = (None, None, None);
+        let (mut discipline, mut faults, mut early_stop) = (None, None, false);
         let (mut backend, mut workload, mut topology) = (None, None, None);
         r.object(|r, key| {
             match key {
@@ -1370,7 +1274,10 @@ impl Scenario {
                 "seed" => seed = r.u64()?,
                 "discipline" => discipline = r.str()?,
                 "faults" => faults = Some(FaultSpec::read(r)?),
-                "early_stop" => early_stop = Some(EarlyStopSpec::read(r)?),
+                "early_stop" => {
+                    r.skip()?;
+                    early_stop = true;
+                }
                 "backend" => backend = r.str()?,
                 "workload" => workload = Some(WorkloadSpec::read(r)?),
                 "topology" => topology = Some(TopologySpec::read(r)?),
@@ -1379,6 +1286,12 @@ impl Scenario {
             Ok(())
         })?;
         Ok((|| {
+            // Index lines written by the deleted `--early-stop` option
+            // hold runs cut short of `duration_secs`; reading one as a
+            // fixed-horizon scenario would pass its numbers off as such.
+            if early_stop {
+                return Err("early-stopped scenarios are no longer supported".into());
+            }
             let flows = flows.ok_or("scenario missing 'flows'")??;
             let field = |slot: Option<f64>, name: &str| {
                 slot.ok_or_else(|| format!("scenario missing '{name}'"))
@@ -1389,7 +1302,6 @@ impl Scenario {
                     .ok_or_else(|| format!("unknown discipline '{name}'"))?,
             };
             let faults = faults.unwrap_or(Ok(FaultSpec::default()))?;
-            let early_stop = early_stop.transpose()?;
             let backend = match backend {
                 None => BackendSpec::Des,
                 Some(name) => BackendSpec::from_name(&name)
@@ -1406,7 +1318,6 @@ impl Scenario {
                 seed: seed.ok_or("scenario missing 'seed'")?,
                 discipline,
                 faults,
-                early_stop,
                 backend,
                 workload,
                 topology,
@@ -1721,26 +1632,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_spec_roundtrips_through_json() {
-        let mut spec = EarlyStopSpec::new(0.05, 3);
-        spec.window_secs = 0.5;
-        spec.min_secs = 2.0;
-        let s = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3)
-            .with_early_stop(Some(spec));
-        let back = Scenario::from_json(&s.to_json()).unwrap();
-        assert_eq!(back.early_stop, Some(spec));
-
-        // A fixed-horizon scenario omits the key entirely (byte-stable
-        // serialization for all existing scenarios).
-        let plain = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3);
-        assert!(!plain.to_json().contains("early_stop"));
-        assert_eq!(
-            Scenario::from_json(&plain.to_json()).unwrap().early_stop,
-            None
-        );
-    }
-
-    #[test]
     fn backend_spec_roundtrips_through_json() {
         let fluid = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3)
             .with_backend(BackendSpec::Fluid);
@@ -1792,7 +1683,6 @@ mod tests {
         };
 
         unsupported(&base().with_discipline(DisciplineSpec::Codel));
-        unsupported(&base().with_early_stop(Some(EarlyStopSpec::new(0.05, 3))));
         unsupported(&base().with_topology(Some(TopologySpec::dumbbell(10.0, 2.0))));
 
         let mut s = base();
@@ -1806,20 +1696,6 @@ mod tests {
         let s = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Copa, 1, 5.0, 1)
             .with_backend(BackendSpec::Fluid);
         unsupported(&s);
-    }
-
-    #[test]
-    fn early_stopped_scenario_reports_shorter_effective_horizon() {
-        let spec = EarlyStopSpec::new(0.2, 3);
-        let s = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Cubic, 1, 60.0, 3)
-            .with_early_stop(Some(spec));
-        let report = s.try_report_with(None, None).unwrap();
-        assert!(report.early_stopped);
-        assert!(report.effective_duration_secs < 60.0);
-        let full = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Cubic, 1, 60.0, 3)
-            .try_report_with(None, None)
-            .unwrap();
-        assert!(report.events_processed < full.events_processed);
     }
 
     #[test]
@@ -1998,16 +1874,8 @@ mod tests {
         let mut t = TopologySpec::dumbbell(10.0, 2.0);
         t.flow_routes = vec![0];
         reject(
-            &base.clone().with_topology(Some(t)),
+            &base.with_topology(Some(t)),
             "flow_routes has 1 entries for 3 flows",
-        );
-
-        reject(
-            &base
-                .clone()
-                .with_topology(Some(TopologySpec::dumbbell(10.0, 2.0)))
-                .with_early_stop(Some(EarlyStopSpec::new(0.05, 3))),
-            "does not support convergence early-stop",
         );
     }
 

@@ -1049,6 +1049,36 @@ mod tests {
         assert_eq!(loaded("non-utf8", &index, &lines), [true; 4]);
     }
 
+    /// An index line written by the deleted `--early-stop` option, as
+    /// `repro 9 --smoke --early-stop` wrote it: this all-BBR cell stopped
+    /// after 55,302 of its 89,350 fixed-horizon events, so its numbers
+    /// are not those of its `duration_secs`. It is a miss, and the lines
+    /// around it still load.
+    #[test]
+    fn an_early_stopped_line_is_a_miss() {
+        const EARLY_STOPPED: &str = r#"{"events":55302,"key":"a7db9540762b16bba45cb9ab8a3db80a","ok":true,"result":{"aqm_drops":0,"avg_queue_occupancy_bytes":[53971.11808380093,24159.21206790481,57428.100682203345,40574.14529820134,47720.15601330073,43241.942596801026],"avg_queuing_delay_ms":42.73514795875128,"backoff_times_secs":[[],[],[],[],[],[]],"cc_names":["bbr","bbr","bbr","bbr","bbr","bbr"],"completion_times_secs":[null,null,null,null,null,null],"dropped_packets":0,"throughput_mbps":[9.6168,5.28,10.5672,8.1,8.3904,7.872],"utilization":0.996528},"scenario":{"buffer_bdp":17.0,"discipline":"droptail","duration_secs":8.0,"early_stop":{"dwell":3,"epsilon":0.05,"min_secs":3.0,"window_secs":1.0},"flows":[{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0}],"mbps":50.0,"reference_rtt_ms":20.0,"seed":634077},"v":1}"#;
+        assert!(StoreEntry::from_json_line(EARLY_STOPPED).is_none());
+        let stripped = EARLY_STOPPED.replace(
+            r#""early_stop":{"dwell":3,"epsilon":0.05,"min_secs":3.0,"window_secs":1.0},"#,
+            "",
+        );
+        assert!(
+            StoreEntry::from_json_line(&stripped).is_some(),
+            "the early_stop member alone makes the line a miss"
+        );
+        let lines = synthetic_lines();
+        let mut index = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            index.extend_from_slice(line.as_bytes());
+            index.push(b'\n');
+            if i == 1 {
+                index.extend_from_slice(EARLY_STOPPED.as_bytes());
+                index.push(b'\n');
+            }
+        }
+        assert_eq!(loaded("early-stopped", &index, &lines), [true; 4]);
+    }
+
     /// What the whole-file loader that streaming replaced made of
     /// `index`: every `\n`-separated piece that reads, the last line of a
     /// repeated key winning, as lines sorted by key.

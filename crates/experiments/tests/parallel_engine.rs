@@ -12,9 +12,7 @@ use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, scenario_hash_hex, Engine, EngineConfig};
 use bbrdom_experiments::runner::{SweepConfig, TrialOutcome};
 use bbrdom_experiments::store::{StoreEntry, StoreOutcome, INDEX_FILE};
-use bbrdom_experiments::{
-    EarlyStopSpec, FaultSpec, FlowSpec, Scenario, TopoLinkSpec, TopologySpec,
-};
+use bbrdom_experiments::{FaultSpec, FlowSpec, Scenario, TopoLinkSpec, TopologySpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -129,15 +127,12 @@ fn rich_scenario() -> Scenario {
         rate_steps: vec![(2.0, 10.0)],
         delay_spikes: vec![(3.0, 0.5, 40.0)],
     };
-    s.early_stop = Some(EarlyStopSpec::new(0.05, 3));
     s.workload = Some(bbrdom_experiments::WorkloadSpec::web(
         CcaKind::Cubic,
         50.0,
         25.0,
     ));
-    // Every TopologySpec field non-default too (the hash must cover it
-    // even though validate() would reject this topology+early-stop mix —
-    // the cache key is a pure content hash).
+    // Every TopologySpec field non-default too.
     let mut topo = TopologySpec::parking_lot(2, 25.0, 2.0, 1.5);
     topo.flow_routes = vec![0, 0, 1];
     topo.fault_link = Some(1);
@@ -200,23 +195,6 @@ fn every_scenario_field_changes_the_hash() {
         (
             "fault delay spike",
             Box::new(|s| s.faults.delay_spikes[0].2 = 50.0),
-        ),
-        ("early_stop presence", Box::new(|s| s.early_stop = None)),
-        (
-            "early_stop epsilon",
-            Box::new(|s| s.early_stop.as_mut().unwrap().epsilon = 0.1),
-        ),
-        (
-            "early_stop dwell",
-            Box::new(|s| s.early_stop.as_mut().unwrap().dwell = 5),
-        ),
-        (
-            "early_stop window_secs",
-            Box::new(|s| s.early_stop.as_mut().unwrap().window_secs = 0.5),
-        ),
-        (
-            "early_stop min_secs",
-            Box::new(|s| s.early_stop.as_mut().unwrap().min_secs = 6.0),
         ),
         (
             "backend",
@@ -338,14 +316,14 @@ fn every_scenario_field_changes_the_hash() {
 
 /// Cache-key stability with every opt-in extension engaged: faults
 /// (the compiled `FaultSchedule`'s `SimTime`/`SimDuration`/`Rate`
-/// encoding), early-stop, workload, and topology. If this digest moves,
+/// encoding), workload, and topology. If this digest moves,
 /// every existing cache entry is orphaned — bump `CACHE_FORMAT_VERSION`
 /// deliberately instead.
 #[test]
 fn rich_scenario_keeps_its_golden_hash() {
     assert_eq!(
         format!("{:032x}", scenario_hash(&rich_scenario())),
-        "00ffc4179b18346a62944e3975b7130b",
+        "ede6ee92e449b5eb05cbb2e068a0d09e",
         "the rich scenario's cache key must stay stable across releases"
     );
 }
@@ -384,7 +362,7 @@ fn flow_order_changes_the_hash() {
 }
 
 /// Draws `Scenario`s with every opt-in extension present or absent —
-/// faults, early stop, backend, workload, topology — and floats that a
+/// faults, backend, workload, topology — and floats that a
 /// JSON round-trip is most likely to get wrong (±0, subnormals, extreme
 /// exponents) or any finite bit pattern. Validity is not required: the
 /// index records whatever scenario a sweep ran, and `scenario_hash` keys
@@ -473,14 +451,6 @@ impl proptest::Strategy for AnyScenario {
                 rate_steps: (0..n).map(|_| (time(rng), rate(rng))).collect(),
                 delay_spikes: (0..n).map(|_| (time(rng), time(rng), time(rng))).collect(),
             };
-        }
-        if rng.gen_bool(0.5) {
-            s.early_stop = Some(EarlyStopSpec {
-                epsilon: any_finite(rng),
-                dwell: rng.next_u64() as u32,
-                window_secs: any_finite(rng),
-                min_secs: any_finite(rng),
-            });
         }
         if rng.gen_bool(0.5) {
             s.backend = BackendSpec::Fluid;

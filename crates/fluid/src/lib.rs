@@ -60,13 +60,13 @@
 //! The fluid backend deliberately rejects — with a typed
 //! [`FluidError`] — everything outside the regime where the aggregate
 //! approximation is trusted: only CUBIC / NewReno / BBR / BBRv2 flows,
-//! drop-tail queues, clean paths (no fault injection), backlogged flows
-//! (no byte limits), and fixed horizons (no early-stop policy). Within
-//! the envelope, steady-state shares track the DES within the tolerances
-//! documented in `EXPERIMENTS.md` (cross-validation suite in
-//! `tests/fluid_vs_des.rs`); transients, per-packet loss patterns and
-//! queue-delay microstructure are *not* faithful, which is why every
-//! committed figure, its equilibria included, comes from the DES.
+//! drop-tail queues, clean paths (no fault injection) and backlogged
+//! flows (no byte limits). Within the envelope, steady-state shares
+//! track the DES within the tolerances documented in `EXPERIMENTS.md`
+//! (cross-validation suite in `tests/fluid_vs_des.rs`); transients,
+//! per-packet loss patterns and queue-delay microstructure are *not*
+//! faithful, which is why every committed figure, its equilibria
+//! included, comes from the DES.
 //!
 //! ```
 //! use bbrdom_fluid::{simulate, FluidCca, FluidConfig, FluidFlowSpec};
@@ -1017,8 +1017,6 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
         queue,
         hops: Vec::new(),
         duration_secs: cfg.duration_secs,
-        effective_duration_secs: cfg.duration_secs,
-        early_stopped: false,
         events_processed: steps,
         trace: Trace::default(),
         workload_spawned: 0,
@@ -1190,7 +1188,6 @@ mod tests {
         let r = simulate(&cfg).unwrap();
         assert!(r.events_processed > 0);
         assert_eq!(r.events_processed, cfg.steps());
-        assert!(!r.early_stopped);
         assert_eq!(r.duration_secs, 15.0);
     }
 

@@ -385,8 +385,6 @@ pub fn simulate(cfg: &FluidConfig) -> Result<SimReport, FluidError> {
         queue,
         hops: Vec::new(),
         duration_secs: cfg.duration_secs,
-        effective_duration_secs: cfg.duration_secs,
-        early_stopped: false,
         events_processed: steps,
         trace: Trace::default(),
         workload_spawned: 0,

@@ -66,9 +66,6 @@ pub enum Event {
     RtoCheck(FlowId),
     /// Periodic statistics sample (queue time series).
     StatsSample,
-    /// Periodic steady-state check for the opt-in early-stop policy
-    /// ([`crate::stop::EarlyStop`]); scheduled only when one is set.
-    ConvergenceCheck,
     /// A scheduled fault fires: index into the compiled
     /// [`crate::fault::FaultSchedule`] timeline for this run.
     Fault(u32),

@@ -46,7 +46,6 @@ pub mod queue;
 pub mod routing;
 pub mod sim;
 pub mod stats;
-pub mod stop;
 pub mod time;
 pub mod topo;
 pub mod trace;
@@ -61,7 +60,6 @@ pub use hash::{StableHash, StableHasher};
 pub use packet::FlowId;
 pub use sim::{FlowConfig, SimConfig, SimReport, Simulator};
 pub use stats::{FctPercentiles, FlowReport, QueueReport};
-pub use stop::EarlyStop;
 pub use time::{SimDuration, SimTime};
 pub use topo::{LinkSpec, Topology};
 pub use trace::{Sample, Trace};

@@ -39,7 +39,6 @@ use crate::flow::Flow;
 use crate::packet::FlowId;
 use crate::queue::{DropTailQueue, Offer};
 use crate::stats::{FctPercentiles, FlowReport, QueueReport};
-use crate::stop::{ConvergenceDetector, EarlyStop};
 use crate::time::{SimDuration, SimTime};
 use crate::topo::Topology;
 use crate::trace::{Sample, Trace};
@@ -91,9 +90,6 @@ pub struct SimConfig {
     /// Abort the run with [`SimError::WallClockExceeded`] after this much
     /// real time (`None` = unlimited; checked every 65 536 events).
     pub max_wall_clock: Option<std::time::Duration>,
-    /// Opt-in convergence-aware early termination (see [`crate::stop`]).
-    /// `None` (the default) runs the full fixed horizon.
-    pub stop: Option<EarlyStop>,
     /// Open-loop workload: finite flows arriving during the run (see
     /// [`crate::workload`]). `None` (the default) simulates only the
     /// statically added flows.
@@ -121,7 +117,6 @@ impl SimConfig {
             audit: false,
             max_events: None,
             max_wall_clock: None,
-            stop: None,
             workload: None,
             topology: None,
         }
@@ -143,31 +138,11 @@ impl SimConfig {
                 field: "trace sample interval",
             });
         }
-        if let Some(stop) = &self.stop {
-            stop.validate()?;
-        }
         if let Some(wl) = &self.workload {
             wl.validate()?;
-            // The convergence detector assumes a fixed flow population;
-            // open-loop arrivals never settle in that sense.
-            if self.stop.is_some() {
-                return Err(ConfigError::Unsupported {
-                    backend: "open-loop workload",
-                    feature: "convergence early-stop",
-                });
-            }
         }
         if let Some(t) = &self.topology {
             t.validate()?;
-            // The convergence detector's goodput window assumes the
-            // single shared bottleneck; per-route capacities would need
-            // per-route convergence targets.
-            if self.stop.is_some() {
-                return Err(ConfigError::Unsupported {
-                    backend: "multi-hop topology",
-                    feature: "convergence early-stop",
-                });
-            }
             if self.workload.is_some() && t.workload_route.is_none() {
                 return Err(ConfigError::InvalidTopology {
                     reason: "an open-loop workload needs workload_route".into(),
@@ -219,12 +194,6 @@ impl SimConfig {
     /// Abort the run after `budget` of real (wall-clock) time.
     pub fn with_wall_clock_budget(mut self, budget: std::time::Duration) -> Self {
         self.max_wall_clock = Some(budget);
-        self
-    }
-
-    /// Enable convergence-aware early termination (see [`crate::stop`]).
-    pub fn with_early_stop(mut self, stop: EarlyStop) -> Self {
-        self.stop = Some(stop);
         self
     }
 
@@ -304,15 +273,8 @@ pub struct SimReport {
     /// slot in slot order. Empty on single-queue runs (then `queue` is
     /// the whole story), so their reports serialize byte-identically.
     pub hops: Vec<QueueReport>,
-    /// Configured horizon in seconds (what the run was asked to simulate).
+    /// Simulated horizon in seconds.
     pub duration_secs: f64,
-    /// Horizon actually simulated: equals `duration_secs` unless the
-    /// early-stop policy ended the run sooner. All window averages in
-    /// this report are normalized over `[0, effective]`.
-    pub effective_duration_secs: f64,
-    /// True when the convergence detector ended the run before the
-    /// configured horizon.
-    pub early_stopped: bool,
     /// Discrete events dispatched by the run — the denominator for
     /// events/sec throughput measurements (`crates/bench/benches/netsim_perf.rs`).
     pub events_processed: u64,
@@ -345,16 +307,6 @@ impl SimReport {
         .set("queue", self.queue.to_json_value())
         .set("duration_secs", self.duration_secs.into())
         .set("events_processed", Value::U64(self.events_processed));
-        // Emitted only for early-stopped runs so fixed-horizon reports
-        // keep their historical byte-exact serialization (the disk cache
-        // and CSV diff smokes depend on that).
-        if self.early_stopped {
-            v.set(
-                "effective_duration_secs",
-                self.effective_duration_secs.into(),
-            )
-            .set("early_stopped", Value::Bool(true));
-        }
         if !self.trace.is_empty() {
             v.set("trace", self.trace.to_json_value());
         }
@@ -404,16 +356,6 @@ impl SimReport {
                     .collect::<Result<_, _>>()?,
             },
             duration_secs: json::req_f64(v, "duration_secs")?,
-            effective_duration_secs: match v.get("effective_duration_secs") {
-                Some(x) => x
-                    .as_f64()
-                    .ok_or("'effective_duration_secs' must be a number")?,
-                None => json::req_f64(v, "duration_secs")?,
-            },
-            early_stopped: v
-                .get("early_stopped")
-                .and_then(crate::json::Value::as_bool)
-                .unwrap_or(false),
             events_processed: json::req_u64(v, "events_processed")?,
             trace: match v.get("trace") {
                 None => Trace::default(),
@@ -683,15 +625,8 @@ impl Simulator {
         for f in &self.flows {
             events.schedule(f.start_time, Event::FlowStart(f.id));
         }
-        let stop_policy = self.config.stop;
-        let mut detector = stop_policy.map(|stop| {
-            events.schedule(SimTime::ZERO + stop.window, Event::ConvergenceCheck);
-            ConvergenceDetector::new(self.flows.len(), self.config.mss, stop.window)
-        });
 
         let mut events_processed: u64 = 0;
-        let mut stopped_at: Option<SimTime> = None;
-
         while let Some((now, event)) = events.pop() {
             if now > end {
                 break;
@@ -862,27 +797,6 @@ impl Simulator {
                         }
                     }
                 }
-                Event::ConvergenceCheck => {
-                    if let (Some(stop), Some(det)) = (&stop_policy, detector.as_mut()) {
-                        let window_secs = stop.window.as_secs_f64();
-                        let totals = self
-                            .flows
-                            .iter()
-                            .map(|f| f.stats.goodput_bytes_total)
-                            .collect();
-                        let converged = det.observe(totals, window_secs, stop);
-                        // Checks fire at multiples of a positive window, so
-                        // `effective > 0` keeps window averages defined.
-                        if converged && now >= SimTime::ZERO + stop.min_time {
-                            stopped_at = Some(now);
-                        } else {
-                            let next = now + stop.window;
-                            if next < end {
-                                events.schedule(next, Event::ConvergenceCheck);
-                            }
-                        }
-                    }
-                }
                 Event::Fault(idx) => {
                     if let Some(f) = faults.as_mut() {
                         match f.timeline[idx as usize].1 {
@@ -995,28 +909,21 @@ impl Simulator {
             if let Some(aud) = auditor.as_mut() {
                 aud.after_event(now, &queues, &self.flows)?;
             }
-            if stopped_at.is_some() {
-                break;
-            }
         }
-
-        // The horizon the run actually covered: the convergence stop time
-        // when the detector fired, else the configured duration.
-        let effective_end = stopped_at.unwrap_or(end);
 
         // Drain-time conservation sweep: every packet must be accounted
         // for before the counters are folded into reports.
         if let Some(aud) = auditor.as_ref() {
-            aud.deep_check(effective_end, &queues, &self.flows)?;
+            aud.deep_check(end, &queues, &self.flows)?;
         }
         for q in &mut queues {
-            q.finalize(effective_end);
+            q.finalize(end);
         }
         for f in &mut self.flows {
-            f.finalize(effective_end);
+            f.finalize(end);
         }
 
-        let measure_secs = effective_end.as_secs_f64();
+        let measure_secs = end.as_secs_f64();
         // Workload flows are reported in aggregate (FCT percentiles), not
         // as individual FlowReports — a 10k-flow run would drown the CSVs.
         let n_report = workload.as_ref().map_or(self.flows.len(), |rt| rt.n_static);
@@ -1130,7 +1037,7 @@ impl Simulator {
             Vec::new()
         };
         if let Some(aud) = auditor.as_ref() {
-            aud.check_report(effective_end, &flow_reports, &queue_report)?;
+            aud.check_report(end, &flow_reports, &queue_report)?;
         }
 
         let (workload_spawned, workload_completed, workload_fct) = match workload.as_ref() {
@@ -1153,8 +1060,6 @@ impl Simulator {
             queue: queue_report,
             hops,
             duration_secs: self.config.duration.as_secs_f64(),
-            effective_duration_secs: effective_end.as_secs_f64(),
-            early_stopped: stopped_at.is_some(),
             events_processed,
             trace,
             workload_spawned,
@@ -1562,104 +1467,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_ends_a_steady_run_before_the_horizon() {
-        // A fixed-window flow reaches steady state within a couple of
-        // RTTs; a 60s horizon is almost all wasted events.
-        let (cfg, rtt) = base_config(10.0, 40, 2.0, 60.0);
-        let bdp = cfg.rate.bdp_bytes(rtt);
-        let full = {
-            let (cfg, _) = base_config(10.0, 40, 2.0, 60.0);
-            let mut sim = Simulator::new(cfg);
-            sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-            sim.run()
-        };
-        let mut sim = Simulator::new(cfg.with_early_stop(EarlyStop::new(0.05, 3)));
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-        let report = sim.run();
-        assert!(report.early_stopped);
-        assert!(
-            report.effective_duration_secs < 10.0,
-            "steady flow must stop within a few windows, got {}s",
-            report.effective_duration_secs
-        );
-        assert_eq!(report.duration_secs, 60.0, "configured horizon is kept");
-        assert!(
-            report.events_processed * 3 < full.events_processed,
-            "early stop must save most of the events: {} vs {}",
-            report.events_processed,
-            full.events_processed
-        );
-        // Throughput is normalized by the effective window, so the
-        // number still reflects the steady state, not the truncation.
-        let tp = report.flows[0].throughput_mbps();
-        assert!((tp - 10.0).abs() < 0.5, "throughput={tp}");
-    }
-
-    #[test]
-    fn unfired_early_stop_leaves_results_bit_identical() {
-        // With an epsilon no real run can meet, the detector never fires:
-        // apart from the ConvergenceCheck events themselves, the run must
-        // be indistinguishable from a fixed-horizon one.
-        let run = |stop: Option<EarlyStop>| {
-            let (mut cfg, rtt) = base_config(10.0, 40, 1.0, 10.0);
-            cfg.stop = stop;
-            let bdp = cfg.rate.bdp_bytes(rtt);
-            let mut sim = Simulator::new(cfg);
-            sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(3 * bdp)), rtt));
-            sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(3 * bdp)), rtt));
-            sim.run()
-        };
-        let plain = run(None);
-        let armed = run(Some(EarlyStop::new(1e-300, 3)));
-        assert!(!armed.early_stopped);
-        assert_eq!(armed.effective_duration_secs, armed.duration_secs);
-        for (a, b) in plain.flows.iter().zip(&armed.flows) {
-            assert_eq!(
-                a.to_json_value().to_json(),
-                b.to_json_value().to_json(),
-                "flow results must not depend on an unfired early stop"
-            );
-        }
-        assert_eq!(
-            plain.queue.to_json_value().to_json(),
-            armed.queue.to_json_value().to_json()
-        );
-    }
-
-    #[test]
-    fn early_stop_respects_min_time() {
-        let (cfg, rtt) = base_config(10.0, 40, 2.0, 60.0);
-        let bdp = cfg.rate.bdp_bytes(rtt);
-        let stop = EarlyStop::new(0.05, 2).with_min_time(SimDuration::from_secs_f64(20.0));
-        let mut sim = Simulator::new(cfg.with_early_stop(stop));
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-        let report = sim.run();
-        assert!(report.early_stopped);
-        assert!(
-            report.effective_duration_secs >= 20.0,
-            "stop at {}s violates the 20s floor",
-            report.effective_duration_secs
-        );
-    }
-
-    #[test]
-    fn early_stopped_audited_run_stays_consistent() {
-        let (cfg, rtt) = base_config(10.0, 40, 4.0, 60.0);
-        let bdp = cfg.rate.bdp_bytes(rtt);
-        // Two phase-locked fixed-window flows trade ~10% of goodput back
-        // and forth between windows; the epsilon must cover that swing.
-        let cfg = cfg
-            .with_early_stop(EarlyStop::new(0.15, 3))
-            .with_audit(true);
-        let mut sim = Simulator::try_new(cfg).unwrap();
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-        let report = sim.try_run().expect("audited early-stopped run");
-        assert!(report.early_stopped);
-        assert!(report.queue.utilization > 0.9);
-    }
-
-    #[test]
     fn trace_samples_every_interval() {
         let (cfg, rtt) = base_config(10.0, 40, 2.0, 10.0);
         let bdp = cfg.rate.bdp_bytes(rtt);
@@ -1671,15 +1478,10 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_early_stop_and_trace_configs_are_rejected() {
-        let (cfg, _) = base_config(10.0, 40, 2.0, 10.0);
-        let bad_eps = cfg.clone().with_early_stop(EarlyStop::new(0.0, 3));
-        assert!(Simulator::try_new(bad_eps).is_err());
-        let bad_dwell = cfg.clone().with_early_stop(EarlyStop::new(0.05, 0));
-        assert!(Simulator::try_new(bad_dwell).is_err());
-        let mut bad_interval = cfg;
-        bad_interval.sample_interval = Some(SimDuration::ZERO);
-        assert!(Simulator::try_new(bad_interval).is_err());
+    fn degenerate_trace_interval_is_rejected() {
+        let (mut cfg, _) = base_config(10.0, 40, 2.0, 10.0);
+        cfg.sample_interval = Some(SimDuration::ZERO);
+        assert!(Simulator::try_new(cfg).is_err());
     }
 
     /// One paced finite flow plus a backlogged competitor. With teardown
@@ -1858,23 +1660,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_with_early_stop_is_rejected() {
-        let (cfg, rtt) = base_config(50.0, 20, 2.0, 1.0);
-        let cfg = cfg
-            .with_workload(crate::workload::WorkloadConfig::new(
-                crate::workload::ArrivalProcess::Poisson { rate_per_sec: 10.0 },
-                crate::workload::SizeDist::Fixed { bytes: 15_000 },
-                rtt,
-                1,
-            ))
-            .with_early_stop(EarlyStop::new(0.05, 3));
-        assert!(matches!(
-            Simulator::try_new(cfg),
-            Err(ConfigError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
     fn determinism_same_config_same_result() {
         let run_once = || {
             let (cfg, rtt) = base_config(10.0, 40, 1.0, 10.0);
@@ -1975,21 +1760,6 @@ mod tests {
             }
             other => panic!("expected InvalidTopology, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn topology_with_early_stop_is_rejected() {
-        let (cfg, _) = base_config(10.0, 40, 2.0, 10.0);
-        let cfg = cfg
-            .with_topology(crate::topo::Topology::dumbbell(
-                Rate::from_mbps(10.0),
-                30_000,
-            ))
-            .with_early_stop(EarlyStop::new(0.05, 3));
-        assert!(matches!(
-            Simulator::try_new(cfg),
-            Err(ConfigError::Unsupported { .. })
-        ));
     }
 
     #[test]

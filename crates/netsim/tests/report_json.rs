@@ -201,7 +201,7 @@ proptest::proptest! {
 /// Draws `SimReport`s whose floats are the ones a JSON round-trip is
 /// most likely to get wrong (±0, subnormals, extreme exponents, short
 /// decimals) or any finite bit pattern, with every optional part present
-/// or absent: traces, per-hop queues, drops, early stops, workload FCTs,
+/// or absent: traces, per-hop queues, drops, workload FCTs,
 /// RTTs and completion times.
 struct AnyReport;
 
@@ -299,8 +299,6 @@ impl proptest::Strategy for AnyReport {
                 }
             })
             .collect();
-        let duration_secs = any_finite(rng);
-        let early_stopped = rng.gen_bool(0.3);
         let workload_spawned = if rng.gen_bool(0.5) {
             rng.gen_range(1..u64::MAX)
         } else {
@@ -326,13 +324,7 @@ impl proptest::Strategy for AnyReport {
             hops: (0..rng.gen_range(0..3usize) * 2)
                 .map(|_| any_queue(rng))
                 .collect(),
-            duration_secs,
-            effective_duration_secs: if early_stopped {
-                any_finite(rng)
-            } else {
-                duration_secs
-            },
-            early_stopped,
+            duration_secs: any_finite(rng),
             events_processed: rng.next_u64(),
             trace: bbrdom_netsim::Trace { samples },
             workload_spawned,

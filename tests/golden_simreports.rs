@@ -11,10 +11,10 @@
 //!
 //! The matrix and fingerprint live in `tests/common/mod.rs`, shared
 //! with the `topology_equivalence` suite. [`golden_only`] adds the cases
-//! that suite cannot re-spell as an explicit topology (an early-stopped
-//! run, which explicit topologies reject, and the fluid backend) or that
-//! it covers separately (workloads under a fault schedule, at high
-//! concurrency, and on a multi-hop chain); they are pinned here alone.
+//! that suite cannot re-spell as an explicit topology (the fluid
+//! backend) or that it covers separately (workloads under a fault
+//! schedule, at high concurrency, and on a multi-hop chain); they are
+//! pinned here alone.
 //!
 //! If an intentional behavior change invalidates the goldens (this
 //! should be rare and deliberate), regenerate with:
@@ -29,7 +29,7 @@ mod common;
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::scenario::{
-    BackendSpec, EarlyStopSpec, FaultSpec, FlowSpec, Scenario, TopologySpec, WorkloadSpec,
+    BackendSpec, FaultSpec, FlowSpec, Scenario, TopologySpec, WorkloadSpec,
 };
 use bbrdom_netsim::json::{self, Value};
 use common::{fingerprint, matrix, run_report};
@@ -39,12 +39,10 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simreports.json")
 }
 
-/// Golden cases kept out of the shared [`matrix`]: an early-stopped cell,
-/// an open-loop workload under wire loss plus an outage, the
-/// [`high_churn_cases`], and the [`fluid_cases`].
+/// Golden cases kept out of the shared [`matrix`]: an open-loop workload
+/// under wire loss plus an outage, the [`high_churn_cases`], and the
+/// [`fluid_cases`].
 fn golden_only() -> Vec<(String, Scenario)> {
-    let early = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 20.0, 5)
-        .with_early_stop(Some(EarlyStopSpec::new(0.2, 3)));
     let churn = Scenario::versus(20.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 19)
         .with_workload(Some(WorkloadSpec::web(CcaKind::Cubic, 40.0, 15.0)))
         .with_faults(FaultSpec {
@@ -53,10 +51,7 @@ fn golden_only() -> Vec<(String, Scenario)> {
             outages: vec![(2.0, 0.3)],
             ..FaultSpec::default()
         });
-    let mut cases = vec![
-        ("early_stop_bbr_b2_s5".to_string(), early),
-        ("workload_faults_s19".to_string(), churn),
-    ];
+    let mut cases = vec![("workload_faults_s19".to_string(), churn)];
     cases.extend(high_churn_cases());
     cases.extend(fluid_cases());
     cases
@@ -174,12 +169,7 @@ fn fingerprint_is_sensitive_to_results() {
 #[test]
 fn golden_only_cases_exercise_their_features() {
     let cases = golden_only();
-    let early = run_report(&cases[0].1);
-    assert!(
-        early.early_stopped && early.effective_duration_secs < cases[0].1.duration_secs,
-        "the early-stop case ran its full horizon"
-    );
-    let churn = run_report(&cases[1].1);
+    let churn = run_report(&cases[0].1);
     assert!(
         churn.workload_spawned > 0,
         "the workload case spawned nothing"

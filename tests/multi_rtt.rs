@@ -52,7 +52,6 @@ fn rtt_fairness_direction_in_simulation() {
             seed: 99,
             discipline: Default::default(),
             faults: Default::default(),
-            early_stop: None,
             backend: Default::default(),
             workload: None,
             topology: None,
