@@ -274,12 +274,14 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     # Result-store perf smoke: store-hit figure assembly vs cold
     # simulation of the same grid, timed in the same run, on a reduced
     # grid, and the read rate of Store::open on an index of n = 50 fluid
-    # cells. The >= 18x floor (cold pass over median store pass), the
-    # open-rate floor and the open rate's floor over json::parse on the
-    # same lines are asserted inside the bench; BENCH_store.json
-    # records the numbers (the full default grid is 1000 cells —
-    # BENCH_STORE_CELLS shrinks it for CI; the fluid index is fixed).
-    echo "==> store perf smoke (store_perf, BENCH_STORE_CELLS=200)"
+    # cells, and the rate at which StoreEntry::to_json_line writes the
+    # same lines back. The >= 18x floor (cold pass over median store
+    # pass), the open-rate floor, the open rate's floor over json::parse
+    # on the same lines and the >= 46 MB/s write-rate floor are asserted
+    # inside the bench; BENCH_store.json records the numbers (the full
+    # default grid is 1000 cells — BENCH_STORE_CELLS shrinks it for CI;
+    # the fluid index is fixed).
+    echo "==> store perf smoke (store_perf, BENCH_STORE_CELLS=200; open-rate and >= 46 MB/s write-rate floors)"
     BENCH_STORE_CELLS=200 cargo bench -p bbrdom-bench --bench store_perf
 
     # Fluid perf smoke: the fluid kernel alone over an n = 50 grid shaped

@@ -20,6 +20,9 @@
 //! opens, the same lines are parsed into `json::Value` trees; the open
 //! rate must be at least `MIN_OPEN_VS_TREE` times the tree rate, so
 //! reading index lines through a tree again fails on any machine.
+//! Alternating with both, every entry of that index is written back to
+//! its line with `StoreEntry::to_json_line`, byte for byte the index,
+//! and the median write rate must reach `MIN_WRITE_MB_PER_S`.
 //!
 //! Besides the stdout report, the run writes `BENCH_store.json` at the
 //! repo root (format documented in `EXPERIMENTS.md`). The index-load
@@ -68,6 +71,14 @@ const MIN_OPEN_MB_PER_S: f64 = 79.0;
 /// 1.13–1.24× the tree rate and the tree reader they replaced
 /// 0.75–0.80×. 0.95 sits between the two with room for noise.
 const MIN_OPEN_VS_TREE: f64 = 0.95;
+
+/// The pinned floor on the median rate at which `StoreEntry::to_json_line`
+/// writes the n = 50 fluid index back, MB/s. 5 runs on a 2-vCPU Xeon VM
+/// (`nproc` 2, 15 samples each) measured medians of 89.3–121.0 MB/s,
+/// 92.4 the middle one, so 46 sits at half of it. Writing is slower
+/// than reading (the open rate above) because most of a line's cost is
+/// std's shortest-round-trip float formatting.
+const MIN_WRITE_MB_PER_S: f64 = 46.0;
 
 /// A fig 9 panel at the paper's scale on the fluid backend: 50 Mbps,
 /// 20 ms, four buffer depths, every CUBIC/BBR split of n = 50, 10 s
@@ -187,7 +198,8 @@ fn main() {
         .len();
     let index_mb = index_bytes as f64 / 1e6;
     let text = std::fs::read_to_string(fluid_cache.join(INDEX_FILE)).expect("read the index");
-    let (mut rates, mut tree_rates) = (Vec::new(), Vec::new());
+    let entries = Store::open(&fluid_cache).entries();
+    let (mut rates, mut tree_rates, mut write_rates) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..SAMPLES {
         let (opened, t) = time(|| Store::open(&fluid_cache));
         assert_eq!(opened.len(), panel.len(), "every fluid line loads");
@@ -195,13 +207,23 @@ fn main() {
         let (parsed, t) = time(|| text.lines().filter(|l| json::parse(l).is_ok()).count());
         assert_eq!(parsed, panel.len(), "every fluid line parses");
         tree_rates.push(index_mb / t.as_secs_f64().max(1e-9));
+        let (written, t) = time(|| {
+            entries
+                .iter()
+                .map(|e| e.to_json_line().len() + 1)
+                .sum::<usize>()
+        });
+        assert_eq!(written as u64, index_bytes, "the lines rewrite the index");
+        write_rates.push(index_mb / t.as_secs_f64().max(1e-9));
     }
     rates.sort_by(f64::total_cmp);
     tree_rates.sort_by(f64::total_cmp);
+    write_rates.sort_by(f64::total_cmp);
     let _ = std::fs::remove_dir_all(&fluid_cache);
     let open_median = rates[SAMPLES / 2];
     let tree_median = tree_rates[SAMPLES / 2];
     let open_vs_tree = open_median / tree_median;
+    let write_median = write_rates[SAMPLES / 2];
 
     let median = store[SAMPLES / 2];
     let speedup = cold.as_secs_f64() / median.as_secs_f64().max(1e-9);
@@ -213,6 +235,11 @@ fn main() {
         panel.len(),
         rates[0],
         rates[SAMPLES - 1],
+    );
+    println!(
+        "store/fluid write: to_json_line {write_median:.1} MB/s median (min {:.1}, max {:.1})",
+        write_rates[0],
+        write_rates[SAMPLES - 1],
     );
     println!(
         "store/{cells} cells: cold {cold:>9.3?} ({:.1} us/cell)  \
@@ -237,11 +264,16 @@ fn main() {
             "Store::open reads the fluid index at {open_vs_tree:.2}x the json::parse rate, \
              need >= {MIN_OPEN_VS_TREE}x (BENCH_NO_FLOOR=1 to report without gating)"
         );
+        assert!(
+            write_median >= MIN_WRITE_MB_PER_S,
+            "to_json_line writes the fluid index at {write_median:.1} MB/s, need >= \
+             {MIN_WRITE_MB_PER_S} MB/s (BENCH_NO_FLOOR=1 to report without gating)"
+        );
     }
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
     let json = format!(
-        "{{\n  \"schema\": \"store-perf-v5\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
+        "{{\n  \"schema\": \"store-perf-v6\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
          \"jobs\": {jobs},\n  \"samples\": {SAMPLES},\n  \"cells\": {cells},\n  \
          \"cold_populate_secs\": {:.6},\n  \"store_open_secs\": {:.6},\n  \
          \"store_assembly\": {{\"median_secs\": {:.6}, \"min_secs\": {:.6}, \"max_secs\": {:.6}}},\n  \
@@ -250,6 +282,8 @@ fn main() {
          \"mb_per_s\": {{\"median\": {open_median:.1}, \"min\": {:.1}, \"max\": {:.1}}}, \
          \"min_mb_per_s\": {MIN_OPEN_MB_PER_S}, \"tree_mb_per_s\": {tree_median:.1}, \
          \"open_vs_tree\": {open_vs_tree:.2}, \"min_open_vs_tree\": {MIN_OPEN_VS_TREE}}},\n  \
+         \"fluid_write\": {{\"mb_per_s\": {{\"median\": {write_median:.1}, \"min\": {:.1}, \
+         \"max\": {:.1}}}, \"min_mb_per_s\": {MIN_WRITE_MB_PER_S}}},\n  \
          \"floor_gated\": {gated},\n  \"bit_identical\": true\n}}\n",
         json::Value::Str(model).to_json(),
         cold.as_secs_f64(),
@@ -260,6 +294,8 @@ fn main() {
         panel.len(),
         rates[0],
         rates[SAMPLES - 1],
+        write_rates[0],
+        write_rates[SAMPLES - 1],
     );
     std::fs::write(out, json).expect("write BENCH_store.json");
     println!("wrote {out}");

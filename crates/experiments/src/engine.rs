@@ -19,13 +19,14 @@
 //!    the index at a line boundary;
 //! 3. each simulation is a pure function of its [`Scenario`], so the
 //!    engine may memoize: a **content-addressed cache** keyed by a
-//!    stable 128-bit hash of the *full* scenario (link, buffer, flows,
-//!    CCAs, RTTs, seeds, discipline, fault schedule — see
-//!    [`scenario_hash`]) returns a previous run's [`TrialResult`] and
-//!    event count instead of re-simulating, in-process always and on
-//!    disk when enabled. The full `SimReport` is never kept: it is
-//!    reduced to its `TrialResult` as the run ends, and that result is
-//!    held once, behind an `Arc`: the memo, the result store's entry and
+//!    stable 128-bit hash of the *full* scenario (every field its index
+//!    line writes: link, buffer, flows, CCAs, RTTs, seed, discipline,
+//!    faults, backend, workload, topology — see [`scenario_hash`])
+//!    returns a previous run's [`TrialResult`] and event count instead
+//!    of re-simulating, in-process always and on disk when enabled. The
+//!    full `SimReport` is never kept: it is reduced to its
+//!    `TrialResult` as the run ends, and that result is held once,
+//!    behind an `Arc`: the memo, the result store's entry and
 //!    every outcome that serves it share the one allocation. On disk the
 //!    result store's `index.jsonl` (`results/cache/index.jsonl`) is the
 //!    one record: a cell's line holds its scenario, result and event
@@ -50,7 +51,7 @@
 //! code 130.
 
 use crate::runner::{payload_message, SweepConfig, TrialFailure, TrialOutcome};
-use crate::scenario::{Scenario, TrialResult};
+use crate::scenario::{Scenario, Sink, TrialResult};
 use bbrdom_netsim::hash::{StableHash, StableHasher};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -65,12 +66,23 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// It does not version the on-disk layout: an index line
 /// ([`crate::store::StoreEntry::to_json_line`]) is versioned by its own
 /// `"v"` ([`crate::store::INDEX_FORMAT_VERSION`]).
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Stable content hash of everything that determines a scenario's
-/// simulation output. Two scenarios hash alike iff a run of one is
-/// bit-identical to a run of the other; see the completeness test,
-/// which mutates every public field and asserts the hash moves.
+/// simulation output: FNV-1a-128 over [`CACHE_FORMAT_VERSION`] and the
+/// fields [`Scenario::to_json_value`] writes, read off the same field
+/// list (`Scenario::emit`), so the key covers exactly what the index
+/// line records. Two scenarios whose lines write the same scenario hash
+/// alike.
+///
+/// It feeds values, not text: an `f64` as its bits (so `-0.0` and `0.0`
+/// are two keys, as they are two spellings on the line; a non-finite
+/// value, which the line writes as `null`, keys by its bits too), a
+/// `u64` little-endian, strings and arrays length-prefixed, and the
+/// name of each member the line writes only sometimes (faults, backend,
+/// workload and its arrival and size variants, topology, and a
+/// topology's link `mbps`, `flow_routes`, `workload_route` and
+/// `fault_link`).
 ///
 /// The simulation *backend* is part of the identity: the same scenario
 /// run on the fluid model hashes to a different key than the DES run,
@@ -85,176 +97,43 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 /// assert_ne!(scenario_hash(&des), scenario_hash(&fluid));
 /// ```
 pub fn scenario_hash(s: &Scenario) -> u128 {
-    use crate::scenario::{
-        ArrivalSpec, BackendSpec, FaultSpec, FlowSpec, SizeSpec, TopoLinkSpec, TopologySpec,
-        WorkloadSpec,
-    };
-    // Every struct hashed field by field is destructured without `..`,
-    // so adding a field breaks the build here until the field is hashed.
-    // Faults are hashed as the schedule they lower to, which is what the
-    // simulator runs.
-    let Scenario {
-        mbps,
-        buffer_bdp,
-        reference_rtt_ms,
-        flows,
-        duration_secs,
-        seed,
-        discipline,
-        faults,
-        backend,
-        workload,
-        topology,
-    } = s;
-    let mut h = StableHasher::new();
-    CACHE_FORMAT_VERSION.stable_hash(&mut h);
-    mbps.stable_hash(&mut h);
-    buffer_bdp.stable_hash(&mut h);
-    reference_rtt_ms.stable_hash(&mut h);
-    duration_secs.stable_hash(&mut h);
-    seed.stable_hash(&mut h);
-    discipline.name().stable_hash(&mut h);
-    (flows.len() as u64).stable_hash(&mut h);
-    for FlowSpec {
-        cca,
-        rtt_ms,
-        start_s,
-        byte_limit,
-    } in flows
-    {
-        cca.name().stable_hash(&mut h);
-        rtt_ms.stable_hash(&mut h);
-        start_s.stable_hash(&mut h);
-        byte_limit.stable_hash(&mut h);
+    let mut h = KeyHasher(StableHasher::new());
+    CACHE_FORMAT_VERSION.stable_hash(&mut h.0);
+    s.emit(&mut h);
+    h.0.finish()
+}
+
+/// The [`Sink`] behind [`scenario_hash`]. Allocation-free: every value
+/// goes straight into the hasher.
+struct KeyHasher(StableHasher);
+
+impl Sink for KeyHasher {
+    fn key(&mut self, _: &'static str) -> &mut Self {
+        self
     }
-    // Hash the *compiled* netsim fault schedule: it already folds in the
-    // derived per-trial RNG stream seed. A spec that cannot be compiled
-    // (a negative time, a non-positive rate step) never runs — validation
-    // rejects it — but still gets a key, from its raw fields behind a
-    // marker no compiled schedule starts with.
-    if faults.check_lowerable().is_ok() {
-        faults.to_schedule(*seed).stable_hash(&mut h);
-    } else {
-        let FaultSpec {
-            loss_fwd,
-            loss_ack,
-            outages,
-            rate_steps,
-            delay_spikes,
-        } = faults;
-        h.write_bytes(b"unlowerable_faults");
-        loss_fwd.stable_hash(&mut h);
-        loss_ack.stable_hash(&mut h);
-        for list in [outages, rate_steps] {
-            (list.len() as u64).stable_hash(&mut h);
-            for (a, b) in list {
-                a.stable_hash(&mut h);
-                b.stable_hash(&mut h);
-            }
-        }
-        (delay_spikes.len() as u64).stable_hash(&mut h);
-        for (a, b, c) in delay_spikes {
-            a.stable_hash(&mut h);
-            b.stable_hash(&mut h);
-            c.stable_hash(&mut h);
-        }
+    fn opt_key(&mut self, key: &'static str) -> &mut Self {
+        key.stable_hash(&mut self.0);
+        self
     }
-    // Backend domain separation, by an opt-in marker: DES scenarios (the
-    // default) keep their historical hashes, while a fluid run of the
-    // same scenario lives under a distinct key.
-    if *backend != BackendSpec::Des {
-        h.write_bytes(b"backend");
-        backend.name().stable_hash(&mut h);
+    fn f64(&mut self, v: f64) {
+        v.stable_hash(&mut self.0);
     }
-    // Open-loop workload, same opt-in marker scheme: workload-free
-    // scenarios keep their historical hashes; every workload field feeds
-    // the key (the simulator output depends on all of them).
-    if let Some(WorkloadSpec {
-        cca,
-        arrival,
-        size,
-        rtt_ms,
-    }) = workload
-    {
-        h.write_bytes(b"workload");
-        cca.name().stable_hash(&mut h);
-        match arrival {
-            ArrivalSpec::Poisson { rate_per_sec } => {
-                h.write_bytes(&[0]);
-                rate_per_sec.stable_hash(&mut h);
-            }
-            ArrivalSpec::Deterministic { interval_s } => {
-                h.write_bytes(&[1]);
-                interval_s.stable_hash(&mut h);
-            }
-        }
-        match size {
-            SizeSpec::Fixed { bytes } => {
-                h.write_bytes(&[0]);
-                bytes.stable_hash(&mut h);
-            }
-            SizeSpec::Pareto {
-                alpha,
-                min_bytes,
-                max_bytes,
-            } => {
-                h.write_bytes(&[1]);
-                alpha.stable_hash(&mut h);
-                min_bytes.stable_hash(&mut h);
-                max_bytes.stable_hash(&mut h);
-            }
-        }
-        rtt_ms.stable_hash(&mut h);
+    fn u64(&mut self, v: u64) {
+        v.stable_hash(&mut self.0);
     }
-    // Explicit topology, same opt-in marker scheme: implicit-dumbbell
-    // scenarios keep their historical hashes, and every topology field
-    // feeds the key — including the fields that only *select* behavior
-    // (routes, flow_routes, fault_link), since the simulator output
-    // depends on all of them.
-    if let Some(TopologySpec {
-        nodes,
-        links,
-        routes,
-        flow_routes,
-        workload_route,
-        fault_link,
-    }) = topology
-    {
-        h.write_bytes(b"topology");
-        (nodes.len() as u64).stable_hash(&mut h);
-        for name in nodes {
-            name.as_str().stable_hash(&mut h);
-        }
-        (links.len() as u64).stable_hash(&mut h);
-        for TopoLinkSpec {
-            from,
-            to,
-            mbps: link_mbps,
-            delay_ms,
-            buffer_bdp: link_buffer_bdp,
-        } in links
-        {
-            from.as_str().stable_hash(&mut h);
-            to.as_str().stable_hash(&mut h);
-            link_mbps.stable_hash(&mut h);
-            delay_ms.stable_hash(&mut h);
-            link_buffer_bdp.stable_hash(&mut h);
-        }
-        (routes.len() as u64).stable_hash(&mut h);
-        for route in routes {
-            (route.len() as u64).stable_hash(&mut h);
-            for &link in route {
-                (link as u64).stable_hash(&mut h);
-            }
-        }
-        (flow_routes.len() as u64).stable_hash(&mut h);
-        for &r in flow_routes {
-            (r as u64).stable_hash(&mut h);
-        }
-        workload_route.map(|r| r as u64).stable_hash(&mut h);
-        fault_link.map(|l| l as u64).stable_hash(&mut h);
+    fn opt_u64(&mut self, v: Option<u64>) {
+        v.stable_hash(&mut self.0);
     }
-    h.finish()
+    fn str(&mut self, v: &str) {
+        v.stable_hash(&mut self.0);
+    }
+    fn object(&mut self, fill: impl FnOnce(&mut Self)) {
+        fill(self);
+    }
+    fn array<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
+        (items.len() as u64).stable_hash(&mut self.0);
+        items.iter().for_each(|item| each(self, item));
+    }
 }
 
 /// [`scenario_hash`] as the fixed-width hex string used for store index
@@ -516,7 +395,6 @@ impl Engine {
     ) -> Vec<TrialOutcome> {
         let n = scenarios.len();
         let hashes: Vec<u128> = scenarios.iter().map(scenario_hash).collect();
-        let keys: Vec<String> = hashes.iter().map(|h| format!("{h:032x}")).collect();
         let wall_budget_ns = wall_budget.map(|d| d.as_nanos() as u64);
         let mut done: Vec<Option<TrialOutcome>> = (0..n).map(|_| None).collect();
         // Recorded event counts, alongside `done`: fed to the result
@@ -560,7 +438,7 @@ impl Engine {
             while let Some(Some(outcome)) = done.get(cursor) {
                 if let Some(store) = store {
                     store.record(
-                        &keys[cursor],
+                        hashes[cursor],
                         &scenarios[cursor],
                         outcome,
                         done_events[cursor],

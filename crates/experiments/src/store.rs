@@ -383,14 +383,13 @@ impl Store {
     /// index is an accelerator, not a store of record.
     pub(crate) fn record(
         &self,
-        key: &str,
+        hash: u128,
         scenario: &Scenario,
         outcome: &TrialOutcome,
         events: Option<u64>,
         event_budget: Option<u64>,
         wall_budget_ns: Option<u64>,
     ) {
-        let Some(hash) = key_hash(key) else { return };
         let mut map = self.map.lock().expect("store map lock");
         match (map.get(&hash).map(|e| &e.outcome), outcome) {
             (Some(StoreOutcome::Ok { .. }), _) => return,
@@ -398,7 +397,7 @@ impl Store {
             _ => {}
         }
         let entry = StoreEntry {
-            key: key.to_string(),
+            key: format!("{hash:032x}"),
             scenario: scenario.clone(),
             outcome: match outcome {
                 TrialOutcome::Ok(r) => StoreOutcome::Ok {
@@ -413,15 +412,12 @@ impl Store {
                 },
             },
         };
-        let line = entry.to_json_line();
         let mut writer = self.writer.lock().expect("store writer lock");
         if writer.is_none() {
             *writer = open_append(&self.index_path).ok();
         }
         if let Some(file) = writer.as_mut() {
-            use std::io::Write as _;
-            let ok = writeln!(file, "{line}").and_then(|()| file.flush()).is_ok();
-            if ok {
+            if append_line(file, entry.to_json_line()).is_ok() {
                 map.insert(hash, Arc::new(entry));
             }
         }
@@ -470,6 +466,16 @@ fn read_index(mut reader: impl BufRead) -> HashMap<u128, Arc<StoreEntry>> {
             map.insert(hash, Arc::new(entry));
         }
     }
+}
+
+/// Append `line` and its newline with one `write_all`, so the two never
+/// reach the file in separate writes: a kill between them would leave a
+/// complete record without its newline, which the next
+/// [`repair_tail`] drops.
+fn append_line(out: &mut impl std::io::Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }
 
 /// Truncate a JSONL file to its last complete line. A crash (or SIGKILL)
@@ -899,44 +905,61 @@ mod tests {
     fn record_supersedes_failure_with_success_but_never_the_reverse() {
         let dir = temp_dir("supersede");
         let store = Store::open(&dir);
-        let (key, s, ok) = entry_for(3);
+        let (_, s, ok) = entry_for(3);
+        let hash = crate::engine::scenario_hash(&s);
         let failed = TrialOutcome::Failed(TrialFailure {
             index: 0,
             error: "event budget exceeded".into(),
             context: "ctx".into(),
         });
-        store.record(&key, &s, &failed, None, Some(10), None);
-        assert!(store.lookup(key_hash(&key).unwrap(), None).is_none());
+        store.record(hash, &s, &failed, None, Some(10), None);
+        assert!(store.lookup(hash, None).is_none());
         // Failure -> success upgrades.
-        store.record(&key, &s, &ok, Some(42), None, None);
-        let (_, events) = store
-            .lookup(key_hash(&key).unwrap(), None)
-            .expect("success served");
+        store.record(hash, &s, &ok, Some(42), None, None);
+        let (_, events) = store.lookup(hash, None).expect("success served");
         assert_eq!(events, Some(42));
         // Success is immutable: a later failure cannot clobber it.
-        store.record(&key, &s, &failed, None, Some(10), None);
-        assert!(store.lookup(key_hash(&key).unwrap(), None).is_some());
+        store.record(hash, &s, &failed, None, Some(10), None);
+        assert!(store.lookup(hash, None).is_some());
         // Reopen sees the same state (last line wins).
         let reopened = Store::open(&dir);
-        assert!(reopened.lookup(key_hash(&key).unwrap(), None).is_some());
+        assert!(reopened.lookup(hash, None).is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A line and its newline reach the file in one write.
+    #[test]
+    fn a_line_is_appended_in_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl std::io::Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes(Vec::new());
+        append_line(&mut out, "{\"v\":1}".to_string()).unwrap();
+        assert_eq!(out.0, [b"{\"v\":1}\n".to_vec()]);
     }
 
     #[test]
     fn budget_admission_mirrors_the_engine() {
         let dir = temp_dir("budget");
         let store = Store::open(&dir);
-        let (key, s, ok) = entry_for(4);
-        let hash = key_hash(&key).unwrap();
-        store.record(&key, &s, &ok, Some(500), None, None);
+        let (_, s, ok) = entry_for(4);
+        let hash = crate::engine::scenario_hash(&s);
+        store.record(hash, &s, &ok, Some(500), None, None);
         assert!(store.lookup(hash, None).is_some());
         assert!(store.lookup(hash, Some(500)).is_some());
         assert!(store.lookup(hash, Some(499)).is_none(), "over budget");
         // An entry with an unknown event count is never served under a
         // budget.
-        let (key2, s2, ok2) = entry_for(5);
-        store.record(&key2, &s2, &ok2, None, None, None);
-        let hash2 = key_hash(&key2).unwrap();
+        let (_, s2, ok2) = entry_for(5);
+        let hash2 = crate::engine::scenario_hash(&s2);
+        store.record(hash2, &s2, &ok2, None, None, None);
         assert!(store.lookup(hash2, None).is_some());
         assert!(store.lookup(hash2, Some(u64::MAX)).is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -8,8 +8,8 @@
 //! torn tails.
 
 use bbrdom_cca::CcaKind;
-use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
-use bbrdom_experiments::store::{Store, INDEX_FILE};
+use bbrdom_experiments::engine::{scenario_hash, scenario_hash_hex, Engine, EngineConfig};
+use bbrdom_experiments::store::{Store, StoreEntry, INDEX_FILE};
 use bbrdom_experiments::{Scenario, TrialResult};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -232,5 +232,39 @@ fn query_missing_reports_an_unlowerable_fault_line() {
         String::from_utf8_lossy(&out.stdout),
         lines.join("\n") + "\n"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A line written while the key still hashed a hand-written field walk
+/// (`CACHE_FORMAT_VERSION` 1), pasted from such an index. The layout is
+/// unchanged, so it reads; only its key is stale.
+const VERSION_1_LINE: &str = r#"{"events":98595,"key":"dabf0ed5b45f89ff7b84d62818addf45","ok":true,"result":{"aqm_drops":0,"avg_queue_occupancy_bytes":[522668.87434106844,20375371.441123966],"avg_queuing_delay_ms":3343.6864504744376,"backoff_times_secs":[[],[]],"cc_names":["cubic","bbr"],"completion_times_secs":[null,null],"dropped_packets":0,"throughput_mbps":[4.4505,44.6715],"utilization":0.98244},"scenario":{"buffer_bdp":250.0,"discipline":"droptail","duration_secs":8.0,"flows":[{"byte_limit":null,"cca":"cubic","rtt_ms":40.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":40.0,"start_s":0.0}],"mbps":50.0,"reference_rtt_ms":40.0,"seed":303172036},"v":1}"#;
+
+/// A stale-key line is a miss: the cell simulates once and is appended
+/// under its new key, byte for byte the old line apart from the key,
+/// and the next engine serves it from there.
+#[test]
+fn a_version_1_key_is_a_miss_and_the_cell_is_rewritten_under_its_new_key() {
+    let dir = temp_dir("version-1-key");
+    let index = dir.join(INDEX_FILE);
+    std::fs::write(&index, format!("{VERSION_1_LINE}\n")).unwrap();
+    let old = StoreEntry::from_json_line(VERSION_1_LINE).expect("the old line reads");
+    let scenario = old.scenario.clone();
+    let key = scenario_hash_hex(&scenario);
+    assert_ne!(old.key, key);
+
+    let cold = engine(&dir, false);
+    let results = cold.run_all(std::slice::from_ref(&scenario));
+    assert_eq!((cold.stats().simulated, cold.stats().store_hits), (1, 0));
+    let text = std::fs::read_to_string(&index).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2);
+    assert_eq!(lines[0], VERSION_1_LINE, "the old line is left alone");
+    assert_eq!(lines[1].replace(&key, &old.key), VERSION_1_LINE);
+
+    let warm = engine(&dir, false);
+    let again = warm.run_all(&[scenario]);
+    assert_eq!((warm.stats().simulated, warm.stats().store_hits), (0, 1));
+    assert_eq!(fingerprints(&again), fingerprints(&results));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,25 +1,22 @@
-//! Stable, process-independent hashing for simulation configurations.
+//! Stable, process-independent hashing.
 //!
-//! The scenario result cache and store (`bbrdom-experiments`) key
-//! results by the *content* of a run's configuration. `std::hash` is
-//! unsuitable for that: `Hasher` output is only guaranteed stable within
-//! one process and one std version. This module provides a fixed
-//! algorithm — FNV-1a with a 128-bit state — whose output is pinned by
-//! golden tests (the reference vectors here, the scenario-key digests
-//! in `bbrdom-experiments`), so an on-disk cache entry written today is
-//! still addressable by a build from next year.
+//! `std::hash` is unsuitable wherever a digest outlives the process:
+//! `Hasher` output is only guaranteed stable within one process and one
+//! std version. This module provides a fixed algorithm — FNV-1a with a
+//! 128-bit state, pinned by the reference vectors below — for three
+//! kinds of caller: the per-trial seed derivations (workload streams,
+//! CCA phases, extension trial seeds), the result digests of the
+//! end-to-end benchmark, and the scenario cache key in
+//! `bbrdom-experiments`, which feeds the values a scenario's index line
+//! writes through [`StableHash`] and is pinned there by its own golden
+//! digests.
 //!
-//! Only the types the scenario key and seed derivations feed are
-//! implemented: primitives, `Option`/sequences/tuples, simulator times
-//! and rates, and the compiled [`FaultSchedule`]. Composite values hash
-//! their fields in declared order; sequences and strings are
-//! length-prefixed. `f64` hashes its raw bit pattern, so two configs
-//! hash alike exactly when their floats are bit-identical — the same
-//! criterion the simulator's determinism guarantee uses.
-
-use crate::fault::FaultSchedule;
-use crate::time::{SimDuration, SimTime};
-use crate::units::Rate;
+//! Only primitives, `str` and `Option` implement [`StableHash`]; callers
+//! compose them. Strings are length-prefixed and `Option` is tagged, so
+//! adjacent values cannot run into each other. `f64` hashes its raw bit
+//! pattern, so two values hash alike exactly when they are
+//! bit-identical — the same criterion the simulator's determinism
+//! guarantee uses.
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -92,12 +89,6 @@ impl StableHash for str {
     }
 }
 
-impl StableHash for String {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.as_str().stable_hash(h);
-    }
-}
-
 impl<T: StableHash> StableHash for Option<T> {
     fn stable_hash(&self, h: &mut StableHasher) {
         match self {
@@ -107,65 +98,6 @@ impl<T: StableHash> StableHash for Option<T> {
                 v.stable_hash(h);
             }
         }
-    }
-}
-
-impl<T: StableHash> StableHash for [T] {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        (self.len() as u64).stable_hash(h);
-        for item in self {
-            item.stable_hash(h);
-        }
-    }
-}
-
-impl<T: StableHash> StableHash for Vec<T> {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.as_slice().stable_hash(h);
-    }
-}
-
-impl<A: StableHash, B: StableHash> StableHash for (A, B) {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-    }
-}
-
-impl<A: StableHash, B: StableHash, C: StableHash> StableHash for (A, B, C) {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-        self.2.stable_hash(h);
-    }
-}
-
-impl StableHash for SimTime {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-    }
-}
-
-impl StableHash for SimDuration {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-    }
-}
-
-impl StableHash for Rate {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.bytes_per_sec().stable_hash(h);
-    }
-}
-
-impl StableHash for FaultSchedule {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.loss_fwd.stable_hash(h);
-        self.loss_ack.stable_hash(h);
-        self.seed.stable_hash(h);
-        self.outages.stable_hash(h);
-        self.rate_changes.stable_hash(h);
-        self.delay_spikes.stable_hash(h);
     }
 }
 
@@ -189,51 +121,17 @@ mod tests {
         h.finish()
     }
 
-    /// Every `FaultSchedule` field feeds the digest (the scenario cache
-    /// key hashes the compiled schedule, so aliasing here would alias
-    /// whole scenarios).
+    /// Strings are length-prefixed: `"ab", ""` and `"a", "b"` must not
+    /// collide, nor may `Some` and `None`.
     #[test]
-    fn every_fault_schedule_field_changes_the_hash() {
-        let base = stable_digest(&FaultSchedule::none());
-        let muts: Vec<(&str, FaultSchedule)> = vec![
-            ("loss_fwd", FaultSchedule::none().with_loss(0.01)),
-            ("loss_ack", FaultSchedule::none().with_ack_loss(0.01)),
-            ("seed", FaultSchedule::none().with_seed(3)),
-            (
-                "outages",
-                FaultSchedule::none()
-                    .with_outage(SimTime::from_secs_f64(1.0), SimDuration::from_millis(100)),
-            ),
-            (
-                "rate_changes",
-                FaultSchedule::none()
-                    .with_rate_step(SimTime::from_secs_f64(1.0), Rate::from_mbps(5.0)),
-            ),
-            (
-                "delay_spikes",
-                FaultSchedule::none().with_delay_spike(
-                    SimTime::from_secs_f64(1.0),
-                    SimDuration::from_millis(100),
-                    SimDuration::from_millis(10),
-                ),
-            ),
-        ];
-        for (field, mutated) in muts {
-            assert_ne!(
-                stable_digest(&mutated),
-                base,
-                "mutating FaultSchedule::{field} did not change the stable hash"
-            );
-        }
-    }
-
-    /// Sequences are length-prefixed: `["ab"]` and `["a", "b"]` (and
-    /// nested splits generally) must not collide.
-    #[test]
-    fn length_prefixing_separates_sequence_splits() {
-        let one: Vec<String> = vec!["ab".into()];
-        let two: Vec<String> = vec!["a".into(), "b".into()];
-        assert_ne!(stable_digest(&one), stable_digest(&two));
+    fn length_prefixing_separates_string_splits() {
+        let pair = |a: &str, b: &str| {
+            let mut h = StableHasher::new();
+            a.stable_hash(&mut h);
+            b.stable_hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(pair("ab", ""), pair("a", "b"));
         assert_ne!(stable_digest(&Some(0u64)), stable_digest(&None::<u64>));
     }
 }
