@@ -7,7 +7,7 @@
 
 use bbrdom_cca::CcaKind;
 use bbrdom_netsim::hash::{StableHash, StableHasher};
-use bbrdom_netsim::json::{self, Field, Kind, ParseError, Reader, Value};
+use bbrdom_netsim::json::{Field, Kind, ParseError, Reader, Value};
 use bbrdom_netsim::{
     ConfigError, FaultSchedule, FlowConfig, Rate, SimConfig, SimDuration, SimError, SimTime,
     Simulator,
@@ -178,10 +178,6 @@ impl Sink for Tree {
             items.iter().for_each(|item| each(t, item))
         });
         self.put(v);
-    }
-    /// One collect for the long float lists of a result line.
-    fn f64s(&mut self, xs: &[f64]) {
-        self.put(json::f64_array(xs));
     }
 }
 
@@ -1450,35 +1446,62 @@ impl TrialResult {
     /// (inverse of [`TrialResult::read`]). Floats round-trip
     /// bit-exactly, so store-served sweeps reproduce the original numbers.
     pub fn to_json_value(&self) -> Value {
-        Tree::build(Value::object(), |s| {
-            s.key("throughput_mbps").f64s(&self.throughput_mbps);
-            s.key("cc_names").array(&self.cc_names, |s, n| s.str(n));
-            s.key("avg_queue_occupancy_bytes")
-                .f64s(&self.avg_queue_occupancy_bytes);
-            s.key("backoff_times_secs")
-                .array(&self.backoff_times_secs, |s, xs| s.f64s(xs));
-            s.key("avg_queuing_delay_ms").f64(self.avg_queuing_delay_ms);
-            s.key("utilization").f64(self.utilization);
-            s.key("dropped_packets").u64(self.dropped_packets);
-            s.key("aqm_drops").u64(self.aqm_drops);
-            s.key("completion_times_secs")
-                .array(&self.completion_times_secs, |s, c| match c {
-                    Some(t) if t.is_finite() => s.f64(*t),
-                    // `null` means "never completed": a non-finite time
-                    // must not read back as that, so it is written as a
-                    // value the reader rejects.
-                    Some(_) => s.str("non-finite"),
-                    None => s.put(Value::Null),
-                });
-            // Workload aggregates only appear when a workload ran, keeping
-            // every pre-existing index line byte-identical.
-            if self.workload_spawned > 0 {
-                s.key("workload_spawned").u64(self.workload_spawned);
-                s.key("workload_completed").u64(self.workload_completed);
-                s.key("workload_fct")
-                    .array(&self.workload_fct, |s, p| s.put(p.to_json_value()));
-            }
-        })
+        let f64s = |xs: &[f64]| Value::Array(xs.iter().map(|&x| x.into()).collect());
+        let mut v = Value::object();
+        v.set("throughput_mbps", f64s(&self.throughput_mbps))
+            .set(
+                "cc_names",
+                Value::Array(
+                    self.cc_names
+                        .iter()
+                        .map(|n| Value::Str(n.clone()))
+                        .collect(),
+                ),
+            )
+            .set(
+                "avg_queue_occupancy_bytes",
+                f64s(&self.avg_queue_occupancy_bytes),
+            )
+            .set(
+                "backoff_times_secs",
+                Value::Array(self.backoff_times_secs.iter().map(|xs| f64s(xs)).collect()),
+            )
+            .set("avg_queuing_delay_ms", self.avg_queuing_delay_ms.into())
+            .set("utilization", self.utilization.into())
+            .set("dropped_packets", Value::U64(self.dropped_packets))
+            .set("aqm_drops", Value::U64(self.aqm_drops))
+            .set(
+                "completion_times_secs",
+                Value::Array(
+                    self.completion_times_secs
+                        .iter()
+                        .map(|c| match c {
+                            Some(t) if t.is_finite() => Value::F64(*t),
+                            // `null` means "never completed": a non-finite
+                            // time must not read back as that, so it is
+                            // written as a value the reader rejects.
+                            Some(_) => Value::Str("non-finite".into()),
+                            None => Value::Null,
+                        })
+                        .collect(),
+                ),
+            );
+        // Workload aggregates only appear when a workload ran, keeping
+        // every pre-existing index line byte-identical.
+        if self.workload_spawned > 0 {
+            v.set("workload_spawned", Value::U64(self.workload_spawned))
+                .set("workload_completed", Value::U64(self.workload_completed))
+                .set(
+                    "workload_fct",
+                    Value::Array(
+                        self.workload_fct
+                            .iter()
+                            .map(|p| p.to_json_value())
+                            .collect(),
+                    ),
+                );
+        }
+        v
     }
 
     /// Parse a result serialized with [`TrialResult::to_json_value`].
@@ -1615,6 +1638,28 @@ mod tests {
         assert_eq!(back.flows[0].byte_limit, Some(50_000));
         assert_eq!(back.flows[1].start_s, 2.5);
         assert_eq!(back.mbps.to_bits(), s.mbps.to_bits());
+    }
+
+    #[test]
+    fn faults_roundtrip_through_json() {
+        let mut s = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3);
+        s.faults = FaultSpec {
+            loss_fwd: 0.01,
+            loss_ack: 0.002,
+            outages: vec![(2.0, 0.5)],
+            rate_steps: vec![(1.0, 5.0), (3.0, 10.0)],
+            delay_spikes: vec![(4.0, 0.25, 40.0)],
+        };
+        let back = Scenario::from_json(&s.to_json()).unwrap();
+        assert_eq!(back.faults, s.faults);
+
+        // A clean scenario omits the key and parses back to no-op faults.
+        let clean = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3);
+        assert!(!clean.to_json().contains("faults"));
+        assert!(Scenario::from_json(&clean.to_json())
+            .unwrap()
+            .faults
+            .is_noop());
     }
 
     #[test]
@@ -1767,6 +1812,31 @@ mod tests {
         assert_eq!(back.completion_times_secs, r.completion_times_secs);
         assert_eq!(back.dropped_packets, r.dropped_packets);
         assert_eq!(back.utilization.to_bits(), r.utilization.to_bits());
+    }
+
+    #[test]
+    fn workload_spec_roundtrips_through_json() {
+        let wl = WorkloadSpec::web(CcaKind::Cubic, 80.0, 30.0);
+        let s =
+            Scenario::versus(50.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3).with_workload(Some(wl));
+        let back = Scenario::from_json(&s.to_json()).unwrap();
+        assert_eq!(back.workload, Some(wl));
+
+        let fixed = WorkloadSpec::poisson_fixed(CcaKind::Bbr, 10.0, 30_000, 20.0);
+        let s2 = s.clone().with_workload(Some(fixed));
+        assert_eq!(
+            Scenario::from_json(&s2.to_json()).unwrap().workload,
+            Some(fixed)
+        );
+
+        // No workload: the key is omitted entirely (byte-stable
+        // serialization for all existing scenarios).
+        let plain = Scenario::versus(50.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 3);
+        assert!(!plain.to_json().contains("workload"));
+        assert_eq!(
+            Scenario::from_json(&plain.to_json()).unwrap().workload,
+            None
+        );
     }
 
     #[test]

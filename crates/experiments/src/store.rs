@@ -306,8 +306,9 @@ pub struct Store {
 
 impl Store {
     /// Open (or lazily create) the store for a cache directory: load
-    /// every well-formed index line. Torn, malformed and non-UTF-8 lines
-    /// are skipped, each on its own, and for a duplicated key the last
+    /// every well-formed index line. Torn, malformed and non-UTF-8 lines,
+    /// and lines keyed under an older `CACHE_FORMAT_VERSION`, are skipped,
+    /// each on its own, and for a duplicated key the last
     /// line wins (appends supersede). The file is streamed, so the open
     /// holds one line at a time, not the index.
     pub fn open(dir: &Path) -> Store {
@@ -444,8 +445,9 @@ impl Store {
 
 /// Load index lines from `reader` into a map by content hash, one line
 /// at a time through one reused buffer. A line ends at its `\n` (the
-/// final one may lack it); a line that does not read is skipped, and an
-/// I/O error ends the load with the lines before it kept.
+/// final one may lack it); a line that does not read, or whose key is
+/// not its scenario's hash, is skipped, and an I/O error ends the load
+/// with the lines before it kept.
 fn read_index(mut reader: impl BufRead) -> HashMap<u128, Arc<StoreEntry>> {
     let mut map = HashMap::new();
     let mut line = Vec::new();
@@ -462,7 +464,10 @@ fn read_index(mut reader: impl BufRead) -> HashMap<u128, Arc<StoreEntry>> {
         else {
             continue;
         };
-        if let Some(hash) = key_hash(&entry.key) {
+        // A key that is not its scenario's hash (one written under an
+        // older `CACHE_FORMAT_VERSION`) is one no lookup asks for.
+        let hash = crate::engine::scenario_hash(&entry.scenario);
+        if entry.key == format!("{hash:032x}") {
             map.insert(hash, Arc::new(entry));
         }
     }
@@ -1111,6 +1116,7 @@ mod tests {
             if let Some(e) = std::str::from_utf8(piece)
                 .ok()
                 .and_then(StoreEntry::from_json_line)
+                .filter(|e| e.key == crate::engine::scenario_hash_hex(&e.scenario))
             {
                 by_key.insert(e.key.clone(), e.to_json_line());
             }

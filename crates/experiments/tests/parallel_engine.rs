@@ -441,6 +441,12 @@ fn an_unlowerable_fault_spec_fails_only_its_own_cell() {
         nan_spike,
         short_scenario(10.0, 1.0, 1, 1, 65),
     ];
+    let keys: Vec<u128> = batch.iter().map(scenario_hash).collect();
+    for (i, a) in keys.iter().enumerate() {
+        assert!(keys[i + 1..].iter().all(|b| a != b), "distinct keys");
+    }
+    assert_eq!(scenario_hash(&batch[1].clone()), keys[1], "a stable key");
+
     let dir = temp_dir("unlowerable-faults");
     let outcomes = engine_with_store(&dir)
         .run_sweep(

@@ -240,9 +240,10 @@ fn query_missing_reports_an_unlowerable_fault_line() {
 /// unchanged, so it reads; only its key is stale.
 const VERSION_1_LINE: &str = r#"{"events":98595,"key":"dabf0ed5b45f89ff7b84d62818addf45","ok":true,"result":{"aqm_drops":0,"avg_queue_occupancy_bytes":[522668.87434106844,20375371.441123966],"avg_queuing_delay_ms":3343.6864504744376,"backoff_times_secs":[[],[]],"cc_names":["cubic","bbr"],"completion_times_secs":[null,null],"dropped_packets":0,"throughput_mbps":[4.4505,44.6715],"utilization":0.98244},"scenario":{"buffer_bdp":250.0,"discipline":"droptail","duration_secs":8.0,"flows":[{"byte_limit":null,"cca":"cubic","rtt_ms":40.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":40.0,"start_s":0.0}],"mbps":50.0,"reference_rtt_ms":40.0,"seed":303172036},"v":1}"#;
 
-/// A stale-key line is a miss: the cell simulates once and is appended
-/// under its new key, byte for byte the old line apart from the key,
-/// and the next engine serves it from there.
+/// A stale-key line is not loaded: the cell simulates once and is
+/// appended under its new key, byte for byte the old line apart from the
+/// key, the next engine serves it from there, and the store lists the
+/// scenario once.
 #[test]
 fn a_version_1_key_is_a_miss_and_the_cell_is_rewritten_under_its_new_key() {
     let dir = temp_dir("version-1-key");
@@ -252,6 +253,10 @@ fn a_version_1_key_is_a_miss_and_the_cell_is_rewritten_under_its_new_key() {
     let scenario = old.scenario.clone();
     let key = scenario_hash_hex(&scenario);
     assert_ne!(old.key, key);
+    assert!(
+        Store::open(&dir).is_empty(),
+        "the old line is ignored on open"
+    );
 
     let cold = engine(&dir, false);
     let results = cold.run_all(std::slice::from_ref(&scenario));
@@ -259,8 +264,14 @@ fn a_version_1_key_is_a_miss_and_the_cell_is_rewritten_under_its_new_key() {
     let text = std::fs::read_to_string(&index).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 2);
-    assert_eq!(lines[0], VERSION_1_LINE, "the old line is left alone");
+    assert_eq!(lines[0], VERSION_1_LINE, "the file is only appended to");
     assert_eq!(lines[1].replace(&key, &old.key), VERSION_1_LINE);
+    let keys: Vec<String> = Store::open(&dir)
+        .entries()
+        .iter()
+        .map(|e| e.key.clone())
+        .collect();
+    assert_eq!(keys, [key], "listed once, under the new key");
 
     let warm = engine(&dir, false);
     let again = warm.run_all(&[scenario]);
