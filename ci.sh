@@ -11,13 +11,11 @@ cargo fmt --all --check
 
 # Hidden-input gate: a result must be a function of its Scenario alone,
 # so the crates that produce results may read only allow-listed env vars
-# (the audit switch). The engine's worker count, BBRDOM_JOBS, is read
-# by the repro binary alone: library callers pass the engine they built.
+# (the audit switch).
 echo "==> env var allow-list (result-producing crates)"
 env_reads=$(grep -rnE 'env::var(_os)?\(' \
     crates/netsim/src crates/cca/src crates/fluid/src crates/core/src crates/experiments/src \
     | grep -vE 'env::var(_os)?\("BBRDOM_AUDIT"\)' \
-    | grep -vE '^crates/experiments/src/bin/repro\.rs:[0-9]+:.*env::var\("BBRDOM_JOBS"\)' \
     || true)
 if [[ -n "$env_reads" ]]; then
     echo "env var read outside the allow-list (hash it into the Scenario instead):"

@@ -204,7 +204,6 @@ fn main() {
         "fluid grid must be >= {MIN_SPEEDUP}x faster than DES (measured {speedup:.1}x)"
     );
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fluid.json");
     let json = format!(
         "{{\n  \"schema\": \"fluid-perf-v4\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
          \"jobs\": {jobs},\n  \
@@ -223,6 +222,5 @@ fn main() {
         des_wall.as_secs_f64(),
         fluid_wall.as_secs_f64(),
     );
-    std::fs::write(out, json).expect("write BENCH_fluid.json");
-    println!("wrote {out}");
+    bbrdom_bench::write_record("BENCH_fluid.json", &json);
 }

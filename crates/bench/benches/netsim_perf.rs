@@ -267,8 +267,6 @@ fn main() {
         results.push((case, m));
     }
 
-    // Repo root: two levels up from this crate's manifest.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netsim.json");
     let (model, nproc) = bbrdom_bench::machine();
     let mut json = format!(
         "{{\n  \"schema\": \"netsim-perf-v3\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
@@ -292,8 +290,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(out, json).expect("write BENCH_netsim.json");
-    println!("wrote {out}");
+    bbrdom_bench::write_record("BENCH_netsim.json", &json);
 
     if !floor_failures.is_empty() {
         for f in &floor_failures {

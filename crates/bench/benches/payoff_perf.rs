@@ -62,12 +62,17 @@ fn main() {
     let (model, nproc) = bbrdom_bench::machine();
     let jobs = nproc.min(4);
 
-    let uncached = || Engine::new(EngineConfig::serial_uncached());
+    let uncached = |jobs| {
+        Engine::new(EngineConfig {
+            jobs,
+            ..EngineConfig::serial_uncached()
+        })
+    };
     // Warm-up: fault the code paths and page in the batch once.
-    uncached().run_all_jobs(&scenarios[..2.min(scenarios.len())], 1);
+    uncached(1).run_all(&scenarios[..2.min(scenarios.len())]);
 
-    let (serial_results, serial) = time(|| uncached().run_all_jobs(&scenarios, 1));
-    let (parallel_results, parallel) = time(|| uncached().run_all_jobs(&scenarios, jobs));
+    let (serial_results, serial) = time(|| uncached(1).run_all(&scenarios));
+    let (parallel_results, parallel) = time(|| uncached(jobs).run_all(&scenarios));
 
     let bit_identical =
         result_fingerprint(&serial_results) == result_fingerprint(&parallel_results);
@@ -108,8 +113,6 @@ fn main() {
         warm,
     );
 
-    // Repo root: two levels up from this crate's manifest.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_payoff.json");
     let json = format!(
         "{{\n  \"schema\": \"payoff-perf-v2\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
          \"jobs\": {jobs},\n  \
@@ -125,6 +128,5 @@ fn main() {
         warm_speedup,
         skipped_pct,
     );
-    std::fs::write(out, json).expect("write BENCH_payoff.json");
-    println!("wrote {out}");
+    bbrdom_bench::write_record("BENCH_payoff.json", &json);
 }

@@ -271,7 +271,6 @@ fn main() {
         );
     }
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
     let json = format!(
         "{{\n  \"schema\": \"store-perf-v6\",\n  \"machine\": {},\n  \"nproc\": {nproc},\n  \
          \"jobs\": {jobs},\n  \"samples\": {SAMPLES},\n  \"cells\": {cells},\n  \
@@ -297,6 +296,5 @@ fn main() {
         write_rates[0],
         write_rates[SAMPLES - 1],
     );
-    std::fs::write(out, json).expect("write BENCH_store.json");
-    println!("wrote {out}");
+    bbrdom_bench::write_record("BENCH_store.json", &json);
 }

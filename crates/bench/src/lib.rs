@@ -23,6 +23,19 @@ pub fn machine() -> (String, usize) {
     (model, nproc)
 }
 
+/// Write a bench's record, `name` (e.g. `BENCH_netsim.json`), at the
+/// repository root and say where. The root is two levels up from this
+/// crate's manifest directory, read at run time from the
+/// `CARGO_MANIFEST_DIR` that cargo sets when it runs a bench, so a bench
+/// run from a copied checkout writes into that copy.
+pub fn write_record(name: &str, json: &str) {
+    let manifest = std::env::var_os("CARGO_MANIFEST_DIR")
+        .expect("CARGO_MANIFEST_DIR is set: run the bench through cargo bench");
+    let out = std::path::Path::new(&manifest).join("../..").join(name);
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    println!("wrote {}", out.display());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

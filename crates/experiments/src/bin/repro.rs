@@ -267,19 +267,13 @@ fn usage() -> String {
          \x20          flows/s, SIZE in kB or 'pareto', e.g. cubic:80:pareto)\n\
          topology: --parkinglot-hops N (bottleneck count of the ext-parkinglot chain; >= 2)\n\
          perf: --backend des|fluid (packet DES, default, or the fluid/ODE fast model)\n\
-         engine: --jobs N (or BBRDOM_JOBS; default: all cores)\n\
+         engine: --jobs N (default: all cores)\n\
          \x20        --no-cache (always re-simulate)  --cache-dir DIR (default: <out>/cache)\n\
          store:  repro query [FILTERS] (search the indexed result store; see repro query -h)\n\
          \x20        repro cache stats [--cache-dir DIR] (index entry counts and bytes)\n",
         ALL_FIGURES.join(" "),
         ALL_EXTENSIONS.join(" ")
     )
-}
-
-/// Parse a `BBRDOM_JOBS` value: a positive worker count, surrounding
-/// whitespace allowed; anything else is ignored.
-fn parse_jobs(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
 /// The machine's parallelism, the default worker count.
@@ -669,11 +663,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| args.out_dir.join("cache")),
         )
     };
-    let env_jobs = std::env::var("BBRDOM_JOBS").ok();
-    let jobs = args
-        .jobs
-        .or_else(|| env_jobs.as_deref().and_then(parse_jobs))
-        .unwrap_or_else(available_cores);
+    let jobs = args.jobs.unwrap_or_else(available_cores);
     let engine = Engine::new(EngineConfig {
         jobs,
         disk_cache,
@@ -751,18 +741,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bbrdom_jobs_parses_positive_counts_only() {
-        assert_eq!(parse_jobs("3"), Some(3));
-        assert_eq!(parse_jobs(" 3 "), Some(3));
-        assert_eq!(parse_jobs("0"), None);
-        assert_eq!(parse_jobs("x"), None);
-        assert_eq!(parse_jobs(""), None);
-    }
 }

@@ -35,14 +35,13 @@
 //!    warm reruns skip the work entirely.
 //!
 //! Fail-soft sweep semantics ([`Engine::run_sweep`]) ride on the
-//! same machinery: per-trial [`TrialOutcome`]s and event/wall-clock
-//! budgets. Resuming an interrupted sweep is rerunning it against the
-//! same cache: the store answers every trial the index recorded before
-//! the stop (a trial that finished past the first unfinished one is
-//! not yet recorded, so it runs again), and failed trials run again. A
-//! cached success is only reused under an event budget when the
-//! recorded run fit that budget (`events_processed <= budget`), so
-//! caching never flips a budget-failure into a success or vice versa.
+//! same machinery: every trial is built, run to its scenario's horizon
+//! and reduced, and one that cannot run becomes a per-trial
+//! [`TrialOutcome::Failed`]. Resuming an interrupted sweep is rerunning
+//! it against the same cache: the store answers every trial the index
+//! recorded before the stop (a trial that finished past the first
+//! unfinished one is not yet recorded, so it runs again), and failed
+//! trials run again.
 //!
 //! A SIGINT or SIGTERM (once [`install_signal_handlers`] has run, as
 //! `repro` does) stops a batch gracefully: the executor checks
@@ -338,68 +337,45 @@ impl Engine {
     /// assert_eq!(engine.stats().memory_hits, 2);
     /// ```
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Arc<TrialResult>> {
-        self.run_all_jobs(scenarios, self.config.jobs)
+        self.execute(scenarios)
+            .into_iter()
+            .map(|outcome| match outcome {
+                TrialOutcome::Ok(r) => r,
+                TrialOutcome::Failed(f) => panic!("scenario {} failed: {}", f.index, f.error),
+            })
+            .collect()
     }
 
-    /// [`Engine::run_all`] with an explicit pool size.
-    pub fn run_all_jobs(&self, scenarios: &[Scenario], jobs: usize) -> Vec<Arc<TrialResult>> {
-        let outcomes = self.execute(scenarios, jobs, None, None);
-        let mut results = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                TrialOutcome::Ok(r) => results.push(r),
-                TrialOutcome::Failed(f) => {
-                    panic!("scenario {} failed: {}", f.index, f.error)
-                }
-            }
-        }
-        results
-    }
-
-    /// Run all scenarios fail-soft: one panicking, livelocked, or
-    /// invalid scenario becomes a structured [`TrialOutcome::Failed`]
-    /// while the rest of the sweep completes. Outcomes come back in
-    /// input order.
+    /// Run all scenarios fail-soft: one panicking or invalid scenario
+    /// becomes a structured [`TrialOutcome::Failed`] while the rest of
+    /// the sweep completes. Outcomes come back in input order.
     ///
     /// Resuming is rerunning: with the result store on, every finished
     /// trial is indexed in strict index order, so a rerun of the same
     /// sweep serves the recorded successes without simulating and runs
     /// only the rest.
-    /// Failures are never served from the cache; they run again, so a
-    /// raised budget takes effect. A sweep as a whole cannot fail: every
-    /// per-trial failure stays inside the outcome vector. The `Result`
-    /// stays for callers outside this workspace that `.expect` it.
+    /// Failures are never served from the cache; they run again. A sweep
+    /// as a whole cannot fail: every per-trial failure stays inside the
+    /// outcome vector. The `Result` and the [`SweepConfig`] placeholder
+    /// stay for callers outside this workspace.
     pub fn run_sweep(
         &self,
         scenarios: &[Scenario],
-        config: &SweepConfig,
+        _: &SweepConfig,
     ) -> Result<Vec<TrialOutcome>, std::convert::Infallible> {
-        Ok(self.execute(
-            scenarios,
-            config.jobs.unwrap_or(self.config.jobs),
-            config.event_budget,
-            config.wall_budget,
-        ))
+        Ok(self.execute(scenarios))
     }
 
     /// The shared batch executor. Deterministic contract: the returned
     /// vector is indexed by scenario, and the result store's index is
     /// appended in strict index order by the single thread that owns the
     /// channel's receive side.
-    fn execute(
-        &self,
-        scenarios: &[Scenario],
-        jobs: usize,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
-    ) -> Vec<TrialOutcome> {
+    fn execute(&self, scenarios: &[Scenario]) -> Vec<TrialOutcome> {
         let n = scenarios.len();
         let hashes: Vec<u128> = scenarios.iter().map(scenario_hash).collect();
-        let wall_budget_ns = wall_budget.map(|d| d.as_nanos() as u64);
         let mut done: Vec<Option<TrialOutcome>> = (0..n).map(|_| None).collect();
         // Recorded event counts, alongside `done`: fed to the result
-        // store so its entries stay budget-admissible. Unknown (`None`)
-        // for failures.
+        // store, whose lines carry them. Unknown (`None`) for failures.
         let mut done_events: Vec<Option<u64>> = vec![None; n];
 
         // Intra-batch dedup: identical scenarios (payoff matrices share
@@ -442,15 +418,13 @@ impl Engine {
                         &scenarios[cursor],
                         outcome,
                         done_events[cursor],
-                        event_budget,
-                        wall_budget_ns,
                     );
                 }
                 cursor += 1;
             }
         };
         let cache_dir = store.and(self.config.disk_cache.as_deref());
-        let pool = jobs.max(1).min(pending.len().max(1));
+        let pool = self.config.jobs.max(1).min(pending.len().max(1));
 
         if pool == 1 {
             // Serial path: a one-worker pool still pays for thread spawn,
@@ -462,8 +436,7 @@ impl Engine {
                 if interrupted() {
                     exit_interrupted(cache_dir);
                 }
-                let (outcome, events) =
-                    self.run_one(&scenarios[i], hashes[i], i, event_budget, wall_budget);
+                let (outcome, events) = self.run_one(&scenarios[i], hashes[i], i);
                 finish(i, outcome, events);
             }
         } else {
@@ -481,8 +454,7 @@ impl Engine {
                             break;
                         }
                         let i = pending[slot];
-                        let (outcome, events) =
-                            self.run_one(&scenarios[i], hashes[i], i, event_budget, wall_budget);
+                        let (outcome, events) = self.run_one(&scenarios[i], hashes[i], i);
                         if tx.send((i, outcome, events)).is_err() {
                             break;
                         }
@@ -511,52 +483,38 @@ impl Engine {
 
     /// The memo's or the result store's answer for a content hash, with
     /// its recorded event count: both are in-memory lookups.
-    /// Under an event budget a cached result is reused only if its
-    /// recorded event count fits the budget.
-    fn cached(
-        &self,
-        hash: u128,
-        event_budget: Option<u64>,
-    ) -> Option<(Arc<TrialResult>, Option<u64>)> {
+    fn cached(&self, hash: u128) -> Option<(Arc<TrialResult>, Option<u64>)> {
         if self.config.memory_cache {
             let memo = self.memo.lock().expect("engine memo lock");
             if let Some((result, events)) = memo.get(&hash) {
-                if event_budget.is_none_or(|budget| *events <= budget) {
-                    self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((Arc::clone(result), Some(*events)));
-                }
+                self.memory_hits.fetch_add(1, Ordering::Relaxed);
+                return Some((Arc::clone(result), Some(*events)));
             }
         }
 
         // Store hit: the index holds the entire answer. The memo is not
         // populated; the store lookup itself is as cheap as the memo's.
-        let hit = self.store()?.lookup(hash, event_budget)?;
+        let hit = self.store()?.lookup(hash)?;
         self.store_hits.fetch_add(1, Ordering::Relaxed);
         Some(hit)
     }
 
     /// Run (or fetch) one scenario, also returning the recorded event
     /// count when known. Cache policy: only successful results are
-    /// cached; under an event budget a cached result is reused only if
-    /// its recorded event count fits the budget, which keeps cached and
-    /// fresh outcomes identical. Lookup order: memory memo, then the
-    /// indexed result store, then simulation.
+    /// cached. Lookup order: memory memo, then the indexed result store,
+    /// then simulation.
     fn run_one(
         &self,
         scenario: &Scenario,
         hash: u128,
         index: usize,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
     ) -> (TrialOutcome, Option<u64>) {
-        if let Some((result, events)) = self.cached(hash, event_budget) {
+        if let Some((result, events)) = self.cached(hash) {
             return (TrialOutcome::Ok(result), events);
         }
 
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        match catch_unwind(AssertUnwindSafe(|| {
-            scenario.try_report_with(event_budget, wall_budget)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| scenario.try_report())) {
             Ok(Ok(report)) => {
                 // The report is reduced to what the engine reads back and
                 // dropped here: neither the memo nor the index keeps it.
@@ -679,10 +637,19 @@ mod tests {
         Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 3.0, seed)
     }
 
+    /// [`test_engine`] with a pool of `jobs` workers.
+    fn pooled(jobs: usize) -> Engine {
+        Engine::new(EngineConfig {
+            jobs,
+            memory_cache: true,
+            ..EngineConfig::default()
+        })
+    }
+
     #[test]
     fn results_are_in_input_order() {
         let scenarios: Vec<Scenario> = (0..6).map(tiny).collect();
-        let parallel = test_engine().run_all_jobs(&scenarios, 4);
+        let parallel = pooled(4).run_all(&scenarios);
         let serial: Vec<_> = scenarios.iter().map(|s| s.run()).collect();
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.throughput_mbps, s.throughput_mbps);
@@ -692,7 +659,7 @@ mod tests {
     #[test]
     fn single_worker_works() {
         let scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
-        let results = test_engine().run_all_jobs(&scenarios, 1);
+        let results = test_engine().run_all(&scenarios);
         assert_eq!(results.len(), 3);
     }
 
@@ -708,10 +675,8 @@ mod tests {
         // error, tagged with the failing index.
         let mut scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
         scenarios[1].flows.clear();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            test_engine().run_all_jobs(&scenarios, 2)
-        }))
-        .expect_err("sweep with a failing scenario must panic");
+        let caught = catch_unwind(AssertUnwindSafe(|| pooled(2).run_all(&scenarios)))
+            .expect_err("sweep with a failing scenario must panic");
         let msg = payload_message(&*caught);
         assert!(
             msg.contains("scenario 1") && msg.contains("no flows"),
@@ -724,10 +689,8 @@ mod tests {
         let mut scenarios: Vec<Scenario> = (0..4).map(tiny).collect();
         scenarios[0].flows.clear();
         scenarios[2].flows.clear();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            test_engine().run_all_jobs(&scenarios, 4)
-        }))
-        .expect_err("sweep must panic");
+        let caught = catch_unwind(AssertUnwindSafe(|| pooled(4).run_all(&scenarios)))
+            .expect_err("sweep must panic");
         let msg = payload_message(&*caught);
         assert!(
             msg.contains("scenario 0"),
@@ -741,12 +704,8 @@ mod tests {
         // structured failure at index 1 and still run the other two.
         let mut scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
         scenarios[1].flows.clear();
-        let cfg = SweepConfig {
-            jobs: Some(2),
-            ..SweepConfig::default()
-        };
-        let outcomes = test_engine()
-            .run_sweep(&scenarios, &cfg)
+        let outcomes = pooled(2)
+            .run_sweep(&scenarios, &SweepConfig)
             .expect("sweep runs");
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].ok().is_some());
@@ -794,7 +753,7 @@ mod tests {
         };
 
         let cold = Engine::new(config.clone());
-        let outcomes = cold.run_sweep(&scenarios, &SweepConfig::default()).unwrap();
+        let outcomes = cold.run_sweep(&scenarios, &SweepConfig).unwrap();
         assert_eq!((cold.stats().simulated, cold.stats().deduped), (3, 1));
         for (s, outcome) in scenarios.iter().zip(&outcomes) {
             let memo = Arc::clone(&cold.memo.lock().unwrap()[&scenario_hash(s)].0);
@@ -806,7 +765,7 @@ mod tests {
         }
 
         let warm = Engine::new(config);
-        let outcomes = warm.run_sweep(&scenarios, &SweepConfig::default()).unwrap();
+        let outcomes = warm.run_sweep(&scenarios, &SweepConfig).unwrap();
         let results = warm.run_all(&scenarios);
         assert_eq!((warm.stats().simulated, warm.stats().store_hits), (0, 6));
         for ((s, outcome), result) in scenarios.iter().zip(&outcomes).zip(&results) {
@@ -817,28 +776,5 @@ mod tests {
             assert!(Arc::ptr_eq(result, &stored(&warm, s)), "run_all copied");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_event_budget_fails_soft() {
-        // 1000 events is far too few for a 3-second trial: the budget
-        // trips and is reported as a structured failure, not a panic.
-        let scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
-        let cfg = SweepConfig {
-            jobs: Some(2),
-            event_budget: Some(1_000),
-            ..SweepConfig::default()
-        };
-        let outcomes = test_engine()
-            .run_sweep(&scenarios, &cfg)
-            .expect("sweep runs");
-        for o in &outcomes {
-            let f = o.failure().expect("budget must trip");
-            assert!(
-                f.error.contains("event budget"),
-                "unhelpful error: {}",
-                f.error
-            );
-        }
     }
 }

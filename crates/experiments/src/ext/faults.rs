@@ -125,7 +125,7 @@ pub fn run(engine: &Engine, profile: &Profile) -> FigResult {
         }
     }
     profile.apply_workload(&mut scenarios);
-    let Ok(outcomes) = engine.run_sweep(&scenarios, &SweepConfig::default());
+    let Ok(outcomes) = engine.run_sweep(&scenarios, &SweepConfig);
     let mut notes = Vec::new();
     let mut bbr_clean = 0.0;
     let mut bbr_lossy = 0.0;

@@ -21,7 +21,7 @@
 use crate::scenario::Scenario;
 use bbrdom_cca::CcaKind;
 use bbrdom_fluid::{FluidCca, FluidConfig, FluidError, FluidFlowSpec};
-use bbrdom_netsim::{ConfigError, Rate, SimDuration, SimError, SimReport, SimTime};
+use bbrdom_netsim::{ConfigError, Rate, SimDuration, SimError, SimReport};
 
 /// Map a scenario CCA to its fluid counterpart, or name the unsupported
 /// algorithm for the error message.
@@ -86,11 +86,8 @@ pub fn lower(scenario: &Scenario) -> Result<FluidConfig, SimError> {
     })
 }
 
-/// Run `scenario` on the fluid backend. `event_budget` bounds the
-/// integration step count, mirroring the DES's livelock guard (the same
-/// budget the engine uses for cache admission). The step count is known
-/// before integrating, so an over-budget cell is rejected at once.
-pub fn run_fluid(scenario: &Scenario, event_budget: Option<u64>) -> Result<SimReport, SimError> {
+/// Run `scenario` on the fluid backend.
+pub fn run_fluid(scenario: &Scenario) -> Result<SimReport, SimError> {
     let cfg = lower(scenario)?;
     let to_sim_error = |e| match e {
         FluidError::NoFlows => SimError::Config(ConfigError::NoFlows),
@@ -104,13 +101,6 @@ pub fn run_fluid(scenario: &Scenario, event_budget: Option<u64>) -> Result<SimRe
         }),
     };
     cfg.validate().map_err(to_sim_error)?;
-    let steps = cfg.steps();
-    if event_budget.is_some_and(|budget| steps > budget) {
-        return Err(SimError::EventBudgetExceeded {
-            events: steps,
-            sim_time: SimTime::from_secs_f64(scenario.duration_secs),
-        });
-    }
     bbrdom_fluid::simulate(&cfg).map_err(to_sim_error)
 }
 
@@ -139,39 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_guards_the_step_count() {
-        let s = fluid_scenario();
-        let full = run_fluid(&s, None).unwrap();
-        assert!(run_fluid(&s, Some(full.events_processed)).is_ok());
-        let err = run_fluid(&s, Some(full.events_processed - 1)).unwrap_err();
-        assert!(err.to_string().contains("event budget"), "{err}");
-    }
-
-    #[test]
-    fn over_budget_cell_is_rejected_before_integrating() {
-        // 10⁶ s at a ~0.8 ms step is ~1.2e9 steps, minutes of work if
-        // integrated: the budget check must answer without running it.
-        let mut s = fluid_scenario();
-        s.duration_secs = 1e6;
-        let started = std::time::Instant::now();
-        let err = run_fluid(&s, Some(1)).unwrap_err();
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(1),
-            "the over-budget cell was integrated first"
-        );
-        match err {
-            SimError::EventBudgetExceeded { events, sim_time } => {
-                assert_eq!(events, lower(&s).unwrap().steps());
-                assert_eq!(sim_time, SimTime::from_secs_f64(1e6));
-            }
-            other => panic!("expected EventBudgetExceeded, got {other}"),
-        }
-    }
-
-    #[test]
     fn report_carries_flow_order_and_names() {
         let s = fluid_scenario();
-        let report = run_fluid(&s, None).unwrap();
+        let report = run_fluid(&s).unwrap();
         let names: Vec<&str> = report.flows.iter().map(|f| f.cc_name.as_str()).collect();
         assert_eq!(names, ["cubic", "cubic", "bbr", "bbr"]);
         assert!(report

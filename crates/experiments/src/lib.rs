@@ -7,8 +7,8 @@
 //! * [`engine`] — the parallel worker-pool engine with a
 //!   content-addressed scenario result cache; every figure, extension
 //!   and payoff sweep takes the engine it runs on as an argument;
-//! * [`runner`] — the fail-soft sweep types ([`runner::SweepConfig`],
-//!   [`runner::TrialOutcome`]) of [`Engine::run_sweep`];
+//! * [`runner`] — the fail-soft sweep types ([`runner::TrialOutcome`])
+//!   of [`Engine::run_sweep`];
 //! * [`store`] — the indexed result store over the cache: content hash
 //!   → scenario params + extracted metrics, so warm figure assembly and
 //!   `repro query` skip both simulation and a file read per cell;

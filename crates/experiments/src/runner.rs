@@ -1,8 +1,9 @@
 //! The sweep types of the fail-soft batch interface
-//! [`Engine::run_sweep`](crate::Engine::run_sweep): its configuration
-//! ([`SweepConfig`]), the per-trial [`TrialOutcome`] and
-//! [`TrialFailure`] records, and [`payload_message`], which renders a
-//! caught panic for those records.
+//! [`Engine::run_sweep`](crate::Engine::run_sweep): the per-trial
+//! [`TrialOutcome`] and [`TrialFailure`] records, [`payload_message`],
+//! which renders a caught panic for those records, and the empty
+//! [`SweepConfig`] placeholder. Every trial takes one path: build, run
+//! to the scenario's horizon, reduce.
 
 use crate::scenario::TrialResult;
 use std::any::Any;
@@ -24,7 +25,8 @@ pub fn payload_message(payload: &(dyn Any + Send)) -> String {
 pub struct TrialFailure {
     /// Index of the failing scenario in the sweep's input order.
     pub index: usize,
-    /// The error (panic message, budget trip, or audit violation).
+    /// The error (panic message, invalid configuration, or audit
+    /// violation).
     pub error: String,
     /// Human-readable scenario summary for the report.
     pub context: String,
@@ -58,14 +60,10 @@ impl TrialOutcome {
     }
 }
 
-/// Configuration for a fail-soft sweep
-/// ([`Engine::run_sweep`](crate::Engine::run_sweep)).
-#[derive(Debug, Clone, Default)]
-pub struct SweepConfig {
-    /// Worker threads (`None` = the engine's configured pool size).
-    pub jobs: Option<usize>,
-    /// Per-scenario event budget (livelock guard; `None` = unlimited).
-    pub event_budget: Option<u64>,
-    /// Per-scenario wall-clock budget (`None` = unlimited).
-    pub wall_budget: Option<std::time::Duration>,
-}
+/// A placeholder that selects nothing: a sweep has no options, and the
+/// engine's [`EngineConfig::jobs`](crate::EngineConfig::jobs) sizes its
+/// pool. It stays only because e2ebench calls
+/// `run_sweep(&all, &SweepConfig)`; the benchmark-only change
+/// (ROADMAP, "One benchmark-only change") deletes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SweepConfig;

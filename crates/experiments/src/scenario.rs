@@ -1097,12 +1097,15 @@ impl Scenario {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Scenario::build_simulator`] with optional event and
-    /// wall-clock budgets (livelock guards for fail-soft sweeps).
+    /// Fallible [`Scenario::build_simulator`]. The two arguments are
+    /// placeholders that select nothing (`Some` cannot be built): they
+    /// stay only because e2ebench calls `try_build_simulator(None, None)`,
+    /// and the benchmark-only change (ROADMAP, "One benchmark-only
+    /// change") deletes them.
     pub fn try_build_simulator(
         &self,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
+        _: Option<std::convert::Infallible>,
+        _: Option<std::convert::Infallible>,
     ) -> Result<Simulator, ConfigError> {
         self.validate()?;
         let rate = Rate::from_mbps(self.mbps);
@@ -1121,12 +1124,6 @@ impl Scenario {
         }
         if let Some(t) = &self.topology {
             cfg = cfg.with_topology(t.lower(ref_rtt)?);
-        }
-        if let Some(budget) = event_budget {
-            cfg = cfg.with_event_budget(budget);
-        }
-        if let Some(budget) = wall_budget {
-            cfg = cfg.with_wall_clock_budget(budget);
         }
         let mut sim = Simulator::try_new(cfg)?;
         if let Some(wl) = self.workload {
@@ -1166,43 +1163,23 @@ impl Scenario {
     }
 
     /// Run the scenario through the simulator, panicking on error (the
-    /// legacy interface; see [`Scenario::try_run_with`]).
+    /// legacy interface; see [`Scenario::try_report`]).
     pub fn run(&self) -> TrialResult {
         assert!(
             !self.flows.is_empty() || self.workload.is_some(),
             "scenario needs flows"
         );
-        self.try_run_with(None, None)
-            .unwrap_or_else(|e| panic!("{e}"))
+        TrialResult::from_report(&self.try_report().unwrap_or_else(|e| panic!("{e}")))
     }
 
-    /// Run the scenario with optional event and wall-clock budgets,
-    /// returning a structured error instead of panicking when the
-    /// configuration is invalid, a budget trips, or (with auditing on) a
-    /// simulator invariant is violated.
-    pub fn try_run_with(
-        &self,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
-    ) -> Result<TrialResult, SimError> {
-        Ok(TrialResult::from_report(
-            &self.try_report_with(event_budget, wall_budget)?,
-        ))
-    }
-
-    /// Like [`Scenario::try_run_with`], but returns the raw simulator
-    /// report — the form the scenario result cache persists
-    /// ([`crate::engine`]), from which [`TrialResult`]s are derived.
-    pub fn try_report_with(
-        &self,
-        event_budget: Option<u64>,
-        wall_budget: Option<std::time::Duration>,
-    ) -> Result<bbrdom_netsim::SimReport, SimError> {
+    /// Run the scenario to its horizon on its backend and return the raw
+    /// simulator report, from which [`TrialResult`]s are derived. Returns
+    /// a structured error instead of panicking when the configuration is
+    /// invalid or (with auditing on) a simulator invariant is violated.
+    pub fn try_report(&self) -> Result<bbrdom_netsim::SimReport, SimError> {
         match self.backend {
-            BackendSpec::Des => self
-                .try_build_simulator(event_budget, wall_budget)?
-                .try_run(),
-            BackendSpec::Fluid => crate::fluid_backend::run_fluid(self, event_budget),
+            BackendSpec::Des => self.try_build_simulator(None, None)?.try_run(),
+            BackendSpec::Fluid => crate::fluid_backend::run_fluid(self),
         }
     }
 }
@@ -1706,7 +1683,7 @@ mod tests {
                 .with_backend(BackendSpec::Fluid)
         };
         let unsupported = |s: &Scenario| {
-            let err = s.try_report_with(None, None).unwrap_err();
+            let err = s.try_report().unwrap_err();
             assert!(
                 err.to_string().contains("fluid backend does not support"),
                 "{err}"
@@ -1791,15 +1768,8 @@ mod tests {
             let s = ok.clone().with_faults(faults);
             assert!(s.faults.check_lowerable().is_err());
             assert!(s.validate().is_err(), "{:?}", s.faults);
-            assert!(s.try_run_with(None, None).is_err());
+            assert!(s.try_report().is_err());
         }
-    }
-
-    #[test]
-    fn try_run_with_reports_event_budget() {
-        let s = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 1);
-        let err = s.try_run_with(Some(100), None).unwrap_err();
-        assert!(err.to_string().contains("event budget"), "{err}");
     }
 
     #[test]
@@ -1868,11 +1838,11 @@ mod tests {
     #[test]
     fn explicit_dumbbell_reproduces_the_implicit_run() {
         let implicit = Scenario::versus(10.0, 20.0, 2.0, 1, CcaKind::Bbr, 1, 5.0, 7);
-        let a = implicit.try_report_with(None, None).unwrap();
+        let a = implicit.try_report().unwrap();
         let b = implicit
             .clone()
             .with_topology(Some(TopologySpec::dumbbell(10.0, 2.0)))
-            .try_report_with(None, None)
+            .try_report()
             .unwrap();
         assert_eq!(a.to_json_value().to_json(), b.to_json_value().to_json());
     }

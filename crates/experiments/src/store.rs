@@ -4,8 +4,7 @@
 //! map) maps a scenario's content hash to exactly what the read side
 //! consumes — the scenario parameters (for `repro query`) and the
 //! extracted [`TrialResult`] (per-CCA goodput, queuing delay, FCT
-//! percentiles, backoff times), plus the recorded event count so budget
-//! admission works. A store hit short-circuits simulation with an
+//! percentiles, backoff times), plus the recorded event count. A store hit short-circuits simulation with an
 //! in-memory lookup, and `TrialResult`'s bit-exact JSON round-trip
 //! guarantees store-served figures are byte-identical to freshly
 //! simulated ones. [`StoreEntry::to_json_line`] writes a line and
@@ -56,22 +55,18 @@ pub const INDEX_FILE: &str = "index.jsonl";
 #[derive(Debug, Clone)]
 pub enum StoreOutcome {
     /// The trial succeeded: the extracted metrics, plus the simulator
-    /// event count when known (budget admission needs it; entries
-    /// written by older builds may lack it).
+    /// event count when known (entries written by older builds may lack
+    /// it).
     Ok {
         events: Option<u64>,
         result: Arc<TrialResult>,
     },
-    /// The trial failed (budget trip, invalid config, panic). Kept
+    /// The trial failed (invalid config, audit violation, panic). Kept
     /// for `repro query --failed` sweep planning; never served as a
     /// result — failures are always re-run, exactly like the engine's
-    /// cache policy.
-    Failed {
-        error: String,
-        context: String,
-        event_budget: Option<u64>,
-        wall_budget_ns: Option<u64>,
-    },
+    /// cache policy. A line written when sweeps had event and wall-clock
+    /// budgets also carries them; they are skipped on read.
+    Failed { error: String, context: String },
 }
 
 /// One indexed trial: content hash, full scenario (the queryable
@@ -199,21 +194,10 @@ impl StoreEntry {
                 }
                 v.set("result", result.to_json_value());
             }
-            StoreOutcome::Failed {
-                error,
-                context,
-                event_budget,
-                wall_budget_ns,
-            } => {
+            StoreOutcome::Failed { error, context } => {
                 v.set("ok", false.into())
                     .set("error", Value::Str(error.clone()))
                     .set("context", Value::Str(context.clone()));
-                if let Some(b) = event_budget {
-                    v.set("event_budget", Value::U64(*b));
-                }
-                if let Some(b) = wall_budget_ns {
-                    v.set("wall_budget_ns", Value::U64(*b));
-                }
             }
         }
         v.to_json()
@@ -227,7 +211,6 @@ impl StoreEntry {
     pub fn from_json_line(line: &str) -> Option<StoreEntry> {
         let (mut version, mut key, mut scenario, mut ok) = (None, None, None, None);
         let (mut events, mut result, mut error, mut context) = (None, None, None, None);
-        let (mut event_budget, mut wall_budget_ns) = (None, None);
         json::Reader::document(line, |r| {
             r.object(|r, k| {
                 match k {
@@ -239,8 +222,6 @@ impl StoreEntry {
                     "result" => result = Some(TrialResult::read(r)?),
                     "error" => error = Some(r.str()?),
                     "context" => context = r.str()?,
-                    "event_budget" => event_budget = r.u64()?,
-                    "wall_budget_ns" => wall_budget_ns = r.u64()?,
                     _ => r.skip()?,
                 }
                 Ok(())
@@ -261,8 +242,6 @@ impl StoreEntry {
             false => StoreOutcome::Failed {
                 error: error??.into_owned(),
                 context: context.unwrap_or_default().into_owned(),
-                event_budget,
-                wall_budget_ns,
             },
         };
         Some(StoreEntry {
@@ -340,25 +319,13 @@ impl Store {
     }
 
     /// Serve a successful result for a content hash, if the index holds
-    /// one that an event budget admits (mirroring the engine's cache
-    /// admission: a result whose recorded event count is unknown is
-    /// never served under a budget). Returns the result and the
-    /// recorded event count.
-    pub fn lookup(
-        &self,
-        hash: u128,
-        event_budget: Option<u64>,
-    ) -> Option<(Arc<TrialResult>, Option<u64>)> {
+    /// one. Returns the result and the recorded event count.
+    pub fn lookup(&self, hash: u128) -> Option<(Arc<TrialResult>, Option<u64>)> {
         let map = self.map.lock().expect("store map lock");
-        let entry = map.get(&hash)?;
-        let StoreOutcome::Ok { events, result } = &entry.outcome else {
+        let StoreOutcome::Ok { events, result } = &map.get(&hash)?.outcome else {
             return None;
         };
-        match (event_budget, events) {
-            (None, ev) => Some((Arc::clone(result), *ev)),
-            (Some(budget), Some(ev)) if *ev <= budget => Some((Arc::clone(result), Some(*ev))),
-            (Some(_), _) => None,
-        }
+        Some((Arc::clone(result), *events))
     }
 
     /// All entries, sorted by key — the deterministic order `repro
@@ -379,7 +346,7 @@ impl Store {
     /// thread calls this in strict scenario-index order). Append policy:
     /// a key already indexed with a success is immutable (content
     /// addressing — the result can never change); a failure may be
-    /// superseded by a later success (e.g. a raised budget); repeated
+    /// superseded by a later success (e.g. after a fix); repeated
     /// failures are not re-appended. I/O errors are swallowed — the
     /// index is an accelerator, not a store of record.
     pub(crate) fn record(
@@ -388,8 +355,6 @@ impl Store {
         scenario: &Scenario,
         outcome: &TrialOutcome,
         events: Option<u64>,
-        event_budget: Option<u64>,
-        wall_budget_ns: Option<u64>,
     ) {
         let mut map = self.map.lock().expect("store map lock");
         match (map.get(&hash).map(|e| &e.outcome), outcome) {
@@ -408,8 +373,6 @@ impl Store {
                 TrialOutcome::Failed(f) => StoreOutcome::Failed {
                     error: f.error.clone(),
                     context: f.context.clone(),
-                    event_budget,
-                    wall_budget_ns,
                 },
             },
         };
@@ -569,16 +532,34 @@ mod tests {
             key: format!("{:032x}", 7u128),
             scenario: tiny(7),
             outcome: StoreOutcome::Failed {
-                error: "event budget exceeded".into(),
+                error: "audit failure".into(),
                 context: "2 flows".into(),
-                event_budget: Some(1000),
-                wall_budget_ns: None,
             },
         };
         let line = entry.to_json_line();
         let back = StoreEntry::from_json_line(&line).expect("line parses");
         assert_eq!(back.to_json_line(), line);
         assert!(back.ok().is_none());
+    }
+
+    /// A failure line written when sweeps had event and wall-clock
+    /// budgets still loads: the two budget members are skipped, and the
+    /// line rewrites without them.
+    #[test]
+    fn a_failure_line_with_budgets_loads_without_them() {
+        let line = r#"{"context":"2 flows, 10 Mbps, buffer 2 BDP, 1 s, seed 7","error":"event budget exceeded after 1000 events at t=0.353595s","event_budget":1000,"key":"c7b1b2d8ef44361280e460dcd1fa61c6","ok":false,"scenario":{"buffer_bdp":2.0,"discipline":"droptail","duration_secs":1.0,"flows":[{"byte_limit":null,"cca":"cubic","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0}],"mbps":10.0,"reference_rtt_ms":20.0,"seed":7},"v":1,"wall_budget_ns":5000000000}"#;
+        let entry = StoreEntry::from_json_line(line).expect("line parses");
+        assert_eq!(entry.key, crate::engine::scenario_hash_hex(&tiny(7)));
+        let StoreOutcome::Failed { error, context } = &entry.outcome else {
+            panic!("a failure line loads as a failure");
+        };
+        assert_eq!(
+            error,
+            "event budget exceeded after 1000 events at t=0.353595s"
+        );
+        assert_eq!(context, "2 flows, 10 Mbps, buffer 2 BDP, 1 s, seed 7");
+        let rewritten = r#"{"context":"2 flows, 10 Mbps, buffer 2 BDP, 1 s, seed 7","error":"event budget exceeded after 1000 events at t=0.353595s","key":"c7b1b2d8ef44361280e460dcd1fa61c6","ok":false,"scenario":{"buffer_bdp":2.0,"discipline":"droptail","duration_secs":1.0,"flows":[{"byte_limit":null,"cca":"cubic","rtt_ms":20.0,"start_s":0.0},{"byte_limit":null,"cca":"bbr","rtt_ms":20.0,"start_s":0.0}],"mbps":10.0,"reference_rtt_ms":20.0,"seed":7},"v":1}"#;
+        assert_eq!(entry.to_json_line(), rewritten);
     }
 
     #[test]
@@ -728,7 +709,7 @@ mod tests {
 
         /// The record format round-trips: a cell's line reads back to the
         /// same bytes, a success with bitwise-equal floats, a failure
-        /// with the same message and budgets.
+        /// with the same message and context.
         #[test]
         fn results_round_trip_through_the_record_format(
             result in AnyResult,
@@ -741,8 +722,6 @@ mod tests {
                 0 => StoreOutcome::Failed {
                     error: result.cc_names.join("\n"),
                     context: format!("{events}"),
-                    event_budget: (events % 3 != 0).then_some(events),
-                    wall_budget_ns: (events % 2 == 0).then_some(events / 2),
                 },
                 _ => StoreOutcome::Ok {
                     events: (failed > 1).then_some(events),
@@ -914,21 +893,21 @@ mod tests {
         let hash = crate::engine::scenario_hash(&s);
         let failed = TrialOutcome::Failed(TrialFailure {
             index: 0,
-            error: "event budget exceeded".into(),
+            error: "audit failure".into(),
             context: "ctx".into(),
         });
-        store.record(hash, &s, &failed, None, Some(10), None);
-        assert!(store.lookup(hash, None).is_none());
+        store.record(hash, &s, &failed, None);
+        assert!(store.lookup(hash).is_none());
         // Failure -> success upgrades.
-        store.record(hash, &s, &ok, Some(42), None, None);
-        let (_, events) = store.lookup(hash, None).expect("success served");
+        store.record(hash, &s, &ok, Some(42));
+        let (_, events) = store.lookup(hash).expect("success served");
         assert_eq!(events, Some(42));
         // Success is immutable: a later failure cannot clobber it.
-        store.record(hash, &s, &failed, None, Some(10), None);
-        assert!(store.lookup(hash, None).is_some());
+        store.record(hash, &s, &failed, None);
+        assert!(store.lookup(hash).is_some());
         // Reopen sees the same state (last line wins).
         let reopened = Store::open(&dir);
-        assert!(reopened.lookup(hash, None).is_some());
+        assert!(reopened.lookup(hash).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -948,26 +927,6 @@ mod tests {
         let mut out = Writes(Vec::new());
         append_line(&mut out, "{\"v\":1}".to_string()).unwrap();
         assert_eq!(out.0, [b"{\"v\":1}\n".to_vec()]);
-    }
-
-    #[test]
-    fn budget_admission_mirrors_the_engine() {
-        let dir = temp_dir("budget");
-        let store = Store::open(&dir);
-        let (_, s, ok) = entry_for(4);
-        let hash = crate::engine::scenario_hash(&s);
-        store.record(hash, &s, &ok, Some(500), None, None);
-        assert!(store.lookup(hash, None).is_some());
-        assert!(store.lookup(hash, Some(500)).is_some());
-        assert!(store.lookup(hash, Some(499)).is_none(), "over budget");
-        // An entry with an unknown event count is never served under a
-        // budget.
-        let (_, s2, ok2) = entry_for(5);
-        let hash2 = crate::engine::scenario_hash(&s2);
-        store.record(hash2, &s2, &ok2, None, None, None);
-        assert!(store.lookup(hash2, None).is_some());
-        assert!(store.lookup(hash2, Some(u64::MAX)).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1169,10 +1128,8 @@ mod tests {
         let lines = synthetic_lines();
         let mut superseded = StoreEntry::from_json_line(&lines[0]).unwrap();
         superseded.outcome = StoreOutcome::Failed {
-            error: "event budget exceeded".into(),
+            error: "audit failure".into(),
             context: "ctx".into(),
-            event_budget: Some(5),
-            wall_budget_ns: None,
         };
         let mut index = Vec::new();
         for piece in [

@@ -16,9 +16,13 @@ use bbrdom_experiments::{FaultSpec, FlowSpec, Scenario, TopoLinkSpec, TopologySp
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-/// A hermetic engine: no memo, no disk — every run truly simulates.
-fn uncached() -> Engine {
-    Engine::new(EngineConfig::serial_uncached())
+/// A hermetic engine of `jobs` workers: no memo, no disk — every run
+/// truly simulates.
+fn uncached(jobs: usize) -> Engine {
+    Engine::new(EngineConfig {
+        jobs,
+        ..EngineConfig::serial_uncached()
+    })
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -81,17 +85,11 @@ proptest! {
         let serial_dir = temp_dir(&format!("det-serial-{case}"));
         let parallel_dir = temp_dir(&format!("det-parallel-{case}"));
 
-        let serial = engine_with_store(&serial_dir)
-            .run_sweep(&scenarios, &SweepConfig {
-                jobs: Some(1),
-                ..SweepConfig::default()
-            })
+        let serial = engine_with_store(&serial_dir, 1)
+            .run_sweep(&scenarios, &SweepConfig)
             .expect("serial sweep runs");
-        let parallel = engine_with_store(&parallel_dir)
-            .run_sweep(&scenarios, &SweepConfig {
-                jobs: Some(8),
-                ..SweepConfig::default()
-            })
+        let parallel = engine_with_store(&parallel_dir, 8)
+            .run_sweep(&scenarios, &SweepConfig)
             .expect("parallel sweep runs");
 
         // Byte-identical indexes: same lines, same order, same floats.
@@ -394,7 +392,7 @@ proptest! {
     /// and the same cache key, and so does the index line that records
     /// it.
     #[test]
-    fn scenarios_round_trip_through_json(s in AnyScenario, budget in 0u64..u64::MAX) {
+    fn scenarios_round_trip_through_json(s in AnyScenario) {
         let text = s.to_json();
         let back = Scenario::from_json(&text).expect("a serialized scenario parses");
         prop_assert_eq!(back.to_json(), text.clone());
@@ -413,8 +411,6 @@ proptest! {
             outcome: StoreOutcome::Failed {
                 error: "invalid \"config\"".into(),
                 context: String::new(),
-                event_budget: Some(budget),
-                wall_budget_ns: (budget % 2 == 0).then_some(budget / 2),
             },
         };
         let line = entry.to_json_line();
@@ -448,14 +444,8 @@ fn an_unlowerable_fault_spec_fails_only_its_own_cell() {
     assert_eq!(scenario_hash(&batch[1].clone()), keys[1], "a stable key");
 
     let dir = temp_dir("unlowerable-faults");
-    let outcomes = engine_with_store(&dir)
-        .run_sweep(
-            &batch,
-            &SweepConfig {
-                jobs: Some(2),
-                ..SweepConfig::default()
-            },
-        )
+    let outcomes = engine_with_store(&dir, 2)
+        .run_sweep(&batch, &SweepConfig)
         .expect("the sweep runs");
     assert!(outcomes[0].ok().is_some() && outcomes[4].ok().is_some());
     for (i, needle) in [
@@ -492,7 +482,7 @@ fn fluid_and_des_results_never_alias_in_the_cache() {
         .with_backend(bbrdom_experiments::BackendSpec::Fluid);
     assert_ne!(scenario_hash(&des), scenario_hash(&fluid));
 
-    let warm = engine_with_store(&dir);
+    let warm = engine_with_store(&dir, 1);
     let first = warm.run_all(&[des.clone(), fluid.clone()]);
     assert_eq!(warm.stats().simulated, 2, "distinct hashes, two real runs");
     assert_ne!(
@@ -511,7 +501,7 @@ fn fluid_and_des_results_never_alias_in_the_cache() {
         "each backend gets its own index line"
     );
 
-    let cold = engine_with_store(&dir);
+    let cold = engine_with_store(&dir, 1);
     let again = cold.run_all(&[des, fluid]);
     assert_eq!(cold.stats().store_hits, 2, "both lines must hit warm");
     assert_eq!(cold.stats().simulated, 0);
@@ -525,11 +515,12 @@ fn fluid_and_des_results_never_alias_in_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A disk cache with the result store on and no memo: what `repro
-/// --cache-dir` runs, minus the memo (so hits come only from disk).
-fn engine_with_store(dir: &std::path::Path) -> Engine {
+/// A disk cache with the result store on and no memo, `jobs` workers:
+/// what `repro --cache-dir` runs, minus the memo (so hits come only from
+/// disk).
+fn engine_with_store(dir: &std::path::Path, jobs: usize) -> Engine {
     Engine::new(EngineConfig {
-        jobs: 1,
+        jobs,
         disk_cache: Some(dir.to_path_buf()),
         memory_cache: false,
         result_store: true,
@@ -543,13 +534,13 @@ fn engine_with_store(dir: &std::path::Path) -> Engine {
 fn corrupted_cache_entry_falls_back_to_simulation() {
     let dir = temp_dir("corrupt-cache");
     let scenario = short_scenario(10.0, 1.0, 1, 1, 9);
-    let fresh = uncached().run_all(std::slice::from_ref(&scenario));
+    let fresh = uncached(1).run_all(std::slice::from_ref(&scenario));
 
     // Seed the index, then verify it actually hits.
-    let writer = engine_with_store(&dir);
+    let writer = engine_with_store(&dir, 1);
     writer.run_all(std::slice::from_ref(&scenario));
     assert_eq!(writer.stats().simulated, 1);
-    let reader = engine_with_store(&dir);
+    let reader = engine_with_store(&dir, 1);
     reader.run_all(std::slice::from_ref(&scenario));
     assert_eq!(reader.stats().store_hits, 1, "want a warm store hit");
 
@@ -570,7 +561,7 @@ fn corrupted_cache_entry_falls_back_to_simulation() {
         wrong_version.into_bytes(),
     ] {
         std::fs::write(&index, &garbage).unwrap();
-        let engine = engine_with_store(&dir);
+        let engine = engine_with_store(&dir, 1);
         let results = engine.run_all(std::slice::from_ref(&scenario));
         assert_eq!(engine.stats().store_hits, 0, "corrupt line must miss");
         assert_eq!(engine.stats().simulated, 1);
@@ -580,32 +571,6 @@ fn corrupted_cache_entry_falls_back_to_simulation() {
             "fallback result must be bit-identical to a fresh run"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A cached success recorded without budgets must not flip a budgeted
-/// rerun: the index line is only admitted when its event count fits.
-#[test]
-fn cache_respects_event_budgets() {
-    let dir = temp_dir("budget-cache");
-    let scenario = short_scenario(10.0, 1.0, 1, 1, 11);
-    let warm = engine_with_store(&dir);
-    warm.run_all(std::slice::from_ref(&scenario));
-
-    let budgeted = engine_with_store(&dir);
-    let outcomes = budgeted
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(100),
-                ..SweepConfig::default()
-            },
-        )
-        .expect("budgeted sweep runs");
-    assert_eq!(budgeted.stats().store_hits, 0, "over-budget line admitted");
-    let failure = outcomes[0].failure().expect("tiny budget must still trip");
-    assert!(failure.error.contains("event budget"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -619,21 +584,17 @@ fn rerun_against_the_same_cache_resumes_a_partial_sweep() {
         .map(|seed| short_scenario(10.0, 1.0, 1, 1, 40 + seed))
         .collect();
     let k = 2;
-    let cfg = SweepConfig {
-        jobs: Some(2),
-        ..SweepConfig::default()
-    };
 
-    let one_shot = uncached()
-        .run_sweep(&scenarios, &cfg)
+    let one_shot = uncached(2)
+        .run_sweep(&scenarios, &SweepConfig)
         .expect("one-shot sweep runs");
-    engine_with_store(&dir)
-        .run_sweep(&scenarios[..k], &cfg)
+    engine_with_store(&dir, 2)
+        .run_sweep(&scenarios[..k], &SweepConfig)
         .expect("partial sweep runs");
 
-    let resumed_engine = engine_with_store(&dir);
+    let resumed_engine = engine_with_store(&dir, 2);
     let resumed = resumed_engine
-        .run_sweep(&scenarios, &cfg)
+        .run_sweep(&scenarios, &SweepConfig)
         .expect("resumed sweep runs");
     assert_eq!(
         resumed_engine.stats().simulated,
@@ -650,84 +611,75 @@ fn rerun_against_the_same_cache_resumes_a_partial_sweep() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Failures are never served from the cache: a cell that failed under a
-/// tiny event budget reruns to success under a larger one, and an
-/// identical third run is served without simulating.
+/// Failures are never served from the cache: against the same store, a
+/// cell whose fault spec cannot be compiled runs again on every rerun,
+/// while its successful sibling is simulated once and served after.
 #[test]
-fn failed_cell_reruns_to_success_when_the_budget_grows() {
-    let dir = temp_dir("budget-rerun");
-    let scenario = short_scenario(10.0, 1.0, 1, 0, 5);
-    let sweep = |budget: u64| -> (Vec<TrialOutcome>, u64) {
-        let engine = engine_with_store(&dir);
-        let outcomes = engine
-            .run_sweep(
-                std::slice::from_ref(&scenario),
-                &SweepConfig {
-                    jobs: Some(1),
-                    event_budget: Some(budget),
-                    ..SweepConfig::default()
-                },
-            )
-            .expect("sweep runs");
+fn failed_cell_reruns_while_its_sibling_is_served() {
+    let dir = temp_dir("failed-rerun");
+    let mut failing = short_scenario(10.0, 1.0, 1, 0, 5);
+    failing.faults.outages = vec![(-1.0, 0.5)];
+    let batch = [short_scenario(10.0, 1.0, 1, 0, 6), failing];
+    let sweep = || -> (Vec<TrialOutcome>, u64) {
+        let engine = engine_with_store(&dir, 1);
+        let outcomes = engine.run_sweep(&batch, &SweepConfig).expect("sweep runs");
         (outcomes, engine.stats().simulated)
     };
 
-    let (strangled, _) = sweep(100);
-    assert!(strangled[0].failure().is_some(), "tiny budget must trip");
-
-    let (recovered, simulated) = sweep(10_000_000);
-    assert!(
-        recovered[0].ok().is_some(),
-        "raised budget must rerun the failed cell, got {:?}",
-        recovered[0].failure()
-    );
-    assert_eq!(simulated, 1);
-
-    let (again, simulated) = sweep(10_000_000);
-    assert!(again[0].ok().is_some());
-    assert_eq!(simulated, 0, "an identical rerun is served from the store");
+    for want_simulated in [2, 1, 1] {
+        let (outcomes, simulated) = sweep();
+        assert!(outcomes[0].ok().is_some(), "the sibling succeeds");
+        let failure = outcomes[1].failure().expect("the unlowerable cell fails");
+        assert!(
+            failure
+                .error
+                .contains("fault outage start must be zero or more"),
+            "{}",
+            failure.error
+        );
+        assert_eq!(simulated, want_simulated);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Fail-soft under parallelism: with `jobs = 4` and an event budget that
-/// only the long scenarios exceed, exactly those trials fail, and the
+/// Fail-soft under parallelism: with `jobs = 4` and every other cell's
+/// fault spec unlowerable, exactly those trials fail, and the
 /// result-store index holds exactly one line per scenario — none lost to
 /// a race, none duplicated.
 #[test]
-fn concurrent_budget_failures_are_exact() {
+fn concurrent_failures_are_exact() {
     let short = |seed| short_scenario(10.0, 1.0, 1, 1, seed);
-    let long = |seed| {
+    let unlowerable = |seed| {
         let mut s = short_scenario(10.0, 1.0, 1, 1, seed);
-        s.duration_secs = 8.0;
+        s.faults.outages = vec![(-1.0, 0.5)];
         s
     };
-    // Budget: double a short run's cost — plenty for 0.5 s, hopeless
-    // for 8 s (event count scales with simulated time).
-    let probe = short(0).try_report_with(None, None).unwrap();
-    let budget = probe.events_processed * 2;
-
-    let scenarios = vec![short(1), long(2), short(3), long(4), short(5), long(6)];
+    let scenarios = vec![
+        short(1),
+        unlowerable(2),
+        short(3),
+        unlowerable(4),
+        short(5),
+        unlowerable(6),
+    ];
     let expect_failed = [1usize, 3, 5];
 
-    let dir = temp_dir("concurrent-budget");
-    let outcomes = engine_with_store(&dir)
-        .run_sweep(
-            &scenarios,
-            &SweepConfig {
-                jobs: Some(4),
-                event_budget: Some(budget),
-                ..SweepConfig::default()
-            },
-        )
+    let dir = temp_dir("concurrent-failures");
+    let outcomes = engine_with_store(&dir, 4)
+        .run_sweep(&scenarios, &SweepConfig)
         .expect("concurrent sweep runs");
 
     for (i, outcome) in outcomes.iter().enumerate() {
         if expect_failed.contains(&i) {
             let f = outcome
                 .failure()
-                .unwrap_or_else(|| panic!("scenario {i} should have tripped the event budget"));
+                .unwrap_or_else(|| panic!("scenario {i} should have failed"));
             assert_eq!(f.index, i);
-            assert!(f.error.contains("event budget"), "index {i}: {}", f.error);
+            assert!(
+                f.error.contains("fault outage start must be zero or more"),
+                "index {i}: {}",
+                f.error
+            );
         } else {
             assert!(outcome.ok().is_some(), "scenario {i} should have passed");
         }
@@ -756,8 +708,8 @@ fn identical_scenarios_simulate_once() {
         s.clone(),
         short_scenario(10.0, 1.0, 1, 1, 22),
     ];
-    let engine = uncached();
-    let results = engine.run_all_jobs(&batch, 4);
+    let engine = uncached(4);
+    let results = engine.run_all(&batch);
     assert_eq!(engine.stats().simulated, 2);
     assert_eq!(engine.stats().deduped, 2);
     assert_eq!(

@@ -125,7 +125,7 @@ fn index_torn_tail_recovers_on_reopen() {
     let store = Store::open(&cache);
     assert_eq!(store.len(), 4);
     for s in &scenarios {
-        assert!(store.lookup(scenario_hash(s), None).is_some());
+        assert!(store.lookup(scenario_hash(s)).is_some());
     }
 
     // Next write-mode open repairs the tail before appending: run one

@@ -37,8 +37,8 @@
 //!
 //! Integration is explicit Euler with `dt = min RTT / 24` (clamped to
 //! `[20 µs, 2 ms]`); [`SimReport::events_processed`] records the step
-//! count, which [`FluidConfig::steps`] gives before integrating, so event
-//! budgets and perf accounting stay meaningful.
+//! count, which [`FluidConfig::steps`] gives before integrating, so perf
+//! accounting stays meaningful.
 //!
 //! Flow state lives in columns, one pass per CCA class: loss-based
 //! windows as one `Vec<f64>` per field, stepped two lanes at a time,
@@ -269,9 +269,9 @@ impl FluidConfig {
     }
 
     /// Number of integration steps [`simulate`] takes, which is the
-    /// [`SimReport::events_processed`] it reports, so a caller can check
-    /// an event budget before integrating. Meaningful only for a config
-    /// that passes [`FluidConfig::validate`].
+    /// [`SimReport::events_processed`] it reports, so a caller can size
+    /// the work before integrating. Meaningful only for a config that
+    /// passes [`FluidConfig::validate`].
     pub fn steps(&self) -> u64 {
         (self.duration_secs / self.dt()).ceil() as u64
     }

@@ -99,20 +99,6 @@ pub enum SimError {
     Config(ConfigError),
     /// The runtime auditor caught an internal inconsistency.
     Audit(AuditViolation),
-    /// The run exceeded its event-count budget (livelock guard).
-    EventBudgetExceeded {
-        /// Events dispatched when the budget tripped.
-        events: u64,
-        /// Simulated time reached.
-        sim_time: SimTime,
-    },
-    /// The run exceeded its wall-clock budget (livelock guard).
-    WallClockExceeded {
-        /// Real elapsed seconds when the budget tripped.
-        elapsed_secs: f64,
-        /// Simulated time reached.
-        sim_time: SimTime,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -120,17 +106,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::Config(e) => write!(f, "invalid configuration: {e}"),
             SimError::Audit(v) => write!(f, "audit failure: {v}"),
-            SimError::EventBudgetExceeded { events, sim_time } => write!(
-                f,
-                "event budget exceeded after {events} events at t={sim_time}"
-            ),
-            SimError::WallClockExceeded {
-                elapsed_secs,
-                sim_time,
-            } => write!(
-                f,
-                "wall-clock budget exceeded after {elapsed_secs:.2}s at t={sim_time}"
-            ),
         }
     }
 }

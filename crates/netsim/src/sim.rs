@@ -84,12 +84,6 @@ pub struct SimConfig {
     /// Force the runtime invariant auditor on for this run (it is also
     /// enabled globally by `BBRDOM_AUDIT=1`; see [`crate::audit`]).
     pub audit: bool,
-    /// Abort the run with [`SimError::EventBudgetExceeded`] after this
-    /// many events (livelock guard; `None` = unlimited).
-    pub max_events: Option<u64>,
-    /// Abort the run with [`SimError::WallClockExceeded`] after this much
-    /// real time (`None` = unlimited; checked every 65 536 events).
-    pub max_wall_clock: Option<std::time::Duration>,
     /// Open-loop workload: finite flows arriving during the run (see
     /// [`crate::workload`]). `None` (the default) simulates only the
     /// statically added flows.
@@ -115,8 +109,6 @@ impl SimConfig {
             seed: 0,
             faults: FaultSchedule::none(),
             audit: false,
-            max_events: None,
-            max_wall_clock: None,
             workload: None,
             topology: None,
         }
@@ -182,18 +174,6 @@ impl SimConfig {
     /// Force the runtime invariant auditor on for this run.
     pub fn with_audit(mut self, audit: bool) -> Self {
         self.audit = audit;
-        self
-    }
-
-    /// Abort the run after `max_events` dispatched events (livelock guard).
-    pub fn with_event_budget(mut self, max_events: u64) -> Self {
-        self.max_events = Some(max_events);
-        self
-    }
-
-    /// Abort the run after `budget` of real (wall-clock) time.
-    pub fn with_wall_clock_budget(mut self, budget: std::time::Duration) -> Self {
-        self.max_wall_clock = Some(budget);
         self
     }
 
@@ -486,8 +466,8 @@ impl Simulator {
     /// Run the simulation to completion and produce the report.
     ///
     /// Fails with a structured [`SimError`] instead of panicking when the
-    /// configuration is invalid, an event/wall-clock budget is exceeded,
-    /// or (with auditing on) a runtime invariant is violated.
+    /// configuration is invalid or (with auditing on) a runtime invariant
+    /// is violated.
     pub fn try_run(&mut self) -> Result<SimReport, SimError> {
         // A workload-only run legitimately starts with zero static flows.
         if self.pending.is_empty() && self.config.workload.is_none() {
@@ -610,11 +590,6 @@ impl Simulator {
             }
             None => None,
         };
-        let max_events = self.config.max_events.unwrap_or(u64::MAX);
-        let wall = self
-            .config
-            .max_wall_clock
-            .map(|limit| (std::time::Instant::now(), limit));
 
         // Schedule the first trace sample at t=0 (before any FlowStart) so
         // traces carry the true baseline: empty queue, initial cwnd, zero
@@ -630,23 +605,6 @@ impl Simulator {
         while let Some((now, event)) = events.pop() {
             if now > end {
                 break;
-            }
-            if events_processed >= max_events {
-                return Err(SimError::EventBudgetExceeded {
-                    events: events_processed,
-                    sim_time: now,
-                });
-            }
-            if events_processed & 0xFFFF == 0 {
-                if let Some((started, limit)) = wall {
-                    let elapsed = started.elapsed();
-                    if elapsed > limit {
-                        return Err(SimError::WallClockExceeded {
-                            elapsed_secs: elapsed.as_secs_f64(),
-                            sim_time: now,
-                        });
-                    }
-                }
             }
             events_processed += 1;
             match event {
@@ -1266,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_without_flows_returns_config_error() {
+    fn flowless_try_run_returns_config_error() {
         let (cfg, _) = base_config(10.0, 40, 2.0, 1.0);
         let err = Simulator::try_new(cfg).unwrap().try_run().unwrap_err();
         assert!(matches!(err, SimError::Config(ConfigError::NoFlows)));
@@ -1318,31 +1276,6 @@ mod tests {
             }
             other => panic!("expected audit violation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn event_budget_aborts_livelocked_run() {
-        let (cfg, rtt) = base_config(10.0, 40, 2.0, 10.0);
-        let bdp = cfg.rate.bdp_bytes(rtt);
-        let mut sim = Simulator::try_new(cfg.with_event_budget(1_000)).unwrap();
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-        match sim.try_run() {
-            Err(SimError::EventBudgetExceeded { events, .. }) => assert_eq!(events, 1_000),
-            other => panic!("expected event budget error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wall_clock_budget_aborts_run() {
-        let (cfg, rtt) = base_config(1000.0, 40, 2.0, 3600.0);
-        let bdp = cfg.rate.bdp_bytes(rtt);
-        let mut sim =
-            Simulator::try_new(cfg.with_wall_clock_budget(std::time::Duration::ZERO)).unwrap();
-        sim.add_flow(FlowConfig::new(Box::new(FixedWindow::new(2 * bdp)), rtt));
-        assert!(matches!(
-            sim.try_run(),
-            Err(SimError::WallClockExceeded { .. })
-        ));
     }
 
     #[test]

@@ -167,6 +167,6 @@ pub fn matrix() -> Vec<(String, Scenario)> {
 pub fn run_report(s: &Scenario) -> SimReport {
     match s.backend {
         BackendSpec::Des => s.build_simulator().run(),
-        BackendSpec::Fluid => s.try_report_with(None, None).expect("fluid run"),
+        BackendSpec::Fluid => s.try_report().expect("fluid run"),
     }
 }

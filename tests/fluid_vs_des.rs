@@ -27,8 +27,8 @@
 //! constant in `crates/fluid/src/lib.rs` and rerunning this suite. They
 //! are deliberately loose: `--backend fluid` is a fast approximation,
 //! and its NE is not the DES's in deep buffers, where the fluid model
-//! puts the equilibrium at all-BBR while the DES finds mixed ones
-//! (EXPERIMENTS.md, "Fluid backend").
+//! puts the equilibrium at all-CUBIC (its BBR flows starve) while the
+//! DES finds BBR-heavy or mixed ones (EXPERIMENTS.md, "Fluid backend").
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::{scenario_hash, BackendSpec, Scenario};
